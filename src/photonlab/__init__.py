@@ -68,8 +68,8 @@ from .protocol import (
     BasisOracle,
     EncodingRule,
     FixedBasisML,
+    PhotonStream,
     Repetition,
-    SentPhoton,
     TransmissionReport,
     encode,
     mutual_information,

@@ -10,6 +10,7 @@ operators represent mixed beams and reduced single-photon states.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -148,6 +149,38 @@ def snap_probability(p: float) -> float:
     return p
 
 
+def sample_categories(probs, u) -> np.ndarray:
+    """Born-rule outcome index (uint8, shaped like the array u) of each uniform
+    draw in u, all following one distribution over len(probs) outcomes.
+
+    Outcome k is drawn when u lies between the cumulative snapped probabilities
+    before and through it. A draw in the sliver where snapped probabilities sum
+    to under 1 goes to the last outcome with nonzero probability, so a
+    snapped-to-zero outcome is never drawn.
+    """
+    p = [snap_probability(x) for x in probs]
+    last_nonzero = max(k for k, x in enumerate(p) if x > 0.0)
+    outcome = np.zeros(np.shape(u), dtype=np.uint8)
+    for edge in itertools.accumulate(p[:last_nonzero]):
+        outcome += u >= edge
+    return outcome
+
+
+def sample_binary(p0, u) -> np.ndarray:
+    """Two-outcome sample_categories for an outcome-0 probability p0 that may
+    differ per draw (p0 broadcasts against u). Outcome 1 holds the rest, so it
+    is impossible exactly when p0 snaps to 1.
+    """
+    if np.ndim(p0) == 0:
+        return np.greater_equal(u, snap_probability(p0)).view(np.uint8)
+    p0 = np.asarray(p0)
+    # u >= snapped p0, without a snapped copy of the per-draw p0
+    outcome = np.greater_equal(u, p0)
+    outcome &= p0 < 1.0 - PROB_SNAP
+    outcome |= p0 <= PROB_SNAP
+    return outcome.view(np.uint8)
+
+
 def _require_qubit(state) -> StateVector:
     state = _coerce_state(state)
     if state.dim != 2:
@@ -179,8 +212,7 @@ def collapse(state, basis, rng: RngStream) -> OutcomeRecord:
     """Sample an outcome per the Born rule; consumes exactly one uniform draw."""
     basis = _coerce_basis(basis)
     p0, p1 = born_probabilities(state, basis)
-    u = float(rng.random())
-    outcome = 0 if u < p0 else 1
+    outcome = int(sample_categories((p0, p1), rng.random(1))[0])
     return OutcomeRecord(
         outcome=outcome,
         post_state=basis.eigenvector(outcome),

@@ -21,6 +21,8 @@ from .core import (
     OutcomeRecord,
     StateVector,
     _coerce_basis,
+    sample_binary,
+    sample_categories,
     snap_probability,
     trace_distance,
 )
@@ -85,9 +87,7 @@ def measure_A(pair: PairState, basis_a, rng: RngStream) -> tuple[OutcomeRecord, 
     """Measure photon A with one uniform draw, returning A's record and B's
     post-measurement state (for the singlet, the eigenvector orthogonal to A's)."""
     basis_a = _coerce_basis(basis_a)
-    p0, _ = _branch(pair, basis_a, 0)
-    u = float(rng.random())
-    outcome = 0 if u < p0 else 1
+    outcome = int(sample_binary(_branch(pair, basis_a, 0)[0], rng.random(1))[0])
     p, b_state = conditional_state(pair, basis_a, outcome)
     record = OutcomeRecord(
         outcome=outcome,
@@ -113,23 +113,28 @@ def joint_probabilities(pair: PairState, basis_a, basis_b) -> np.ndarray:
     return probs
 
 
-def _category_edges(probs: np.ndarray) -> tuple[np.ndarray, int]:
-    # Snapped probabilities can sum to slightly under 1; a uniform landing in
-    # that sliver must map to a category that actually has weight, never to a
-    # snapped-to-zero one, or "impossible" outcomes appear at the 1e-16 level.
-    edges = np.cumsum(probs)
-    last_nonzero = int(np.flatnonzero(probs > 0.0)[-1])
-    return edges, last_nonzero
-
-
 def measure_pair(pair: PairState, basis_a, basis_b, rng: RngStream) -> JointOutcome:
     """Sample one joint outcome from the 4-category joint distribution."""
     basis_a = _coerce_basis(basis_a)
     basis_b = _coerce_basis(basis_b)
-    edges, last_nonzero = _category_edges(joint_probabilities(pair, basis_a, basis_b).ravel())
-    u = float(rng.random())
-    idx = min(int(np.searchsorted(edges, u, side="right")), last_nonzero)
+    probs = joint_probabilities(pair, basis_a, basis_b).ravel()
+    idx = int(sample_categories(probs, rng.random(1))[0])
     return JointOutcome(outcome_a=idx // 2, outcome_b=idx % 2, basis_a=basis_a, basis_b=basis_b)
+
+
+def _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base) -> np.ndarray:
+    """Counts of the joint outcomes (00, 01, 10, 11) over n sampled pairs."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if pair is None:
+        pair = make_pair()
+    probs = joint_probabilities(pair, theta_a, theta_b).ravel()
+
+    def run_chunk(worker: int, size: int) -> np.ndarray:
+        u = stream_from_seed(seed, stream_base + worker).random(size)
+        return np.bincount(sample_categories(probs, u), minlength=4)
+
+    return sum(map_partitions(n, workers, run_chunk))
 
 
 @dataclass(frozen=True)
@@ -161,21 +166,8 @@ def correlation(
 
     Worker w samples from stream_from_seed(seed, stream_base + w).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if pair is None:
-        pair = make_pair()
-    edges, last_nonzero = _category_edges(joint_probabilities(pair, theta_a, theta_b).ravel())
-
-    def run_chunk(worker: int, size: int) -> np.ndarray:
-        stream = stream_from_seed(seed, stream_base + worker)
-        u = stream.random(size)
-        idx = np.minimum(np.searchsorted(edges, u, side="right"), last_nonzero)
-        equal = (idx == 0) | (idx == 3)
-        return np.array([size, int(equal.sum())], dtype=np.int64)
-
-    totals = sum(map_partitions(n, workers, run_chunk))
-    return CorrelationStats.from_counts(n_equal=int(totals[1]), n=int(totals[0]))
+    counts = _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base)
+    return CorrelationStats.from_counts(n_equal=int(counts[0] + counts[3]), n=int(n))
 
 
 CHSH_SETTINGS = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
@@ -229,20 +221,8 @@ def bob_marginal_counts(
     Returns (n, count of outcome_b == 0). The count's distribution does not
     depend on theta_a; this is the empirical face of the no-signaling check.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if pair is None:
-        pair = make_pair()
-    edges, last_nonzero = _category_edges(joint_probabilities(pair, theta_a, theta_b).ravel())
-
-    def run_chunk(worker: int, size: int) -> np.ndarray:
-        stream = stream_from_seed(seed, stream_base + worker)
-        u = stream.random(size)
-        idx = np.minimum(np.searchsorted(edges, u, side="right"), last_nonzero)
-        return np.array([size, int((idx % 2 == 0).sum())], dtype=np.int64)
-
-    totals = sum(map_partitions(n, workers, run_chunk))
-    return int(totals[0]), int(totals[1])
+    counts = _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base)
+    return int(n), int(counts[0] + counts[2])
 
 
 def bob_reduced_state(pair: PairState, basis_a) -> DensityOperator:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import snap_probability
+from .core import sample_binary, snap_probability
 from .rng import map_partitions, stream_from_seed
 
 _BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
@@ -120,16 +120,16 @@ def run_mzi(
         detect = stream_from_seed(seed, stream_base + 2 * worker)
         u = detect.random(size)
         if not delayed:
-            d0 = u < p_fixed
-            return np.array([size, int(d0.sum()), 0, 0, 0, 0], dtype=np.int64)
+            d1 = int(np.count_nonzero(sample_binary(p_fixed, u)))
+            return np.array([size, size - d1, 0, 0, 0, 0], dtype=np.int64)
         choice = stream_from_seed(seed, stream_base + 2 * worker + 1)
         present = choice.random(size) < config.p_present
-        d0 = u < np.where(present, p_closed, p_open)
-        n_present = int(present.sum())
-        d0_present = int((d0 & present).sum())
+        outcome = np.where(present, sample_binary(p_closed, u), sample_binary(p_open, u))
+        n_present = int(np.count_nonzero(present))
+        d0 = size - int(np.count_nonzero(outcome))
+        d0_present = n_present - int(np.count_nonzero(outcome & present))
         return np.array(
-            [size, int(d0.sum()), n_present, d0_present, size - n_present,
-             int(d0.sum()) - d0_present],
+            [size, d0, n_present, d0_present, size - n_present, d0 - d0_present],
             dtype=np.int64,
         )
 

@@ -19,12 +19,12 @@ from .core import (
     DensityOperator,
     InvalidStateError,
     MeasurementBasis,
-    PROB_SNAP,
     StateVector,
     canonical_angle,
     collapse,
     ket_from_angle,
     projection_probability,
+    sample_binary,
 )
 from .rng import RngStream, map_partitions, stream_from_seed
 
@@ -136,15 +136,6 @@ def transmit_photon_mc(photon: PhotonRecord, p: Polarizer, rng: RngStream) -> Ph
     return PhotonRecord(state=record.post_state, alive=record.outcome == 0, collapse_history=history)
 
 
-def _pass_probabilities(angles: np.ndarray, axis: float) -> np.ndarray:
-    """Vectorized aligned-outcome probability cos^2(axis - angle), noise-snapped
-    exactly like born_probabilities."""
-    p = np.cos(axis - angles) ** 2
-    p[p <= PROB_SNAP] = 0.0
-    p[p >= 1.0 - PROB_SNAP] = 1.0
-    return p
-
-
 def cascade_mc(
     n_photons: int,
     axes,
@@ -172,17 +163,20 @@ def cascade_mc(
 
     def run_chunk(worker: int, size: int) -> np.ndarray:
         stream = stream_from_seed(seed, worker)
+        # a shared angle is a 1-element array, not a scalar, so cos takes the
+        # same vectorized path, to the bit, as per-photon angles
         if source == "natural":
             angles = stream.random(size) * math.pi
         else:
-            angles = np.full(size, start_angle)
+            angles = np.array([start_angle])
         counts = np.zeros(len(axes), dtype=np.int64)
+        alive = size
         for i, axis in enumerate(axes):
-            p_pass = _pass_probabilities(angles, axis)
-            passed = stream.random(angles.shape[0]) < p_pass
-            survivors = int(passed.sum())
-            angles = np.full(survivors, axis)
-            counts[i] = survivors
+            p_pass = np.cos(axis - angles) ** 2
+            angles = np.array([axis])  # survivors leave polarized along the axis
+            absorbed = sample_binary(p_pass, stream.random(alive))
+            alive -= int(np.count_nonzero(absorbed))
+            counts[i] = alive
         return counts
 
     totals = sum(map_partitions(n_photons, workers, run_chunk))

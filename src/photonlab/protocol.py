@@ -2,14 +2,18 @@
 her measurement-basis choice, Bob receives the conditionally collapsed partner
 photon, and a receiver model tries to read the bit back.
 
+The photon stream is columnar. Bob's photon is fixed by the bit (which basis
+Alice measured in) and Alice's outcome, so a stream is those two columns plus
+the 2x2 table of conditional states they index.
+
 Receiver models span the honest range. The standard-physics strategies
 (fixed-basis maximum likelihood, repetition with majority vote) operate only on
 Bob's photon states; because Bob's marginal is the maximally mixed state
 whatever Alice does, their likelihoods tie on every photon and the decoded
-stream carries no information. The basis-oracle strategy reads the hidden
-basis tag directly, a capability no physical receiver has for a single copy;
-it is included, clearly labeled, to show that the scheme works if and only if
-that capability is granted.
+stream carries no information. The basis-oracle strategy reads the bit column,
+that is, which basis Alice measured in, directly: a capability no physical
+receiver has for a single copy. It is included, clearly labeled, to show that
+the scheme works if and only if that capability is granted.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import numpy as np
 
 from .core import (
     MeasurementBasis,
-    StateVector,
     born_probabilities,
     canonical_angle,
+    sample_binary,
     snap_probability,
 )
 from .entangle import conditional_state, make_pair
@@ -78,18 +82,22 @@ class EncodingRule:
         return self.basis_for_one if bit else self.basis_for_zero
 
 
-@dataclass(frozen=True)
-class SentPhoton:
-    """Bob's photon for one transmitted pair.
+@dataclass(frozen=True, eq=False)
+class PhotonStream:
+    """Bob's photons, one per transmitted pair, as columns.
 
-    hidden_basis_tag records which basis Alice measured in; it is bookkeeping
-    the simulation carries, not a property a receiver can extract from the
-    single photon. Only the basis-oracle strategy reads it.
+    Photon i is states[bits[i]][outcomes[i]]: Alice measured its partner in
+    the basis of bit bits[i] and got outcome outcomes[i]. The bit column is
+    bookkeeping the simulation carries, not a property a receiver can extract
+    from a single photon; only the basis-oracle strategy reads it.
     """
 
-    bob_state: StateVector
-    hidden_basis_tag: float
-    pair_index: int
+    bits: np.ndarray
+    outcomes: np.ndarray
+    states: tuple
+
+    def __len__(self) -> int:
+        return int(self.bits.shape[0])
 
 
 @dataclass(frozen=True)
@@ -166,7 +174,7 @@ def standard_strategies() -> list:
     ]
 
 
-def encode(bits, rule: EncodingRule, rng: RngStream, pairs_per_bit: int = 1, start_index: int = 0):
+def encode(bits, rule: EncodingRule, rng: RngStream, pairs_per_bit: int = 1) -> PhotonStream:
     """Measure one fresh singlet per pair in the bit's basis; collect Bob's photons.
 
     Each photon consumes one uniform (Alice's outcome draw). With
@@ -176,46 +184,17 @@ def encode(bits, rule: EncodingRule, rng: RngStream, pairs_per_bit: int = 1, sta
     if pairs_per_bit < 1:
         raise ValueError(f"pairs_per_bit must be >= 1, got {pairs_per_bit}")
     pair = make_pair()
-    # per bit value: Alice's aligned-outcome probability and Bob's two
-    # conditional states, shared across all photons carrying that value
-    branch = {}
+    # per bit value: Alice's aligned-outcome probability and Bob's two states
+    p_aligned = np.empty(2)
+    states = []
     for v in (0, 1):
         angle = rule.basis_for(v)
-        p0, state0 = conditional_state(pair, angle, 0)
+        p_aligned[v], state0 = conditional_state(pair, angle, 0)
         _, state1 = conditional_state(pair, angle, 1)
-        branch[v] = (p0, (state0, state1), angle)
+        states.append((state0, state1))
     repeated = np.repeat(bits, pairs_per_bit)
-    p0_arr = np.where(repeated == 1, branch[1][0], branch[0][0])
-    outcomes = (rng.random(repeated.shape[0]) >= p0_arr).astype(np.int64)
-    photons = []
-    for i, (v, o) in enumerate(zip(repeated, outcomes)):
-        _, states, angle = branch[int(v)]
-        photons.append(
-            SentPhoton(
-                bob_state=states[int(o)],
-                hidden_basis_tag=angle,
-                pair_index=start_index + i,
-            )
-        )
-    return photons
-
-
-def _measure_photons(photons, basis: MeasurementBasis, rng: RngStream) -> np.ndarray:
-    """Collapse each Bob photon in the receiver basis; one uniform per photon.
-
-    Born weights are cached per distinct state object, so bulk streams with a
-    handful of shared states stay cheap.
-    """
-    cache = {}
-    p0 = np.empty(len(photons))
-    for i, ph in enumerate(photons):
-        key = id(ph.bob_state)
-        v = cache.get(key)
-        if v is None:
-            v = born_probabilities(ph.bob_state, basis)[0]
-            cache[key] = v
-        p0[i] = v
-    return (rng.random(len(photons)) >= p0).astype(np.int64)
+    outcomes = sample_binary(p_aligned[repeated], rng.random(repeated.shape[0]))
+    return PhotonStream(bits=repeated, outcomes=outcomes, states=tuple(states))
 
 
 def _ml_table(rule: EncodingRule, basis: MeasurementBasis) -> np.ndarray:
@@ -236,17 +215,23 @@ def _ml_table(rule: EncodingRule, basis: MeasurementBasis) -> np.ndarray:
     return table
 
 
-def _decode(photons, strategy, rule: EncodingRule, rng: RngStream):
+def _decode(photons: PhotonStream, strategy, rule: EncodingRule, rng: RngStream):
     """Decode a photon stream, returning (bits, tie count)."""
     if isinstance(strategy, BasisOracle):
-        tags = np.array([ph.hidden_basis_tag for ph in photons])
+        # the decision depends only on the bit column: decide each bit value once
+        tags = np.array([rule.basis_for_zero, rule.basis_for_one])
         d_one = np.array([_basis_set_distance(t, rule.basis_for_one) for t in tags])
         d_zero = np.array([_basis_set_distance(t, rule.basis_for_zero) for t in tags])
-        ties = int((np.abs(d_one - d_zero) <= _TIE_ATOL).sum())
-        bits = (d_one + _TIE_ATOL < d_zero).astype(np.int64)
-        return bits, ties
+        tied = np.abs(d_one - d_zero) <= _TIE_ATOL
+        decided = (d_one + _TIE_ATOL < d_zero).astype(np.int64)
+        return decided[photons.bits], int(np.count_nonzero(tied[photons.bits]))
     if isinstance(strategy, FixedBasisML):
-        outcomes = _measure_photons(photons, strategy.basis, rng)
+        # Born table over Bob's four possible states, indexed 2*bit + outcome
+        p_aligned = np.array(
+            [born_probabilities(s, strategy.basis)[0] for row in photons.states for s in row]
+        )
+        which = 2 * photons.bits + photons.outcomes
+        outcomes = sample_binary(p_aligned[which], rng.random(len(photons)))
         table = _ml_table(rule, strategy.basis)
         like_zero = table[0, outcomes]
         like_one = table[1, outcomes]
@@ -263,7 +248,7 @@ def _decode(photons, strategy, rule: EncodingRule, rng: RngStream):
     raise ValueError(f"unknown receiver strategy: {strategy!r}")
 
 
-def receive(photons, strategy, rule: EncodingRule, rng: RngStream) -> np.ndarray:
+def receive(photons: PhotonStream, strategy, rule: EncodingRule, rng: RngStream) -> np.ndarray:
     """Decode the photon stream into bits with the given receiver strategy."""
     if len(photons) == 0:
         raise ValueError("photons must be non-empty")
@@ -347,7 +332,6 @@ def run_protocol(
     if strategy is None:
         strategy = FixedBasisML(0.0)
     per_bit = strategy.pairs_per_bit
-    offsets = np.concatenate([[0], np.cumsum(partition_sizes(n_bits, workers))])
     if bit_source == "balanced":
         for size in partition_sizes(n_bits, workers):
             if size % 2 != 0:
@@ -357,6 +341,8 @@ def run_protocol(
                 )
 
     def run_chunk(worker: int, size: int):
+        if size == 0:  # more workers than bits
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
         bit_stream = stream_from_seed(seed, 8 * worker + _ROLE_BITS)
         if bit_source == "iid":
             bits = bit_stream.integers(0, 2, size)
@@ -369,7 +355,6 @@ def run_protocol(
             rule,
             stream_from_seed(seed, 8 * worker + _ROLE_ENCODE),
             pairs_per_bit=per_bit,
-            start_index=int(offsets[worker]) * per_bit,
         )
         decoded, ties = _decode(
             photons, strategy, rule, stream_from_seed(seed, 8 * worker + _ROLE_RECEIVE)

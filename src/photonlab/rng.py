@@ -9,6 +9,7 @@ independently without coordination.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -77,15 +78,22 @@ def partition_sizes(n: int, parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(parts)]
 
 
+def pool_size(workers: int) -> int:
+    """Threads map_partitions runs workers chunks on: at most one per CPU."""
+    return min(workers, os.cpu_count() or 1)
+
+
 def map_partitions(n: int, workers: int, worker_fn):
     """Run worker_fn(worker_index, chunk_size) per chunk; results in worker order.
 
-    Chunks run on a thread pool when workers > 1. Each worker function must
-    derive its own RngStream from its index, which makes the returned list a
-    pure function of (seed, workers) regardless of scheduling.
+    Chunks run on pool_size(workers) threads, in the calling thread when that
+    is 1. Each worker function must derive its own RngStream from its index,
+    which makes the returned list a pure function of (seed, workers)
+    regardless of scheduling or thread count.
     """
     sizes = partition_sizes(n, workers)
-    if workers == 1:
-        return [worker_fn(0, sizes[0])]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = pool_size(workers)
+    if threads == 1:
+        return list(map(worker_fn, range(workers), sizes))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker_fn, range(workers), sizes))

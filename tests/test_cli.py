@@ -168,6 +168,19 @@ def test_protocol_report(tmp_path):
     assert result["bit_source"] == "iid"
 
 
+def test_protocol_with_more_workers_than_bits(tmp_path):
+    out = tmp_path / "protocol.json"
+    rc = run_cli(["protocol", "--out", str(out), "--workers", "3", "--set", "n_bits=2"])
+    assert rc == 0
+    result = read_json(out)
+    assert result["n_bits"] == 2
+    assert result["workers"] == 3
+    assert result["decode_ties"] == 2
+    assert result["ber"] in (0.0, 0.5, 1.0)
+    lo, hi = result["mi_confidence_interval"]
+    assert 0.0 <= lo <= result["mutual_info_bits"] <= hi <= 1.0
+
+
 def test_mzi_analytic_fringe(tmp_path):
     out = tmp_path / "mzi.json"
     rc = run_cli(

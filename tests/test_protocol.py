@@ -9,8 +9,8 @@ from photonlab.protocol import (
     BasisOracle,
     EncodingRule,
     FixedBasisML,
+    PhotonStream,
     Repetition,
-    SentPhoton,
     encode,
     mutual_information,
     receive,
@@ -24,6 +24,10 @@ def balanced_bits(n, seed):
     bits = np.repeat([0, 1], n // 2)
     stream_from_seed(seed, 0).shuffle(bits)
     return bits
+
+
+def bob_state(photons, i):
+    return photons.states[photons.bits[i]][photons.outcomes[i]]
 
 
 def test_encoding_rule_defaults_and_degeneracy():
@@ -43,21 +47,22 @@ def test_encode_tags_and_states():
     photons = encode([1] * 400 + [0] * 400, rule, rng)
     pair = make_pair()
     aligned = 0
-    for ph in photons[:400]:
-        assert ph.hidden_basis_tag == 0.0
+    for i in range(400):
+        assert rule.basis_for(photons.bits[i]) == 0.0
         s0 = conditional_state(pair, 0.0, 0)[1]
         s1 = conditional_state(pair, 0.0, 1)[1]
-        assert states_equal(ph.bob_state, s0) or states_equal(ph.bob_state, s1)
-        aligned += states_equal(ph.bob_state, s0)
+        state = bob_state(photons, i)
+        assert states_equal(state, s0) or states_equal(state, s1)
+        aligned += states_equal(state, s0)
     assert abs(aligned / 400 - 0.5) < 4 * math.sqrt(0.25 / 400)
-    for ph in photons[400:]:
-        assert ph.hidden_basis_tag == pytest.approx(math.pi / 4, abs=1e-15)
+    for i in range(400, 800):
+        assert rule.basis_for(photons.bits[i]) == pytest.approx(math.pi / 4, abs=1e-15)
 
 
 def test_encode_indexing_and_validation():
     rule = EncodingRule()
-    photons = encode([1, 0], rule, stream_from_seed(82, 0), pairs_per_bit=3, start_index=12)
-    assert [ph.pair_index for ph in photons] == [12, 13, 14, 15, 16, 17]
+    photons = encode([1, 0], rule, stream_from_seed(82, 0), pairs_per_bit=3)
+    assert list(photons.bits) == [1, 1, 1, 0, 0, 0]
     assert len(photons) == 6
     with pytest.raises(ValueError):
         encode([], rule, stream_from_seed(82, 0))
@@ -73,9 +78,10 @@ def test_encode_draws_are_reconstructible():
     n = 1000
     photons = encode([1] * n, rule, stream_from_seed(83, 0))
     u = stream_from_seed(83, 0).random(n)
-    for ph, draw in zip(photons, u):
+    for i, draw in enumerate(u):
         outcome = int(draw >= 0.5)
-        assert states_equal(ph.bob_state, conditional_state(pair, 0.0, outcome)[1])
+        assert photons.outcomes[i] == outcome
+        assert states_equal(bob_state(photons, i), conditional_state(pair, 0.0, outcome)[1])
 
 
 def test_bob_state_always_sits_in_the_tagged_eigenset():
@@ -84,10 +90,11 @@ def test_bob_state_always_sits_in_the_tagged_eigenset():
         one, zero = rng.random(2) * math.pi
         rule = EncodingRule(one, zero)
         photons = encode([0, 1] * 50, rule, rng)
-        for ph in photons:
-            basis = MeasurementBasis(ph.hidden_basis_tag)
-            assert states_equal(ph.bob_state, basis.eigenvector(0)) or states_equal(
-                ph.bob_state, basis.eigenvector(1)
+        for i in range(len(photons)):
+            basis = MeasurementBasis(rule.basis_for(photons.bits[i]))
+            state = bob_state(photons, i)
+            assert states_equal(state, basis.eigenvector(0)) or states_equal(
+                state, basis.eigenvector(1)
             )
 
 
@@ -145,10 +152,10 @@ def test_receive_validates_the_photon_count():
 def test_majority_tie_resolves_to_zero():
     rule = EncodingRule()
     state = ket_from_angle(0.0)
-    photons = [
-        SentPhoton(bob_state=state, hidden_basis_tag=0.0, pair_index=0),
-        SentPhoton(bob_state=state, hidden_basis_tag=math.pi / 4, pair_index=1),
-    ]
+    # one photon encoding a 1 (basis 0) and one encoding a 0 (basis pi/4)
+    photons = PhotonStream(
+        bits=np.array([1, 0]), outcomes=np.array([0, 0]), states=((state, state), (state, state))
+    )
     decoded = receive(photons, Repetition(2, BasisOracle()), rule, stream_from_seed(87, 0))
     np.testing.assert_array_equal(decoded, [0])
 
@@ -255,6 +262,18 @@ def test_run_protocol_validation():
         run_protocol(6, bit_source="balanced", workers=2)
 
 
+def test_more_workers_than_bits_leaves_chunks_empty():
+    report = run_protocol(2, seed=19, workers=3)
+    assert report.n_bits == 2
+    assert report.ber in (0.0, 0.5, 1.0)
+    assert report.decode_ties == 2
+    lo, hi = report.mi_confidence_interval
+    assert 0.0 <= lo <= report.mutual_info_bits <= hi <= 1.0
+    oracle = run_protocol(3, strategy=BasisOracle(), seed=19, workers=5)
+    assert oracle.ber == 0.0
+    assert oracle.decode_ties == 0
+
+
 def test_encodings_of_zero_and_one_are_indistinguishable():
     # measure both populations in one fixed basis and compare pass rates
     rule = EncodingRule()
@@ -263,8 +282,8 @@ def test_encodings_of_zero_and_one_are_indistinguishable():
     zeros = encode([0] * n, rule, stream_from_seed(96, 1))
     basis = MeasurementBasis(0.3)
     rng = stream_from_seed(96, 2)
-    count_one = sum(collapse(ph.bob_state, basis, rng).outcome == 0 for ph in ones)
-    count_zero = sum(collapse(ph.bob_state, basis, rng).outcome == 0 for ph in zeros)
+    count_one = sum(collapse(bob_state(ones, i), basis, rng).outcome == 0 for i in range(n))
+    count_zero = sum(collapse(bob_state(zeros, i), basis, rng).outcome == 0 for i in range(n))
     p = (count_one + count_zero) / (2 * n)
     z = (count_one / n - count_zero / n) / math.sqrt(p * (1 - p) * 2 / n)
     assert abs(z) < 4

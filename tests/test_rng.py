@@ -1,11 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
+from photonlab import rng
 from photonlab.rng import (
     ALGORITHM_ID,
     RngStream,
     map_partitions,
     partition_sizes,
+    pool_size,
     stream_from_seed,
 )
 
@@ -116,3 +120,28 @@ def test_map_partitions_threaded_equals_sequential():
     threaded = map_partitions(10_000, 4, work)
     sequential = [work(w, s) for w, s in enumerate(partition_sizes(10_000, 4))]
     assert threaded == sequential
+
+
+def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
+    cpus = os.cpu_count() or 1
+    assert pool_size(1) == 1
+    assert pool_size(10**6) == cpus
+    assert pool_size(cpus) == cpus
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pool_size(3) == 3
+    assert pool_size(100_000) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_size(8) == 1
+
+
+def test_many_workers_share_a_capped_pool_in_worker_order(monkeypatch):
+    def work(worker, size):
+        return worker, size, stream_from_seed(4, worker).random(size).sum()
+
+    capped = map_partitions(1000, 64, work)
+    sequential = [work(w, s) for w, s in enumerate(partition_sizes(1000, 64))]
+    assert capped == sequential
+    assert [r[0] for r in capped] == list(range(64))
+    # one thread per worker, as before the cap, gives the same list
+    monkeypatch.setattr(rng, "pool_size", lambda workers: workers)
+    assert map_partitions(1000, 64, work) == capped
