@@ -77,7 +77,7 @@ from .protocol import (
     run_protocol,
     standard_strategies,
 )
-from .rng import ALGORITHM_ID, RngStream, map_partitions, partition_sizes, stream_from_seed
+from .rng import ALGORITHM_ID, RngStream, map_partitions, stream_from_seed
 from .stats import (
     BinomialEstimate,
     as_bit_array,

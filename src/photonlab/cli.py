@@ -128,6 +128,9 @@ SCHEMAS = {
             "bit_source": {"enum": ["iid", "balanced"]},
             "n_shuffles": {"type": "integer", "minimum": 1000},
         },
+        # a balanced bit source splits n_bits into equal halves of ones and zeros
+        "if": {"properties": {"bit_source": {"const": "balanced"}}},
+        "then": {"properties": {"n_bits": {"multipleOf": 2}}},
     },
     "mzi": {
         "type": "object",
@@ -370,7 +373,7 @@ def _run_bell(params, seed, workers):
             params["n_per_point"],
             seed=seed,
             workers=workers,
-            stream_base=i * workers,
+            stream_base=i,
         )
         rows.append(
             {
@@ -385,7 +388,7 @@ def _run_bell(params, seed, workers):
         params["n_per_setting"],
         seed=seed,
         workers=workers,
-        stream_base=len(grid) * workers,
+        stream_base=len(grid),
     )
     payload = {
         "sweep_rows": rows,
@@ -412,7 +415,7 @@ def _run_nosignal(params, seed, workers):
             params["n_per_basis"],
             seed=seed,
             workers=workers,
-            stream_base=i * workers,
+            stream_base=i,
         )
         lo, hi = wilson_interval(count0, total)
         rows.append(
@@ -473,7 +476,7 @@ def _run_mzi(params, seed, workers):
     rows = []
     for i, phase_deg in enumerate(params["phases_deg"]):
         phase = math.radians(phase_deg)
-        base = i * 4 * workers
+        base = 4 * i
         closed = run_mzi(
             MziConfig(phase, second_bs=True),
             params["n_per_phase"],
@@ -488,7 +491,7 @@ def _run_mzi(params, seed, workers):
             seed=seed,
             workers=workers,
             mode=params["mode"],
-            stream_base=base + 2 * workers,
+            stream_base=base + 2,
         )
         rows.append(
             {
@@ -508,7 +511,7 @@ def _run_mzi(params, seed, workers):
             timing["n"],
             seed=seed,
             workers=workers,
-            stream_base=len(params["phases_deg"]) * 4 * workers,
+            stream_base=4 * len(params["phases_deg"]),
         )
         timing_payload = {
             "phase_deg": float(timing["phase_deg"]),
@@ -579,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=descriptions[name])
         sp.add_argument("--config", help="JSON config file; a run manifest also works")
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        sp.add_argument("--workers", type=int, default=None, help="parallel partitions (default 1)")
+        sp.add_argument("--workers", type=int, default=None, help="threads to run on (default 1)")
         sp.add_argument("--out", default=None, help="result file path")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
         sp.add_argument(
@@ -630,7 +633,6 @@ def _run(args) -> int:
         result = {
             "experiment": experiment,
             "seed": seed,
-            "workers": workers,
             "rng_algorithm": ALGORITHM_ID,
             "params": params,
         }

@@ -130,11 +130,11 @@ def _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base) -> np.n
         pair = make_pair()
     probs = joint_probabilities(pair, theta_a, theta_b).ravel()
 
-    def run_chunk(worker: int, size: int) -> np.ndarray:
-        u = stream_from_seed(seed, stream_base + worker).random(size)
+    def run_block(block: int, size: int) -> np.ndarray:
+        u = stream_from_seed(seed, stream_base, block).random(size)
         return np.bincount(sample_categories(probs, u), minlength=4)
 
-    return sum(map_partitions(n, workers, run_chunk))
+    return sum(map_partitions(n, workers, run_block))
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def correlation(
     """Monte Carlo estimate of E(a, b), the mean of +1 (equal outcomes) and -1
     (different outcomes) over n pairs; analytically -cos 2(a - b) for the singlet.
 
-    Worker w samples from stream_from_seed(seed, stream_base + w).
+    Block b of the pairs samples from stream_from_seed(seed, stream_base, b).
     """
     counts = _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base)
     return CorrelationStats.from_counts(n_equal=int(counts[0] + counts[3]), n=int(n))
@@ -185,8 +185,8 @@ def chsh(
     independent correlation runs of n_per_setting pairs each.
 
     The singlet reaches 2*sqrt(2) at the default settings; product states stay
-    within 2. Setting index s draws from stream indices starting at
-    stream_base + s*workers, so no two settings share draws.
+    within 2. Setting s draws from stream index stream_base + s, so no two
+    settings share draws.
     """
     if n_per_setting < 1:
         raise ValueError(f"n_per_setting must be >= 1, got {n_per_setting}")
@@ -200,7 +200,7 @@ def chsh(
             seed=seed,
             pair=pair,
             workers=workers,
-            stream_base=stream_base + s * workers,
+            stream_base=stream_base + s,
         ).e_value
         for s, (ta, tb) in enumerate(combos)
     ]

@@ -92,9 +92,9 @@ def run_mzi(
     """Send n photons through the interferometer.
 
     Analytic mode (fixed policy only) reports deterministic expected counts,
-    count_d0 = round(n * P(D0)). Monte Carlo mode samples detections; worker w
-    draws detections from stream_from_seed(seed, stream_base + 2w) and, under
-    delayed-random, choices from the separate stream stream_base + 2w + 1.
+    count_d0 = round(n * P(D0)). Monte Carlo mode samples detections; block b
+    of the photons draws detections from stream_from_seed(seed, stream_base, b)
+    and, under delayed-random, choices from the separate stream stream_base + 1.
     Keeping the two streams apart means a degenerate policy (p_present 0 or 1)
     reproduces the corresponding fixed run photon for photon. The choice is
     applied only at the second beamsplitter, never to the arm superposition,
@@ -116,13 +116,13 @@ def run_mzi(
     p_open, _ = detector_probabilities(config.phase, False)
     p_fixed, _ = detector_probabilities(config.phase, config.second_bs)
 
-    def run_chunk(worker: int, size: int) -> np.ndarray:
-        detect = stream_from_seed(seed, stream_base + 2 * worker)
+    def run_block(block: int, size: int) -> np.ndarray:
+        detect = stream_from_seed(seed, stream_base, block)
         u = detect.random(size)
         if not delayed:
             d1 = int(np.count_nonzero(sample_binary(p_fixed, u)))
             return np.array([size, size - d1, 0, 0, 0, 0], dtype=np.int64)
-        choice = stream_from_seed(seed, stream_base + 2 * worker + 1)
+        choice = stream_from_seed(seed, stream_base + 1, block)
         present = choice.random(size) < config.p_present
         outcome = np.where(present, sample_binary(p_closed, u), sample_binary(p_open, u))
         n_present = int(np.count_nonzero(present))
@@ -133,7 +133,7 @@ def run_mzi(
             dtype=np.int64,
         )
 
-    totals = sum(map_partitions(n, workers, run_chunk))
+    totals = sum(map_partitions(n, workers, run_block))
     by_choice = None
     if delayed:
         by_choice = {
@@ -188,7 +188,8 @@ def choice_timing_invariance(
     """Compare delayed-random statistics, conditioned on the fixed config's
     choice, against an independent fixed-config run of the same size.
 
-    The two runs use disjoint stream ranges under the same seed. Agreement
+    The delayed run draws from stream indices stream_base and stream_base + 1,
+    the fixed run from stream_base + 2, all under the same seed. Agreement
     within 4 sigma is the operational statement that the timing of the choice
     leaves no statistical signature.
     """
@@ -204,7 +205,7 @@ def choice_timing_invariance(
         delayed_config, n, seed=seed, workers=workers, stream_base=stream_base
     )
     fixed_stats = run_mzi(
-        fixed_config, n, seed=seed, workers=workers, stream_base=stream_base + 2 * workers
+        fixed_config, n, seed=seed, workers=workers, stream_base=stream_base + 2
     )
     branch = "present" if fixed_config.second_bs else "absent"
     cond = delayed_stats.by_choice[branch]

@@ -150,9 +150,9 @@ def cascade_mc(
     independent uniform angle in [0, pi) per photon, the linear source uses
     source_angle for all. A stage samples the aligned outcome with the same
     Born weight transmit_photon_mc would use; survivors leave polarized along
-    the stage axis. Worker w draws from stream_from_seed(seed, w) and stage
-    counts are summed over workers, so results are reproducible for a fixed
-    (seed, workers).
+    the stage axis. Block b of the photons draws from stream_from_seed(seed,
+    0, b) and stage counts are summed over blocks, so results depend on the
+    seed and not on workers.
     """
     axes = _validate_axes(axes)
     if n_photons < 1:
@@ -161,8 +161,8 @@ def cascade_mc(
         raise ValueError(f"source must be one of {SOURCE_KINDS}, got {source!r}")
     start_angle = canonical_angle(source_angle) if source == "linear" else 0.0
 
-    def run_chunk(worker: int, size: int) -> np.ndarray:
-        stream = stream_from_seed(seed, worker)
+    def run_block(block: int, size: int) -> np.ndarray:
+        stream = stream_from_seed(seed, 0, block)
         # a shared angle is a 1-element array, not a scalar, so cos takes the
         # same vectorized path, to the bit, as per-photon angles
         if source == "natural":
@@ -179,7 +179,7 @@ def cascade_mc(
             counts[i] = alive
         return counts
 
-    totals = sum(map_partitions(n_photons, workers, run_chunk))
+    totals = sum(map_partitions(n_photons, workers, run_block))
     return CascadeResult(
         axes=axes,
         per_stage_counts=tuple(int(c) for c in totals),

@@ -31,18 +31,12 @@ from .core import (
     snap_probability,
 )
 from .entangle import conditional_state, make_pair
-from .rng import (
-    ALGORITHM_ID,
-    RngStream,
-    map_partitions,
-    partition_sizes,
-    stream_from_seed,
-)
+from .rng import ALGORITHM_ID, BLOCK, RngStream, map_partitions, stream_from_seed
 from .stats import as_bit_array, mi_standard_error, permutation_null_mis, plugin_mi_bits
 
 _TIE_ATOL = 1e-12
 
-# stream indices per worker (stride 8 leaves room) and the shared MI stream
+# stream indices: bits, Alice's and Bob's measurements (per block), MI permutations
 _ROLE_BITS = 0
 _ROLE_ENCODE = 1
 _ROLE_RECEIVE = 2
@@ -315,13 +309,13 @@ def run_protocol(
 ) -> TransmissionReport:
     """Draw bits, encode, receive, and score one full transmission.
 
-    Worker w uses stream indices 8w (bit draws), 8w+1 (Alice's measurements),
-    and 8w+2 (receiver measurements); the MI permutations use index 3. The
-    report is bit-identical for a fixed (seed, workers).
+    Block b of the bits uses block b of stream indices 0 (bit draws), 1
+    (Alice's measurements) and 2 (receiver measurements); the MI permutations
+    use index 3. The report is bit-identical for a fixed seed at any workers.
 
     bit_source "iid" draws each bit uniformly; "balanced" shuffles an exactly
-    half-ones block per worker chunk (chunk sizes must be even), which makes
-    the identity channel's MI exactly 1 bit.
+    half-ones array of all n_bits once (n_bits must be even) from block 0 of
+    stream 0, which makes the identity channel's MI exactly 1 bit.
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
@@ -333,38 +327,29 @@ def run_protocol(
         strategy = FixedBasisML(0.0)
     per_bit = strategy.pairs_per_bit
     if bit_source == "balanced":
-        for size in partition_sizes(n_bits, workers):
-            if size % 2 != 0:
-                raise ValueError(
-                    "balanced bit source needs an even chunk per worker; "
-                    f"got a chunk of {size} (n_bits={n_bits}, workers={workers})"
-                )
+        if n_bits % 2 != 0:
+            raise ValueError(f"balanced bit source needs an even n_bits, got {n_bits}")
+        balanced = np.zeros(n_bits, dtype=np.int64)
+        balanced[: n_bits // 2] = 1
+        stream_from_seed(seed, _ROLE_BITS).shuffle(balanced)
 
-    def run_chunk(worker: int, size: int):
-        if size == 0:  # more workers than bits
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
-        bit_stream = stream_from_seed(seed, 8 * worker + _ROLE_BITS)
+    def run_block(block: int, size: int):
         if bit_source == "iid":
-            bits = bit_stream.integers(0, 2, size)
+            bits = stream_from_seed(seed, _ROLE_BITS, block).integers(0, 2, size)
         else:
-            bits = np.zeros(size, dtype=np.int64)
-            bits[: size // 2] = 1
-            bit_stream.shuffle(bits)
+            bits = balanced[block * BLOCK : block * BLOCK + size]
         photons = encode(
-            bits,
-            rule,
-            stream_from_seed(seed, 8 * worker + _ROLE_ENCODE),
-            pairs_per_bit=per_bit,
+            bits, rule, stream_from_seed(seed, _ROLE_ENCODE, block), pairs_per_bit=per_bit
         )
         decoded, ties = _decode(
-            photons, strategy, rule, stream_from_seed(seed, 8 * worker + _ROLE_RECEIVE)
+            photons, strategy, rule, stream_from_seed(seed, _ROLE_RECEIVE, block)
         )
         return bits, decoded, ties
 
-    chunks = map_partitions(n_bits, workers, run_chunk)
-    sent = np.concatenate([c[0] for c in chunks])
-    decoded = np.concatenate([c[1] for c in chunks])
-    ties = int(sum(c[2] for c in chunks))
+    blocks = map_partitions(n_bits, workers, run_block)
+    sent = np.concatenate([c[0] for c in blocks])
+    decoded = np.concatenate([c[1] for c in blocks])
+    ties = int(sum(c[2] for c in blocks))
     ber = float(np.mean(sent != decoded))
     mi, ci = mutual_information(
         sent, decoded, rng=stream_from_seed(seed, _MI_STREAM_INDEX), n_shuffles=n_shuffles

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -109,8 +110,10 @@ def test_delayed_choice_leaves_no_statistical_signature():
     assert report.within_4_sigma
 
 
+# malus and the mzi timing run span three 2^18-trial blocks, so more workers
+# than one actually run blocks on threads
 CLI_CASES = {
-    "malus": ["--set", "mode=mc", "--set", "n_photons=20000"],
+    "malus": ["--set", "mode=mc", "--set", "n_photons=600000"],
     "entropy": [],
     "bell": [
         "--set", 'sweep={"start_deg": 0, "stop_deg": 90, "step_deg": 45}',
@@ -120,22 +123,24 @@ CLI_CASES = {
     "protocol": ["--set", "n_bits=2000"],
     "mzi": [
         "--set", "phases_deg=[0, 90]", "--set", "n_per_phase=2000",
-        "--set", 'timing={"phase_deg": 60, "p_present": 0.5, "n": 4000}',
+        "--set", 'timing={"phase_deg": 60, "p_present": 0.5, "n": 600000}',
     ],
 }
 
 
 def test_cli_runs_are_byte_identical_for_fixed_seed(tmp_path):
+    # repeat runs, and runs at any worker count, write the same result bytes
     for experiment, extra in CLI_CASES.items():
-        for workers in (1, 4):
-            outputs = []
-            for attempt in ("a", "b"):
-                out = tmp_path / f"{experiment}_w{workers}_{attempt}.json"
-                argv = [experiment, "--seed", "42", "--workers", str(workers),
-                        "--out", str(out)] + extra
-                assert cli_main(argv) == 0, (experiment, workers)
-                outputs.append(out.read_bytes())
-            assert outputs[0] == outputs[1], (experiment, workers)
-            doc = json.loads(outputs[0])
-            assert doc["seed"] == 42
-            assert doc["workers"] == workers
+        outputs = []
+        for workers, attempt in ((1, "a"), (1, "b"), (3, "a"), (4, "a")):
+            out = tmp_path / f"{experiment}_w{workers}_{attempt}.json"
+            argv = [experiment, "--seed", "42", "--workers", str(workers),
+                    "--out", str(out)] + extra
+            assert cli_main(argv) == 0, (experiment, workers)
+            outputs.append(out.read_bytes())
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["workers"] == workers
+        assert all(o == outputs[0] for o in outputs), experiment
+        doc = json.loads(outputs[0])
+        assert doc["seed"] == 42
+        assert "workers" not in doc

@@ -174,11 +174,39 @@ def test_protocol_with_more_workers_than_bits(tmp_path):
     assert rc == 0
     result = read_json(out)
     assert result["n_bits"] == 2
-    assert result["workers"] == 3
+    assert "workers" not in result
+    assert read_json(tmp_path / "protocol.json.manifest.json")["workers"] == 3
     assert result["decode_ties"] == 2
     assert result["ber"] in (0.0, 0.5, 1.0)
     lo, hi = result["mi_confidence_interval"]
     assert 0.0 <= lo <= result["mutual_info_bits"] <= hi <= 1.0
+
+
+def test_balanced_protocol_result_does_not_depend_on_workers(tmp_path):
+    outputs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"balanced_w{workers}.json"
+        args = ["protocol", "--out", str(out), "--workers", workers,
+                "--set", "n_bits=2", "--set", "bit_source=balanced"]
+        assert run_cli(args) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_balanced_protocol_rejects_odd_bit_counts(tmp_path, capsys):
+    check_failure(
+        tmp_path, capsys,
+        ["protocol", "--set", "n_bits=5", "--set", "bit_source=balanced"],
+        "multiple of 2",
+    )
+
+
+def test_huge_worker_count_runs_small_jobs(tmp_path):
+    out = tmp_path / "malus.json"
+    args = ["malus", "--out", str(out), "--workers", "100000",
+            "--set", "mode=mc", "--set", "n_photons=1000"]
+    assert run_cli(args) == 0
+    assert read_json(out)["n_photons"] == 1000
 
 
 def test_mzi_analytic_fringe(tmp_path):

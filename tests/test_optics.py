@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from photonlab.core import InvalidStateError, ket_from_angle
+from photonlab import optics, rng
 from photonlab.optics import (
     CascadeResult,
     LightBeam,
@@ -121,14 +122,36 @@ def test_cascade_mc_is_deterministic():
 
 
 def test_cascade_mc_worker_counts_stay_consistent():
-    # different worker splits draw different streams but estimate the same fractions
-    one = cascade_mc(200_000, [90 * DEG, 45 * DEG, 0.0], seed=3, workers=1)
-    four = cascade_mc(200_000, [90 * DEG, 45 * DEG, 0.0], seed=3, workers=4)
-    assert one.per_stage_counts != four.per_stage_counts
-    for f1, f4, truth in zip(one.fractions(), four.fractions(), (0.5, 0.25, 0.125)):
-        sigma = math.sqrt(truth * (1 - truth) / 200_000)
+    # three blocks: any worker count draws the same blocks and sums them in order
+    n = 600_000
+    one = cascade_mc(n, [90 * DEG, 45 * DEG, 0.0], seed=3, workers=1)
+    four = cascade_mc(n, [90 * DEG, 45 * DEG, 0.0], seed=3, workers=4)
+    assert one.per_stage_counts == four.per_stage_counts
+    for f1, truth in zip(one.fractions(), (0.5, 0.25, 0.125)):
+        sigma = math.sqrt(truth * (1 - truth) / n)
         assert abs(f1 - truth) < 4 * sigma
-        assert abs(f4 - truth) < 4 * sigma
+
+
+def test_cascade_mc_work_does_not_grow_with_workers(monkeypatch):
+    calls = []
+
+    def counting_map_partitions(n, workers, worker_fn):
+        def block_fn(block, size):
+            calls.append((block, size))
+            return worker_fn(block, size)
+
+        return rng.map_partitions(n, workers, block_fn)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one block must not start a thread pool")
+
+    axes = [90 * DEG, 45 * DEG, 0.0]
+    one = cascade_mc(1000, axes, seed=9, workers=1)
+    monkeypatch.setattr(optics, "map_partitions", counting_map_partitions)
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", no_pool)
+    many = cascade_mc(1000, axes, seed=9, workers=100_000)
+    assert many.per_stage_counts == one.per_stage_counts
+    assert calls == [(0, 1000)]
 
 
 def test_cascade_mc_natural_source_halves():

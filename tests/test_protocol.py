@@ -17,7 +17,7 @@ from photonlab.protocol import (
     run_protocol,
     standard_strategies,
 )
-from photonlab.rng import ALGORITHM_ID, stream_from_seed
+from photonlab.rng import ALGORITHM_ID, BLOCK, stream_from_seed
 
 
 def balanced_bits(n, seed):
@@ -255,11 +255,19 @@ def test_run_protocol_validation():
         run_protocol(100, bit_source="alternating")
     with pytest.raises(ValueError):
         run_protocol(100, n_shuffles=10)
-    # balanced needs an even chunk on every worker
+    # balanced bits split n_bits into equal halves, whatever the workers
     with pytest.raises(ValueError):
         run_protocol(5, bit_source="balanced")
-    with pytest.raises(ValueError):
-        run_protocol(6, bit_source="balanced", workers=2)
+    two = run_protocol(6, bit_source="balanced", seed=20, workers=2)
+    assert two == run_protocol(6, bit_source="balanced", seed=20, workers=1)
+
+
+def test_balanced_bits_are_balanced_over_all_blocks():
+    # the fixed-basis receiver decodes every bit as 0, so ber is the share of ones
+    n = 2 * BLOCK + 6
+    report = run_protocol(n, seed=21, workers=2, bit_source="balanced")
+    assert report.ber == 0.5
+    assert report == run_protocol(n, seed=21, workers=1, bit_source="balanced")
 
 
 def test_more_workers_than_bits_leaves_chunks_empty():
@@ -269,6 +277,7 @@ def test_more_workers_than_bits_leaves_chunks_empty():
     assert report.decode_ties == 2
     lo, hi = report.mi_confidence_interval
     assert 0.0 <= lo <= report.mutual_info_bits <= hi <= 1.0
+    assert report == run_protocol(2, seed=19, workers=1)
     oracle = run_protocol(3, strategy=BasisOracle(), seed=19, workers=5)
     assert oracle.ber == 0.0
     assert oracle.decode_ties == 0

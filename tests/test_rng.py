@@ -6,9 +6,9 @@ import pytest
 from photonlab import rng
 from photonlab.rng import (
     ALGORITHM_ID,
+    BLOCK,
     RngStream,
     map_partitions,
-    partition_sizes,
     pool_size,
     stream_from_seed,
 )
@@ -23,7 +23,7 @@ _REFERENCE_RAW = [
 
 
 def test_algorithm_id_is_stable():
-    assert ALGORITHM_ID == "numpy-philox-4x64"
+    assert ALGORITHM_ID == "numpy-philox-4x64/block-2^18"
     assert stream_from_seed(0, 0).algorithm == ALGORITHM_ID
 
 
@@ -37,6 +37,16 @@ def test_reference_sequence_is_pinned():
     raw = stream_from_seed(42, 0).raw_u64(4)
     assert raw.dtype == np.uint64
     assert list(int(v) for v in raw) == _REFERENCE_RAW
+
+
+def test_block_zero_is_the_unblocked_stream():
+    for seed, index in [(0, 0), (42, 0), (7, 3), (2**64 - 1, 2**64 - 1)]:
+        a = stream_from_seed(seed, index, block=0).raw_u64(16)
+        b = stream_from_seed(seed, index).raw_u64(16)
+        np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(
+        stream_from_seed(42, 0, block=1).raw_u64(4), np.array(_REFERENCE_RAW, dtype=np.uint64)
+    )
 
 
 def test_distinct_indices_give_distinct_sequences():
@@ -60,8 +70,11 @@ def test_uniform_mean_is_where_it_should_be():
 
 
 def test_streams_share_no_raw_words():
-    # 64 streams x 10^4 words: any collision would be a keying bug
-    words = np.concatenate([stream_from_seed(5, i).raw_u64(10_000) for i in range(64)])
+    # 64 streams plus 4 blocks of one more index, x 10^4 words each: any
+    # collision would be a keying bug
+    streams = [stream_from_seed(5, i) for i in range(64)]
+    streams += [stream_from_seed(5, 99, block) for block in range(4)]
+    words = np.concatenate([s.raw_u64(10_000) for s in streams])
     assert np.unique(words).size == words.size
 
 
@@ -89,37 +102,53 @@ def test_seed_and_index_bounds_are_enforced():
         RngStream(2**64, 0)
     with pytest.raises(ValueError):
         RngStream(0, 2**64)
-    RngStream(2**64 - 1, 2**64 - 1)  # the extremes are valid
-
-
-def test_partition_sizes_are_near_equal_and_sum():
-    for n, parts in [(10, 3), (1, 4), (100, 7), (0, 2), (5, 5)]:
-        sizes = partition_sizes(n, parts)
-        assert sum(sizes) == n
-        assert len(sizes) == parts
-        assert max(sizes) - min(sizes) <= 1
     with pytest.raises(ValueError):
-        partition_sizes(10, 0)
+        RngStream(0, 0, -1)
     with pytest.raises(ValueError):
-        partition_sizes(-1, 2)
+        RngStream(0, 0, 2**128)
+    RngStream(2**64 - 1, 2**64 - 1, 2**128 - 1)  # the extremes are valid
 
 
-def test_map_partitions_keeps_worker_order():
-    def work(worker, size):
-        return (worker, size)
+def block_sizes(n, workers=1):
+    return [size for _, size in map_partitions(n, workers, lambda b, size: (b, size))]
+
+
+def test_block_layout_covers_n_in_fixed_blocks():
+    assert BLOCK == 2**18
+    for n in [1, 10, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 5]:
+        for workers in (1, 2, 7):
+            sizes = block_sizes(n, workers)
+            assert sum(sizes) == n
+            assert all(size == BLOCK for size in sizes[:-1])
+            assert 0 < sizes[-1] <= BLOCK
+    calls = []
+    assert map_partitions(0, 4, lambda b, size: calls.append(b)) == []
+    assert calls == []
+    with pytest.raises(ValueError):
+        map_partitions(-1, 2, lambda b, size: size)
+
+
+def test_map_partitions_keeps_block_order():
+    def work(block, size):
+        return (block, size)
 
     assert map_partitions(10, 1, work) == [(0, 10)]
-    results = map_partitions(10, 3, work)
-    assert results == [(0, 4), (1, 3), (2, 3)]
+    assert map_partitions(10, 3, work) == [(0, 10)]
+    n = 2 * BLOCK + 3
+    expected = [(0, BLOCK), (1, BLOCK), (2, 3)]
+    for workers in (1, 2, 3, 64):
+        assert map_partitions(n, workers, work) == expected
 
 
 def test_map_partitions_threaded_equals_sequential():
-    def work(worker, size):
-        return stream_from_seed(3, worker).random(size).sum()
+    def work(block, size):
+        return stream_from_seed(3, 0, block).random(size).sum()
 
-    threaded = map_partitions(10_000, 4, work)
-    sequential = [work(w, s) for w, s in enumerate(partition_sizes(10_000, 4))]
+    n = 3 * BLOCK + 10_000
+    threaded = map_partitions(n, 4, work)
+    sequential = [work(b, s) for b, s in enumerate([BLOCK, BLOCK, BLOCK, 10_000])]
     assert threaded == sequential
+    assert map_partitions(n, 1, work) == sequential
 
 
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
@@ -134,14 +163,14 @@ def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
     assert pool_size(8) == 1
 
 
-def test_many_workers_share_a_capped_pool_in_worker_order(monkeypatch):
-    def work(worker, size):
-        return worker, size, stream_from_seed(4, worker).random(size).sum()
+def test_many_workers_share_a_capped_pool_in_block_order(monkeypatch):
+    def work(block, size):
+        return block, size, stream_from_seed(4, 0, block).random(size).sum()
 
-    capped = map_partitions(1000, 64, work)
-    sequential = [work(w, s) for w, s in enumerate(partition_sizes(1000, 64))]
+    n = 5 * BLOCK
+    capped = map_partitions(n, 64, work)
+    sequential = [work(b, BLOCK) for b in range(5)]
     assert capped == sequential
-    assert [r[0] for r in capped] == list(range(64))
-    # one thread per worker, as before the cap, gives the same list
+    # one thread per block, as many as the workers allow, gives the same list
     monkeypatch.setattr(rng, "pool_size", lambda workers: workers)
-    assert map_partitions(1000, 64, work) == capped
+    assert map_partitions(n, 64, work) == capped
