@@ -1,7 +1,7 @@
 """Seeded simulations of polarization collapse, entangled pairs, the
 entanglement bit-transmission scheme, and delayed-choice interferometry."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     ALGEBRA_ATOL,
@@ -83,6 +83,7 @@ from .stats import (
     as_bit_array,
     binomial_estimate,
     mi_standard_error,
+    null_quantile,
     permutation_independence_test,
     permutation_null_mis,
     plugin_mi_bits,

@@ -54,6 +54,9 @@ _TOP_LEVEL_KEYS = {
     "summary",
 }
 
+# sweeps are built as point lists before any work, so their size is capped
+MAX_SWEEP_POINTS = 1_000_000
+
 _NUMBER = {"type": "number"}
 _SWEEP_SCHEMA = {
     "type": "object",
@@ -126,7 +129,8 @@ SCHEMAS = {
                 "properties": {"one_deg": _NUMBER, "zero_deg": _NUMBER},
             },
             "bit_source": {"enum": ["iid", "balanced"]},
-            "n_shuffles": {"type": "integer", "minimum": 1000},
+            # ignored, the MI null being exact; accepted so 0.1.0 manifests replay
+            "n_shuffles": {"type": "integer", "minimum": 1000, "deprecated": True},
         },
         # a balanced bit source splits n_bits into equal halves of ones and zeros
         "if": {"properties": {"bit_source": {"const": "balanced"}}},
@@ -147,7 +151,8 @@ SCHEMAS = {
                         "additionalProperties": False,
                         "properties": {
                             "phase_deg": _NUMBER,
-                            "p_present": {"type": "number", "minimum": 0, "maximum": 1},
+                            # the report compares the "present" branch, so it must occur
+                            "p_present": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                             "n": {"type": "integer", "minimum": 1},
                         },
                         "required": ["phase_deg", "p_present", "n"],
@@ -180,7 +185,6 @@ DEFAULTS = {
         "strategy": "fixed-basis-ml:0",
         "rule": {"one_deg": 0.0, "zero_deg": 45.0},
         "bit_source": "iid",
-        "n_shuffles": 1000,
     },
     "mzi": {
         "phases_deg": [22.5 * k for k in range(16)],
@@ -279,8 +283,12 @@ def _grid_from_sweep(sweep: dict) -> list[float]:
     step = float(sweep["step_deg"])
     if stop < start:
         raise ConfigError(f"sweep stop_deg {stop} must be >= start_deg {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_SWEEP_POINTS:  # also an infinite or NaN span
+        raise ConfigError(
+            f"sweep has more than {MAX_SWEEP_POINTS} points; raise step_deg or narrow the range"
+        )
+    return [start + k * step for k in range(int(span) + 1)]
 
 
 def _run_malus(params, seed, workers):
@@ -453,7 +461,6 @@ def _run_protocol(params, seed, workers):
         seed=seed,
         workers=workers,
         bit_source=params["bit_source"],
-        n_shuffles=params["n_shuffles"],
     )
     payload = {
         "n_bits": int(report.n_bits),
@@ -605,6 +612,9 @@ def _run(args) -> int:
     params = _deep_merge(DEFAULTS[experiment], config.get("params", {}))
     params = _deep_merge(params, _parse_set_overrides(args.set))
     jsonschema.validate(params, SCHEMAS[experiment])
+    # deprecated parameters are accepted, then ignored and left unrecorded
+    schema = SCHEMAS[experiment]["properties"]
+    params = {k: v for k, v in params.items() if not schema[k].get("deprecated")}
 
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     workers = args.workers if args.workers is not None else config.get("workers", 1)
@@ -667,7 +677,8 @@ def main(argv=None) -> int:
         print(f"config error: {message}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # some exceptions, MemoryError() for one, carry no text
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

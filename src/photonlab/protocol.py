@@ -32,15 +32,20 @@ from .core import (
 )
 from .entangle import conditional_state, make_pair
 from .rng import ALGORITHM_ID, BLOCK, RngStream, map_partitions, stream_from_seed
-from .stats import as_bit_array, mi_standard_error, permutation_null_mis, plugin_mi_bits
+from .stats import (
+    as_bit_array,
+    mi_standard_error,
+    null_quantile,
+    permutation_null_mis,
+    plugin_mi_bits,
+)
 
 _TIE_ATOL = 1e-12
 
-# stream indices: bits, Alice's and Bob's measurements (per block), MI permutations
+# stream indices: bits, Alice's and Bob's measurements (per block)
 _ROLE_BITS = 0
 _ROLE_ENCODE = 1
 _ROLE_RECEIVE = 2
-_MI_STREAM_INDEX = 3
 
 BIT_SOURCES = ("iid", "balanced")
 
@@ -256,26 +261,24 @@ def receive(photons: PhotonStream, strategy, rule: EncodingRule, rng: RngStream)
     return bits
 
 
-def mutual_information(sent, decoded, rng: RngStream | None = None, n_shuffles: int = 1000):
+def mutual_information(sent, decoded):
     """Plug-in MI of the sent/decoded channel with a 95% confidence interval.
 
-    The half-width is the larger of the permutation-null 97.5% quantile
-    (>= 1000 shuffles) and the 1.96-sigma delta-method error, clamped to
-    [0, 1]. The permutation part keeps the interval honest near independence,
-    where the delta method degenerates; the delta part keeps it honest away
-    from independence, where the null quantile says nothing about estimator
-    spread.
+    The half-width is the larger of the permutation-null 97.5% quantile and
+    the 1.96-sigma delta-method error, clamped to [0, 1]. The null is exact
+    (stats.permutation_null_mis), and its quantile is the smallest null MI
+    whose cumulative probability reaches 0.975, so the interval is a pure
+    function of the bits. The null part keeps the interval honest near
+    independence, where the delta method degenerates; the delta part keeps it
+    honest away from independence, where the null quantile says nothing about
+    estimator spread.
     """
     x = as_bit_array(sent, "sent")
     y = as_bit_array(decoded, "decoded")
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if n_shuffles < 1000:
-        raise ValueError(f"n_shuffles must be >= 1000, got {n_shuffles}")
-    if rng is None:
-        rng = stream_from_seed(0, 0)
     mi = plugin_mi_bits(x, y)
-    null_q = float(np.quantile(permutation_null_mis(x, y, n_shuffles, rng), 0.975))
+    null_q = null_quantile(*permutation_null_mis(x, y), 0.975)
     half = max(null_q, 1.96 * mi_standard_error(x, y))
     lo = max(0.0, mi - half)
     hi = min(1.0, mi + half)
@@ -305,13 +308,12 @@ def run_protocol(
     seed: int = 0,
     workers: int = 1,
     bit_source: str = "iid",
-    n_shuffles: int = 1000,
 ) -> TransmissionReport:
     """Draw bits, encode, receive, and score one full transmission.
 
     Block b of the bits uses block b of stream indices 0 (bit draws), 1
-    (Alice's measurements) and 2 (receiver measurements); the MI permutations
-    use index 3. The report is bit-identical for a fixed seed at any workers.
+    (Alice's measurements) and 2 (receiver measurements). The report is
+    bit-identical for a fixed seed at any workers.
 
     bit_source "iid" draws each bit uniformly; "balanced" shuffles an exactly
     half-ones array of all n_bits once (n_bits must be even) from block 0 of
@@ -351,9 +353,7 @@ def run_protocol(
     decoded = np.concatenate([c[1] for c in blocks])
     ties = int(sum(c[2] for c in blocks))
     ber = float(np.mean(sent != decoded))
-    mi, ci = mutual_information(
-        sent, decoded, rng=stream_from_seed(seed, _MI_STREAM_INDEX), n_shuffles=n_shuffles
-    )
+    mi, ci = mutual_information(sent, decoded)
     return TransmissionReport(
         n_bits=int(n_bits),
         ber=ber,

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from photonlab import cli
 from photonlab.cli import main, parse_strategy
 from photonlab.protocol import BasisOracle, FixedBasisML, Repetition
 
@@ -166,6 +167,33 @@ def test_protocol_report(tmp_path):
     assert result["mutual_info_bits"] == 0.0
     assert result["rule"] == {"one_deg": 0.0, "zero_deg": 45.0}
     assert result["bit_source"] == "iid"
+    assert "n_shuffles" not in result["params"]
+
+
+def test_protocol_manifest_from_0_1_0_still_replays(tmp_path):
+    fresh = tmp_path / "fresh.json"
+    assert run_cli(["protocol", "--out", str(fresh), "--set", "n_bits=2000"]) == 0
+    old = tmp_path / "old.manifest.json"
+    old.write_text(json.dumps({
+        "tool_version": "0.1.0",
+        "experiment": "protocol",
+        "params": {"n_bits": 2000, "strategy": "fixed-basis-ml:0",
+                   "rule": {"one_deg": 0.0, "zero_deg": 45.0},
+                   "bit_source": "iid", "n_shuffles": 1000},
+        "seed": 0,
+        "workers": 1,
+        "format": "json",
+        "out": "protocol.json",
+        "rng_algorithm": "numpy-philox-4x64/block-2^18",
+        "wall_time_s": 0.1,
+        "summary": {"ber": 0.5, "mutual_info_bits": 0.0},
+    }))
+    replayed = tmp_path / "replayed.json"
+    assert run_cli(["protocol", "--config", str(old), "--out", str(replayed)]) == 0
+    # n_shuffles is accepted and ignored: the run is the one without it
+    assert replayed.read_text() == fresh.read_text()
+    manifest = read_json(tmp_path / "replayed.json.manifest.json")
+    assert "n_shuffles" not in manifest["params"]
 
 
 def test_protocol_with_more_workers_than_bits(tmp_path):
@@ -329,11 +357,34 @@ def test_schema_bounds_are_enforced(tmp_path, capsys):
     check_failure(tmp_path, capsys, ["protocol", "--set", "n_shuffles=500"], "500")
     check_failure(tmp_path, capsys, ["malus", "--set", "n_photons=0"], "0")
     check_failure(tmp_path, capsys, ["mzi", "--set", "timing.p_present=2"], "maximum")
+    check_failure(
+        tmp_path, capsys,
+        ["mzi", "--set", 'timing={"phase_deg":60,"p_present":0,"n":100}'], "minimum",
+    )
     # a partial timing object is completed by the defaults, not rejected
     ok = tmp_path / "partial.json"
     assert run_cli(["mzi", "--out", str(ok), "--set", "phases_deg=[0]",
                     "--set", "n_per_phase=1000", "--set", "timing.n=2000"]) == 0
     assert read_json(ok)["timing"]["n_conditional"] <= 2000
+
+
+def test_oversized_sweeps_are_refused_before_any_work(tmp_path, capsys):
+    sweep = 'sweep={"start_deg":0,"stop_deg":90,"step_deg":1e-7}'
+    for experiment in ("malus", "bell"):
+        check_failure(tmp_path, capsys, [experiment, "--set", sweep], "1000000 points")
+    infinite = 'sweep={"start_deg":0,"stop_deg":Infinity,"step_deg":1}'
+    check_failure(tmp_path, capsys, ["malus", "--set", infinite], "points")
+
+
+def test_runtime_error_without_text_names_its_type(tmp_path, capsys, monkeypatch):
+    def out_of_memory(params, seed, workers):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._RUNNERS, "entropy", out_of_memory)
+    out = tmp_path / "never.json"
+    assert run_cli(["entropy", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error: MemoryError" in capsys.readouterr().err
 
 
 def test_bad_strategy_lists_the_valid_forms(tmp_path, capsys):

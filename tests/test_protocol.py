@@ -180,10 +180,10 @@ def test_degenerate_rule_blinds_even_the_oracle():
 
 def test_mutual_information_identity_channel():
     x = balanced_bits(10_000, 91)
-    mi, (lo, hi) = mutual_information(x, x, rng=stream_from_seed(91, 1))
+    mi, (lo, hi) = mutual_information(x, x)
     assert mi == 1.0
     assert lo <= 1.0 <= hi
-    mi, (lo, hi) = mutual_information(x, 1 - x, rng=stream_from_seed(91, 2))
+    mi, (lo, hi) = mutual_information(x, 1 - x)
     assert mi == 1.0
     assert hi == 1.0
 
@@ -192,7 +192,7 @@ def test_mutual_information_independent_channel():
     gen = stream_from_seed(92, 0)
     x = (gen.random(100_000) < 0.5).astype(int)
     y = (gen.random(100_000) < 0.5).astype(int)
-    mi, (lo, hi) = mutual_information(x, y, rng=stream_from_seed(92, 1))
+    mi, (lo, hi) = mutual_information(x, y)
     assert mi < 0.001
     assert lo == 0.0
     assert lo <= mi <= hi
@@ -205,7 +205,7 @@ def test_mutual_information_tracks_known_binary_channels():
         flips = stream_from_seed(94, i).random(n) < p
         y = np.where(flips, 1 - x, x)
         truth = 1.0 if p in (0.0, 1.0) else 1.0 + p * math.log2(p) + (1 - p) * math.log2(1 - p)
-        mi, (lo, hi) = mutual_information(x, y, rng=stream_from_seed(95, i))
+        mi, (lo, hi) = mutual_information(x, y)
         assert lo <= truth <= hi, f"p={p}: {truth} outside [{lo}, {hi}]"
         assert lo <= mi <= hi
 
@@ -213,8 +213,6 @@ def test_mutual_information_tracks_known_binary_channels():
 def test_mutual_information_validation():
     with pytest.raises(ValueError):
         mutual_information([0, 1], [0, 1, 1])
-    with pytest.raises(ValueError):
-        mutual_information([0, 1], [0, 1], n_shuffles=500)
 
 
 def test_run_protocol_is_deterministic():
@@ -253,8 +251,6 @@ def test_run_protocol_validation():
         run_protocol(0)
     with pytest.raises(ValueError):
         run_protocol(100, bit_source="alternating")
-    with pytest.raises(ValueError):
-        run_protocol(100, n_shuffles=10)
     # balanced bits split n_bits into equal halves, whatever the workers
     with pytest.raises(ValueError):
         run_protocol(5, bit_source="balanced")

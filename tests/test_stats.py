@@ -1,12 +1,18 @@
+import itertools
 import math
+from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonlab.stats import (
     as_bit_array,
     binomial_estimate,
     mi_standard_error,
+    null_quantile,
     permutation_independence_test,
     permutation_null_mis,
     plugin_mi_bits,
@@ -118,24 +124,25 @@ def test_permutation_null_shapes_and_degenerate_cases():
     rng = stream_from_seed(74, 0)
     x = (rng.random(300) < 0.5).astype(int)
     y = (rng.random(300) < 0.5).astype(int)
-    null = permutation_null_mis(x, y, 64, stream_from_seed(74, 1))
-    assert null.shape == (64,)
-    assert (null >= 0.0).all()
-    np.testing.assert_array_equal(
-        permutation_null_mis(x, np.ones_like(x), 16, stream_from_seed(74, 2)), np.zeros(16)
-    )
+    mis, pmf = permutation_null_mis(x, y)
+    assert mis.shape == pmf.shape
+    assert (mis >= 0.0).all()
+    assert (np.diff(mis) >= 0.0).all()
+    mis, pmf = permutation_null_mis(x, np.ones_like(x))
+    np.testing.assert_array_equal(mis, [0.0])
+    np.testing.assert_array_equal(pmf, [1.0])
 
 
 def test_identical_sequences_get_the_smallest_possible_p():
     x = (stream_from_seed(75, 0).random(10_000) < 0.5).astype(int)
-    p = permutation_independence_test(x, x, n_shuffles=1000, rng=stream_from_seed(75, 1))
-    assert p == 1 / 1001
+    p = permutation_independence_test(x, x)
+    assert p < 1 / 1001
     assert p <= 0.001
 
 
 def test_constant_side_gives_p_of_one():
     x = (stream_from_seed(76, 0).random(500) < 0.5).astype(int)
-    p = permutation_independence_test(x, np.zeros_like(x), rng=stream_from_seed(76, 1))
+    p = permutation_independence_test(x, np.zeros_like(x))
     assert p == 1.0
 
 
@@ -146,14 +153,133 @@ def test_independent_sequences_rarely_look_dependent():
         gen = stream_from_seed(77, i)
         x = (gen.random(500) < 0.5).astype(int)
         y = (gen.random(500) < 0.5).astype(int)
-        p = permutation_independence_test(x, y, rng=stream_from_seed(78, i))
+        p = permutation_independence_test(x, y)
         rejections += p <= 0.05
     assert rejections <= 10
 
 
 def test_permutation_test_validation():
-    x = [0, 1, 0, 1]
-    with pytest.raises(ValueError):
-        permutation_independence_test(x, x, n_shuffles=500)
     with pytest.raises(ValueError):
         permutation_independence_test([0, 1], [0, 1, 1])
+
+
+def bits_with_ones(n, ones):
+    return np.array([1] * ones + [0] * (n - ones))
+
+
+def test_exact_null_matches_every_labeling_for_small_n():
+    """pmf, 97.5% quantile and p-value against all C(n, b) labelings of y."""
+    for n in range(1, 11):
+        for a in range(n + 1):
+            x = bits_with_ones(n, a)
+            for b in range(n + 1):
+                labelings = []
+                for ones in itertools.combinations(range(n), b):
+                    y = np.zeros(n, dtype=int)
+                    y[list(ones)] = 1
+                    labelings.append(y)
+                total = len(labelings)
+                mi_of = [plugin_mi_bits(x, y) for y in labelings]
+                n11 = [int(y[:a].sum()) for y in labelings]
+                by_k = {k: (mi_of[n11.index(k)], n11.count(k) / total) for k in set(n11)}
+                mis, pmf = permutation_null_mis(x, labelings[0])
+                if 0 in (a, b) or n in (a, b):
+                    assert list(mis) == [0.0] and list(pmf) == [1.0]
+                else:
+                    # ascending MI, equal values in ascending k
+                    reference = [by_k[k] for k in sorted(by_k, key=lambda k: (by_k[k][0], k))]
+                    # observed tables' MI values are bitwise the null's
+                    assert list(mis) == [m for m, _ in reference]
+                    np.testing.assert_allclose(pmf, [p for _, p in reference], rtol=0, atol=1e-12)
+                ordered = sorted(mi_of)
+                quantile = ordered[math.ceil(Fraction(975, 1000) * total) - 1]
+                assert abs(null_quantile(mis, pmf, 0.975) - quantile) <= 1e-12
+                for k, (observed, _) in by_k.items():
+                    at_least = sum(m > observed or math.isclose(m, observed, rel_tol=1e-9)
+                                   for m in mi_of)
+                    p = permutation_independence_test(x, labelings[n11.index(k)])
+                    assert abs(p - at_least / total) <= 1e-12
+
+
+def test_quantile_counts_a_cumulative_probability_of_exactly_the_level():
+    # 2 ones in x and 3 in y among 16: the exact cumulative probability of the
+    # tables with MI up to 0.0535 bits is 546/560 = 0.975 itself
+    x = bits_with_ones(16, 2)
+    y = bits_with_ones(16, 3)
+    mis, pmf = permutation_null_mis(x, y)
+    quantile = null_quantile(mis, pmf, 0.975)
+    assert quantile == pytest.approx(0.0534985788656094, abs=1e-12)
+
+
+def test_exact_quantile_agrees_with_a_seeded_shuffle_loop():
+    n = 500
+    gen = stream_from_seed(79, 0)
+    x = (gen.random(n) < 0.5).astype(int)
+    y = np.where(gen.random(n) < 0.1, 1 - x, (gen.random(n) < 0.5).astype(int))
+    shuffles = 2000
+    shuffler = stream_from_seed(79, 1)
+    work = y.copy()
+    null = np.empty(shuffles)
+    for i in range(shuffles):
+        shuffler.shuffle(work)
+        null[i] = plugin_mi_bits(x, work)
+    mis, pmf = permutation_null_mis(x, y)
+    # the sampled 97.5% quantile lies between the exact quantiles 4 sigma
+    # of its binomial level error away
+    sigma = math.sqrt(0.975 * 0.025 / shuffles)
+    lo = null_quantile(mis, pmf, 0.975 - 4 * sigma)
+    hi = null_quantile(mis, pmf, 0.975 + 4 * sigma)
+    assert lo <= np.quantile(null, 0.975) <= hi
+    assert lo < null_quantile(mis, pmf, 0.975) < hi
+    # the sampled tail fraction at a mid-range statistic matches the exact one
+    observed = null_quantile(mis, pmf, 0.5)
+    exact = float(pmf[mis >= observed].sum())
+    sampled = float((null >= observed).mean())
+    assert abs(sampled - exact) <= 4 * math.sqrt(exact * (1 - exact) / shuffles)
+
+
+def test_exact_quantile_approaches_the_g_test():
+    """2 n ln2 MI is asymptotically chi^2 with one degree of freedom."""
+    n = 1_000_000
+    x = bits_with_ones(n, n // 2)
+    q = null_quantile(*permutation_null_mis(x, x), 0.975)
+    chi2_975 = NormalDist().inv_cdf(0.9875) ** 2
+    assert 2 * n * math.log(2) * q == pytest.approx(chi2_975, rel=0.02)
+
+
+@st.composite
+def bit_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=80))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(np.array)
+    return draw(bits), draw(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_pairs())
+def test_exact_null_is_a_distribution_over_nonnegative_mi(pair):
+    mis, pmf = permutation_null_mis(*pair)
+    assert abs(pmf.sum() - 1.0) <= 1e-12
+    assert (pmf > 0.0).all()
+    assert (mis >= 0.0).all()
+    assert (np.diff(mis) >= 0.0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_pairs())
+def test_exact_null_ignores_which_side_is_which_and_the_labels(pair):
+    x, y = pair
+    p = permutation_independence_test(x, y)
+    q = null_quantile(*permutation_null_mis(x, y), 0.975)
+    for other in ((y, x), (x, 1 - y)):
+        assert abs(permutation_independence_test(*other) - p) <= 1e-12
+        assert abs(null_quantile(*permutation_null_mis(*other), 0.975) - q) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_pairs(), st.integers(0, 1))
+def test_exact_null_of_a_constant_side_is_a_point_at_zero(pair, value):
+    x, _ = pair
+    constant = np.full_like(x, value)
+    for sides in ((x, constant), (constant, x)):
+        assert permutation_independence_test(*sides) == 1.0
+        assert null_quantile(*permutation_null_mis(*sides), 0.975) == 0.0
