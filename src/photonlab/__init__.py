@@ -1,7 +1,7 @@
 """Seeded simulations of polarization collapse, entangled pairs, the
 entanglement bit-transmission scheme, and delayed-choice interferometry."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import (
     ALGEBRA_ATOL,
@@ -79,9 +79,8 @@ from .protocol import (
 )
 from .rng import ALGORITHM_ID, RngStream, map_partitions, stream_from_seed
 from .stats import (
-    BinomialEstimate,
     as_bit_array,
-    binomial_estimate,
+    bit_table,
     mi_standard_error,
     null_quantile,
     permutation_independence_test,

@@ -30,7 +30,7 @@ from .core import ALGEBRA_ATOL, StateVector
 from .mzi import MziConfig, choice_timing_invariance, run_mzi
 from .optics import cascade_analytic, cascade_mc, linear_light, natural_light
 from .protocol import BasisOracle, EncodingRule, FixedBasisML, Repetition, run_protocol
-from .rng import ALGORITHM_ID, stream_from_seed
+from .rng import ALGORITHM_ID, BLOCK, stream_from_seed
 from .stats import wilson_interval
 
 
@@ -56,6 +56,11 @@ _TOP_LEVEL_KEYS = {
 
 # sweeps are built as point lists before any work, so their size is capped
 MAX_SWEEP_POINTS = 1_000_000
+# a protocol block holds pairs_per_bit photons per bit in several arrays at
+# once, so the photons of one block are capped; the shipped maximum is 11 * 2^18
+MAX_BLOCK_PHOTONS = 2**24
+# parse_strategy recurses once per repetition level
+MAX_STRATEGY_NESTING = 8
 
 _NUMBER = {"type": "number"}
 _SWEEP_SCHEMA = {
@@ -129,8 +134,6 @@ SCHEMAS = {
                 "properties": {"one_deg": _NUMBER, "zero_deg": _NUMBER},
             },
             "bit_source": {"enum": ["iid", "balanced"]},
-            # ignored, the MI null being exact; accepted so 0.1.0 manifests replay
-            "n_shuffles": {"type": "integer", "minimum": 1000, "deprecated": True},
         },
         # a balanced bit source splits n_bits into equal halves of ones and zeros
         "if": {"properties": {"bit_source": {"const": "balanced"}}},
@@ -203,6 +206,10 @@ _STRATEGY_FORMS = (
 def parse_strategy(label: str):
     """Parse a receiver strategy label, e.g. 'repetition:11:fixed-basis-ml:22.5'."""
     label = label.strip()
+    if label.count("repetition:") > MAX_STRATEGY_NESTING:
+        raise ConfigError(
+            f"strategy nests more than {MAX_STRATEGY_NESTING} repetitions; {_STRATEGY_FORMS}"
+        )
     if label == "basis-oracle":
         return BasisOracle()
     if label.startswith("fixed-basis-ml:"):
@@ -232,10 +239,25 @@ def parse_strategy(label: str):
     raise ConfigError(f"unknown strategy {label!r}; {_STRATEGY_FORMS}")
 
 
+def _reject_non_finite(token: str):
+    raise ConfigError(f"config numbers must be finite, got {token}")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):  # 1e400 overflows to inf
+        _reject_non_finite(token)
+    return value
+
+
+# Python's json reads NaN and Infinity, and JSON Schema's "number" lets them through
+_FINITE_JSON = {"parse_constant": _reject_non_finite, "parse_float": _finite_float}
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, **_FINITE_JSON)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -264,7 +286,7 @@ def _parse_set_overrides(items) -> dict:
         if not sep or not key:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, **_FINITE_JSON)
         except json.JSONDecodeError:
             value = raw
         node = overrides
@@ -450,6 +472,12 @@ def _run_nosignal(params, seed, workers):
 
 def _run_protocol(params, seed, workers):
     strategy = parse_strategy(params["strategy"])
+    block_photons = min(params["n_bits"], BLOCK) * strategy.pairs_per_bit
+    if block_photons > MAX_BLOCK_PHOTONS:
+        raise ConfigError(
+            f"strategy {strategy.label} needs {block_photons} photons per block of bits, "
+            f"more than {MAX_BLOCK_PHOTONS}; lower its repetition factors or n_bits"
+        )
     rule = EncodingRule(
         basis_for_one=math.radians(params["rule"]["one_deg"]),
         basis_for_zero=math.radians(params["rule"]["zero_deg"]),
@@ -612,9 +640,6 @@ def _run(args) -> int:
     params = _deep_merge(DEFAULTS[experiment], config.get("params", {}))
     params = _deep_merge(params, _parse_set_overrides(args.set))
     jsonschema.validate(params, SCHEMAS[experiment])
-    # deprecated parameters are accepted, then ignored and left unrecorded
-    schema = SCHEMAS[experiment]["properties"]
-    params = {k: v for k, v in params.items() if not schema[k].get("deprecated")}
 
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     workers = args.workers if args.workers is not None else config.get("workers", 1)

@@ -34,6 +34,7 @@ from .entangle import conditional_state, make_pair
 from .rng import ALGORITHM_ID, BLOCK, RngStream, map_partitions, stream_from_seed
 from .stats import (
     as_bit_array,
+    bit_table,
     mi_standard_error,
     null_quantile,
     permutation_null_mis,
@@ -261,25 +262,22 @@ def receive(photons: PhotonStream, strategy, rule: EncodingRule, rng: RngStream)
     return bits
 
 
-def mutual_information(sent, decoded):
+def mutual_information(table):
     """Plug-in MI of the sent/decoded channel with a 95% confidence interval.
 
-    The half-width is the larger of the permutation-null 97.5% quantile and
-    the 1.96-sigma delta-method error, clamped to [0, 1]. The null is exact
-    (stats.permutation_null_mis), and its quantile is the smallest null MI
-    whose cumulative probability reaches 0.975, so the interval is a pure
-    function of the bits. The null part keeps the interval honest near
-    independence, where the delta method degenerates; the delta part keeps it
-    honest away from independence, where the null quantile says nothing about
-    estimator spread.
+    table is the channel's 2x2 count table [n00, n01, n10, n11], indexed by
+    2*sent + decoded (stats.bit_table). The half-width is the larger of the
+    permutation-null 97.5% quantile and the 1.96-sigma delta-method error,
+    clamped to [0, 1]. The null is exact (stats.permutation_null_mis), and
+    its quantile is the smallest null MI whose cumulative probability reaches
+    0.975, so the interval is a pure function of the table. The null part
+    keeps the interval honest near independence, where the delta method
+    degenerates; the delta part keeps it honest away from independence, where
+    the null quantile says nothing about estimator spread.
     """
-    x = as_bit_array(sent, "sent")
-    y = as_bit_array(decoded, "decoded")
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    mi = plugin_mi_bits(x, y)
-    null_q = null_quantile(*permutation_null_mis(x, y), 0.975)
-    half = max(null_q, 1.96 * mi_standard_error(x, y))
+    mi = plugin_mi_bits(table)
+    null_q = null_quantile(*permutation_null_mis(table), 0.975)
+    half = max(null_q, 1.96 * mi_standard_error(table))
     lo = max(0.0, mi - half)
     hi = min(1.0, mi + half)
     return mi, (lo, hi)
@@ -312,8 +310,9 @@ def run_protocol(
     """Draw bits, encode, receive, and score one full transmission.
 
     Block b of the bits uses block b of stream indices 0 (bit draws), 1
-    (Alice's measurements) and 2 (receiver measurements). The report is
-    bit-identical for a fixed seed at any workers.
+    (Alice's measurements) and 2 (receiver measurements), and reduces to its
+    sent/decoded count table and tie count; the report is computed from the
+    sum of those tables and is bit-identical for a fixed seed at any workers.
 
     bit_source "iid" draws each bit uniformly; "balanced" shuffles an exactly
     half-ones array of all n_bits once (n_bits must be even) from block 0 of
@@ -346,22 +345,19 @@ def run_protocol(
         decoded, ties = _decode(
             photons, strategy, rule, stream_from_seed(seed, _ROLE_RECEIVE, block)
         )
-        return bits, decoded, ties
+        return bit_table(bits, decoded), ties
 
     blocks = map_partitions(n_bits, workers, run_block)
-    sent = np.concatenate([c[0] for c in blocks])
-    decoded = np.concatenate([c[1] for c in blocks])
-    ties = int(sum(c[2] for c in blocks))
-    ber = float(np.mean(sent != decoded))
-    mi, ci = mutual_information(sent, decoded)
+    table = sum(t for t, _ in blocks)
+    mi, ci = mutual_information(table)
     return TransmissionReport(
         n_bits=int(n_bits),
-        ber=ber,
+        ber=float((table[1] + table[2]) / n_bits),
         mutual_info_bits=mi,
         mi_confidence_interval=ci,
         seed=int(seed),
         strategy=strategy,
         rule=rule,
-        decode_ties=ties,
+        decode_ties=int(sum(ties for _, ties in blocks)),
         bit_source=bit_source,
     )

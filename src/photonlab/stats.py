@@ -1,25 +1,21 @@
 """Binomial confidence intervals, plug-in mutual information and its exact
 permutation null.
 
-The null is computed, not sampled: for a 2x2 table with fixed margins, label
-shuffling makes the n11 cell hypergeometric, so its distribution, quantiles
-and p-values are pure functions of the bits.
+Every mutual-information statistic here is a function of one 2x2 count table
+[n00, n01, n10, n11] of two bit sequences x and y, indexed by 2*x + y.
+bit_table is the one place that reads bit sequences; the statistics take its
+table, check it in O(1) and never see the bits, so block-wise callers sum the
+tables of their blocks instead of joining bit columns. The null is computed,
+not sampled: label shuffling keeps both margins of the table, which makes the
+n11 cell hypergeometric, so its distribution, quantiles and p-values are pure
+functions of the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BinomialEstimate:
-    successes: int
-    trials: int
-    point: float
-    ci95: tuple[float, float]
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -46,13 +42,6 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     return (float(lo), float(hi))
 
 
-def binomial_estimate(successes: int, trials: int, confidence: float = 0.95) -> BinomialEstimate:
-    ci = wilson_interval(successes, trials, confidence)
-    return BinomialEstimate(
-        successes=int(successes), trials=int(trials), point=successes / trials, ci95=ci
-    )
-
-
 def as_bit_array(values, name: str = "values") -> np.ndarray:
     """Validate and convert a bit sequence to an int64 array of 0s and 1s."""
     arr = np.asarray(values)
@@ -65,18 +54,36 @@ def as_bit_array(values, name: str = "values") -> np.ndarray:
         if not np.array_equal(as_int, arr):
             raise ValueError(f"{name} must contain only bits (0 or 1)")
         arr = as_int
-    arr = arr.astype(np.int64)
-    if not np.isin(arr, (0, 1)).all():
+    # an int64 input is checked in place, not copied
+    arr = arr.astype(np.int64, copy=False)
+    if arr.min() < 0 or arr.max() > 1:
         raise ValueError(f"{name} must contain only bits (0 or 1)")
     return arr
 
 
-def _bit_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+def bit_table(x, y) -> np.ndarray:
+    """The 2x2 count table [n00, n01, n10, n11] of two equal-length bit sequences.
+
+    Cell 2*x + y counts the positions where x and y take those values. This is
+    the only statistics function that reads bits; the table is what the MI
+    statistics below take, and the table of a concatenation is the sum of the
+    tables of its parts.
+    """
     x = as_bit_array(x, "x")
     y = as_bit_array(y, "y")
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    return x, y
+    return np.bincount(2 * x + y, minlength=4)
+
+
+def _checked_table(table) -> np.ndarray:
+    """The table as an int64 array, after the O(1) checks every MI statistic runs."""
+    counts = np.asarray(table)
+    if counts.shape != (4,) or not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"table must be 4 integer counts [n00, n01, n10, n11], got {table!r}")
+    if counts.min() < 0 or counts.sum() <= 0:
+        raise ValueError(f"table counts must be >= 0 with a positive total, got {table!r}")
+    return counts.astype(np.int64)
 
 
 def _information_density(n00, n01, n10, n11, n):
@@ -105,52 +112,52 @@ def _mi_bits(n00, n01, n10, n11, n):
     return np.maximum(mi, 0.0)
 
 
-def plugin_mi_bits(x, y) -> float:
-    """Plug-in mutual information I(X;Y) in bits from the empirical 2x2 joint.
+def plugin_mi_bits(table) -> float:
+    """Plug-in mutual information I(X;Y) in bits of a 2x2 count table.
 
     Zero cells contribute zero; the estimate is floored at 0.0 so rounding
     noise never produces a negative information value.
     """
-    x, y = _bit_pair(x, y)
-    counts = np.bincount(2 * x + y, minlength=4)
-    return float(_mi_bits(*counts, x.shape[0]))
+    counts = _checked_table(table)
+    return float(_mi_bits(*counts, int(counts.sum())))
 
 
-def mi_standard_error(x, y) -> float:
-    """Delta-method standard error of the plug-in MI estimate.
+def mi_standard_error(table) -> float:
+    """Delta-method standard error of the plug-in MI of a 2x2 count table.
 
     Var = (E[g^2] - E[g]^2)/n with g = log2 of the pointwise information
     density; exact zeros for degenerate marginals, where the plug-in estimate
     is constant.
     """
-    x, y = _bit_pair(x, y)
-    n = x.shape[0]
+    counts = _checked_table(table)
+    n = int(counts.sum())
     mean = 0.0
     mean_sq = 0.0
-    for p, g in _information_density(*np.bincount(2 * x + y, minlength=4), n):
+    for p, g in _information_density(*counts, n):
         mean += p * g
         mean_sq += p * g * g
     var = max(0.0, mean_sq - mean * mean) / n
     return float(np.sqrt(var))
 
 
-def permutation_null_mis(x, y) -> tuple[np.ndarray, np.ndarray]:
+def permutation_null_mis(table) -> tuple[np.ndarray, np.ndarray]:
     """Exact label-shuffling null of the plug-in MI: (values, probabilities).
 
-    Shuffling y keeps both margins, so the table is fixed by its n11 cell k,
-    whose law is hypergeometric: P(k) = C(a, k) C(n - a, b - k) / C(n, b)
-    over max(0, a + b - n) <= k <= min(a, b), where a and b count the ones
-    in x and y (Fisher's exact test; asymptotically 2 n ln2 MI ~ chi^2_1).
-    Returns the MI of every feasible table, ascending, with its probability,
-    leaving out the tables whose probability is 0.0 in float64 (at 10^7
-    balanced bits, all but 6e4 of 5e6). The observed MI is bitwise one of the
-    values unless its own probability is 0.0. A constant side gives
-    ([0.0], [1.0]).
+    Shuffling y keeps both margins of the table, so a shuffled table is fixed
+    by its n11 cell k, whose law is hypergeometric:
+    P(k) = C(a, k) C(n - a, b - k) / C(n, b) over
+    max(0, a + b - n) <= k <= min(a, b), where a = n10 + n11 and
+    b = n01 + n11 count the ones in x and y (Fisher's exact test;
+    asymptotically 2 n ln2 MI ~ chi^2_1). Returns the MI of every feasible
+    table, ascending, with its probability, leaving out the tables whose
+    probability is 0.0 in float64 (at 10^7 balanced bits, all but 6e4 of
+    5e6). The observed MI is bitwise one of the values unless its own
+    probability is 0.0. A constant side gives ([0.0], [1.0]).
     """
-    x, y = _bit_pair(x, y)
-    n = x.shape[0]
-    a = int(x.sum())
-    b = int(y.sum())
+    n00, n01, n10, n11 = (int(c) for c in _checked_table(table))
+    n = n00 + n01 + n10 + n11
+    a = n10 + n11
+    b = n01 + n11
     if a in (0, n) or b in (0, n):
         return np.zeros(1), np.ones(1)
     k = np.arange(max(0, a + b - n), min(a, b) + 1)
@@ -159,9 +166,9 @@ def permutation_null_mis(x, y) -> tuple[np.ndarray, np.ndarray]:
     head = k[:-1]
     step = np.log((a - head) * (b - head) / ((head + 1.0) * (n - a - b + head + 1.0)))
     mode = int(np.count_nonzero(step > 0.0))
-    log_pmf = np.concatenate(
-        [-np.cumsum(step[:mode][::-1])[::-1], [0.0], np.cumsum(step[mode:])]
-    )
+    log_pmf = np.zeros(k.shape[0])
+    log_pmf[:mode] = -np.cumsum(step[:mode][::-1])[::-1]
+    log_pmf[mode + 1 :] = np.cumsum(step[mode:])
     pmf = np.exp(log_pmf)
     # tables whose probability underflows to 0.0 move no quantile or p-value
     kept = pmf > 0.0
@@ -183,8 +190,8 @@ def null_quantile(mis: np.ndarray, pmf: np.ndarray, level: float) -> float:
     return float(mis[np.searchsorted(np.cumsum(pmf), level - 1e-9)])
 
 
-def permutation_independence_test(x, y) -> float:
-    """Exact permutation p-value for independence of two bit sequences.
+def permutation_independence_test(table) -> float:
+    """Exact permutation p-value for independence of the two sides of a 2x2 table.
 
     The statistic is plug-in MI and the null is label shuffling:
     p = P(MI_null >= observed) under permutation_null_mis, 1.0 when a side
@@ -192,6 +199,6 @@ def permutation_independence_test(x, y) -> float:
     as ties, as in R's fisher.test, so a table and its mirror image, whose MI
     can differ in the last bits, are counted alike.
     """
-    observed = plugin_mi_bits(x, y)
-    mis, pmf = permutation_null_mis(x, y)
+    observed = plugin_mi_bits(table)
+    mis, pmf = permutation_null_mis(table)
     return min(1.0, float(pmf[mis >= observed * (1.0 - 1e-7)].sum()))

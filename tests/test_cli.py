@@ -170,9 +170,7 @@ def test_protocol_report(tmp_path):
     assert "n_shuffles" not in result["params"]
 
 
-def test_protocol_manifest_from_0_1_0_still_replays(tmp_path):
-    fresh = tmp_path / "fresh.json"
-    assert run_cli(["protocol", "--out", str(fresh), "--set", "n_bits=2000"]) == 0
+def test_protocol_manifest_from_0_1_0_is_refused_naming_n_shuffles(tmp_path, capsys):
     old = tmp_path / "old.manifest.json"
     old.write_text(json.dumps({
         "tool_version": "0.1.0",
@@ -188,12 +186,8 @@ def test_protocol_manifest_from_0_1_0_still_replays(tmp_path):
         "wall_time_s": 0.1,
         "summary": {"ber": 0.5, "mutual_info_bits": 0.0},
     }))
-    replayed = tmp_path / "replayed.json"
-    assert run_cli(["protocol", "--config", str(old), "--out", str(replayed)]) == 0
-    # n_shuffles is accepted and ignored: the run is the one without it
-    assert replayed.read_text() == fresh.read_text()
-    manifest = read_json(tmp_path / "replayed.json.manifest.json")
-    assert "n_shuffles" not in manifest["params"]
+    # 0.3.0 removed n_shuffles, which 0.2.0 still accepted and ignored
+    check_failure(tmp_path, capsys, ["protocol", "--config", str(old)], "n_shuffles")
 
 
 def test_protocol_with_more_workers_than_bits(tmp_path):
@@ -354,7 +348,7 @@ def test_unknown_parameter_is_rejected(tmp_path, capsys):
 
 
 def test_schema_bounds_are_enforced(tmp_path, capsys):
-    check_failure(tmp_path, capsys, ["protocol", "--set", "n_shuffles=500"], "500")
+    check_failure(tmp_path, capsys, ["protocol", "--set", "n_shuffles=500"], "n_shuffles")
     check_failure(tmp_path, capsys, ["malus", "--set", "n_photons=0"], "0")
     check_failure(tmp_path, capsys, ["mzi", "--set", "timing.p_present=2"], "maximum")
     check_failure(
@@ -372,8 +366,41 @@ def test_oversized_sweeps_are_refused_before_any_work(tmp_path, capsys):
     sweep = 'sweep={"start_deg":0,"stop_deg":90,"step_deg":1e-7}'
     for experiment in ("malus", "bell"):
         check_failure(tmp_path, capsys, [experiment, "--set", sweep], "1000000 points")
-    infinite = 'sweep={"start_deg":0,"stop_deg":Infinity,"step_deg":1}'
+    # finite ends whose difference overflows to an infinite span
+    infinite = 'sweep={"start_deg":-1e308,"stop_deg":1e308,"step_deg":1}'
     check_failure(tmp_path, capsys, ["malus", "--set", infinite], "points")
+
+
+@pytest.mark.parametrize("argv", [
+    ["malus", "--set", "axes_deg=[NaN]"],
+    ["malus", "--set", "source_angle_deg=Infinity"],
+    ["malus", "--set", "source_angle_deg=-Infinity"],
+    ["malus", "--set", "source_angle_deg=1e400"],
+    ["malus", "--set", 'sweep={"start_deg":0,"stop_deg":Infinity,"step_deg":1}'],
+    ["mzi", "--set", "phases_deg=[NaN]"],
+    ["mzi", "--set", "timing.phase_deg=NaN"],
+    ["nosignal", "--set", "probe_basis_deg=NaN"],
+    ["protocol", "--set", "rule.one_deg=Infinity"],
+    ["bell", "--set", "chsh_angles_deg=[0, 45, NaN, 67.5]"],
+])
+def test_non_finite_config_numbers_are_refused(tmp_path, capsys, argv):
+    check_failure(tmp_path, capsys, argv, "must be finite")
+
+
+def test_oversized_and_deeply_nested_strategies_are_refused(tmp_path, capsys):
+    huge = "strategy=repetition:100000000:fixed-basis-ml:0"
+    check_failure(tmp_path, capsys, ["protocol", "--set", huge, "--set", "n_bits=2"],
+                  f"more than {cli.MAX_BLOCK_PHOTONS}")
+    # each factor alone fits the cap, their product does not
+    nested = "strategy=" + "repetition:1000:" * 3 + "basis-oracle"
+    check_failure(tmp_path, capsys, ["protocol", "--set", nested, "--set", "n_bits=2"],
+                  "2000000000 photons")
+    deep = "strategy=" + "repetition:1:" * 3000 + "basis-oracle"
+    check_failure(tmp_path, capsys, ["protocol", "--set", deep], "nests more than")
+    # the shipped repetition strategy at a full block stays within the cap
+    assert 11 * cli.BLOCK <= cli.MAX_BLOCK_PHOTONS
+    shallow = "repetition:1:" * cli.MAX_STRATEGY_NESTING + "basis-oracle"
+    assert parse_strategy(shallow).pairs_per_bit == 1
 
 
 def test_runtime_error_without_text_names_its_type(tmp_path, capsys, monkeypatch):
@@ -407,6 +434,9 @@ def test_malformed_set_and_config(tmp_path, capsys):
     stray = tmp_path / "stray.json"
     stray.write_text(json.dumps({"params": {}, "notes": "hi"}))
     check_failure(tmp_path, capsys, ["entropy", "--config", str(stray)], "notes")
+    non_finite = tmp_path / "nan.json"
+    non_finite.write_text('{"params": {"probe_basis_deg": NaN}}')
+    check_failure(tmp_path, capsys, ["nosignal", "--config", str(non_finite)], "must be finite")
 
 
 def test_config_for_another_experiment_is_rejected(tmp_path, capsys):

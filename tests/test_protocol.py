@@ -18,6 +18,7 @@ from photonlab.protocol import (
     standard_strategies,
 )
 from photonlab.rng import ALGORITHM_ID, BLOCK, stream_from_seed
+from photonlab.stats import bit_table
 
 
 def balanced_bits(n, seed):
@@ -180,10 +181,10 @@ def test_degenerate_rule_blinds_even_the_oracle():
 
 def test_mutual_information_identity_channel():
     x = balanced_bits(10_000, 91)
-    mi, (lo, hi) = mutual_information(x, x)
+    mi, (lo, hi) = mutual_information(bit_table(x, x))
     assert mi == 1.0
     assert lo <= 1.0 <= hi
-    mi, (lo, hi) = mutual_information(x, 1 - x)
+    mi, (lo, hi) = mutual_information(bit_table(x, 1 - x))
     assert mi == 1.0
     assert hi == 1.0
 
@@ -192,7 +193,7 @@ def test_mutual_information_independent_channel():
     gen = stream_from_seed(92, 0)
     x = (gen.random(100_000) < 0.5).astype(int)
     y = (gen.random(100_000) < 0.5).astype(int)
-    mi, (lo, hi) = mutual_information(x, y)
+    mi, (lo, hi) = mutual_information(bit_table(x, y))
     assert mi < 0.001
     assert lo == 0.0
     assert lo <= mi <= hi
@@ -205,14 +206,15 @@ def test_mutual_information_tracks_known_binary_channels():
         flips = stream_from_seed(94, i).random(n) < p
         y = np.where(flips, 1 - x, x)
         truth = 1.0 if p in (0.0, 1.0) else 1.0 + p * math.log2(p) + (1 - p) * math.log2(1 - p)
-        mi, (lo, hi) = mutual_information(x, y)
+        mi, (lo, hi) = mutual_information(bit_table(x, y))
         assert lo <= truth <= hi, f"p={p}: {truth} outside [{lo}, {hi}]"
         assert lo <= mi <= hi
 
 
 def test_mutual_information_validation():
-    with pytest.raises(ValueError):
-        mutual_information([0, 1], [0, 1, 1])
+    for table in ([0, 1, 1], [2, -1, 0, 3], [0.5, 0.5, 1.0, 1.0], [0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="table"):
+            mutual_information(table)
 
 
 def test_run_protocol_is_deterministic():
@@ -226,6 +228,22 @@ def test_run_protocol_is_deterministic():
     assert a.n_bits == 2000
     lo, hi = a.mi_confidence_interval
     assert lo <= a.mutual_info_bits <= hi
+
+
+def test_three_block_reports_keep_their_pinned_values():
+    # 600,000 bits are three blocks of 2^18 bits, reduced to count tables and
+    # summed; the values are those of the report computed from joined columns
+    oracle = run_protocol(600_000, strategy=BasisOracle(), seed=5, workers=3)
+    assert oracle.ber == 0.0
+    assert oracle.mutual_info_bits == 0.9999995110144906
+    assert oracle.mi_confidence_interval == (0.9999934694953208, 1.0)
+    assert oracle.decode_ties == 0
+    strategy = Repetition(11, FixedBasisML(math.radians(22.5)))
+    repetition = run_protocol(600_000, strategy=strategy, seed=5, workers=3)
+    assert repetition.ber == 0.5004116666666667
+    assert repetition.mutual_info_bits == 0.0
+    assert repetition.mi_confidence_interval == (0.0, 0.0)
+    assert repetition.decode_ties == 11 * 600_000
 
 
 def test_standard_strategies_extract_nothing_small_scale():

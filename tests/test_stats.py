@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from photonlab.stats import (
     as_bit_array,
-    binomial_estimate,
+    bit_table,
     mi_standard_error,
     null_quantile,
     permutation_independence_test,
@@ -66,13 +66,6 @@ def test_wilson_interval_validation():
         wilson_interval(5, 10, confidence=1.0)
 
 
-def test_binomial_estimate_bundles_the_interval():
-    est = binomial_estimate(30, 100)
-    assert est.point == 0.3
-    assert est.successes == 30 and est.trials == 100
-    assert est.ci95 == wilson_interval(30, 100)
-
-
 def test_as_bit_array_accepts_bits_in_common_dtypes():
     np.testing.assert_array_equal(as_bit_array([0, 1, 1]), [0, 1, 1])
     np.testing.assert_array_equal(as_bit_array(np.array([True, False])), [1, 0])
@@ -86,17 +79,48 @@ def test_as_bit_array_rejects_everything_else():
             as_bit_array(bad)
 
 
+def test_bit_table_counts_each_cell_at_2x_plus_y():
+    table = bit_table([0, 0, 1, 1, 1], np.array([False, True, False, True, True]))
+    np.testing.assert_array_equal(table, [1, 1, 1, 2])
+    np.testing.assert_array_equal(bit_table([1.0], [0]), [0, 0, 1, 0])
+
+
+def test_bit_table_rejects_length_mismatches_and_non_bits():
+    for x, y in (([0, 1], [0, 1, 1]), ([0, 2], [0, 1]), ([0, 1], [0.5, 1.0]),
+                 ([0, 1], [-1, 0]), ([], []), ([[0, 1]], [[0, 1]])):
+        with pytest.raises(ValueError):
+            bit_table(x, y)
+
+
+MALFORMED_TABLES = {
+    "three cells": [1, 2, 3],
+    "2x2 nested": [[1, 2], [3, 4]],
+    "negative count": [5, -1, 3, 4],
+    "non-integer count": [1.5, 2.0, 3.0, 4.0],
+    "boolean": [True, False, True, True],
+    "zero total": [0, 0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("statistic", [plugin_mi_bits, mi_standard_error,
+                                       permutation_null_mis, permutation_independence_test])
+@pytest.mark.parametrize("table", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES.keys())
+def test_table_statistics_reject_a_malformed_table(statistic, table):
+    with pytest.raises(ValueError, match="table"):
+        statistic(table)
+
+
 def test_plugin_mi_known_values():
     x = np.array([0, 1] * 500)
-    assert plugin_mi_bits(x, x) == 1.0
-    assert plugin_mi_bits(x, 1 - x) == 1.0
-    assert plugin_mi_bits(x, np.zeros_like(x)) == 0.0
+    assert plugin_mi_bits(bit_table(x, x)) == 1.0
+    assert plugin_mi_bits(bit_table(x, 1 - x)) == 1.0
+    assert plugin_mi_bits(bit_table(x, np.zeros_like(x))) == 0.0
     # frozen joint [[40, 10], [10, 40]] has I = 1 - H(0.2)
     x = np.array([0] * 50 + [1] * 50)
     y = np.array([0] * 40 + [1] * 10 + [0] * 10 + [1] * 40)
-    assert plugin_mi_bits(x, y) == pytest.approx(0.27807190511263774, abs=1e-12)
+    assert plugin_mi_bits(bit_table(x, y)) == pytest.approx(0.27807190511263774, abs=1e-12)
     with pytest.raises(ValueError):
-        plugin_mi_bits([0, 1], [0, 1, 1])
+        plugin_mi_bits(bit_table([0, 1], [0, 1, 1]))
 
 
 def test_plugin_mi_is_never_negative():
@@ -104,45 +128,45 @@ def test_plugin_mi_is_never_negative():
     for _ in range(50):
         x = (rng.random(200) < 0.5).astype(int)
         y = (rng.random(200) < 0.5).astype(int)
-        assert plugin_mi_bits(x, y) >= 0.0
+        assert plugin_mi_bits(bit_table(x, y)) >= 0.0
 
 
 def test_mi_standard_error_behaviour():
     rng = stream_from_seed(73, 0)
     x = (rng.random(1000) < 0.5).astype(int)
     noisy = np.where(rng.random(1000) < 0.1, 1 - x, x)
-    se = mi_standard_error(x, noisy)
+    se = mi_standard_error(bit_table(x, noisy))
     assert se > 0.0
     # constant side: estimate is identically zero, so is its spread
-    assert mi_standard_error(x, np.zeros_like(x)) == 0.0
+    assert mi_standard_error(bit_table(x, np.zeros_like(x))) == 0.0
     x_big = np.tile(x, 4)
     noisy_big = np.tile(noisy, 4)
-    assert mi_standard_error(x_big, noisy_big) == pytest.approx(se / 2, rel=1e-9)
+    assert mi_standard_error(bit_table(x_big, noisy_big)) == pytest.approx(se / 2, rel=1e-9)
 
 
 def test_permutation_null_shapes_and_degenerate_cases():
     rng = stream_from_seed(74, 0)
     x = (rng.random(300) < 0.5).astype(int)
     y = (rng.random(300) < 0.5).astype(int)
-    mis, pmf = permutation_null_mis(x, y)
+    mis, pmf = permutation_null_mis(bit_table(x, y))
     assert mis.shape == pmf.shape
     assert (mis >= 0.0).all()
     assert (np.diff(mis) >= 0.0).all()
-    mis, pmf = permutation_null_mis(x, np.ones_like(x))
+    mis, pmf = permutation_null_mis(bit_table(x, np.ones_like(x)))
     np.testing.assert_array_equal(mis, [0.0])
     np.testing.assert_array_equal(pmf, [1.0])
 
 
 def test_identical_sequences_get_the_smallest_possible_p():
     x = (stream_from_seed(75, 0).random(10_000) < 0.5).astype(int)
-    p = permutation_independence_test(x, x)
+    p = permutation_independence_test(bit_table(x, x))
     assert p < 1 / 1001
     assert p <= 0.001
 
 
 def test_constant_side_gives_p_of_one():
     x = (stream_from_seed(76, 0).random(500) < 0.5).astype(int)
-    p = permutation_independence_test(x, np.zeros_like(x))
+    p = permutation_independence_test(bit_table(x, np.zeros_like(x)))
     assert p == 1.0
 
 
@@ -153,14 +177,14 @@ def test_independent_sequences_rarely_look_dependent():
         gen = stream_from_seed(77, i)
         x = (gen.random(500) < 0.5).astype(int)
         y = (gen.random(500) < 0.5).astype(int)
-        p = permutation_independence_test(x, y)
+        p = permutation_independence_test(bit_table(x, y))
         rejections += p <= 0.05
     assert rejections <= 10
 
 
 def test_permutation_test_validation():
     with pytest.raises(ValueError):
-        permutation_independence_test([0, 1], [0, 1, 1])
+        permutation_independence_test(bit_table([0, 1], [0, 1, 1]))
 
 
 def bits_with_ones(n, ones):
@@ -179,10 +203,10 @@ def test_exact_null_matches_every_labeling_for_small_n():
                     y[list(ones)] = 1
                     labelings.append(y)
                 total = len(labelings)
-                mi_of = [plugin_mi_bits(x, y) for y in labelings]
+                mi_of = [plugin_mi_bits(bit_table(x, y)) for y in labelings]
                 n11 = [int(y[:a].sum()) for y in labelings]
                 by_k = {k: (mi_of[n11.index(k)], n11.count(k) / total) for k in set(n11)}
-                mis, pmf = permutation_null_mis(x, labelings[0])
+                mis, pmf = permutation_null_mis(bit_table(x, labelings[0]))
                 if 0 in (a, b) or n in (a, b):
                     assert list(mis) == [0.0] and list(pmf) == [1.0]
                 else:
@@ -197,7 +221,7 @@ def test_exact_null_matches_every_labeling_for_small_n():
                 for k, (observed, _) in by_k.items():
                     at_least = sum(m > observed or math.isclose(m, observed, rel_tol=1e-9)
                                    for m in mi_of)
-                    p = permutation_independence_test(x, labelings[n11.index(k)])
+                    p = permutation_independence_test(bit_table(x, labelings[n11.index(k)]))
                     assert abs(p - at_least / total) <= 1e-12
 
 
@@ -206,7 +230,7 @@ def test_quantile_counts_a_cumulative_probability_of_exactly_the_level():
     # tables with MI up to 0.0535 bits is 546/560 = 0.975 itself
     x = bits_with_ones(16, 2)
     y = bits_with_ones(16, 3)
-    mis, pmf = permutation_null_mis(x, y)
+    mis, pmf = permutation_null_mis(bit_table(x, y))
     quantile = null_quantile(mis, pmf, 0.975)
     assert quantile == pytest.approx(0.0534985788656094, abs=1e-12)
 
@@ -222,8 +246,8 @@ def test_exact_quantile_agrees_with_a_seeded_shuffle_loop():
     null = np.empty(shuffles)
     for i in range(shuffles):
         shuffler.shuffle(work)
-        null[i] = plugin_mi_bits(x, work)
-    mis, pmf = permutation_null_mis(x, y)
+        null[i] = plugin_mi_bits(bit_table(x, work))
+    mis, pmf = permutation_null_mis(bit_table(x, y))
     # the sampled 97.5% quantile lies between the exact quantiles 4 sigma
     # of its binomial level error away
     sigma = math.sqrt(0.975 * 0.025 / shuffles)
@@ -242,7 +266,7 @@ def test_exact_quantile_approaches_the_g_test():
     """2 n ln2 MI is asymptotically chi^2 with one degree of freedom."""
     n = 1_000_000
     x = bits_with_ones(n, n // 2)
-    q = null_quantile(*permutation_null_mis(x, x), 0.975)
+    q = null_quantile(*permutation_null_mis(bit_table(x, x)), 0.975)
     chi2_975 = NormalDist().inv_cdf(0.9875) ** 2
     assert 2 * n * math.log(2) * q == pytest.approx(chi2_975, rel=0.02)
 
@@ -255,9 +279,21 @@ def bit_pairs(draw):
 
 
 @settings(max_examples=200, deadline=None)
+@given(bit_pairs(), st.data())
+def test_table_of_a_concatenation_is_the_sum_of_the_tables_of_its_parts(pair, data):
+    x, y = pair
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(x)), max_size=6)))
+    edges = [0] + cuts + [len(x)]
+    parts = [bit_table(x[i:j], y[i:j]) for i, j in zip(edges, edges[1:]) if j > i]
+    whole = bit_table(x, y)
+    np.testing.assert_array_equal(sum(parts), whole)
+    assert whole.sum() == len(x)
+
+
+@settings(max_examples=200, deadline=None)
 @given(bit_pairs())
 def test_exact_null_is_a_distribution_over_nonnegative_mi(pair):
-    mis, pmf = permutation_null_mis(*pair)
+    mis, pmf = permutation_null_mis(bit_table(*pair))
     assert abs(pmf.sum() - 1.0) <= 1e-12
     assert (pmf > 0.0).all()
     assert (mis >= 0.0).all()
@@ -268,11 +304,11 @@ def test_exact_null_is_a_distribution_over_nonnegative_mi(pair):
 @given(bit_pairs())
 def test_exact_null_ignores_which_side_is_which_and_the_labels(pair):
     x, y = pair
-    p = permutation_independence_test(x, y)
-    q = null_quantile(*permutation_null_mis(x, y), 0.975)
+    p = permutation_independence_test(bit_table(x, y))
+    q = null_quantile(*permutation_null_mis(bit_table(x, y)), 0.975)
     for other in ((y, x), (x, 1 - y)):
-        assert abs(permutation_independence_test(*other) - p) <= 1e-12
-        assert abs(null_quantile(*permutation_null_mis(*other), 0.975) - q) <= 1e-12
+        assert abs(permutation_independence_test(bit_table(*other)) - p) <= 1e-12
+        assert abs(null_quantile(*permutation_null_mis(bit_table(*other)), 0.975) - q) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -281,5 +317,5 @@ def test_exact_null_of_a_constant_side_is_a_point_at_zero(pair, value):
     x, _ = pair
     constant = np.full_like(x, value)
     for sides in ((x, constant), (constant, x)):
-        assert permutation_independence_test(*sides) == 1.0
-        assert null_quantile(*permutation_null_mis(*sides), 0.975) == 0.0
+        assert permutation_independence_test(bit_table(*sides)) == 1.0
+        assert null_quantile(*permutation_null_mis(bit_table(*sides)), 0.975) == 0.0
