@@ -15,13 +15,13 @@ Exit codes: 0 success, 2 config or validation error (nothing is written),
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
 import sys
 import time
-
-import jsonschema
+from dataclasses import dataclass
 
 from . import __version__
 from .entangle import bob_marginal_counts, chsh, correlation, no_signaling_check
@@ -38,21 +38,9 @@ class ConfigError(ValueError):
     """Bad configuration; maps to exit code 2 before any computation runs."""
 
 
-EXPERIMENTS = ("malus", "entropy", "bell", "nosignal", "protocol", "mzi")
-
 # keys a config file (or a fed-back manifest) may carry at the top level
-_TOP_LEVEL_KEYS = {
-    "experiment",
-    "params",
-    "seed",
-    "workers",
-    "format",
-    "out",
-    "tool_version",
-    "rng_algorithm",
-    "wall_time_s",
-    "summary",
-}
+_TOP_LEVEL_KEYS = {"experiment", "params", "seed", "workers", "format", "out",
+                   "tool_version", "rng_algorithm", "wall_time_s", "summary"}
 
 # sweeps are built as point lists before any work, so their size is capped
 MAX_SWEEP_POINTS = 1_000_000
@@ -61,141 +49,151 @@ MAX_SWEEP_POINTS = 1_000_000
 MAX_BLOCK_PHOTONS = 2**24
 # parse_strategy recurses once per repetition level
 MAX_STRATEGY_NESTING = 8
+# the balanced bit source shuffles all n_bits at once, as int64: 512 MiB at the cap
+MAX_BALANCED_BITS = 2**26
 
-_NUMBER = {"type": "number"}
-_SWEEP_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "start_deg": _NUMBER,
-        "stop_deg": _NUMBER,
-        "step_deg": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["start_deg", "stop_deg", "step_deg"],
+
+@dataclass(frozen=True)
+class Field:
+    """One parameter of an experiment: its kind, default and bounds.
+
+    kind is "number", "integer", "string", "choice", "list" or "object". Numbers
+    must be finite; integers must be JSON integers. minimum and maximum are
+    inclusive and exclusive_minimum is strict; for a list they bound its length
+    and `item` describes every element. An object needs exactly the keys of
+    `fields`, and a nullable one may also be null. `default` is the value a run
+    starts from before its config and --set overrides.
+    """
+
+    kind: str
+    default: object = None
+    minimum: float | None = None
+    maximum: float | None = None
+    exclusive_minimum: float | None = None
+    choices: tuple = ()
+    item: Field | None = None
+    fields: dict | None = None
+    nullable: bool = False
+
+
+_NUMBER = Field("number")
+_SWEEP = {
+    "start_deg": _NUMBER,
+    "stop_deg": _NUMBER,
+    "step_deg": Field("number", exclusive_minimum=0),
 }
+_MODES = ("analytic", "mc")
+_TYPES = {"number": (int, float), "integer": int, "string": str, "list": list, "object": dict}
 
-SCHEMAS = {
+SPECS = {
     "malus": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "axes_deg": {"type": "array", "items": _NUMBER, "minItems": 1},
-            "mode": {"enum": ["analytic", "mc"]},
-            "n_photons": {"type": "integer", "minimum": 1},
-            "source": {"enum": ["natural", "linear"]},
-            "source_angle_deg": _NUMBER,
-            "sweep": {"oneOf": [{"type": "null"}, _SWEEP_SCHEMA]},
-        },
+        "axes_deg": Field("list", [90.0, 45.0, 0.0], minimum=1, item=_NUMBER),
+        "mode": Field("choice", "analytic", choices=_MODES),
+        "n_photons": Field("integer", 1_000_000, minimum=1),
+        "source": Field("choice", "natural", choices=("natural", "linear")),
+        "source_angle_deg": Field("number", 0.0),
+        "sweep": Field("object", None, fields=_SWEEP, nullable=True),
     },
     "entropy": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "grid": {
-                "type": "array",
-                "items": {"type": "number", "minimum": 0, "maximum": 1},
-                "minItems": 1,
-            },
-        },
+        "grid": Field("list", [0.0, 0.25, 0.5, 0.75, 1.0], minimum=1,
+                      item=Field("number", minimum=0, maximum=1)),
     },
     "bell": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "sweep": _SWEEP_SCHEMA,
-            "n_per_point": {"type": "integer", "minimum": 1},
-            "chsh_angles_deg": {
-                "type": "array",
-                "items": _NUMBER,
-                "minItems": 4,
-                "maxItems": 4,
-            },
-            "n_per_setting": {"type": "integer", "minimum": 1},
-        },
+        "sweep": Field("object", {"start_deg": 0.0, "stop_deg": 90.0, "step_deg": 5.0},
+                       fields=_SWEEP),
+        "n_per_point": Field("integer", 50_000, minimum=1),
+        "chsh_angles_deg": Field("list", [0.0, 45.0, 22.5, 67.5], minimum=4, maximum=4,
+                                 item=_NUMBER),
+        "n_per_setting": Field("integer", 100_000, minimum=1),
     },
     "nosignal": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "bases_a_deg": {"type": "array", "items": _NUMBER, "minItems": 1},
-            "probe_basis_deg": _NUMBER,
-            "n_per_basis": {"type": "integer", "minimum": 1},
-        },
+        "bases_a_deg": Field("list", [0.0, 45.0], minimum=1, item=_NUMBER),
+        "probe_basis_deg": Field("number", 0.0),
+        "n_per_basis": Field("integer", 100_000, minimum=1),
     },
     "protocol": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "n_bits": {"type": "integer", "minimum": 1},
-            "strategy": {"type": "string"},
-            "rule": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {"one_deg": _NUMBER, "zero_deg": _NUMBER},
-            },
-            "bit_source": {"enum": ["iid", "balanced"]},
-        },
-        # a balanced bit source splits n_bits into equal halves of ones and zeros
-        "if": {"properties": {"bit_source": {"const": "balanced"}}},
-        "then": {"properties": {"n_bits": {"multipleOf": 2}}},
+        "n_bits": Field("integer", 10_000, minimum=1),
+        "strategy": Field("string", "fixed-basis-ml:0"),
+        "rule": Field("object", {"one_deg": 0.0, "zero_deg": 45.0},
+                      fields={"one_deg": _NUMBER, "zero_deg": _NUMBER}),
+        "bit_source": Field("choice", "iid", choices=("iid", "balanced")),
     },
     "mzi": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "phases_deg": {"type": "array", "items": _NUMBER, "minItems": 1},
-            "n_per_phase": {"type": "integer", "minimum": 1},
-            "mode": {"enum": ["analytic", "mc"]},
-            "timing": {
-                "oneOf": [
-                    {"type": "null"},
-                    {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "properties": {
-                            "phase_deg": _NUMBER,
-                            # the report compares the "present" branch, so it must occur
-                            "p_present": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                            "n": {"type": "integer", "minimum": 1},
-                        },
-                        "required": ["phase_deg", "p_present", "n"],
-                    },
-                ]
-            },
-        },
+        "phases_deg": Field("list", [22.5 * k for k in range(16)], minimum=1, item=_NUMBER),
+        "n_per_phase": Field("integer", 100_000, minimum=1),
+        "mode": Field("choice", "mc", choices=_MODES),
+        "timing": Field(
+            "object",
+            {"phase_deg": 60.0, "p_present": 0.5, "n": 200_000},
+            # the report compares the "present" branch, so it must occur
+            fields={"phase_deg": _NUMBER,
+                    "p_present": Field("number", exclusive_minimum=0, maximum=1),
+                    "n": Field("integer", minimum=1)},
+            nullable=True,
+        ),
     },
 }
 
-DEFAULTS = {
-    "malus": {
-        "axes_deg": [90.0, 45.0, 0.0],
-        "mode": "analytic",
-        "n_photons": 1_000_000,
-        "source": "natural",
-        "source_angle_deg": 0.0,
-        "sweep": None,
-    },
-    "entropy": {"grid": [0.0, 0.25, 0.5, 0.75, 1.0]},
-    "bell": {
-        "sweep": {"start_deg": 0.0, "stop_deg": 90.0, "step_deg": 5.0},
-        "n_per_point": 50_000,
-        "chsh_angles_deg": [0.0, 45.0, 22.5, 67.5],
-        "n_per_setting": 100_000,
-    },
-    "nosignal": {"bases_a_deg": [0.0, 45.0], "probe_basis_deg": 0.0, "n_per_basis": 100_000},
-    "protocol": {
-        "n_bits": 10_000,
-        "strategy": "fixed-basis-ml:0",
-        "rule": {"one_deg": 0.0, "zero_deg": 45.0},
-        "bit_source": "iid",
-    },
-    "mzi": {
-        "phases_deg": [22.5 * k for k in range(16)],
-        "n_per_phase": 100_000,
-        "mode": "mc",
-        "timing": {"phase_deg": 60.0, "p_present": 0.5, "n": 200_000},
-    },
-}
+
+def defaults(fields: dict) -> dict:
+    """A fresh copy of the default value of every field."""
+    return {name: copy.deepcopy(field.default) for name, field in fields.items()}
+
+
+def check_params(fields: dict, params) -> None:
+    """Raise ConfigError, naming the dotted parameter path, unless params fit fields."""
+    _check(Field("object", fields=fields), params, "")
+
+
+def _invalid(path: str, message: str) -> ConfigError:
+    return ConfigError(f"{path or 'params'}: {message}")
+
+
+def _check(field: Field, value, path: str) -> None:
+    kind = field.kind
+    if kind == "choice":
+        if value not in field.choices:
+            raise _invalid(path, f"{value!r} is not one of {list(field.choices)}")
+        return
+    if value is None and field.nullable:
+        return
+    # bool is an int to Python; an integer must be a JSON integer, so 1e3 is refused
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        null = " or null" if field.nullable else ""
+        raise _invalid(path, f"{value!r} is not of type '{kind}'{null}")
+    if kind == "object":
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in field.fields:
+                raise _invalid(prefix + key,
+                               f"unknown parameter; expected one of {', '.join(field.fields)}")
+        for key, member in field.fields.items():
+            if key not in value:
+                raise _invalid(prefix + key, "missing")
+            _check(member, value[key], prefix + key)
+    elif kind == "list":
+        _check_bounds(field, len(value), f"length {len(value)}", path)
+        for i, item in enumerate(value):
+            _check(field.item, item, f"{path}[{i}]")
+    elif kind != "string":
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite, value = False, "an integer too large for a float"
+        if not finite:  # Python's json reads NaN and Infinity, and 1e400 as inf
+            raise _invalid(path, f"must be finite, got {value}")
+        _check_bounds(field, value, repr(value), path)
+
+
+def _check_bounds(field: Field, value, shown: str, path: str) -> None:
+    if field.minimum is not None and value < field.minimum:
+        raise _invalid(path, f"{shown} is less than the minimum of {field.minimum}")
+    if field.exclusive_minimum is not None and value <= field.exclusive_minimum:
+        raise _invalid(path, f"{shown} is less than or equal to the minimum of "
+                             f"{field.exclusive_minimum}")
+    if field.maximum is not None and value > field.maximum:
+        raise _invalid(path, f"{shown} is greater than the maximum of {field.maximum}")
+
 
 _STRATEGY_FORMS = (
     "valid strategies: 'basis-oracle', 'fixed-basis-ml:<angle_deg>', "
@@ -239,28 +237,13 @@ def parse_strategy(label: str):
     raise ConfigError(f"unknown strategy {label!r}; {_STRATEGY_FORMS}")
 
 
-def _reject_non_finite(token: str):
-    raise ConfigError(f"config numbers must be finite, got {token}")
-
-
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):  # 1e400 overflows to inf
-        _reject_non_finite(token)
-    return value
-
-
-# Python's json reads NaN and Infinity, and JSON Schema's "number" lets them through
-_FINITE_JSON = {"parse_constant": _reject_non_finite, "parse_float": _finite_float}
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, **_FINITE_JSON)
+            obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of more than 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -286,8 +269,8 @@ def _parse_set_overrides(items) -> dict:
         if not sep or not key:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         try:
-            value = json.loads(raw, **_FINITE_JSON)
-        except json.JSONDecodeError:
+            value = json.loads(raw)
+        except ValueError:  # also an integer of more than 4300 digits
             value = raw
         node = overrides
         parts = key.split(".")
@@ -365,7 +348,7 @@ def _run_malus(params, seed, workers):
             for i in range(len(axes))
         ]
         payload = {
-            "n_photons": int(params["n_photons"]),
+            "n_photons": params["n_photons"],
             "stages": stages,
             "final_intensity": float(result.final_intensity()),
         }
@@ -424,7 +407,7 @@ def _run_bell(params, seed, workers):
         "sweep_rows": rows,
         "chsh": {
             "angles_deg": [float(a) for a in params["chsh_angles_deg"]],
-            "n_per_setting": int(params["n_per_setting"]),
+            "n_per_setting": params["n_per_setting"],
             "s_value": float(s_value),
         },
     }
@@ -471,8 +454,17 @@ def _run_nosignal(params, seed, workers):
 
 
 def _run_protocol(params, seed, workers):
+    n_bits = params["n_bits"]
+    if params["bit_source"] == "balanced":
+        # the balanced bit source splits n_bits into equal halves of ones and zeros
+        if n_bits % 2:
+            raise _invalid("n_bits", f"{n_bits} is not a multiple of 2, as the balanced "
+                                     "bit source needs")
+        if n_bits > MAX_BALANCED_BITS:
+            raise _invalid("n_bits", f"{n_bits} is greater than the maximum of "
+                                     f"{MAX_BALANCED_BITS} for the balanced bit source")
     strategy = parse_strategy(params["strategy"])
-    block_photons = min(params["n_bits"], BLOCK) * strategy.pairs_per_bit
+    block_photons = min(n_bits, BLOCK) * strategy.pairs_per_bit
     if block_photons > MAX_BLOCK_PHOTONS:
         raise ConfigError(
             f"strategy {strategy.label} needs {block_photons} photons per block of bits, "
@@ -483,7 +475,7 @@ def _run_protocol(params, seed, workers):
         basis_for_zero=math.radians(params["rule"]["zero_deg"]),
     )
     report = run_protocol(
-        params["n_bits"],
+        n_bits,
         rule=rule,
         strategy=strategy,
         seed=seed,
@@ -613,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "protocol": "the entanglement bit-transmission scheme under a receiver model",
         "mzi": "Mach-Zehnder fringes and delayed-choice timing invariance",
     }
-    for name in EXPERIMENTS:
+    for name in SPECS:
         sp = sub.add_parser(name, help=descriptions[name])
         sp.add_argument("--config", help="JSON config file; a run manifest also works")
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
@@ -637,19 +629,16 @@ def _run(args) -> int:
         raise ConfigError(
             f"config is for experiment {config['experiment']!r}, not {experiment!r}"
         )
-    params = _deep_merge(DEFAULTS[experiment], config.get("params", {}))
+    params = _deep_merge(defaults(SPECS[experiment]), config.get("params", {}))
     params = _deep_merge(params, _parse_set_overrides(args.set))
-    jsonschema.validate(params, SCHEMAS[experiment])
+    check_params(SPECS[experiment], params)
 
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     workers = args.workers if args.workers is not None else config.get("workers", 1)
     out_format = args.format if args.format is not None else config.get("format", "json")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
-    if out_format not in ("json", "csv"):
-        raise ConfigError(f"format must be 'json' or 'csv', got {out_format!r}")
+    _check(Field("integer", minimum=0, maximum=2**64 - 1), seed, "seed")
+    _check(Field("integer", minimum=1), workers, "workers")
+    _check(Field("choice", choices=("json", "csv")), out_format, "format")
     if out_format == "csv" and experiment == "protocol":
         raise ConfigError("the protocol report is not tabular; use --format json")
 
@@ -697,9 +686,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, jsonschema.ValidationError) as exc:
-        message = exc.message if isinstance(exc, jsonschema.ValidationError) else str(exc)
-        print(f"config error: {message}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         # some exceptions, MemoryError() for one, carry no text

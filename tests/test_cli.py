@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +225,15 @@ def test_balanced_protocol_rejects_odd_bit_counts(tmp_path, capsys):
     )
 
 
+def test_balanced_protocol_caps_its_bit_count(tmp_path, capsys):
+    n_bits = cli.MAX_BALANCED_BITS + 2
+    check_failure(
+        tmp_path, capsys,
+        ["protocol", "--set", f"n_bits={n_bits}", "--set", "bit_source=balanced"],
+        f"n_bits: {n_bits} is greater than the maximum of {cli.MAX_BALANCED_BITS}",
+    )
+
+
 def test_huge_worker_count_runs_small_jobs(tmp_path):
     out = tmp_path / "malus.json"
     args = ["malus", "--out", str(out), "--workers", "100000",
@@ -382,9 +393,26 @@ def test_oversized_sweeps_are_refused_before_any_work(tmp_path, capsys):
     ["nosignal", "--set", "probe_basis_deg=NaN"],
     ["protocol", "--set", "rule.one_deg=Infinity"],
     ["bell", "--set", "chsh_angles_deg=[0, 45, NaN, 67.5]"],
+    # an integer too large for a float
+    ["malus", "--set", "source=linear", "--set", "source_angle_deg=1" + "0" * 400],
 ])
 def test_non_finite_config_numbers_are_refused(tmp_path, capsys, argv):
     check_failure(tmp_path, capsys, argv, "must be finite")
+
+
+@pytest.mark.parametrize("argv", [
+    # analytic malus never reads n_photons, and 0.3.0 ran it
+    ["malus", "--set", "n_photons=1e6"],
+    ["bell", "--set", "n_per_point=1e3"],
+    ["bell", "--set", "n_per_setting=1000.0"],
+    ["nosignal", "--set", "n_per_basis=1e3"],
+    ["mzi", "--set", "n_per_phase=1e3"],
+    ["mzi", "--set", "timing.n=1e3"],
+    ["protocol", "--set", "n_bits=1e3"],
+])
+def test_integral_floats_in_count_fields_are_refused(tmp_path, capsys, argv):
+    err = check_failure(tmp_path, capsys, argv, "is not of type 'integer'")
+    assert f"{argv[-1].split('=')[0]}: 1000" in err
 
 
 def test_oversized_and_deeply_nested_strategies_are_refused(tmp_path, capsys):
@@ -437,6 +465,12 @@ def test_malformed_set_and_config(tmp_path, capsys):
     non_finite = tmp_path / "nan.json"
     non_finite.write_text('{"params": {"probe_basis_deg": NaN}}')
     check_failure(tmp_path, capsys, ["nosignal", "--config", str(non_finite)], "must be finite")
+    # Python refuses to parse an integer of more than 4300 digits, where it has that limit
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"params": {"probe_basis_deg": ' + "1" * 5000 + "}}")
+    limited = hasattr(sys, "get_int_max_str_digits")
+    check_failure(tmp_path, capsys, ["nosignal", "--config", str(long_int)],
+                  "not valid JSON" if limited else "must be finite")
 
 
 def test_config_for_another_experiment_is_rejected(tmp_path, capsys):
@@ -480,6 +514,14 @@ def test_parse_strategy_forms():
                 "repetition:0:basis-oracle", "repetition:2"):
         with pytest.raises(ValueError):
             parse_strategy(bad)
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    code = "import sys, photonlab.cli; sys.exit('jsonschema' in sys.modules)"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_runs_as_a_script(tmp_path):
