@@ -30,7 +30,7 @@ from .core import ALGEBRA_ATOL, StateVector
 from .mzi import MziConfig, choice_timing_invariance, run_mzi
 from .optics import cascade_analytic, cascade_mc, linear_light, natural_light
 from .protocol import BasisOracle, EncodingRule, FixedBasisML, Repetition, run_protocol
-from .rng import ALGORITHM_ID, BLOCK, stream_from_seed
+from .rng import ALGORITHM_ID, BLOCK
 from .stats import wilson_interval
 
 
@@ -42,15 +42,18 @@ class ConfigError(ValueError):
 _TOP_LEVEL_KEYS = {"experiment", "params", "seed", "workers", "format", "out",
                    "tool_version", "rng_algorithm", "wall_time_s", "summary"}
 
-# sweeps are built as point lists before any work, so their size is capped
+# sweeps are built as point lists before any work, so their size is capped;
+# a list parameter is a sweep written out and shares the cap
 MAX_SWEEP_POINTS = 1_000_000
+# map_partitions keeps one future per block of a count: 2^14 at the cap
+MAX_TRIALS = 2**32
+# no_signaling_check compares every pair of bases
+MAX_BASES = 1_000
 # a protocol block holds pairs_per_bit photons per bit in several arrays at
 # once, so the photons of one block are capped; the shipped maximum is 11 * 2^18
 MAX_BLOCK_PHOTONS = 2**24
 # parse_strategy recurses once per repetition level
 MAX_STRATEGY_NESTING = 8
-# the balanced bit source shuffles all n_bits at once, as int64: 512 MiB at the cap
-MAX_BALANCED_BITS = 2**26
 
 
 @dataclass(frozen=True)
@@ -87,40 +90,42 @@ _TYPES = {"number": (int, float), "integer": int, "string": str, "list": list, "
 
 SPECS = {
     "malus": {
-        "axes_deg": Field("list", [90.0, 45.0, 0.0], minimum=1, item=_NUMBER),
+        "axes_deg": Field("list", [90.0, 45.0, 0.0], minimum=1, maximum=MAX_SWEEP_POINTS,
+                          item=_NUMBER),
         "mode": Field("choice", "analytic", choices=_MODES),
-        "n_photons": Field("integer", 1_000_000, minimum=1),
+        "n_photons": Field("integer", 1_000_000, minimum=1, maximum=MAX_TRIALS),
         "source": Field("choice", "natural", choices=("natural", "linear")),
         "source_angle_deg": Field("number", 0.0),
         "sweep": Field("object", None, fields=_SWEEP, nullable=True),
     },
     "entropy": {
-        "grid": Field("list", [0.0, 0.25, 0.5, 0.75, 1.0], minimum=1,
+        "grid": Field("list", [0.0, 0.25, 0.5, 0.75, 1.0], minimum=1, maximum=MAX_SWEEP_POINTS,
                       item=Field("number", minimum=0, maximum=1)),
     },
     "bell": {
         "sweep": Field("object", {"start_deg": 0.0, "stop_deg": 90.0, "step_deg": 5.0},
                        fields=_SWEEP),
-        "n_per_point": Field("integer", 50_000, minimum=1),
+        "n_per_point": Field("integer", 50_000, minimum=1, maximum=MAX_TRIALS),
         "chsh_angles_deg": Field("list", [0.0, 45.0, 22.5, 67.5], minimum=4, maximum=4,
                                  item=_NUMBER),
-        "n_per_setting": Field("integer", 100_000, minimum=1),
+        "n_per_setting": Field("integer", 100_000, minimum=1, maximum=MAX_TRIALS),
     },
     "nosignal": {
-        "bases_a_deg": Field("list", [0.0, 45.0], minimum=1, item=_NUMBER),
+        "bases_a_deg": Field("list", [0.0, 45.0], minimum=1, maximum=MAX_BASES, item=_NUMBER),
         "probe_basis_deg": Field("number", 0.0),
-        "n_per_basis": Field("integer", 100_000, minimum=1),
+        "n_per_basis": Field("integer", 100_000, minimum=1, maximum=MAX_TRIALS),
     },
     "protocol": {
-        "n_bits": Field("integer", 10_000, minimum=1),
+        "n_bits": Field("integer", 10_000, minimum=1, maximum=MAX_TRIALS),
         "strategy": Field("string", "fixed-basis-ml:0"),
         "rule": Field("object", {"one_deg": 0.0, "zero_deg": 45.0},
                       fields={"one_deg": _NUMBER, "zero_deg": _NUMBER}),
         "bit_source": Field("choice", "iid", choices=("iid", "balanced")),
     },
     "mzi": {
-        "phases_deg": Field("list", [22.5 * k for k in range(16)], minimum=1, item=_NUMBER),
-        "n_per_phase": Field("integer", 100_000, minimum=1),
+        "phases_deg": Field("list", [22.5 * k for k in range(16)], minimum=1,
+                            maximum=MAX_SWEEP_POINTS, item=_NUMBER),
+        "n_per_phase": Field("integer", 100_000, minimum=1, maximum=MAX_TRIALS),
         "mode": Field("choice", "mc", choices=_MODES),
         "timing": Field(
             "object",
@@ -128,7 +133,7 @@ SPECS = {
             # the report compares the "present" branch, so it must occur
             fields={"phase_deg": _NUMBER,
                     "p_present": Field("number", exclusive_minimum=0, maximum=1),
-                    "n": Field("integer", minimum=1)},
+                    "n": Field("integer", minimum=1, maximum=MAX_TRIALS)},
             nullable=True,
         ),
     },
@@ -359,9 +364,9 @@ def _run_malus(params, seed, workers):
 
 def _run_entropy(params, seed, workers):
     rows = []
-    for i, p0 in enumerate(params["grid"]):
+    for p0 in params["grid"]:
         state = StateVector([math.sqrt(p0), math.sqrt(1.0 - p0)])
-        report = collapse_entropy_report(state, 0.0, stream_from_seed(seed, i))
+        report = collapse_entropy_report(state, 0.0)
         rows.append(
             {
                 "p0": float(p0),
@@ -460,9 +465,6 @@ def _run_protocol(params, seed, workers):
         if n_bits % 2:
             raise _invalid("n_bits", f"{n_bits} is not a multiple of 2, as the balanced "
                                      "bit source needs")
-        if n_bits > MAX_BALANCED_BITS:
-            raise _invalid("n_bits", f"{n_bits} is greater than the maximum of "
-                                     f"{MAX_BALANCED_BITS} for the balanced bit source")
     strategy = parse_strategy(params["strategy"])
     block_photons = min(n_bits, BLOCK) * strategy.pairs_per_bit
     if block_photons > MAX_BLOCK_PHOTONS:

@@ -185,9 +185,6 @@ def _require_qubit(state) -> StateVector:
     state = _coerce_state(state)
     if state.dim != 2:
         raise ValueError(f"expected a 2-dim state, got dim {state.dim}")
-    norm = float(np.linalg.norm(state.amplitudes))
-    if abs(norm - 1.0) > PRECONDITION_ATOL:
-        raise InvalidStateError(f"state norm {norm!r} deviates from 1 beyond tolerance")
     return state
 
 

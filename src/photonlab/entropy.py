@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _coerce_basis, _coerce_density, born_probabilities, collapse
-from .rng import RngStream
+from .core import _coerce_basis, _coerce_density, born_probabilities
 
 _SUM_ATOL = 1e-9
 _NEG_ATOL = 1e-12
@@ -54,17 +53,17 @@ def qubit_superposition_entropy(state, basis) -> float:
     return shannon_entropy(born_probabilities(state, basis))
 
 
-def collapse_entropy_report(state, basis, rng: RngStream) -> EntropyReport:
-    """Collapse the state and report the entropy drop.
+def collapse_entropy_report(state, basis) -> EntropyReport:
+    """Report the outcome entropy drop of collapsing the state in the basis.
 
-    after_bits is exactly 0: the post-collapse state is the selected eigenvector,
-    whose outcome distribution in the same basis is one-hot.
+    after_bits is the larger outcome entropy of the two possible post-collapse
+    states, the basis eigenvectors, so it holds whichever outcome occurs and
+    needs no draw. Both are exactly 0: an eigenvector's outcome distribution
+    in its own basis is one-hot.
     """
     basis = _coerce_basis(basis)
     before = qubit_superposition_entropy(state, basis)
-    record = collapse(state, basis, rng)
-    one_hot = (1.0, 0.0) if record.outcome == 0 else (0.0, 1.0)
-    after = shannon_entropy(one_hot)
+    after = max(qubit_superposition_entropy(basis.eigenvector(o), basis) for o in (0, 1))
     return EntropyReport(before_bits=before, after_bits=after, delta_bits=after - before)
 
 

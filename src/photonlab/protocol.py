@@ -31,7 +31,7 @@ from .core import (
     snap_probability,
 )
 from .entangle import conditional_state, make_pair
-from .rng import ALGORITHM_ID, BLOCK, RngStream, map_partitions, stream_from_seed
+from .rng import ALGORITHM_ID, RngStream, map_partitions, stream_from_seed
 from .stats import (
     as_bit_array,
     bit_table,
@@ -314,9 +314,10 @@ def run_protocol(
     sent/decoded count table and tie count; the report is computed from the
     sum of those tables and is bit-identical for a fixed seed at any workers.
 
-    bit_source "iid" draws each bit uniformly; "balanced" shuffles an exactly
-    half-ones array of all n_bits once (n_bits must be even) from block 0 of
-    stream 0, which makes the identity channel's MI exactly 1 bit.
+    bit_source "iid" draws each bit uniformly; "balanced" (n_bits must be
+    even) shuffles each block's exactly half-ones array with that block of
+    stream 0, which makes the identity channel's MI exactly 1 bit in O(block)
+    memory.
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
@@ -328,17 +329,17 @@ def run_protocol(
         strategy = FixedBasisML(0.0)
     per_bit = strategy.pairs_per_bit
     if bit_source == "balanced":
+        # every block is even, as BLOCK is, so each holds exactly half ones
         if n_bits % 2 != 0:
             raise ValueError(f"balanced bit source needs an even n_bits, got {n_bits}")
-        balanced = np.zeros(n_bits, dtype=np.int64)
-        balanced[: n_bits // 2] = 1
-        stream_from_seed(seed, _ROLE_BITS).shuffle(balanced)
 
     def run_block(block: int, size: int):
+        bit_stream = stream_from_seed(seed, _ROLE_BITS, block)
         if bit_source == "iid":
-            bits = stream_from_seed(seed, _ROLE_BITS, block).integers(0, 2, size)
+            bits = bit_stream.integers(0, 2, size)
         else:
-            bits = balanced[block * BLOCK : block * BLOCK + size]
+            bits = (np.arange(size) < size // 2).astype(np.int64)
+            bit_stream.shuffle(bits)
         photons = encode(
             bits, rule, stream_from_seed(seed, _ROLE_ENCODE, block), pairs_per_bit=per_bit
         )

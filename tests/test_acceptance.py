@@ -56,7 +56,7 @@ def test_collapse_always_lands_in_a_zero_entropy_state():
         p0 = float(rng.random())
         state = StateVector.normalize([math.sqrt(p0), math.sqrt(1.0 - p0)])
         basis = MeasurementBasis(float(rng.random()) * math.pi)
-        report = collapse_entropy_report(state, basis, rng)
+        report = collapse_entropy_report(state, basis)
         assert report.after_bits == 0.0
 
 

@@ -114,6 +114,15 @@ def test_entropy_report(tmp_path):
     assert all(r["delta_bits"] == -r["before_bits"] for r in result["rows"])
 
 
+def test_entropy_rows_do_not_depend_on_the_seed(tmp_path):
+    rows = []
+    for seed in ("7", "8"):
+        out = tmp_path / f"entropy_{seed}.json"
+        assert run_cli(["entropy", "--out", str(out), "--seed", seed]) == 0
+        rows.append(read_json(out)["rows"])
+    assert rows[0] == rows[1]
+
+
 def test_entropy_csv_has_ten_significant_digits(tmp_path):
     out = tmp_path / "entropy.csv"
     assert run_cli(["entropy", "--out", str(out), "--format", "csv"]) == 0
@@ -225,13 +234,48 @@ def test_balanced_protocol_rejects_odd_bit_counts(tmp_path, capsys):
     )
 
 
-def test_balanced_protocol_caps_its_bit_count(tmp_path, capsys):
-    n_bits = cli.MAX_BALANCED_BITS + 2
-    check_failure(
-        tmp_path, capsys,
-        ["protocol", "--set", f"n_bits={n_bits}", "--set", "bit_source=balanced"],
-        f"n_bits: {n_bits} is greater than the maximum of {cli.MAX_BALANCED_BITS}",
-    )
+@pytest.mark.parametrize("experiment, key", [
+    ("malus", "n_photons"),
+    ("bell", "n_per_point"),
+    ("bell", "n_per_setting"),
+    ("nosignal", "n_per_basis"),
+    ("protocol", "n_bits"),
+    ("mzi", "n_per_phase"),
+    ("mzi", "timing.n"),
+])
+def test_counts_above_max_trials_are_refused(tmp_path, capsys, experiment, key):
+    n = cli.MAX_TRIALS + 1
+    check_failure(tmp_path, capsys, [experiment, "--set", f"{key}={n}"],
+                  f"{key}: {n} is greater than the maximum of {cli.MAX_TRIALS}")
+
+
+def test_a_quadrillion_photons_are_refused_before_any_work(tmp_path, capsys):
+    check_failure(tmp_path, capsys,
+                  ["malus", "--set", "mode=mc", "--set", "n_photons=1000000000000000"],
+                  "n_photons")
+
+
+@pytest.mark.parametrize("experiment, key, maximum", [
+    ("malus", "axes_deg", cli.MAX_SWEEP_POINTS),
+    ("entropy", "grid", cli.MAX_SWEEP_POINTS),
+    ("nosignal", "bases_a_deg", cli.MAX_BASES),
+    ("mzi", "phases_deg", cli.MAX_SWEEP_POINTS),
+])
+def test_lists_longer_than_their_maximum_are_refused(tmp_path, capsys, experiment, key,
+                                                     maximum):
+    check_failure(tmp_path, capsys, [experiment, "--set", f"{key}={[0] * (maximum + 1)}"],
+                  f"{key}: length {maximum + 1} is greater than the maximum of {maximum}")
+
+
+def test_counts_and_lists_at_their_maximum_pass_the_check():
+    params = cli.defaults(cli.SPECS["nosignal"])
+    params["bases_a_deg"] = [0.0] * cli.MAX_BASES
+    params["n_per_basis"] = cli.MAX_TRIALS
+    cli.check_params(cli.SPECS["nosignal"], params)
+    # the balanced bit source no longer has a cap of its own
+    params = cli.defaults(cli.SPECS["protocol"])
+    params.update(n_bits=cli.MAX_TRIALS, bit_source="balanced")
+    cli.check_params(cli.SPECS["protocol"], params)
 
 
 def test_huge_worker_count_runs_small_jobs(tmp_path):

@@ -53,7 +53,7 @@ def test_collapse_always_ends_in_a_pure_basis_state():
     rng = stream_from_seed(32, 0)
     for _ in range(200):
         phi, theta = rng.random(2) * math.pi
-        report = collapse_entropy_report(ket_from_angle(phi), MeasurementBasis(theta), rng)
+        report = collapse_entropy_report(ket_from_angle(phi), MeasurementBasis(theta))
         assert report.after_bits == 0.0
         assert report.delta_bits == -report.before_bits
         assert 0.0 <= report.before_bits <= 1.0

@@ -3,8 +3,8 @@
 On generated valid and nearly valid configs, cli.SPECS (with the protocol's
 balanced-bits rules) must accept exactly what 0.3.0 accepted, except where the
 narrowing is deliberate: an integral float such as 1e3 in an integer field, an
-integer too large for a float (0.3.0 accepted it and then failed at run time)
-and a balanced bit count above cli.MAX_BALANCED_BITS.
+integer too large for a float (0.3.0 accepted it and then failed at run time),
+a count above cli.MAX_TRIALS and a list longer than its maximum.
 """
 
 import copy
@@ -181,6 +181,10 @@ def _parse_0_3_0(text):
         return None, False
 
 
+# list lengths capped since 0.5.0; 0.3.0 took any length
+LIST_MAXIMA = {"bases_a_deg": 1_000}  # every other list: cli.MAX_SWEEP_POINTS
+
+
 # strategies that parse_strategy accepts; the schema took any string and left
 # the label to parse_strategy, which is not under test here
 STRATEGIES = ["basis-oracle", "fixed-basis-ml:22.5", "repetition:3:basis-oracle"]
@@ -191,6 +195,8 @@ JUNK = st.sampled_from(NOT_STRINGS + ["x"])
 def _edges(schema):
     """Numbers at and around each bound of a number or integer node, and extremes."""
     bounds = [schema[k] for k in ("minimum", "exclusiveMinimum", "maximum") if k in schema]
+    if schema.get("type") == "integer":  # every integer is a count, capped since 0.5.0
+        bounds.append(cli.MAX_TRIALS)
     edges = [b + d for b in bounds for d in (-1, -0.5, 0, 0.0, 5e-324, 0.5, 1)]
     return edges + [-0.0, 10**400, -(10**400), 2**53 + 1, 1e20, math.inf, -math.inf, math.nan]
 
@@ -231,8 +237,8 @@ def _values(schema):
         high = schema.get("maximum")
         int_low = None if low is None else math.floor(low) + 1 if exclusive else math.ceil(low)
         valid = st.integers(int_low, high)
-        if kind == "integer":  # counts around the balanced bit cap, odd and even
-            valid |= st.sampled_from([cli.MAX_BALANCED_BITS + d for d in (-1, 0, 1, 2)])
+        if kind == "integer":  # counts around the count cap, odd and even
+            valid |= st.sampled_from([cli.MAX_TRIALS + d for d in (-1, 0, 1, 2)])
         else:
             valid |= st.floats(low, high, exclude_min=exclusive,
                                allow_nan=False, allow_infinity=False)
@@ -252,19 +258,23 @@ def _values(schema):
     return _mostly(valid, bogus | JUNK)
 
 
-def _narrowed(schema, value):
-    """True where 0.4.0 refuses, on purpose, a value 0.3.0's schema accepted."""
+def _narrowed(schema, value, name=None):
+    """True where 0.5.0 refuses, on purpose, a value 0.3.0's schema accepted."""
     if "oneOf" in schema:
         return isinstance(value, dict) and _narrowed(schema["oneOf"][1], value)
     kind = schema.get("type")
     if kind == "object" and isinstance(value, dict):
         members = schema["properties"]
-        return any(_narrowed(members[k], v) for k, v in value.items() if k in members)
+        return any(_narrowed(members[k], v, k) for k, v in value.items() if k in members)
     if kind == "array" and isinstance(value, list):
+        if len(value) > LIST_MAXIMA.get(name, cli.MAX_SWEEP_POINTS):
+            return True
         return any(_narrowed(schema["items"], v) for v in value)
     if kind == "integer" and isinstance(value, float):
         return True  # 0.3.0 took an integral float such as 1e3 as an integer
     if kind in ("number", "integer") and isinstance(value, int) and not isinstance(value, bool):
+        if kind == "integer" and value > cli.MAX_TRIALS:
+            return True
         return abs(value) > sys.float_info.max
     return False
 
@@ -273,7 +283,7 @@ class _Ran(Exception):
     """Raised in place of run_protocol: the protocol runner passed its checks."""
 
 
-def _accepted_0_4_0(experiment, params):
+def _accepted_by_spec(experiment, params):
     try:
         cli.check_params(cli.SPECS[experiment], params)
         if experiment == "protocol":
@@ -293,7 +303,7 @@ def test_defaults_match_0_3_0(experiment):
 
 
 def _assert_agreement(experiment, config_params):
-    """Both versions accept the config, both refuse it, or 0.4.0 narrowed on purpose."""
+    """Both versions accept the config, both refuse it, or 0.5.0 narrowed on purpose."""
     text = json.dumps(config_params)
 
     parsed, parsed_ok = _parse_0_3_0(text)
@@ -301,14 +311,11 @@ def _assert_agreement(experiment, config_params):
     old = parsed_ok and VALIDATORS[experiment].is_valid(old_params)
 
     params = cli._deep_merge(cli.defaults(cli.SPECS[experiment]), json.loads(text))
-    new = _accepted_0_4_0(experiment, params)
+    new = _accepted_by_spec(experiment, params)
 
     if old != new:
         assert old and not new, text
-        n_bits = params.get("n_bits") if experiment == "protocol" else None
-        balanced_cap = (params.get("bit_source") == "balanced" and isinstance(n_bits, int)
-                        and n_bits > cli.MAX_BALANCED_BITS)
-        assert balanced_cap or _narrowed(SCHEMAS_0_3_0[experiment], params), text
+        assert _narrowed(SCHEMAS_0_3_0[experiment], params), text
 
 
 @pytest.mark.parametrize("experiment", list(SCHEMAS_0_3_0))
@@ -331,3 +338,10 @@ def test_spec_agrees_with_the_0_3_0_schema_at_every_bound(experiment):
 @given(data=st.data())
 def test_spec_accepts_what_the_0_3_0_schema_accepted(experiment, data):
     _assert_agreement(experiment, data.draw(_values(SCHEMAS_0_3_0[experiment])))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_spec_agrees_with_the_0_3_0_schema_around_the_bases_cap(offset):
+    params = copy.deepcopy(DEFAULTS_0_3_0["nosignal"])
+    params["bases_a_deg"] = [0.0] * (LIST_MAXIMA["bases_a_deg"] + offset)
+    _assert_agreement("nosignal", params)

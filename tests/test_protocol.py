@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from photonlab import protocol
 from photonlab.core import MeasurementBasis, collapse, ket_from_angle, states_equal
 from photonlab.entangle import conditional_state, make_pair
 from photonlab.protocol import (
@@ -282,6 +284,38 @@ def test_balanced_bits_are_balanced_over_all_blocks():
     report = run_protocol(n, seed=21, workers=2, bit_source="balanced")
     assert report.ber == 0.5
     assert report == run_protocol(n, seed=21, workers=1, bit_source="balanced")
+
+
+@pytest.mark.parametrize("n_bits", [2, BLOCK, 2 * BLOCK + 6])
+def test_balanced_bits_hold_half_ones_in_every_block(monkeypatch, n_bits):
+    full, rest = divmod(n_bits, BLOCK)
+    reports = []
+    for workers in (1, 3):
+        seen = []
+
+        def spy(x, y):
+            seen.append((len(x), int(np.sum(x))))
+            return bit_table(x, y)
+
+        monkeypatch.setattr(protocol, "bit_table", spy)
+        reports.append(run_protocol(n_bits, strategy=BasisOracle(), seed=23, workers=workers,
+                                    bit_source="balanced"))
+        assert sorted(size for size, _ in seen) == sorted([BLOCK] * full + [rest] * (rest > 0))
+        assert all(ones == size // 2 for size, ones in seen)
+    assert reports[0] == reports[1]
+
+
+def test_balanced_bits_take_memory_per_block_not_per_bit():
+    peaks = []
+    for blocks in (4, 16):
+        tracemalloc.start()
+        try:
+            run_protocol(blocks * BLOCK, strategy=BasisOracle(), seed=24, bit_source="balanced")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one int64 array of all the bits would add 24 MiB between the two runs
+    assert peaks[1] <= peaks[0] + 2**20
 
 
 def test_more_workers_than_bits_leaves_chunks_empty():

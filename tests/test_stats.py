@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlab.stats import (
+    _mi_bits,
     as_bit_array,
     bit_table,
     mi_standard_error,
@@ -319,3 +321,68 @@ def test_exact_null_of_a_constant_side_is_a_point_at_zero(pair, value):
     for sides in ((x, constant), (constant, x)):
         assert permutation_independence_test(bit_table(*sides)) == 1.0
         assert null_quantile(*permutation_null_mis(bit_table(*sides)), 0.975) == 0.0
+
+
+def _full_support_null(table):
+    """Frozen copy of permutation_null_mis as of 0.4.0, which computed every k."""
+    n00, n01, n10, n11 = (int(c) for c in table)
+    n = n00 + n01 + n10 + n11
+    a = n10 + n11
+    b = n01 + n11
+    if a in (0, n) or b in (0, n):
+        return np.zeros(1), np.ones(1)
+    k = np.arange(max(0, a + b - n), min(a, b) + 1)
+    head = k[:-1]
+    step = np.log((a - head) * (b - head) / ((head + 1.0) * (n - a - b + head + 1.0)))
+    mode = int(np.count_nonzero(step > 0.0))
+    log_pmf = np.zeros(k.shape[0])
+    log_pmf[:mode] = -np.cumsum(step[:mode][::-1])[::-1]
+    log_pmf[mode + 1 :] = np.cumsum(step[mode:])
+    pmf = np.exp(log_pmf)
+    kept = pmf > 0.0
+    k = k[kept]
+    pmf = pmf[kept] / pmf.sum()
+    mis = _mi_bits(n - a - b + k, b - k, a - k, k, n)
+    order = np.argsort(mis, kind="stable")
+    return mis[order], pmf[order]
+
+
+@st.composite
+def count_tables(draw):
+    """2x2 tables with n up to 10^6, margins anywhere from 0 to n, often at an end."""
+    n = draw(st.integers(1, 10**6) | st.sampled_from([1, 2, 10**6]))
+
+    def margin():
+        return draw(st.integers(0, n) | st.integers(0, min(n, 5)) | st.integers(max(0, n - 5), n)
+                    | st.just(n // 2))
+
+    a, b = margin(), margin()
+    k = draw(st.integers(max(0, a + b - n), min(a, b)))
+    return np.array([n - a - b + k, b - k, a - k, k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_tables())
+def test_windowed_null_matches_the_full_support_null(table):
+    mis, pmf = permutation_null_mis(table)
+    ref_mis, ref_pmf = _full_support_null(table)
+    np.testing.assert_array_equal(mis, ref_mis)
+    # only the normalising sum changed order; a subnormal probability rounds to
+    # a multiple of 5e-324, so it may move by that much whatever its size
+    assert (np.abs(pmf - ref_pmf) <= 1e-15 * ref_pmf + 5e-324).all()
+    assert null_quantile(mis, pmf, 0.975) == null_quantile(ref_mis, ref_pmf, 0.975)
+    observed = plugin_mi_bits(table)
+    ref_p = min(1.0, float(ref_pmf[ref_mis >= observed * (1.0 - 1e-7)].sum()))
+    assert abs(permutation_independence_test(table) - ref_p) <= 1e-12
+
+
+def test_null_of_a_large_balanced_table_stays_small():
+    half = 2**22
+    table = np.array([half, half, half, half])
+    tracemalloc.start()
+    try:
+        permutation_null_mis(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
