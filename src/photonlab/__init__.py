@@ -1,7 +1,7 @@
 """Seeded simulations of polarization collapse, entangled pairs, the
 entanglement bit-transmission scheme, and delayed-choice interferometry."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .core import (
     ALGEBRA_ATOL,
@@ -12,14 +12,18 @@ from .core import (
     PROB_SNAP,
     StateVector,
     born_probabilities,
+    born_probabilities_array,
     canonical_angle,
     collapse,
+    eigenvector_array,
     ket_from_angle,
     partial_trace,
     projection_probability,
+    projection_probability_array,
     states_equal,
     tensor_product,
     trace_distance,
+    unit_state_array,
 )
 from .entangle import (
     CorrelationStats,

@@ -23,10 +23,12 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .entangle import bob_marginal_counts, chsh, correlation, no_signaling_check
 from .entropy import collapse_entropy_report
-from .core import ALGEBRA_ATOL, StateVector
+from .core import ALGEBRA_ATOL, unit_state_array
 from .mzi import MziConfig, choice_timing_invariance, run_mzi
 from .optics import cascade_analytic, cascade_mc, linear_light, natural_light
 from .protocol import BasisOracle, EncodingRule, FixedBasisML, Repetition, run_protocol
@@ -47,7 +49,7 @@ _TOP_LEVEL_KEYS = {"experiment", "params", "seed", "workers", "format", "out",
 MAX_SWEEP_POINTS = 1_000_000
 # map_partitions keeps one future per block of a count: 2^14 at the cap
 MAX_TRIALS = 2**32
-# no_signaling_check compares every pair of bases
+# no_signaling_check compares every pair of bitwise-distinct marginals
 MAX_BASES = 1_000
 # a protocol block holds pairs_per_bit photons per bit in several arrays at
 # once, so the photons of one block are capped; the shipped maximum is 11 * 2^18
@@ -301,25 +303,25 @@ def _grid_from_sweep(sweep: dict) -> list[float]:
     return [start + k * step for k in range(int(span) + 1)]
 
 
+def _sweep_final_intensities(grid: list[float]) -> list[float]:
+    """Natural light through polarizers at 90, theta and 0 degrees, for each
+    theta of the grid (in degrees): one batched cascade, whose arrays are
+    freed before the caller builds its rows."""
+    theta = np.radians(grid)
+    axes = np.stack([np.full_like(theta, math.pi / 2), theta, np.zeros_like(theta)], axis=1)
+    return cascade_analytic(natural_light(), axes).final_intensity().tolist()
+
+
 def _run_malus(params, seed, workers):
     if params["sweep"] is not None:
-        rows = []
-        for theta_deg in _grid_from_sweep(params["sweep"]):
-            result = cascade_analytic(
-                natural_light(),
-                [math.pi / 2, math.radians(theta_deg), 0.0],
-            )
-            rows.append(
-                {"theta_deg": float(theta_deg), "final_intensity": float(result.final_intensity())}
-            )
-        best = max(rows, key=lambda r: r["final_intensity"])
-        payload = {"sweep_rows": rows}
-        summary = {
-            "max_final_intensity": best["final_intensity"],
-            "argmax_deg": best["theta_deg"],
-        }
-        csv_rows = [(r["theta_deg"], r["final_intensity"]) for r in rows]
-        return payload, ["theta_deg", "final_intensity"], csv_rows, summary
+        grid = _grid_from_sweep(params["sweep"])
+        finals = _sweep_final_intensities(grid)
+        best = finals.index(max(finals))
+        payload = {"sweep_rows": [{"theta_deg": t, "final_intensity": f}
+                                  for t, f in zip(grid, finals)]}
+        summary = {"max_final_intensity": finals[best], "argmax_deg": grid[best]}
+        # _render_csv reads the rows once, so a sweep's rows are not stored twice
+        return payload, ["theta_deg", "final_intensity"], zip(grid, finals), summary
 
     axes = [math.radians(a) for a in params["axes_deg"]]
     if params["mode"] == "analytic":
@@ -363,22 +365,16 @@ def _run_malus(params, seed, workers):
 
 
 def _run_entropy(params, seed, workers):
-    rows = []
-    for p0 in params["grid"]:
-        state = StateVector([math.sqrt(p0), math.sqrt(1.0 - p0)])
-        report = collapse_entropy_report(state, 0.0)
-        rows.append(
-            {
-                "p0": float(p0),
-                "before_bits": float(report.before_bits),
-                "after_bits": float(report.after_bits),
-                "delta_bits": float(report.delta_bits),
-            }
-        )
-    payload = {"rows": rows}
-    summary = {"max_after_bits": max(r["after_bits"] for r in rows)}
-    csv_rows = [(r["p0"], r["before_bits"], r["after_bits"], r["delta_bits"]) for r in rows]
-    return payload, ["p0", "before_bits", "after_bits", "delta_bits"], csv_rows, summary
+    p0 = np.array(params["grid"], dtype=np.float64)
+    states = unit_state_array(np.stack([np.sqrt(p0), np.sqrt(1.0 - p0)], axis=1))
+    report = collapse_entropy_report(states, 0.0)
+    columns = [p0.tolist()] + [v.tolist() for v in (report.before_bits, report.after_bits,
+                                                    report.delta_bits)]
+    header = ["p0", "before_bits", "after_bits", "delta_bits"]
+    payload = {"rows": [dict(zip(header, row)) for row in zip(*columns)]}
+    summary = {"max_after_bits": float(report.after_bits.max())}
+    # _render_csv reads the rows once, so they are not stored twice
+    return payload, header, zip(*columns), summary
 
 
 def _run_bell(params, seed, workers):
@@ -584,7 +580,8 @@ def _csv_cell(value) -> str:
 def _render_csv(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _write_text(path: str, text: str):

@@ -28,6 +28,11 @@ PRECONDITION_ATOL = 1e-9
 # exact branch; every genuine probability in scope is many orders larger.
 PROB_SNAP = 1e-15
 
+# The array forms below work through at most this many points at a time, so
+# their temporaries (a few hundred bytes per point) stay bounded whatever the
+# number of points.
+SLICE_POINTS = 2**16
+
 
 class InvalidStateError(ValueError):
     """An input violates its structural invariants, e.g. an unnormalized state,
@@ -46,6 +51,26 @@ def canonical_angle(theta: float) -> float:
     return 0.0 if reduced < 0.0 else reduced
 
 
+def canonical_angle_array(thetas) -> np.ndarray:
+    """canonical_angle of every angle in an array, as float64 of the same shape.
+
+    The same IEEE operations as canonical_angle, elementwise, so each element
+    equals canonical_angle of it bit for bit; canonical_angle itself stays
+    scalar because every MeasurementBasis runs it.
+    """
+    theta = np.asarray(thetas, dtype=np.float64)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"angles must be finite, got {theta[~np.isfinite(theta)].flat[0]!r}")
+    reduced = theta - math.pi * np.floor(theta / math.pi)
+    reduced = np.where(reduced >= math.pi, reduced - math.pi, reduced)
+    return np.where(reduced < 0.0, 0.0, reduced)
+
+
+def point_slices(n: int):
+    """Slices of range(n), SLICE_POINTS long except the last."""
+    return (slice(lo, min(lo + SLICE_POINTS, n)) for lo in range(0, n, SLICE_POINTS))
+
+
 def _as_complex_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.ndim != 1 or arr.shape[0] not in (2, 4):
@@ -55,6 +80,56 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _as_complex_rows(values, name: str) -> np.ndarray:
+    """values as a (P, d) complex array of P finite vectors, d = 2 or 4."""
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.ndim != 2 or arr.shape[1] not in (2, 4):
+        raise ValueError(f"{name} must be a (points, 2) or (points, 4) array, "
+                         f"got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must have finite entries")
+    return arr
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # the real and imaginary parts each dotted with themselves by a stacked
+    # matmul: the BLAS dot np.linalg.norm runs on one vector, to the bit
+    re, im = rows.real, rows.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _check_unit_norms(norms: np.ndarray) -> None:
+    off = np.abs(norms - 1.0)
+    if off.size and float(off.max()) > PRECONDITION_ATOL:
+        norm = float(norms[np.argmax(off)])
+        raise InvalidStateError(
+            f"state norm {norm!r} deviates from 1 by more than {PRECONDITION_ATOL}"
+        )
+
+
+def unit_state_array(values) -> np.ndarray:
+    """Array form of the StateVector constructor: each row of a (P, d) array,
+    d = 2 or 4, divided by its norm, which must be within PRECONDITION_ATOL of 1."""
+    return _unit_rows(_as_complex_rows(values, "states"))
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    norms = _row_norms(rows)
+    _check_unit_norms(norms)
+    return rows / norms[:, None]
+
+
+def normalize_array(values) -> np.ndarray:
+    """Array form of StateVector.normalize: each row scaled to unit norm;
+    rejects near-zero rows."""
+    rows = _as_complex_rows(values, "states")
+    norms = _row_norms(rows)
+    if norms.size and float(norms.min()) < 1e-6:
+        raise InvalidStateError("cannot normalize a near-zero vector")
+    return _unit_rows(rows / norms[:, None])
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A normalized pure state on 2 or 4 dimensions."""
@@ -62,24 +137,24 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_vector(self.amplitudes, "amplitudes")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > PRECONDITION_ATOL:
-            raise InvalidStateError(
-                f"state norm {norm!r} deviates from 1 by more than {PRECONDITION_ATOL}"
-            )
-        arr = arr / norm
+        arr = _unit_rows(_as_complex_vector(self.amplitudes, "amplitudes")[None])[0]
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
+
+    @classmethod
+    def _of_unit(cls, arr: np.ndarray) -> "StateVector":
+        """Wrap amplitudes an array form has already normalized, without a second pass."""
+        state = object.__new__(cls)
+        arr = arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(state, "amplitudes", arr)
+        return state
 
     @classmethod
     def normalize(cls, values) -> "StateVector":
         """Build a state from an unnormalized vector; rejects near-zero vectors."""
         arr = _as_complex_vector(values, "amplitudes")
-        norm = float(np.linalg.norm(arr))
-        if norm < 1e-6:
-            raise InvalidStateError("cannot normalize a near-zero vector")
-        return cls(arr / norm)
+        return cls._of_unit(normalize_array(arr[None])[0])
 
     @property
     def dim(self) -> int:
@@ -101,20 +176,16 @@ class MeasurementBasis:
 
     def aligned(self) -> StateVector:
         """Eigenvector for outcome 0, |theta>."""
-        return StateVector(
-            np.array([math.cos(self.theta), math.sin(self.theta)], dtype=np.complex128)
-        )
+        return self.eigenvector(0)
 
     def orthogonal(self) -> StateVector:
         """Eigenvector for outcome 1, |theta + pi/2>."""
-        return StateVector(
-            np.array([-math.sin(self.theta), math.cos(self.theta)], dtype=np.complex128)
-        )
+        return self.eigenvector(1)
 
     def eigenvector(self, outcome: int) -> StateVector:
         if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-        return self.aligned() if outcome == 0 else self.orthogonal()
+        return StateVector._of_unit(_eigenvectors(np.array([self.theta]), outcome)[0])
 
 
 def _coerce_basis(basis) -> MeasurementBasis:
@@ -139,6 +210,24 @@ def ket_from_angle(theta: float) -> StateVector:
     return StateVector(np.array([math.cos(theta), math.sin(theta)], dtype=np.complex128))
 
 
+def eigenvector_array(thetas, outcome: int = 0) -> np.ndarray:
+    """Rows of the outcome eigenvector of the axis at each angle: |theta> =
+    (cos theta, sin theta) for outcome 0, |theta_perp> = (-sin theta, cos theta)
+    for outcome 1, each normalized as the StateVector constructor does. The
+    result has shape (P, 2) for P angles (a single angle counts as one)."""
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+    return _eigenvectors(canonical_angle_array(thetas).reshape(-1), outcome)
+
+
+def _eigenvectors(theta: np.ndarray, outcome: int) -> np.ndarray:
+    # theta: a 1-d array of canonical angles
+    c, s = np.cos(theta), np.sin(theta)
+    rows = np.empty(theta.shape + (2,), dtype=np.complex128)
+    rows[:, 0], rows[:, 1] = (c, s) if outcome == 0 else (-s, c)
+    return rows / _row_norms(rows)[:, None]
+
+
 def snap_probability(p: float) -> float:
     """Clamp to [0, 1] and snap double-precision noise onto exact 0 and 1."""
     p = float(p)
@@ -147,6 +236,12 @@ def snap_probability(p: float) -> float:
     if p >= 1.0 - PROB_SNAP:
         return 1.0
     return p
+
+
+def snap_probability_array(p) -> np.ndarray:
+    """snap_probability of every element of an array (float64, same shape)."""
+    p = np.asarray(p, dtype=np.float64)
+    return np.where(p <= PROB_SNAP, 0.0, np.where(p >= 1.0 - PROB_SNAP, 1.0, p))
 
 
 def sample_categories(probs, u) -> np.ndarray:
@@ -188,20 +283,39 @@ def _require_qubit(state) -> StateVector:
     return state
 
 
+def born_probabilities_array(states, thetas) -> np.ndarray:
+    """Born-rule outcome probabilities of P qubit states, each measured at its
+    own axis: row k is (|<theta_k|psi_k>|^2, |<theta_k_perp|psi_k>|^2).
+
+    states is a (P, 2) array of unit vectors (norms within PRECONDITION_ATOL
+    of 1); thetas is one angle or P of them.
+    """
+    states = _as_complex_rows(states, "states")
+    if states.shape[1] != 2:
+        raise ValueError(f"expected 2-dim states, got dim {states.shape[1]}")
+    _check_unit_norms(_row_norms(states))
+    theta = np.broadcast_to(canonical_angle_array(thetas), states.shape[:1])
+    return _born(states, theta)
+
+
+def _born(states: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # states: checked (P, 2) unit rows; theta: P canonical angles
+    c, s = np.cos(theta), np.sin(theta)
+    a0, a1 = states[:, 0], states[:, 1]
+    amp = np.empty(states.shape, dtype=np.complex128)
+    amp[:, 0], amp[:, 1] = c * a0 + s * a1, -s * a0 + c * a1
+    p = snap_probability_array(np.abs(amp) ** 2)
+    # a certain outcome leaves the other impossible
+    p[p[:, 0] == 1.0, 1] = 0.0
+    p[p[:, 1] == 1.0, 0] = 0.0
+    return p
+
+
 def born_probabilities(state, basis) -> tuple[float, float]:
     """Born-rule outcome probabilities (|<theta|psi>|^2, |<theta_perp|psi>|^2)."""
     state = _require_qubit(state)
-    basis = _coerce_basis(basis)
-    c, s = math.cos(basis.theta), math.sin(basis.theta)
-    a0, a1 = state.amplitudes
-    amp_aligned = c * a0 + s * a1
-    amp_orth = -s * a0 + c * a1
-    p0 = snap_probability(abs(amp_aligned) ** 2)
-    p1 = snap_probability(abs(amp_orth) ** 2)
-    if p0 == 1.0:
-        p1 = 0.0
-    elif p1 == 1.0:
-        p0 = 0.0
+    theta = np.array([_coerce_basis(basis).theta])
+    p0, p1 = _born(state.amplitudes[None], theta)[0].tolist()
     return p0, p1
 
 
@@ -226,6 +340,24 @@ def tensor_product(a, b) -> StateVector:
     return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
+def _check_density_array(m: np.ndarray) -> None:
+    """Raise unless every matrix of a (P, d, d) stack is Hermitian, of trace 1
+    and positive semidefinite, each within ALGEBRA_ATOL; one stacked eigvalsh."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix must have finite entries")
+    if m.size == 0:
+        return
+    if float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) > ALGEBRA_ATOL:
+        raise InvalidStateError("matrix is not Hermitian within 1e-12")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag))
+    if float(off.max()) > ALGEBRA_ATOL:
+        worst = complex(tr[np.argmax(off)])
+        raise InvalidStateError(f"trace must be 1 within 1e-12, got {worst!r}")
+    if float(np.linalg.eigvalsh(m).min()) < -ALGEBRA_ATOL:
+        raise InvalidStateError("matrix has an eigenvalue below -1e-12")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, trace-1, positive-semidefinite operator on 2 or 4 dimensions."""
@@ -236,15 +368,7 @@ class DensityOperator:
         m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise ValueError(f"matrix must be 2x2 or 4x4, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix must have finite entries")
-        if float(np.abs(m - m.conj().T).max()) > ALGEBRA_ATOL:
-            raise InvalidStateError("matrix is not Hermitian within 1e-12")
-        tr = complex(m.trace())
-        if abs(tr.real - 1.0) > ALGEBRA_ATOL or abs(tr.imag) > ALGEBRA_ATOL:
-            raise InvalidStateError(f"trace must be 1 within 1e-12, got {tr!r}")
-        if float(np.linalg.eigvalsh(m).min()) < -ALGEBRA_ATOL:
-            raise InvalidStateError("matrix has an eigenvalue below -1e-12")
+        _check_density_array(m[None])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -271,13 +395,37 @@ def _coerce_density(rho) -> DensityOperator:
     return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
 
 
+def projection_probability_array(rhos, thetas) -> np.ndarray:
+    """<theta|rho|theta>, the aligned-outcome probability, for P (rho, theta)
+    pairs: rhos is a (P, 2, 2) stack of density operators or one operator for
+    every angle, and thetas one angle or P of them. Each operator is checked
+    as DensityOperator checks one, with a single stacked eigvalsh."""
+    m = np.asarray(rhos, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
+        raise ValueError(f"rhos must be 2x2 operators, got shape {m.shape}")
+    _check_density_array(m.reshape(-1, 2, 2))
+    theta = canonical_angle_array(thetas).reshape(-1)
+    n = max(theta.shape[0], m.shape[0] if m.ndim == 3 else 1)
+    return _expectation(m, _eigenvectors(np.broadcast_to(theta, (n,)), 0))
+
+
+def _expectation(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Snapped <v|m|v> of P unit rows v against P stacked (or one) 2x2 operators.
+
+    The stacked matmul runs, per point, the BLAS calls that v.conj() @ m @ v
+    runs on one vector, so a point's value does not depend on the batch.
+    """
+    vm = v.conj()[:, None, :] @ m
+    return snap_probability_array(np.real(vm @ v[:, :, None])[:, 0, 0])
+
+
 def projection_probability(rho, basis) -> float:
     """<theta|rho|theta>: aligned-outcome probability for a mixed qubit state."""
     rho = _coerce_density(rho)
     if rho.dim != 2:
         raise ValueError(f"expected a 2-dim operator, got dim {rho.dim}")
-    v = _coerce_basis(basis).aligned().amplitudes
-    return snap_probability(float(np.real(v.conj() @ rho.matrix @ v)))
+    v = _eigenvectors(np.array([_coerce_basis(basis).theta]), 0)
+    return float(_expectation(rho.matrix, v)[0])
 
 
 def partial_trace(rho, keep: str) -> DensityOperator:
@@ -301,7 +449,14 @@ def trace_distance(r1, r2) -> float:
     if m1.tobytes() > m2.tobytes():
         # canonical operand order keeps the float path identical both ways
         m1, m2 = m2, m1
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(m1 - m2)).sum())
+    return float(_ordered_trace_distances(m1[None], m2[None])[0])
+
+
+def _ordered_trace_distances(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """trace_distance of each pair of two (P, d, d) stacks whose operands are
+    already in trace_distance's canonical order (m1[k].tobytes() <=
+    m2[k].tobytes()), with one stacked eigvalsh and no operator checks."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(m1 - m2)).sum(axis=-1)
 
 
 def states_equal(a, b, atol: float = ALGEBRA_ATOL) -> bool:

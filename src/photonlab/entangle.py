@@ -15,16 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SLICE_POINTS,
     DensityOperator,
     InvalidStateError,
     MeasurementBasis,
     OutcomeRecord,
     StateVector,
     _coerce_basis,
+    _eigenvectors,
+    _ordered_trace_distances,
+    canonical_angle_array,
+    normalize_array,
+    point_slices,
     sample_binary,
     sample_categories,
     snap_probability,
-    trace_distance,
+    snap_probability_array,
 )
 from .rng import RngStream, map_partitions, stream_from_seed
 
@@ -64,13 +70,19 @@ def _amplitude_matrix(pair: PairState) -> np.ndarray:
     return pair.joint.amplitudes.reshape(2, 2)
 
 
+def _branches(pair: PairState, theta: np.ndarray, outcome: int):
+    """Project photon A onto its outcome eigenvector at each canonical angle,
+    returning (P probabilities, (P, 2) B amplitudes)."""
+    e = _eigenvectors(theta, outcome)
+    c = (e.conj()[:, None, :] @ _amplitude_matrix(pair))[:, 0, :]
+    p = snap_probability_array(np.real(c.conj()[:, None, :] @ c[:, :, None])[:, 0, 0])
+    return p, c
+
+
 def _branch(pair: PairState, basis_a, outcome: int):
     """Project photon A onto an eigenvector, returning (probability, B amplitudes)."""
-    basis_a = _coerce_basis(basis_a)
-    e = basis_a.eigenvector(outcome).amplitudes
-    c = e.conj() @ _amplitude_matrix(pair)
-    p = snap_probability(float(np.real(c.conj() @ c)))
-    return p, c
+    p, c = _branches(pair, np.array([_coerce_basis(basis_a).theta]), outcome)
+    return float(p[0]), c[0]
 
 
 def conditional_state(pair: PairState, basis_a, outcome: int) -> tuple[float, StateVector]:
@@ -225,18 +237,32 @@ def bob_marginal_counts(
     return int(n), int(counts[0] + counts[2])
 
 
+def _bob_marginals(pair: PairState, theta: np.ndarray) -> np.ndarray:
+    """(P, 2, 2) stack of B's marginals after A measures at each canonical angle:
+    the probability-weighted mixture of the conditional states."""
+    rho = np.zeros((theta.shape[0], 2, 2), dtype=np.complex128)
+    for outcome in (0, 1):
+        p, c = _branches(pair, theta, outcome)
+        kept = p >= _MIN_BRANCH_PROBABILITY
+        psi = normalize_array(c[kept])
+        rho[kept] += p[kept, None, None] * (psi[:, :, None] * psi.conj()[:, None, :])
+    return rho
+
+
 def bob_reduced_state(pair: PairState, basis_a) -> DensityOperator:
     """B's marginal after A measures in basis_a but before the outcome is known:
     the probability-weighted mixture of the conditional states."""
-    basis_a = _coerce_basis(basis_a)
-    rho = np.zeros((2, 2), dtype=np.complex128)
-    for outcome in (0, 1):
-        p, c = _branch(pair, basis_a, outcome)
-        if p < _MIN_BRANCH_PROBABILITY:
-            continue
-        psi = StateVector.normalize(c).amplitudes
-        rho += p * np.outer(psi, psi.conj())
-    return DensityOperator(rho)
+    return DensityOperator(_bob_marginals(pair, np.array([_coerce_basis(basis_a).theta]))[0])
+
+
+def _pair_slices(n: int):
+    """Index arrays (i, j) of the pairs i < j of n items, in row order, whole
+    rows at a time and at most max(SLICE_POINTS, n - 1) pairs per slice."""
+    step = max(1, SLICE_POINTS // n)
+    for lo in range(0, n - 1, step):
+        rows = range(lo, min(lo + step, n - 1))
+        yield (np.concatenate([np.full(n - 1 - r, r) for r in rows]),
+               np.concatenate([np.arange(r + 1, n) for r in rows]))
 
 
 def no_signaling_check(bases_a, pair: PairState | None = None) -> float:
@@ -245,15 +271,24 @@ def no_signaling_check(bases_a, pair: PairState | None = None) -> float:
     The marginals coincide up to numerical noise for every basis, which is why
     A's basis choice alone carries no information to B. A single basis
     trivially returns 0.0.
+
+    Bitwise-equal marginals are at distance exactly 0, so only the distinct
+    ones are compared. Sorted by their bytes, which is trace_distance's
+    canonical operand order, each pair i < j of them takes the eigvalsh that
+    trace_distance would, in stacks of up to SLICE_POINTS pairs.
     """
     if pair is None:
         pair = make_pair()
-    bases = [_coerce_basis(b) for b in bases_a]
+    bases = list(bases_a)
     if not bases:
         raise ValueError("bases_a must be non-empty")
-    marginals = [bob_reduced_state(pair, b) for b in bases]
+    theta = canonical_angle_array([b.theta if isinstance(b, MeasurementBasis) else b
+                                   for b in bases])
+    distinct = set()
+    for rows in point_slices(theta.shape[0]):
+        distinct.update(m.tobytes() for m in _bob_marginals(pair, theta[rows]))
+    ordered = np.frombuffer(b"".join(sorted(distinct)), dtype=np.complex128).reshape(-1, 2, 2)
     worst = 0.0
-    for i in range(len(marginals)):
-        for j in range(i + 1, len(marginals)):
-            worst = max(worst, trace_distance(marginals[i], marginals[j]))
+    for i, j in _pair_slices(ordered.shape[0]):
+        worst = max(worst, float(_ordered_trace_distances(ordered[i], ordered[j]).max()))
     return worst

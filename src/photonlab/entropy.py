@@ -12,7 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _coerce_basis, _coerce_density, born_probabilities
+from .core import (
+    MeasurementBasis,
+    StateVector,
+    _as_complex_rows,
+    _born,
+    _coerce_density,
+    _eigenvectors,
+    _require_qubit,
+    born_probabilities,
+    born_probabilities_array,
+    canonical_angle_array,
+    point_slices,
+)
 
 _SUM_ATOL = 1e-9
 _NEG_ATOL = 1e-12
@@ -20,11 +32,12 @@ _NEG_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Outcome entropy before and after one collapse, in bits."""
+    """Outcome entropy before and after one collapse, in bits; for a stack of
+    states, arrays of one value per state."""
 
-    before_bits: float
-    after_bits: float
-    delta_bits: float
+    before_bits: float | np.ndarray
+    after_bits: float | np.ndarray
+    delta_bits: float | np.ndarray
 
 
 def shannon_entropy(probs) -> float:
@@ -48,6 +61,14 @@ def shannon_entropy(probs) -> float:
     return float(-(nz * np.log2(nz)).sum()) + 0.0
 
 
+def _outcome_entropy(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of a (P, 2) array of snapped Born
+    probabilities, summed as shannon_entropy sums one row."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log2(p), 0.0)
+    return -(terms[:, 0] + terms[:, 1]) + 0.0
+
+
 def qubit_superposition_entropy(state, basis) -> float:
     """Outcome entropy of a pure state measured at the given axis."""
     return shannon_entropy(born_probabilities(state, basis))
@@ -60,10 +81,25 @@ def collapse_entropy_report(state, basis) -> EntropyReport:
     states, the basis eigenvectors, so it holds whichever outcome occurs and
     needs no draw. Both are exactly 0: an eigenvector's outcome distribution
     in its own basis is one-hot.
+
+    state may also be a (P, 2) array of unit state vectors, and basis one
+    axis or P of them; the report then holds arrays of P values, computed
+    SLICE_POINTS states at a time.
     """
-    basis = _coerce_basis(basis)
-    before = qubit_superposition_entropy(state, basis)
-    after = max(qubit_superposition_entropy(basis.eigenvector(o), basis) for o in (0, 1))
+    if isinstance(state, StateVector) or np.ndim(state) == 1:
+        one = collapse_entropy_report(_require_qubit(state).amplitudes[None], basis)
+        return EntropyReport(float(one.before_bits[0]), float(one.after_bits[0]),
+                             float(one.delta_bits[0]))
+    states = _as_complex_rows(state, "states")
+    theta = basis.theta if isinstance(basis, MeasurementBasis) else basis
+    theta = np.broadcast_to(canonical_angle_array(theta), states.shape[:1])
+    before = np.empty(states.shape[0])
+    after = np.empty(states.shape[0])
+    for rows in point_slices(states.shape[0]):
+        t = theta[rows]
+        before[rows] = _outcome_entropy(born_probabilities_array(states[rows], t))
+        after[rows] = np.maximum(*(_outcome_entropy(_born(_eigenvectors(t, o), t))
+                                   for o in (0, 1)))
     return EntropyReport(before_bits=before, after_bits=after, delta_bits=after - before)
 
 

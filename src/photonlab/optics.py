@@ -20,10 +20,13 @@ from .core import (
     InvalidStateError,
     MeasurementBasis,
     StateVector,
+    _eigenvectors,
+    _expectation,
     canonical_angle,
+    canonical_angle_array,
     collapse,
     ket_from_angle,
-    projection_probability,
+    point_slices,
     sample_binary,
 )
 from .rng import RngStream, map_partitions, stream_from_seed
@@ -68,22 +71,28 @@ class PhotonRecord:
 
 @dataclass(frozen=True)
 class CascadeResult:
-    """Stagewise output of a polarizer cascade, analytic or Monte Carlo."""
+    """Stagewise output of a polarizer cascade, analytic or Monte Carlo.
 
-    axes: tuple[float, ...]
-    per_stage_intensity: tuple[float, ...] | None = None
+    A batched cascade_analytic call holds (P, S) arrays of axes and
+    intensities, one row per cascade, instead of tuples.
+    """
+
+    axes: tuple[float, ...] | np.ndarray
+    per_stage_intensity: tuple[float, ...] | np.ndarray | None = None
     per_stage_counts: tuple[int, ...] | None = None
     n_source: int | None = None
     seed: int | None = None
 
-    def fractions(self) -> tuple[float, ...]:
+    def fractions(self) -> tuple[float, ...] | np.ndarray:
         """Per-stage intensity, with MC counts normalized by the source size."""
         if self.per_stage_intensity is not None:
             return self.per_stage_intensity
         return tuple(c / self.n_source for c in self.per_stage_counts)
 
-    def final_intensity(self) -> float:
-        return self.fractions()[-1]
+    def final_intensity(self) -> float | np.ndarray:
+        """Intensity after the last stage: one float, or one per cascade of a batch."""
+        fractions = self.fractions()
+        return fractions[:, -1] if isinstance(fractions, np.ndarray) else fractions[-1]
 
 
 def natural_light() -> LightBeam:
@@ -96,14 +105,22 @@ def linear_light(theta: float, intensity: float = 1.0) -> LightBeam:
     return LightBeam(rho=DensityOperator.from_pure(ket_from_angle(theta)), intensity=intensity)
 
 
+def _transmit(rho: np.ndarray, intensity, theta: np.ndarray):
+    """One polarizer stage for P points: (intensity * <theta|rho|theta>,
+    |theta><theta|) per point, for canonical axis angles theta and a (P, 2, 2)
+    stack (or one 2x2 operator) rho. The transmitted beam is pure along the
+    axis regardless of its input."""
+    v = _eigenvectors(theta, 0)
+    return intensity * _expectation(rho, v), v[:, :, None] * v.conj()[:, None, :]
+
+
 def transmit_analytic(beam: LightBeam, p: Polarizer) -> LightBeam:
     """Malus-law transmission: output intensity is input times <theta|rho|theta>.
 
     The transmitted beam is pure along the polarizer axis regardless of input.
     """
-    t = projection_probability(beam.rho, p.axis)
-    out_rho = DensityOperator.from_pure(p.axis.aligned())
-    return LightBeam(rho=out_rho, intensity=beam.intensity * t)
+    intensity, rho = _transmit(beam.rho.matrix, beam.intensity, np.array([p.axis.theta]))
+    return LightBeam(rho=DensityOperator(rho[0]), intensity=float(intensity[0]))
 
 
 def _validate_axes(axes) -> tuple[float, ...]:
@@ -117,14 +134,31 @@ def _validate_axes(axes) -> tuple[float, ...]:
 
 
 def cascade_analytic(beam: LightBeam, axes) -> CascadeResult:
-    """Fold transmit_analytic over the axes, recording intensity after each stage."""
-    axes = _validate_axes(axes)
-    stages = []
-    current = beam
-    for theta in axes:
-        current = transmit_analytic(current, Polarizer.at_angle(theta))
-        stages.append(current.intensity)
-    return CascadeResult(axes=axes, per_stage_intensity=tuple(stages))
+    """Fold the polarizer stages over the axes, recording intensity after each stage.
+
+    axes is one cascade, a sequence of S angles, or a (P, S) array of P
+    cascades of the same beam. One cascade gives tuples, as cascade_mc does;
+    P cascades give (P, S) arrays of axes and intensities, computed one stage
+    over up to SLICE_POINTS cascades at a time. A cascade's intensities do not
+    depend on which others share its call.
+    """
+    grid = np.asarray(axes, dtype=np.float64)
+    single = grid.ndim == 1
+    if single:
+        grid = grid[None]
+    if grid.ndim != 2 or grid.shape[1] == 0:
+        raise ValueError("axes must be a non-empty list of angles or a (points, stages) array")
+    theta = canonical_angle_array(grid)
+    intensities = np.empty(theta.shape)
+    for rows in point_slices(theta.shape[0]):
+        rho, intensity = beam.rho.matrix, beam.intensity
+        for stage in range(theta.shape[1]):
+            intensity, rho = _transmit(rho, intensity, theta[rows, stage])
+            intensities[rows, stage] = intensity
+    if single:
+        return CascadeResult(axes=tuple(grid[0].tolist()),
+                             per_stage_intensity=tuple(intensities[0].tolist()))
+    return CascadeResult(axes=grid, per_stage_intensity=intensities)
 
 
 def transmit_photon_mc(photon: PhotonRecord, p: Polarizer, rng: RngStream) -> PhotonRecord:

@@ -18,6 +18,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .core import point_slices
+
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
@@ -168,6 +170,19 @@ def permutation_null_mis(table) -> tuple[np.ndarray, np.ndarray]:
     b = n01 + n11
     if a in (0, n) or b in (0, n):
         return np.zeros(1), np.ones(1)
+    k, pmf = _null_support(a, b, n)
+    # a slice at a time: the MI of a table needs about a dozen temporaries
+    mis = np.empty(k.shape[0])
+    for rows in point_slices(k.shape[0]):
+        kk = k[rows]
+        mis[rows] = _mi_bits(n - a - b + kk, b - kk, a - kk, kk, n)
+    order = np.argsort(mis, kind="stable")
+    return mis[order], pmf[order]
+
+
+def _null_support(a: int, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n11 cells k within `reach` of the mean whose hypergeometric
+    probability is not 0.0 in float64, and those probabilities."""
     s = min(a, b, n - a, n - b)
     reach = math.ceil(math.sqrt(s * (745.2 + math.log(s + 1)) / 2)) + 1
     mean = a * b // n
@@ -183,11 +198,7 @@ def permutation_null_mis(table) -> tuple[np.ndarray, np.ndarray]:
     pmf = np.exp(log_pmf)
     # tables whose probability underflows to 0.0 move no quantile or p-value
     kept = pmf > 0.0
-    k = k[kept]
-    pmf = pmf[kept] / pmf.sum()
-    mis = _mi_bits(n - a - b + k, b - k, a - k, k, n)
-    order = np.argsort(mis, kind="stable")
-    return mis[order], pmf[order]
+    return k[kept], pmf[kept] / pmf.sum()
 
 
 def null_quantile(mis: np.ndarray, pmf: np.ndarray, level: float) -> float:

@@ -1,0 +1,370 @@
+"""The array forms of the analytic layer against frozen copies of the scalar
+code they replaced (photonlab 0.5.0), over generated angles, states and beams.
+
+The references below are that scalar code, kept here verbatim in substance:
+one DensityOperator, one StateVector and one eigvalsh per point. The batched
+forms must reproduce them bit for bit, except where 0.6.0 squares |amplitude|
+with x*x instead of libm pow (Born probabilities and outcome entropies), and
+must not depend on how points are grouped into calls or slices.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from photonlab import cli, entangle
+from photonlab.core import (
+    SLICE_POINTS,
+    DensityOperator,
+    InvalidStateError,
+    StateVector,
+    born_probabilities,
+    born_probabilities_array,
+    canonical_angle,
+    canonical_angle_array,
+    eigenvector_array,
+    ket_from_angle,
+    projection_probability,
+    projection_probability_array,
+    snap_probability,
+    snap_probability_array,
+    trace_distance,
+    unit_state_array,
+)
+from photonlab.entangle import PairState, make_pair, no_signaling_check
+from photonlab.entropy import collapse_entropy_report
+from photonlab.optics import LightBeam, cascade_analytic, linear_light, natural_light
+
+FOUR_PI = 4 * math.pi
+angle = st.floats(min_value=-FOUR_PI, max_value=FOUR_PI, allow_nan=False)
+
+
+# --- frozen scalar references (photonlab 0.5.0) ---------------------------------
+
+
+def ref_canonical_angle(theta):
+    reduced = theta - math.pi * math.floor(theta / math.pi)
+    if reduced >= math.pi:
+        reduced -= math.pi
+    return 0.0 if reduced < 0.0 else reduced
+
+
+def ref_unit(values):
+    """The StateVector constructor: one division by np.linalg.norm."""
+    arr = np.array(values, dtype=np.complex128)
+    return arr / float(np.linalg.norm(arr))
+
+
+def ref_eigenvector(theta, outcome):
+    t = ref_canonical_angle(theta)
+    c, s = math.cos(t), math.sin(t)
+    return ref_unit([c, s] if outcome == 0 else [-s, c])
+
+
+def ref_snap(p):
+    p = float(p)
+    if p <= 1e-15:
+        return 0.0
+    if p >= 1.0 - 1e-15:
+        return 1.0
+    return p
+
+
+def ref_projection_probability(m, theta):
+    v = ref_eigenvector(theta, 0)
+    return ref_snap(float(np.real(v.conj() @ m @ v)))
+
+
+def ref_cascade(m, intensity, axes):
+    """transmit_analytic folded over the axes, one DensityOperator per stage."""
+    stages = []
+    for theta in axes:
+        t = ref_projection_probability(m, theta)
+        v = ref_eigenvector(theta, 0)
+        m = np.array(np.outer(v, v.conj()), dtype=np.complex128)
+        intensity = intensity * t
+        stages.append(intensity)
+    return stages
+
+
+def ref_born_probabilities(amplitudes, theta):
+    """Squares |amplitude| with numpy-scalar ** (libm pow)."""
+    t = ref_canonical_angle(theta)
+    c, s = math.cos(t), math.sin(t)
+    a0, a1 = amplitudes
+    p0 = ref_snap(abs(c * a0 + s * a1) ** 2)
+    p1 = ref_snap(abs(-s * a0 + c * a1) ** 2)
+    if p0 == 1.0:
+        p1 = 0.0
+    elif p1 == 1.0:
+        p0 = 0.0
+    return p0, p1
+
+
+def ref_shannon(probs):
+    p = np.clip(np.asarray(probs, dtype=np.float64), 0.0, 1.0)
+    nz = p[p > 0.0]
+    return float(-(nz * np.log2(nz)).sum()) + 0.0
+
+
+def ref_entropy_report(amplitudes, theta):
+    before = ref_shannon(ref_born_probabilities(amplitudes, theta))
+    after = max(ref_shannon(ref_born_probabilities(ref_eigenvector(theta, o), theta))
+                for o in (0, 1))
+    return before, after, after - before
+
+
+def ref_bob_marginal(joint, theta):
+    m = joint.reshape(2, 2)
+    rho = np.zeros((2, 2), dtype=np.complex128)
+    for outcome in (0, 1):
+        c = ref_eigenvector(theta, outcome).conj() @ m
+        p = ref_snap(float(np.real(c.conj() @ c)))
+        if p < 1e-12:
+            continue
+        psi = ref_unit(np.array(c) / float(np.linalg.norm(c)))
+        rho += p * np.outer(psi, psi.conj())
+    return rho
+
+
+def ref_trace_distance(m1, m2):
+    if m1.tobytes() > m2.tobytes():
+        m1, m2 = m2, m1
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(m1 - m2)).sum())
+
+
+def ref_no_signaling_check(joint, bases):
+    marginals = [ref_bob_marginal(joint, b) for b in bases]
+    worst = 0.0
+    for i in range(len(marginals)):
+        for j in range(i + 1, len(marginals)):
+            worst = max(worst, ref_trace_distance(marginals[i], marginals[j]))
+    return worst
+
+
+# --- generated inputs -------------------------------------------------------------
+
+
+@st.composite
+def beams(draw):
+    """Natural, linear and mixed source beams of any intensity in (0, 1]."""
+    kind = draw(st.sampled_from(["natural", "linear", "mixed"]))
+    intensity = draw(st.floats(min_value=1e-3, max_value=1.0))
+    if kind == "natural":
+        return LightBeam(natural_light().rho, intensity)
+    if kind == "linear":
+        return linear_light(draw(angle), intensity)
+    w = draw(st.floats(min_value=0.0, max_value=1.0))
+    a, b = (ket_from_angle(draw(angle)).amplitudes for _ in range(2))
+    m = w * np.outer(a, a.conj()) + (1.0 - w) * np.outer(b, b.conj())
+    return LightBeam(DensityOperator(m), intensity)
+
+
+axes_grids = arrays(np.float64, st.tuples(st.integers(1, 64), st.integers(1, 6)), elements=angle)
+
+
+def within_4_ulp(got, want):
+    return abs(got - want) <= max(4 * np.spacing(abs(want)), 1e-15)
+
+
+# --- cascade ----------------------------------------------------------------------
+
+
+@given(beams(), axes_grids)
+def test_batched_cascade_matches_the_scalar_fold(beam, axes):
+    got = cascade_analytic(beam, axes).per_stage_intensity
+    assert got.shape == axes.shape
+    for row, point_axes in zip(got, axes):
+        want = ref_cascade(beam.rho.matrix, beam.intensity, point_axes.tolist())
+        assert all(within_4_ulp(g, w) for g, w in zip(row.tolist(), want)), (row, want)
+
+
+@given(beams(), axes_grids, st.data())
+def test_a_size_one_cascade_equals_its_row_of_a_batch(beam, axes, data):
+    k = data.draw(st.integers(0, axes.shape[0] - 1))
+    batch = cascade_analytic(beam, axes)
+    one = cascade_analytic(beam, axes[k].tolist())
+    assert one.per_stage_intensity == tuple(batch.per_stage_intensity[k].tolist())
+    assert one.final_intensity() == batch.final_intensity()[k]
+
+
+@given(arrays(np.float64, st.integers(1, 64), elements=angle))
+def test_crossed_axes_extinguish_exactly(theta):
+    axes = np.stack([theta, theta + math.pi / 2], axis=1)
+    result = cascade_analytic(natural_light(), axes)
+    assert (result.final_intensity() == 0.0).all()
+
+
+def test_a_cascade_across_a_slice_boundary_equals_its_halves():
+    n = SLICE_POINTS + 3
+    theta = np.linspace(-3.7, 400.0, n) * (math.pi / 180.0)
+    axes = np.stack([np.full(n, math.pi / 2), theta, np.zeros(n)], axis=1)
+    whole = cascade_analytic(natural_light(), axes).per_stage_intensity
+    head = cascade_analytic(natural_light(), axes[:SLICE_POINTS]).per_stage_intensity
+    tail = cascade_analytic(natural_light(), axes[SLICE_POINTS:]).per_stage_intensity
+    assert whole.tobytes() == np.concatenate([head, tail]).tobytes()
+
+
+def test_batched_cascade_rejects_bad_axes():
+    with pytest.raises(ValueError):
+        cascade_analytic(natural_light(), np.zeros((3, 0)))
+    with pytest.raises(ValueError):
+        cascade_analytic(natural_light(), np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        cascade_analytic(natural_light(), [[0.0, math.inf]])
+
+
+# --- entropy ----------------------------------------------------------------------
+
+
+@given(arrays(np.float64, st.integers(1, 64), elements=st.floats(0.0, 1.0)), angle)
+def test_batched_entropy_report_matches_the_pow_reference(p0, theta):
+    states = unit_state_array(np.stack([np.sqrt(p0), np.sqrt(1.0 - p0)], axis=1))
+    report = collapse_entropy_report(states, theta)
+    assert (report.after_bits == 0.0).all()
+    assert (report.delta_bits == -report.before_bits).all()
+    for k, amplitudes in enumerate(states):
+        before, after, _ = ref_entropy_report(amplitudes, theta)
+        assert abs(report.before_bits[k] - before) <= 1e-15
+        assert after == 0.0
+
+
+@given(arrays(np.float64, st.integers(1, 32), elements=angle),
+       arrays(np.float64, st.integers(1, 32), elements=angle))
+def test_entropy_report_takes_one_basis_per_state(phi, theta):
+    n = min(len(phi), len(theta))
+    states = np.array([ket_from_angle(f).amplitudes for f in phi[:n]])
+    report = collapse_entropy_report(states, theta[:n])
+    for k in range(n):
+        one = collapse_entropy_report(ket_from_angle(phi[k]), theta[k])
+        assert (one.before_bits, one.after_bits) == (report.before_bits[k],
+                                                     report.after_bits[k])
+
+
+def test_scalar_entropy_report_keeps_float_fields():
+    report = collapse_entropy_report(ket_from_angle(0.3), 1.1)
+    assert all(type(v) is float for v in (report.before_bits, report.after_bits,
+                                          report.delta_bits))
+
+
+# --- no-signaling -----------------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(st.lists(st.one_of(angle, st.floats(-1e6, 1e6)), min_size=1, max_size=60))
+def test_no_signaling_check_equals_the_pairwise_loop(bases):
+    assert no_signaling_check(bases) == ref_no_signaling_check(make_pair().joint.amplitudes,
+                                                               bases)
+
+
+@settings(max_examples=30)
+@given(arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)).filter(
+           lambda a: np.linalg.norm(a) > 0.1),
+       st.lists(angle, min_size=1, max_size=40))
+def test_no_signaling_check_equals_the_loop_for_any_real_pair(amplitudes, bases):
+    # a non-singlet pair signals: its marginals differ, and all are compared
+    pair = PairState(StateVector.normalize(amplitudes))
+    assert no_signaling_check(bases, pair) == ref_no_signaling_check(
+        pair.joint.amplitudes, bases)
+
+
+def test_no_signaling_check_compares_distinct_marginals_across_pair_slices(monkeypatch):
+    # a generic pair makes every marginal distinct; small slices force many stacks
+    pair = PairState(StateVector.normalize([0.9, 0.2, -0.3, 0.25]))
+    bases = np.linspace(0.0, math.pi, 90, endpoint=False).tolist()
+    want = ref_no_signaling_check(pair.joint.amplitudes, bases)
+    assert no_signaling_check(bases, pair) == want
+    monkeypatch.setattr(entangle, "SLICE_POINTS", 7)
+    assert no_signaling_check(bases, pair) == want
+
+
+def test_trace_distance_is_the_size_one_call():
+    r1 = ref_bob_marginal(np.array([0.0, 0.6, -0.8, 0.0]), 0.3)
+    r2 = np.outer(ket_from_angle(1.0).amplitudes, ket_from_angle(1.0).amplitudes.conj())
+    assert trace_distance(r1, r2) == ref_trace_distance(r1, r2)
+    assert trace_distance(r2, r1) == ref_trace_distance(r1, r2)
+
+
+# --- scalar forms are size-1 calls ------------------------------------------------
+
+
+@given(angle, angle)
+def test_scalar_forms_agree_with_the_references(phi, theta):
+    state = ket_from_angle(phi)
+    p0, p1 = born_probabilities(state, theta)
+    w0, w1 = ref_born_probabilities(state.amplitudes, theta)
+    assert abs(p0 - w0) <= 1e-15 and abs(p1 - w1) <= 1e-15
+    m = np.outer(state.amplitudes, state.amplitudes.conj())
+    assert projection_probability(m, theta) == ref_projection_probability(m, theta)
+    np.testing.assert_array_equal(eigenvector_array(theta)[0], ref_eigenvector(theta, 0))
+    np.testing.assert_array_equal(eigenvector_array(theta, 1)[0], ref_eigenvector(theta, 1))
+
+
+@given(arrays(np.float64, st.integers(1, 32),
+              elements=st.one_of(angle, st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300))),
+       arrays(np.float64, st.integers(1, 32), elements=st.floats(-1e-14, 1.0 + 1e-14)))
+def test_array_rules_equal_their_scalar_rules_elementwise(theta, p):
+    assert canonical_angle_array(theta).tolist() == [canonical_angle(t) for t in theta.tolist()]
+    assert snap_probability_array(p).tolist() == [snap_probability(x) for x in p.tolist()]
+
+
+def test_array_forms_check_their_inputs_once():
+    with pytest.raises(InvalidStateError):
+        born_probabilities_array([[1.0, 1.0]], 0.0)
+    with pytest.raises(ValueError):
+        born_probabilities_array([[1.0, 0.0, 0.0, 0.0]], 0.0)
+    with pytest.raises(InvalidStateError):
+        projection_probability_array(np.eye(2), [0.0, 1.0])
+    with pytest.raises(InvalidStateError):
+        projection_probability_array([np.eye(2) / 2, [[0.5, 0.5j], [0.5j, 0.5]]], 0.0)
+    with pytest.raises(ValueError):
+        eigenvector_array([0.0, math.nan])
+    with pytest.raises(ValueError):
+        eigenvector_array(0.0, outcome=2)
+    np.testing.assert_array_equal(projection_probability_array(np.eye(2) / 2, [0.1, 2.0]),
+                                  [0.5, 0.5])
+
+
+# --- no per-point objects ----------------------------------------------------------
+
+
+def _counted_run(monkeypatch, tmp_path, argv):
+    counts = {"eigvalsh": 0, "DensityOperator": 0}
+    eigvalsh = np.linalg.eigvalsh
+    init = DensityOperator.__post_init__
+
+    def counting_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_init(self):
+        counts["DensityOperator"] += 1
+        init(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        m.setattr(DensityOperator, "__post_init__", counting_init)
+        assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    return counts
+
+
+@pytest.mark.parametrize("experiment, small, large", [
+    ("malus", ["--set", 'sweep={"start_deg": 0, "stop_deg": 19, "step_deg": 1}'],
+     ["--set", 'sweep={"start_deg": 0, "stop_deg": 1999, "step_deg": 1}']),
+    ("entropy", ["--set", "grid=" + str([k / 20 for k in range(20)])],
+     ["--set", "grid=" + str([k / 2000 for k in range(2000)])]),
+    ("nosignal", ["--set", "bases_a_deg=" + str([0.9 * k for k in range(20)]),
+                  "--set", "n_per_basis=10"],
+     ["--set", "bases_a_deg=" + str([0.9 * k for k in range(200)]),
+      "--set", "n_per_basis=10"]),
+])
+def test_analytic_runs_do_a_bounded_number_of_checks(monkeypatch, tmp_path, experiment,
+                                                     small, large):
+    few = _counted_run(monkeypatch, tmp_path, [experiment] + small)
+    many = _counted_run(monkeypatch, tmp_path, [experiment] + large)
+    assert many == few
+    assert many["eigvalsh"] <= 2 and many["DensityOperator"] <= 2

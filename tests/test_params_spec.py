@@ -334,7 +334,7 @@ def test_spec_agrees_with_the_0_3_0_schema_at_every_bound(experiment):
 
 
 @pytest.mark.parametrize("experiment", list(SCHEMAS_0_3_0))
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_spec_accepts_what_the_0_3_0_schema_accepted(experiment, data):
     _assert_agreement(experiment, data.draw(_values(SCHEMAS_0_3_0[experiment])))

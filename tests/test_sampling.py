@@ -88,7 +88,7 @@ def test_binary_draws_snap_exactly_and_otherwise_compare(draws):
         np.testing.assert_array_equal(sample_binary(p, u), sample_binary(np.full(u.shape, p), u))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(angles, st.integers(min_value=0, max_value=2**32))
 def test_equal_bases_are_anticorrelated_at_any_angle(theta, seed):
     assert correlation(theta, theta, 2000, seed=seed).e_value == -1.0
@@ -99,7 +99,6 @@ def test_equal_bases_are_anticorrelated_at_any_angle(theta, seed):
         assert out.outcome_a != out.outcome_b
 
 
-@settings(deadline=None)
 @given(st.lists(angles, min_size=1, max_size=8))
 def test_no_signaling_for_generated_bases(bases):
     assert no_signaling_check(bases) < 1e-12

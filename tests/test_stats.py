@@ -280,7 +280,7 @@ def bit_pairs(draw):
     return draw(bits), draw(bits)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(bit_pairs(), st.data())
 def test_table_of_a_concatenation_is_the_sum_of_the_tables_of_its_parts(pair, data):
     x, y = pair
@@ -292,7 +292,7 @@ def test_table_of_a_concatenation_is_the_sum_of_the_tables_of_its_parts(pair, da
     assert whole.sum() == len(x)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(bit_pairs())
 def test_exact_null_is_a_distribution_over_nonnegative_mi(pair):
     mis, pmf = permutation_null_mis(bit_table(*pair))
@@ -302,7 +302,7 @@ def test_exact_null_is_a_distribution_over_nonnegative_mi(pair):
     assert (np.diff(mis) >= 0.0).all()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(bit_pairs())
 def test_exact_null_ignores_which_side_is_which_and_the_labels(pair):
     x, y = pair
@@ -313,7 +313,7 @@ def test_exact_null_ignores_which_side_is_which_and_the_labels(pair):
         assert abs(null_quantile(*permutation_null_mis(bit_table(*other)), 0.975) - q) <= 1e-12
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(bit_pairs(), st.integers(0, 1))
 def test_exact_null_of_a_constant_side_is_a_point_at_zero(pair, value):
     x, _ = pair
@@ -361,7 +361,7 @@ def count_tables(draw):
     return np.array([n - a - b + k, b - k, a - k, k])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(count_tables())
 def test_windowed_null_matches_the_full_support_null(table):
     mis, pmf = permutation_null_mis(table)
