@@ -1,7 +1,7 @@
 """Seeded simulations of polarization collapse, entangled pairs, the
 entanglement bit-transmission scheme, and delayed-choice interferometry."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .core import (
     ALGEBRA_ATOL,

@@ -317,9 +317,12 @@ def _run_malus(params, seed, workers):
         grid = _grid_from_sweep(params["sweep"])
         finals = _sweep_final_intensities(grid)
         best = finals.index(max(finals))
-        payload = {"sweep_rows": [{"theta_deg": t, "final_intensity": f}
-                                  for t, f in zip(grid, finals)]}
         summary = {"max_final_intensity": finals[best], "argmax_deg": grid[best]}
+
+        def payload():
+            return {"sweep_rows": [{"theta_deg": t, "final_intensity": f}
+                                   for t, f in zip(grid, finals)]}
+
         # _render_csv reads the rows once, so a sweep's rows are not stored twice
         return payload, ["theta_deg", "final_intensity"], zip(grid, finals), summary
 
@@ -371,8 +374,11 @@ def _run_entropy(params, seed, workers):
     columns = [p0.tolist()] + [v.tolist() for v in (report.before_bits, report.after_bits,
                                                     report.delta_bits)]
     header = ["p0", "before_bits", "after_bits", "delta_bits"]
-    payload = {"rows": [dict(zip(header, row)) for row in zip(*columns)]}
     summary = {"max_after_bits": float(report.after_bits.max())}
+
+    def payload():
+        return {"rows": [dict(zip(header, row)) for row in zip(*columns)]}
+
     # _render_csv reads the rows once, so they are not stored twice
     return payload, header, zip(*columns), summary
 
@@ -557,6 +563,9 @@ def _run_mzi(params, seed, workers):
     return payload, ["phase_deg", "closed_fraction_d0", "open_fraction_d0"], csv_rows, summary
 
 
+# A runner returns (payload, csv_header, csv_rows, summary). A payload that
+# grows with the number of points is a function that builds it, so a CSV run,
+# which renders only the rows, never builds it.
 _RUNNERS = {
     "malus": _run_malus,
     "entropy": _run_entropy,
@@ -597,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"photonlab {__version__}")
     sub = parser.add_subparsers(dest="experiment", required=True)
     descriptions = {
-        "malus": "polarizer cascades, analytic or per-photon Monte Carlo, plus angle sweeps",
+        "malus": "polarizer cascades, analytic or Monte Carlo, plus angle sweeps",
         "entropy": "superposition entropy before and after collapse over a weight grid",
         "bell": "singlet correlation sweep and the CHSH statistic",
         "nosignal": "Bob-marginal trace distances and per-basis Bob statistics",
@@ -653,6 +662,8 @@ def _run(args) -> int:
     if out_format == "csv":
         result_text = _render_csv(csv_header, csv_rows)
     else:
+        if callable(payload):
+            payload = payload()
         result = {
             "experiment": experiment,
             "seed": seed,

@@ -261,6 +261,36 @@ def sample_categories(probs, u) -> np.ndarray:
     return outcome
 
 
+def sample_counts(probs, n: int, rng: RngStream) -> np.ndarray:
+    """Outcome counts (int64, one per outcome) of n Born draws from one
+    distribution over len(probs) outcomes: the counting twin of
+    sample_categories, at the cost of one binomial draw per outcome.
+
+    The counts follow the multinomial law, drawn as a chain of conditional
+    binomials: outcome k gets rng.binomial(left, p_k / (p_k + ... + p_last))
+    of the draws not yet assigned, where p_last is the last outcome with
+    nonzero snapped probability; that outcome takes whatever is left, so a
+    snapped-to-zero outcome gets exactly 0. The tail sum, not 1 minus the
+    head, keeps the conditional probability accurate when the tail is small.
+    An outcome of probability 0 and an empty remainder draw nothing, so a
+    certain outcome gets all n draws without touching the stream.
+    """
+    p = [snap_probability(x) for x in probs]
+    last_nonzero = max(k for k, x in enumerate(p) if x > 0.0)
+    left = int(n)
+    if left < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    counts = np.zeros(len(p), dtype=np.int64)
+    for k in range(last_nonzero):
+        if left == 0:
+            break
+        if p[k] > 0.0:
+            counts[k] = rng.binomial(left, min(1.0, p[k] / sum(p[k:last_nonzero + 1])))
+            left -= int(counts[k])
+    counts[last_nonzero] = left
+    return counts
+
+
 def sample_binary(p0, u) -> np.ndarray:
     """Two-outcome sample_categories for an outcome-0 probability p0 that may
     differ per draw (p0 broadcasts against u). Outcome 1 holds the rest, so it

@@ -29,6 +29,7 @@ from .core import (
     point_slices,
     sample_binary,
     sample_categories,
+    sample_counts,
     snap_probability,
     snap_probability_array,
 )
@@ -135,7 +136,8 @@ def measure_pair(pair: PairState, basis_a, basis_b, rng: RngStream) -> JointOutc
 
 
 def _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base) -> np.ndarray:
-    """Counts of the joint outcomes (00, 01, 10, 11) over n sampled pairs."""
+    """Counts of the joint outcomes (00, 01, 10, 11) over n sampled pairs: one
+    four-outcome core.sample_counts draw per block."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if pair is None:
@@ -143,8 +145,7 @@ def _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base) -> np.n
     probs = joint_probabilities(pair, theta_a, theta_b).ravel()
 
     def run_block(block: int, size: int) -> np.ndarray:
-        u = stream_from_seed(seed, stream_base, block).random(size)
-        return np.bincount(sample_categories(probs, u), minlength=4)
+        return sample_counts(probs, size, stream_from_seed(seed, stream_base, block))
 
     return sum(map_partitions(n, workers, run_block))
 
@@ -176,7 +177,11 @@ def correlation(
     """Monte Carlo estimate of E(a, b), the mean of +1 (equal outcomes) and -1
     (different outcomes) over n pairs; analytically -cos 2(a - b) for the singlet.
 
-    Block b of the pairs samples from stream_from_seed(seed, stream_base, b).
+    Block b of the pairs draws its joint-outcome counts from the multinomial
+    law of joint_probabilities with one core.sample_counts call on
+    stream_from_seed(seed, stream_base, b); no pair is drawn one by one. At
+    equal bases the equal outcomes snap to probability 0, so E is exactly -1
+    at any n.
     """
     counts = _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base)
     return CorrelationStats.from_counts(n_equal=int(counts[0] + counts[3]), n=int(n))
@@ -230,8 +235,10 @@ def bob_marginal_counts(
 ) -> tuple[int, int]:
     """Sample n joint measurements and count Bob's aligned outcomes.
 
-    Returns (n, count of outcome_b == 0). The count's distribution does not
-    depend on theta_a; this is the empirical face of the no-signaling check.
+    Returns (n, count of outcome_b == 0). The joint counts are drawn per
+    block as correlation draws them, from the same streams. The count's
+    distribution does not depend on theta_a; this is the empirical face of the
+    no-signaling check.
     """
     counts = _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base)
     return int(n), int(counts[0] + counts[2])

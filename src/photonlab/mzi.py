@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import sample_binary, snap_probability
+from .core import sample_counts, snap_probability
 from .rng import map_partitions, stream_from_seed
 
 _BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
@@ -92,13 +92,16 @@ def run_mzi(
     """Send n photons through the interferometer.
 
     Analytic mode (fixed policy only) reports deterministic expected counts,
-    count_d0 = round(n * P(D0)). Monte Carlo mode samples detections; block b
-    of the photons draws detections from stream_from_seed(seed, stream_base, b)
-    and, under delayed-random, choices from the separate stream stream_base + 1.
-    Keeping the two streams apart means a degenerate policy (p_present 0 or 1)
-    reproduces the corresponding fixed run photon for photon. The choice is
-    applied only at the second beamsplitter, never to the arm superposition,
-    which is the delayed-choice ordering.
+    count_d0 = round(n * P(D0)). Monte Carlo mode draws counts per block of
+    photons with core.sample_counts, never one draw per photon. A fixed run
+    draws block b's D0 count from stream_from_seed(seed, stream_base, b). A
+    delayed-random run first draws how many of the block's photons find the
+    second beamsplitter present from the separate stream stream_base + 1,
+    then the D0 counts of the present and of the absent photons, in that
+    order, from the detection stream. An empty branch draws nothing, so a
+    degenerate policy (p_present 0 or 1) reproduces the corresponding fixed
+    run exactly. The choice is applied only at the second beamsplitter, never
+    to the arm superposition, which is the delayed-choice ordering.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -112,24 +115,22 @@ def run_mzi(
         count_d0 = int(round(n * p0))
         return MziStats(n=n, count_d0=count_d0, count_d1=n - count_d0)
 
-    p_closed, _ = detector_probabilities(config.phase, True)
-    p_open, _ = detector_probabilities(config.phase, False)
-    p_fixed, _ = detector_probabilities(config.phase, config.second_bs)
+    p_closed = detector_probabilities(config.phase, True)
+    p_open = detector_probabilities(config.phase, False)
+    p_fixed = detector_probabilities(config.phase, config.second_bs)
 
     def run_block(block: int, size: int) -> np.ndarray:
         detect = stream_from_seed(seed, stream_base, block)
-        u = detect.random(size)
         if not delayed:
-            d1 = int(np.count_nonzero(sample_binary(p_fixed, u)))
-            return np.array([size, size - d1, 0, 0, 0, 0], dtype=np.int64)
+            d0 = int(sample_counts(p_fixed, size, detect)[0])
+            return np.array([size, d0, 0, 0, 0, 0], dtype=np.int64)
         choice = stream_from_seed(seed, stream_base + 1, block)
-        present = choice.random(size) < config.p_present
-        outcome = np.where(present, sample_binary(p_closed, u), sample_binary(p_open, u))
-        n_present = int(np.count_nonzero(present))
-        d0 = size - int(np.count_nonzero(outcome))
-        d0_present = n_present - int(np.count_nonzero(outcome & present))
+        p = config.p_present
+        n_present = int(sample_counts((p, 1.0 - p), size, choice)[0])
+        d0_present = int(sample_counts(p_closed, n_present, detect)[0])
+        d0_absent = int(sample_counts(p_open, size - n_present, detect)[0])
         return np.array(
-            [size, d0, n_present, d0_present, size - n_present, d0 - d0_present],
+            [size, d0_present + d0_absent, n_present, d0_present, size - n_present, d0_absent],
             dtype=np.int64,
         )
 

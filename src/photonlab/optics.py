@@ -1,4 +1,4 @@
-"""Polarizer cascades in analytic (density-operator) and per-photon Monte Carlo modes.
+"""Polarizer cascades in analytic (density-operator) and Monte Carlo modes.
 
 A polarizer is a projective measurement in its axis basis: the aligned outcome
 is transmitted and re-polarized along the axis, the orthogonal outcome is
@@ -27,7 +27,7 @@ from .core import (
     collapse,
     ket_from_angle,
     point_slices,
-    sample_binary,
+    sample_counts,
 )
 from .rng import RngStream, map_partitions, stream_from_seed
 
@@ -178,38 +178,36 @@ def cascade_mc(
     seed: int = 0,
     workers: int = 1,
 ) -> CascadeResult:
-    """Thread n_photons individually through the cascade, counting survivors per stage.
+    """Monte Carlo cascade: count the photons that survive each stage.
 
-    Each photon is a pure linear polarization: the natural source draws an
-    independent uniform angle in [0, pi) per photon, the linear source uses
-    source_angle for all. A stage samples the aligned outcome with the same
-    Born weight transmit_photon_mc would use; survivors leave polarized along
-    the stage axis. Block b of the photons draws from stream_from_seed(seed,
-    0, b) and stage counts are summed over blocks, so results depend on the
-    seed and not on workers.
+    A photon passes a stage with the Born weight transmit_photon_mc would use,
+    and a survivor leaves polarized along the stage axis. Stage 0 passes with
+    probability 1/2 for the natural source (a uniformly random linear
+    polarization, averaged) and cos^2(axis - source_angle) for the linear one;
+    stage i > 0 passes with cos^2(axis_i - axis_{i-1}). So each stage count is
+    one binomial draw (core.sample_counts) over the previous stage's
+    survivors, never a draw per photon. Block b of the photons draws its
+    stage counts, in stage order, from stream_from_seed(seed, 0, b), and the
+    counts are summed over blocks, so results depend on the seed and not on
+    workers.
     """
     axes = _validate_axes(axes)
     if n_photons < 1:
         raise ValueError(f"n_photons must be >= 1, got {n_photons}")
     if source not in SOURCE_KINDS:
         raise ValueError(f"source must be one of {SOURCE_KINDS}, got {source!r}")
-    start_angle = canonical_angle(source_angle) if source == "linear" else 0.0
+    if source == "natural":
+        p_first = 0.5
+    else:
+        p_first = math.cos(axes[0] - canonical_angle(source_angle)) ** 2
+    p_pass = [p_first] + [math.cos(b - a) ** 2 for a, b in zip(axes, axes[1:])]
 
     def run_block(block: int, size: int) -> np.ndarray:
         stream = stream_from_seed(seed, 0, block)
-        # a shared angle is a 1-element array, not a scalar, so cos takes the
-        # same vectorized path, to the bit, as per-photon angles
-        if source == "natural":
-            angles = stream.random(size) * math.pi
-        else:
-            angles = np.array([start_angle])
         counts = np.zeros(len(axes), dtype=np.int64)
         alive = size
-        for i, axis in enumerate(axes):
-            p_pass = np.cos(axis - angles) ** 2
-            angles = np.array([axis])  # survivors leave polarized along the axis
-            absorbed = sample_binary(p_pass, stream.random(alive))
-            alive -= int(np.count_nonzero(absorbed))
+        for i, p in enumerate(p_pass):
+            alive = int(sample_counts((p, 1.0 - p), alive, stream)[0])
             counts[i] = alive
         return counts
 

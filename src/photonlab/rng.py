@@ -59,6 +59,10 @@ class RngStream:
         """Integers in [low, high), numpy Generator semantics."""
         return self._generator.integers(low, high, size=size)
 
+    def binomial(self, n, p, size=None):
+        """Binomial(n, p) counts, numpy Generator semantics."""
+        return self._generator.binomial(n, p, size)
+
     def permutation(self, n: int) -> np.ndarray:
         return self._generator.permutation(n)
 

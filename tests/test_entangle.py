@@ -159,6 +159,9 @@ def test_correlation_is_exactly_minus_one_at_equal_bases():
         stats = correlation(theta, theta, 5000, seed=2)
         assert stats.e_value == -1.0
         assert stats.std_err == 0.0
+    # at the largest count the CLI accepts, 16,384 blocks
+    capped = correlation(0.3, 0.3, 2**32, seed=2, workers=2)
+    assert (capped.e_value, capped.std_err) == (-1.0, 0.0)
 
 
 def test_correlation_matches_the_cosine_law():

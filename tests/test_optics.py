@@ -166,25 +166,37 @@ def test_cascade_mc_exact_extremes():
     assert crossed.per_stage_counts[1] == 0
     aligned = cascade_mc(10_000, [45 * DEG], source="linear", source_angle=45 * DEG, seed=1)
     assert aligned.per_stage_counts == (10_000,)
+    # at the largest count the CLI accepts, 16,384 blocks
+    capped = cascade_mc(2**32, [0.0, 90 * DEG], source="natural", seed=1, workers=2)
+    assert capped.per_stage_counts[1] == 0
+    assert abs(capped.fractions()[0] - 0.5) < 5 * math.sqrt(0.25 / 2**32)
 
 
 def test_cascade_mc_draws_are_reconstructible():
-    # linear source: stage 1 consumes exactly n uniforms against cos^2(axis - angle)
-    n, theta, axis, seed = 30_000, 0.2, 1.0, 9
-    result = cascade_mc(n, [axis], source="linear", source_angle=theta, seed=seed)
-    u = stream_from_seed(seed, 0).random(n)
-    expected = int((u < math.cos(axis - theta) ** 2).sum())
-    assert result.per_stage_counts[0] == expected
+    # linear source over two blocks: block b draws each stage's count, in stage
+    # order, as one binomial over the survivors from stream (seed, 0, b)
+    n, theta, axes, seed = rng.BLOCK + 30_000, 0.2, [1.0, 1.5, 0.1], 9
+    result = cascade_mc(n, axes, source="linear", source_angle=theta, seed=seed, workers=2)
+    expected = [0, 0, 0]
+    for block, size in enumerate((rng.BLOCK, 30_000)):
+        stream = stream_from_seed(seed, 0, block)
+        alive, previous = size, theta
+        for i, axis in enumerate(axes):
+            alive = int(stream.binomial(alive, math.cos(axis - previous) ** 2))
+            expected[i] += alive
+            previous = axis
+    assert result.per_stage_counts == tuple(expected)
 
 
-def test_cascade_mc_natural_source_draws_angles_first():
-    n, axis, seed = 20_000, 0.6, 13
-    result = cascade_mc(n, [axis], source="natural", seed=seed)
+def test_cascade_mc_natural_source_passes_half_at_the_first_stage():
+    # a uniformly random polarization passes the first stage with probability
+    # 1/2; later stages depend only on the axes
+    n, axes, seed = 20_000, [0.6, 1.3], 13
+    result = cascade_mc(n, axes, source="natural", seed=seed)
     stream = stream_from_seed(seed, 0)
-    angles = stream.random(n) * math.pi
-    u = stream.random(n)
-    expected = int((u < np.cos(axis - angles) ** 2).sum())
-    assert result.per_stage_counts[0] == expected
+    first = int(stream.binomial(n, 0.5))
+    second = int(stream.binomial(first, math.cos(axes[1] - axes[0]) ** 2))
+    assert result.per_stage_counts == (first, second)
 
 
 def test_cascade_mc_validation():
