@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import importlib
 import json
 import math
 import os
@@ -26,14 +27,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .entangle import bob_marginal_counts, chsh, correlation, no_signaling_check
-from .entropy import collapse_entropy_report
-from .core import ALGEBRA_ATOL, unit_state_array
-from .mzi import MziConfig, choice_timing_invariance, run_mzi
-from .optics import cascade_analytic, cascade_mc, linear_light, natural_light
-from .protocol import BasisOracle, EncodingRule, FixedBasisML, Repetition, run_protocol
-from .rng import ALGORITHM_ID, BLOCK
-from .stats import wilson_interval
+
+# The library names the runners call, by the module that defines them. Each
+# resolves as an attribute of this module on first use (PEP 562), and a runner
+# looks its names up here when it runs (_library), so a process imports only
+# the modules of the experiment it runs, and whoever replaces cli.<name> (a
+# test's mock, a tracer's shim) replaces what the runner calls.
+_LIBRARY = {
+    "core": ("ALGEBRA_ATOL", "unit_state_array"),
+    "entangle": ("bob_marginal_counts", "chsh", "correlation", "no_signaling_check"),
+    "entropy": ("collapse_entropy_report",),
+    "mzi": ("MziConfig", "choice_timing_invariance", "run_mzi"),
+    "optics": ("cascade_analytic", "cascade_mc", "linear_light", "natural_light"),
+    "protocol": ("BasisOracle", "EncodingRule", "FixedBasisML", "Repetition", "run_protocol"),
+    "rng": ("ALGORITHM_ID", "BLOCK"),
+    "stats": ("wilson_interval",),
+}
+_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def _library(*names) -> list:
+    """The named library objects, as this module resolves them now."""
+    module = sys.modules[__name__]
+    return [getattr(module, name) for name in names]
 
 
 class ConfigError(ValueError):
@@ -180,8 +203,9 @@ def _check(field: Field, value, path: str) -> None:
             _check(member, value[key], prefix + key)
     elif kind == "list":
         _check_bounds(field, len(value), f"length {len(value)}", path)
-        for i, item in enumerate(value):
-            _check(field.item, item, f"{path}[{i}]")
+        if not _numbers_fit(field.item, value):
+            for i, item in enumerate(value):
+                _check(field.item, item, f"{path}[{i}]")
     elif kind != "string":
         try:
             finite = math.isfinite(value)
@@ -190,6 +214,23 @@ def _check(field: Field, value, path: str) -> None:
         if not finite:  # Python's json reads NaN and Infinity, and 1e400 as inf
             raise _invalid(path, f"must be finite, got {value}")
         _check_bounds(field, value, repr(value), path)
+
+
+def _numbers_fit(field: Field, values: list) -> bool:
+    """Whether every value is a finite number within the field's bounds, by one
+    array check. False sends the caller to the item-by-item loop, which finds
+    and names the first bad item."""
+    if field.kind != "number" or not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        a = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer too large for a float
+        return False
+    # integers convert exactly below 2**53, far beyond every bound in SPECS
+    return bool(np.isfinite(a).all()
+                and (field.minimum is None or (a >= field.minimum).all())
+                and (field.exclusive_minimum is None or (a > field.exclusive_minimum).all())
+                and (field.maximum is None or (a <= field.maximum).all()))
 
 
 def _check_bounds(field: Field, value, shown: str, path: str) -> None:
@@ -210,6 +251,7 @@ _STRATEGY_FORMS = (
 
 def parse_strategy(label: str):
     """Parse a receiver strategy label, e.g. 'repetition:11:fixed-basis-ml:22.5'."""
+    BasisOracle, FixedBasisML, Repetition = _library("BasisOracle", "FixedBasisML", "Repetition")
     label = label.strip()
     if label.count("repetition:") > MAX_STRATEGY_NESTING:
         raise ConfigError(
@@ -303,29 +345,46 @@ def _grid_from_sweep(sweep: dict) -> list[float]:
     return [start + k * step for k in range(int(span) + 1)]
 
 
-def _sweep_final_intensities(grid: list[float]) -> list[float]:
+def _sweep_final_intensities(grid: list[float]) -> np.ndarray:
     """Natural light through polarizers at 90, theta and 0 degrees, for each
-    theta of the grid (in degrees): one batched cascade, whose arrays are
-    freed before the caller builds its rows."""
+    theta of the grid (in degrees), as one batched cascade."""
+    cascade_analytic, natural_light = _library("cascade_analytic", "natural_light")
     theta = np.radians(grid)
     axes = np.stack([np.full_like(theta, math.pi / 2), theta, np.zeros_like(theta)], axis=1)
-    return cascade_analytic(natural_light(), axes).final_intensity().tolist()
+    return cascade_analytic(natural_light(), axes).final_intensity()
+
+
+class Table:
+    """Rows stored as named columns, lists or 1-D arrays of one length.
+
+    A JSON result renders a table as a list of row objects with one key per
+    column, in order; CSV renders it as a header line and one line per row.
+    """
+
+    def __init__(self, **columns):
+        self.columns = columns
+
+    def append(self, row: dict) -> None:
+        for key, value in row.items():
+            self.columns[key].append(value)
+
+
+# A runner returns (payload, table, summary): payload holds the result keys that
+# follow the common head, a Table among them streamed a slice at a time; table
+# is what --format csv writes, None where the result is not tabular.
 
 
 def _run_malus(params, seed, workers):
     if params["sweep"] is not None:
         grid = _grid_from_sweep(params["sweep"])
         finals = _sweep_final_intensities(grid)
-        best = finals.index(max(finals))
-        summary = {"max_final_intensity": finals[best], "argmax_deg": grid[best]}
+        best = int(np.argmax(finals))
+        summary = {"max_final_intensity": float(finals[best]), "argmax_deg": grid[best]}
+        rows = Table(theta_deg=grid, final_intensity=finals)
+        return {"sweep_rows": rows}, rows, summary
 
-        def payload():
-            return {"sweep_rows": [{"theta_deg": t, "final_intensity": f}
-                                   for t, f in zip(grid, finals)]}
-
-        # _render_csv reads the rows once, so a sweep's rows are not stored twice
-        return payload, ["theta_deg", "final_intensity"], zip(grid, finals), summary
-
+    cascade_analytic, cascade_mc, linear_light, natural_light = _library(
+        "cascade_analytic", "cascade_mc", "linear_light", "natural_light")
     axes = [math.radians(a) for a in params["axes_deg"]]
     if params["mode"] == "analytic":
         if params["source"] == "natural":
@@ -333,11 +392,7 @@ def _run_malus(params, seed, workers):
         else:
             beam = linear_light(math.radians(params["source_angle_deg"]))
         result = cascade_analytic(beam, axes)
-        stages = [
-            {"stage": i, "axis_deg": float(params["axes_deg"][i]), "fraction": float(f)}
-            for i, f in enumerate(result.fractions())
-        ]
-        payload = {"stages": stages, "final_intensity": float(result.final_intensity())}
+        payload = {}
     else:
         result = cascade_mc(
             params["n_photons"],
@@ -347,45 +402,33 @@ def _run_malus(params, seed, workers):
             seed=seed,
             workers=workers,
         )
-        fractions = result.fractions()
-        stages = [
-            {
-                "stage": i,
-                "axis_deg": float(params["axes_deg"][i]),
-                "fraction": float(fractions[i]),
-                "count": int(result.per_stage_counts[i]),
-            }
-            for i in range(len(axes))
-        ]
-        payload = {
-            "n_photons": params["n_photons"],
-            "stages": stages,
-            "final_intensity": float(result.final_intensity()),
-        }
-    summary = {"final_intensity": payload["final_intensity"]}
-    csv_rows = [(s["stage"], s["axis_deg"], s["fraction"]) for s in stages]
-    return payload, ["stage", "axis_deg", "fraction"], csv_rows, summary
+        payload = {"n_photons": params["n_photons"]}
+    stages = Table(stage=list(range(len(axes))),
+                   axis_deg=[float(a) for a in params["axes_deg"]],
+                   fraction=[float(f) for f in result.fractions()])
+    payload["stages"] = stages
+    if params["mode"] == "mc":
+        payload["stages"] = Table(**stages.columns,
+                                  count=[int(c) for c in result.per_stage_counts])
+    payload["final_intensity"] = float(result.final_intensity())
+    return payload, stages, {"final_intensity": payload["final_intensity"]}
 
 
 def _run_entropy(params, seed, workers):
+    collapse_entropy_report, unit_state_array = _library(
+        "collapse_entropy_report", "unit_state_array")
     p0 = np.array(params["grid"], dtype=np.float64)
     states = unit_state_array(np.stack([np.sqrt(p0), np.sqrt(1.0 - p0)], axis=1))
     report = collapse_entropy_report(states, 0.0)
-    columns = [p0.tolist()] + [v.tolist() for v in (report.before_bits, report.after_bits,
-                                                    report.delta_bits)]
-    header = ["p0", "before_bits", "after_bits", "delta_bits"]
-    summary = {"max_after_bits": float(report.after_bits.max())}
-
-    def payload():
-        return {"rows": [dict(zip(header, row)) for row in zip(*columns)]}
-
-    # _render_csv reads the rows once, so they are not stored twice
-    return payload, header, zip(*columns), summary
+    rows = Table(p0=p0, before_bits=report.before_bits, after_bits=report.after_bits,
+                 delta_bits=report.delta_bits)
+    return {"rows": rows}, rows, {"max_after_bits": float(report.after_bits.max())}
 
 
 def _run_bell(params, seed, workers):
+    chsh, correlation = _library("chsh", "correlation")
     grid = _grid_from_sweep(params["sweep"])
-    rows = []
+    rows = Table(delta_deg=[], e_value=[], std_err=[])
     for i, delta_deg in enumerate(grid):
         stats = correlation(
             math.radians(delta_deg),
@@ -419,15 +462,16 @@ def _run_bell(params, seed, workers):
         },
     }
     summary = {"chsh_s": float(s_value)}
-    csv_rows = [(r["delta_deg"], r["e_value"], r["std_err"]) for r in rows]
-    return payload, ["delta_deg", "e_value", "std_err"], csv_rows, summary
+    return payload, rows, summary
 
 
 def _run_nosignal(params, seed, workers):
+    ALGEBRA_ATOL, bob_marginal_counts, no_signaling_check, wilson_interval = _library(
+        "ALGEBRA_ATOL", "bob_marginal_counts", "no_signaling_check", "wilson_interval")
     bases_deg = params["bases_a_deg"]
     probe_deg = float(params["probe_basis_deg"])
     distance = no_signaling_check([math.radians(b) for b in bases_deg])
-    rows = []
+    rows = Table(basis_a_deg=[], n=[], bob_fraction_d0=[], ci_lo=[], ci_hi=[])
     for i, basis_deg in enumerate(bases_deg):
         total, count0 = bob_marginal_counts(
             math.radians(basis_deg),
@@ -454,13 +498,11 @@ def _run_nosignal(params, seed, workers):
         "rows": rows,
     }
     summary = {"max_trace_distance": float(distance)}
-    csv_rows = [
-        (r["basis_a_deg"], r["n"], r["bob_fraction_d0"], r["ci_lo"], r["ci_hi"]) for r in rows
-    ]
-    return payload, ["basis_a_deg", "n", "bob_fraction_d0", "ci_lo", "ci_hi"], csv_rows, summary
+    return payload, rows, summary
 
 
 def _run_protocol(params, seed, workers):
+    BLOCK, EncodingRule, run_protocol = _library("BLOCK", "EncodingRule", "run_protocol")
     n_bits = params["n_bits"]
     if params["bit_source"] == "balanced":
         # the balanced bit source splits n_bits into equal halves of ones and zeros
@@ -500,11 +542,13 @@ def _run_protocol(params, seed, workers):
         "bit_source": report.bit_source,
     }
     summary = {"ber": payload["ber"], "mutual_info_bits": payload["mutual_info_bits"]}
-    return payload, None, None, summary
+    return payload, None, summary
 
 
 def _run_mzi(params, seed, workers):
-    rows = []
+    MziConfig, choice_timing_invariance, run_mzi = _library(
+        "MziConfig", "choice_timing_invariance", "run_mzi")
+    rows = Table(phase_deg=[], closed_fraction_d0=[], open_fraction_d0=[])
     for i, phase_deg in enumerate(params["phases_deg"]):
         phase = math.radians(phase_deg)
         base = 4 * i
@@ -559,13 +603,9 @@ def _run_mzi(params, seed, workers):
         "timing_within_4_sigma": None if timing_payload is None
         else timing_payload["within_4_sigma"],
     }
-    csv_rows = [(r["phase_deg"], r["closed_fraction_d0"], r["open_fraction_d0"]) for r in rows]
-    return payload, ["phase_deg", "closed_fraction_d0", "open_fraction_d0"], csv_rows, summary
+    return payload, rows, summary
 
 
-# A runner returns (payload, csv_header, csv_rows, summary). A payload that
-# grows with the number of points is a function that builds it, so a CSV run,
-# which renders only the rows, never builds it.
 _RUNNERS = {
     "malus": _run_malus,
     "entropy": _run_entropy,
@@ -574,6 +614,28 @@ _RUNNERS = {
     "protocol": _run_protocol,
     "mzi": _run_mzi,
 }
+
+# rows the writer formats per write: beyond the columns themselves, the text
+# of one slice is all it holds at once
+SLICE_POINTS = 2**14
+
+
+def _slice(column, start: int) -> list:
+    part = column[start:start + SLICE_POINTS]
+    return part.tolist() if isinstance(part, np.ndarray) else part
+
+
+def _json_cells(cells: list, newline: str):
+    """A %-format and the cells it renders as json.dumps(cell, indent=2) would
+    at the indentation of newline: '%r' and the cells themselves where every
+    repr is the JSON text (ints and finite floats), else '%s' and their text."""
+    kinds = set(map(type, cells))
+    try:
+        if kinds <= {int} or (kinds <= {int, float} and math.isfinite(sum(cells))):
+            return "%r", cells
+    except OverflowError:  # an integer too large for a float among floats
+        pass
+    return "%s", [json.dumps(cell, indent=2).replace("\n", newline) for cell in cells]
 
 
 def _csv_cell(value) -> str:
@@ -586,16 +648,82 @@ def _csv_cell(value) -> str:
     return format(float(value), ".10g")
 
 
-def _render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+def _csv_cells(cells: list):
+    """A %-format and the cells it renders as _csv_cell would."""
+    kinds = set(map(type, cells))
+    if kinds <= {float}:
+        return "%.10g", cells
+    if kinds <= {int}:
+        return "%d", cells
+    return "%s", [_csv_cell(cell) for cell in cells]
 
 
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write_json(fh, value) -> None:
+    """Write json.dumps(value, indent=2) + "\n", with every list and Table
+    streamed a slice at a time."""
+    _dump(fh, value, "\n")
+    fh.write("\n")
+
+
+def _dump(fh, value, newline: str) -> None:
+    """Write value as json.dumps(value, indent=2) would at the indentation of
+    newline; lists and tables stream, everything else goes through json."""
+    if isinstance(value, dict) and value:
+        inner = newline + "  "
+        lead = "{"
+        for key, member in value.items():
+            fh.write(f"{lead}{inner}{json.dumps(key)}: ")
+            _dump(fh, member, inner)
+            lead = ","
+        fh.write(newline + "}")
+    elif isinstance(value, Table):
+        keys = [json.dumps(key).replace("%", "%%") for key in value.columns]
+        _write_rows(fh, list(value.columns.values()), keys, newline)
+    elif isinstance(value, list) and value:
+        _write_rows(fh, [value], None, newline)
+    else:
+        fh.write(json.dumps(value, indent=2).replace("\n", newline))
+
+
+def _write_rows(fh, columns: list, keys, newline: str) -> None:
+    """Write a JSON list, SLICE_POINTS rows at a time, each row through one
+    %-template: an object with the given keys over the columns, or, with keys
+    None, the cell of the one column itself."""
+    inner = newline + "  "
+    cell_newline = inner + "  " if keys else inner
+    lead = "[" + inner
+    n = len(columns[0])
+    for start in range(0, n, SLICE_POINTS):
+        formats, cells = zip(*(_json_cells(_slice(c, start), cell_newline) for c in columns))
+        if keys is None:
+            row = formats[0]
+        else:
+            row = "{" + ",".join(f"{cell_newline}{key}: {fmt}"
+                                 for key, fmt in zip(keys, formats)) + inner + "}"
+        fh.write(lead + ("," + inner).join(map(row.__mod__, zip(*cells))))
+        lead = "," + inner
+    fh.write(newline + "]" if n else "[]")
+
+
+def _write_csv(fh, table: Table) -> None:
+    """Write the table as CSV, SLICE_POINTS rows at a time, each row through one
+    %-template: 10 significant digits for floats."""
+    fh.write(",".join(table.columns) + "\n")
+    columns = list(table.columns.values())
+    for start in range(0, len(columns[0]), SLICE_POINTS):
+        formats, cells = zip(*(_csv_cells(_slice(c, start)) for c in columns))
+        fh.write("".join(map((",".join(formats) + "\n").__mod__, zip(*cells))))
+
+
+def _write(path: str, write, value) -> None:
+    """Write one output file; one that fails part way is removed, not left cut short."""
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            write(fh, value)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -656,14 +784,13 @@ def _run(args) -> int:
         out_path = os.path.join(out_dir, f"{experiment}.{out_format}")
 
     started = time.perf_counter()
-    payload, csv_header, csv_rows, summary = _RUNNERS[experiment](params, seed, workers)
+    payload, table, summary = _RUNNERS[experiment](params, seed, workers)
     elapsed = time.perf_counter() - started
 
+    (ALGORITHM_ID,) = _library("ALGORITHM_ID")
     if out_format == "csv":
-        result_text = _render_csv(csv_header, csv_rows)
+        _write(out_path, _write_csv, table)
     else:
-        if callable(payload):
-            payload = payload()
         result = {
             "experiment": experiment,
             "seed": seed,
@@ -671,7 +798,7 @@ def _run(args) -> int:
             "params": params,
         }
         result.update(payload)
-        result_text = json.dumps(result, indent=2) + "\n"
+        _write(out_path, _write_json, result)
     manifest = {
         "tool_version": __version__,
         "experiment": experiment,
@@ -684,9 +811,8 @@ def _run(args) -> int:
         "wall_time_s": round(elapsed, 6),
         "summary": summary,
     }
-    _write_text(out_path, result_text)
     manifest_path = f"{out_path}.manifest.json"
-    _write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    _write(manifest_path, _write_json, manifest)
     print(f"wrote {out_path}")
     print(f"wrote {manifest_path}")
     return 0

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonlab import cli
 from photonlab.cli import main, parse_strategy
@@ -566,6 +568,131 @@ def test_cli_import_leaves_jsonschema_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_fresh(code: str, *args) -> str:
+    """Run code in a new interpreter with this checkout's package; its stdout."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_LOADED = """
+import json, sys
+import photonlab, photonlab.cli
+
+def loaded():
+    return sorted(m[len("photonlab."):] for m in sys.modules if m.startswith("photonlab."))
+
+at_import = loaded()
+photonlab.cli.main([sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([at_import, loaded()]))
+"""
+
+
+@pytest.mark.parametrize("experiment, modules", [
+    ("malus", ["core", "optics", "rng"]),
+    ("entropy", ["core", "entropy", "rng"]),
+    ("bell", ["core", "entangle", "rng"]),
+    ("nosignal", ["core", "entangle", "rng", "stats"]),
+    ("protocol", ["core", "entangle", "protocol", "rng", "stats"]),
+    ("mzi", ["core", "mzi", "rng"]),
+])
+def test_a_run_imports_only_its_experiment(tmp_path, experiment, modules):
+    stdout = _run_fresh(_LOADED, experiment, str(tmp_path / "r.json"))
+    at_import, after_run = json.loads(stdout.splitlines()[-1])
+    assert at_import == ["cli"]
+    assert after_run == ["cli", *modules]
+
+
+# every public name of photonlab 0.7.0, whose __init__ imported them all
+NAMES_0_7_0 = [
+    "ALGEBRA_ATOL", "ALGORITHM_ID", "BasisOracle", "CascadeResult", "ChoiceStats",
+    "CorrelationStats", "DensityOperator", "EncodingRule", "EntropyReport", "FixedBasisML",
+    "InvalidStateError", "JointOutcome", "LightBeam", "MeasurementBasis", "MziConfig",
+    "MziStats", "OutcomeRecord", "PROB_SNAP", "PairState", "PhotonRecord", "PhotonStream",
+    "Polarizer", "Repetition", "RngStream", "StateVector", "TimingInvarianceReport",
+    "TransmissionReport", "as_bit_array", "bit_table", "bob_marginal_counts",
+    "bob_reduced_state", "born_probabilities", "born_probabilities_array", "canonical_angle",
+    "cascade_analytic", "cascade_mc", "choice_timing_invariance", "chsh", "collapse",
+    "collapse_entropy_report", "conditional_state", "core", "correlation",
+    "detector_probabilities", "eigenvector_array", "encode", "entangle", "entropy",
+    "joint_probabilities", "ket_from_angle", "linear_light", "make_pair", "map_partitions",
+    "measure_A", "measure_pair", "mi_standard_error", "mutual_information", "mzi",
+    "natural_light", "no_signaling_check", "null_quantile", "optics", "partial_trace",
+    "permutation_independence_test", "permutation_null_mis", "plugin_mi_bits",
+    "projection_probability", "projection_probability_array", "protocol",
+    "qubit_superposition_entropy", "receive", "rng", "run_mzi", "run_protocol",
+    "shannon_entropy", "standard_strategies", "states_equal", "stats", "stream_from_seed",
+    "tensor_product", "trace_distance", "transmit_analytic", "transmit_photon_mc",
+    "unit_state_array", "von_neumann_entropy", "wilson_interval",
+]
+
+_RESOLVED = """
+import importlib, json, sys, types
+import photonlab
+
+listed = dir(photonlab)
+star = {}
+exec("from photonlab import *", star)
+missing = {"dir": [], "star": [], "attribute": []}
+for name in json.loads(sys.argv[1]):
+    value = getattr(photonlab, name, None)
+    if isinstance(value, types.ModuleType):
+        home = value is importlib.import_module("photonlab." + name)
+    else:
+        home = any(getattr(m, name, None) is value for m in list(sys.modules.values())
+                   if m is not photonlab and getattr(m, "__name__", "").startswith("photonlab."))
+    missing["attribute"] += [] if value is not None and home else [name]
+    missing["star"] += [] if star.get(name) is value else [name]
+    missing["dir"] += [] if name in listed else [name]
+print(json.dumps(missing))
+"""
+
+
+def test_every_0_7_0_name_still_resolves():
+    missing = json.loads(_run_fresh(_RESOLVED, json.dumps(NAMES_0_7_0)))
+    assert missing == {"dir": [], "star": [], "attribute": []}
+
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-2**70, 2**70),
+    st.sampled_from([10**400, -10**400, -0.0, 0.0, 1.0, 1, 0, True, False, 5e-324,
+                     math.inf, -math.inf, math.nan]),
+)
+_ITEM_FIELDS = [
+    cli.Field("number"),
+    cli.Field("number", minimum=0, maximum=1),
+    cli.Field("number", exclusive_minimum=0),
+    cli.Field("number", exclusive_minimum=0, maximum=1),
+    cli.Field("integer", minimum=1),
+]
+
+
+def _check_outcome(fields, params):
+    try:
+        cli.check_params(fields, params)
+    except cli.ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(_ITEM_FIELDS),
+       st.one_of(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=8),
+                 st.lists(st.one_of(st.floats(0, 1), st.integers(0, 1)), min_size=1, max_size=8),
+                 st.lists(_NUMBERS, min_size=1, max_size=8),
+                 st.lists(st.one_of(_NUMBERS, st.none(), st.text(max_size=2)), min_size=1,
+                          max_size=8)))
+def test_list_fast_path_agrees_with_the_item_loop(item, values):
+    fields = {"xs": cli.Field("list", item=item)}
+    fast = _check_outcome(fields, {"xs": values})
+    with mock.patch.object(cli, "_numbers_fit", return_value=False):
+        assert _check_outcome(fields, {"xs": values}) == fast
 
 
 def test_module_runs_as_a_script(tmp_path):

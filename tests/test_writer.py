@@ -1,0 +1,150 @@
+"""The streaming result writer against the text it replaced.
+
+A JSON result or manifest must be exactly json.dumps(obj, indent=2) + "\\n" of
+the same object with every Table written out as a list of row dicts, and a CSV
+result exactly the header line plus one '%.10g' line per row, whatever the
+slice boundaries.
+"""
+
+import hashlib
+import io
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from photonlab import cli
+from photonlab.cli import Table
+
+
+def _plain(value):
+    """The object json.dumps would have rendered: tables as lists of row dicts."""
+    if isinstance(value, Table):
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c
+                   for c in value.columns.values()]
+        return [dict(zip(value.columns, row)) for row in zip(*columns)]
+    if isinstance(value, dict):
+        return {key: _plain(member) for key, member in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _streamed(write, value) -> str:
+    fh = io.StringIO()
+    write(fh, value)
+    return fh.getvalue()
+
+
+def _csv_0_7_0(table: Table) -> str:
+    """photonlab 0.7.0's _render_csv over the table's rows."""
+
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return str(value)
+        return format(float(value), ".10g")
+
+    rows = [row.values() for row in _plain(table)]
+    return "\n".join([",".join(table.columns), *(",".join(map(cell, r)) for r in rows), ""])
+
+
+keys = st.text(alphabet=st.sampled_from("ab%_é☃\"\\\n"), min_size=1, max_size=6)
+scalars = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308]),
+    st.integers(-2**32, 2**32),
+    st.integers(10**300, 10**400),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+# columns as the runners fill them, one kind of number each; tables() also mixes kinds
+numeric_columns = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=9),
+    st.lists(st.integers(-2**32, 2**32), max_size=9),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(keys, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def tables(draw, columns=st.one_of(numeric_columns, st.lists(scalars, max_size=9))):
+    names = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 9))
+    cells = [draw(columns.map(lambda c: (c * (n + 1))[:n] if c else [0.5] * n))
+             for _ in names]
+    as_array = draw(st.booleans())
+    return Table(**{name: np.array(c, dtype=np.float64)
+                    if as_array and all(type(v) is float for v in c) else c
+                    for name, c in zip(names, cells)})
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(keys, st.one_of(values, tables()), max_size=5), st.integers(1, 4))
+def test_streamed_json_equals_json_dumps(head, slice_points):
+    with mock.patch.object(cli, "SLICE_POINTS", slice_points):
+        text = _streamed(cli._write_json, head)
+    assert text == json.dumps(_plain(head), indent=2) + "\n"
+
+
+@settings(max_examples=200)
+@given(tables(st.one_of(numeric_columns, st.lists(scalars.filter(lambda v: v is not None),
+                                            max_size=9))), st.integers(1, 4))
+def test_streamed_csv_equals_0_7_0_rendering(table, slice_points):
+    with mock.patch.object(cli, "SLICE_POINTS", slice_points):
+        text = _streamed(cli._write_csv, table)
+    assert text == _csv_0_7_0(table)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_slice_boundaries(offset):
+    n = cli.SLICE_POINTS + offset
+    rng = np.random.default_rng(n)
+    table = Table(k=list(range(n)), x=rng.random(n), y=(rng.random(n) * 1e-300).tolist())
+    head = {"params": {"grid": rng.random(n).tolist(), "mode": "mc"}, "rows": table,
+            "tail": None}
+    assert _streamed(cli._write_json, head) == json.dumps(_plain(head), indent=2) + "\n"
+    assert _streamed(cli._write_csv, table) == _csv_0_7_0(table)
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    out = tmp_path / "result.json"
+    with pytest.raises(TypeError):
+        cli._write(str(out), cli._write_json, {"rows": Table(x=[1.0, object()])})
+    assert not out.exists()
+
+
+# sha256 of photonlab 0.7.0's default result files at seed 7, on x86-64 Linux
+# with Python 3.11 and numpy 2.4
+DEFAULTS_SEED_7 = {
+    "malus.json": "42b46cb9d8d255b17ab1cadbe86f6560b89983a2bf7cd9d80bb6b606c90e7d1b",
+    "malus.csv": "3e68c388456eaa2f34b894a4b02d3570fdb922221a4712d8f6754c04ec640ed1",
+    "entropy.json": "a01778d36ad348baddd0c5e19e6f04c5a163d2e4646d2ddaee6fe2568bf2779d",
+    "entropy.csv": "e6533fecd378af9d06980f1c4027f0376c3073f1edf70a13fb91bc22d8783987",
+    "bell.json": "6e754491692de001d60c5f7554b1b079de6b892d1f98790b332a250a394b22ff",
+    "bell.csv": "44d48ca82cd9a8931d7d6ded46c03dc550d7fd39f6e172e7d3d10cf92123e279",
+    "nosignal.json": "64cfba33f2039e5fb9854b53dc477f7adf8cfbf4c2355707d02da29c7cf63667",
+    "nosignal.csv": "b502d7c5919565ff45e138aafdaf010b594fe8c316b45264bd376bb2eb7b027d",
+    "protocol.json": "da096b2d38c6b4d96d864bf83906acbc6e4f1066a3eabf9944105c481324ea49",
+    "mzi.json": "5c5bccccb201ba1b93123410ff488513693f733a57c1d6f0dc83c301eb00abb7",
+    "mzi.csv": "538537aac767ef09abbad13206ffa746efb6b1acb4812971c778ae16d205f789",
+}
+
+
+@pytest.mark.parametrize("name", DEFAULTS_SEED_7)
+def test_default_results_match_0_7_0(tmp_path, name):
+    experiment, fmt = name.split(".")
+    out = tmp_path / name
+    assert cli.main([experiment, "--seed", "7", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULTS_SEED_7[name]
