@@ -8,7 +8,7 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 # public names by the module that defines them
 _EXPORTS = {
@@ -90,7 +90,7 @@ _EXPORTS = {
         "run_protocol",
         "standard_strategies",
     ),
-    "rng": ("ALGORITHM_ID", "RngStream", "map_partitions", "stream_from_seed"),
+    "rng": ("ALGORITHM_ID", "RngStream", "stream_from_seed"),
     "stats": (
         "as_bit_array",
         "bit_table",

@@ -39,8 +39,9 @@ _LIBRARY = {
     "entropy": ("collapse_entropy_report",),
     "mzi": ("MziConfig", "choice_timing_invariance", "run_mzi"),
     "optics": ("cascade_analytic", "cascade_mc", "linear_light", "natural_light"),
-    "protocol": ("BasisOracle", "EncodingRule", "FixedBasisML", "Repetition", "run_protocol"),
-    "rng": ("ALGORITHM_ID", "BLOCK"),
+    "protocol": ("BasisOracle", "CHUNK_BITS", "EncodingRule", "FixedBasisML", "Repetition",
+                 "run_protocol"),
+    "rng": ("ALGORITHM_ID",),
     "stats": ("wilson_interval",),
 }
 _HOME = {name: module for module, names in _LIBRARY.items() for name in names}
@@ -70,12 +71,13 @@ _TOP_LEVEL_KEYS = {"experiment", "params", "seed", "workers", "format", "out",
 # sweeps are built as point lists before any work, so their size is capped;
 # a list parameter is a sweep written out and shares the cap
 MAX_SWEEP_POINTS = 1_000_000
-# map_partitions keeps one future per block of a count: 2^14 at the cap
+# a Monte Carlo count is one draw at any size, but the protocol still works
+# through its bits a chunk at a time: 2^14 chunks, minutes of work, at the cap
 MAX_TRIALS = 2**32
 # no_signaling_check compares every pair of bitwise-distinct marginals
 MAX_BASES = 1_000
-# a protocol block holds pairs_per_bit photons per bit in several arrays at
-# once, so the photons of one block are capped; the shipped maximum is 11 * 2^18
+# a protocol chunk holds pairs_per_bit photons per bit in several arrays at
+# once, so the photons of one chunk are capped; the shipped maximum is 11 * 2^18
 MAX_BLOCK_PHOTONS = 2**24
 # parse_strategy recurses once per repetition level
 MAX_STRATEGY_NESTING = 8
@@ -374,7 +376,7 @@ class Table:
 # is what --format csv writes, None where the result is not tabular.
 
 
-def _run_malus(params, seed, workers):
+def _run_malus(params, seed):
     if params["sweep"] is not None:
         grid = _grid_from_sweep(params["sweep"])
         finals = _sweep_final_intensities(grid)
@@ -400,7 +402,6 @@ def _run_malus(params, seed, workers):
             source=params["source"],
             source_angle=math.radians(params["source_angle_deg"]),
             seed=seed,
-            workers=workers,
         )
         payload = {"n_photons": params["n_photons"]}
     stages = Table(stage=list(range(len(axes))),
@@ -414,7 +415,7 @@ def _run_malus(params, seed, workers):
     return payload, stages, {"final_intensity": payload["final_intensity"]}
 
 
-def _run_entropy(params, seed, workers):
+def _run_entropy(params, seed):
     collapse_entropy_report, unit_state_array = _library(
         "collapse_entropy_report", "unit_state_array")
     p0 = np.array(params["grid"], dtype=np.float64)
@@ -425,7 +426,7 @@ def _run_entropy(params, seed, workers):
     return {"rows": rows}, rows, {"max_after_bits": float(report.after_bits.max())}
 
 
-def _run_bell(params, seed, workers):
+def _run_bell(params, seed):
     chsh, correlation = _library("chsh", "correlation")
     grid = _grid_from_sweep(params["sweep"])
     rows = Table(delta_deg=[], e_value=[], std_err=[])
@@ -435,7 +436,6 @@ def _run_bell(params, seed, workers):
             0.0,
             params["n_per_point"],
             seed=seed,
-            workers=workers,
             stream_base=i,
         )
         rows.append(
@@ -450,7 +450,6 @@ def _run_bell(params, seed, workers):
         settings,
         params["n_per_setting"],
         seed=seed,
-        workers=workers,
         stream_base=len(grid),
     )
     payload = {
@@ -465,7 +464,7 @@ def _run_bell(params, seed, workers):
     return payload, rows, summary
 
 
-def _run_nosignal(params, seed, workers):
+def _run_nosignal(params, seed):
     ALGEBRA_ATOL, bob_marginal_counts, no_signaling_check, wilson_interval = _library(
         "ALGEBRA_ATOL", "bob_marginal_counts", "no_signaling_check", "wilson_interval")
     bases_deg = params["bases_a_deg"]
@@ -478,7 +477,6 @@ def _run_nosignal(params, seed, workers):
             math.radians(probe_deg),
             params["n_per_basis"],
             seed=seed,
-            workers=workers,
             stream_base=i,
         )
         lo, hi = wilson_interval(count0, total)
@@ -501,8 +499,9 @@ def _run_nosignal(params, seed, workers):
     return payload, rows, summary
 
 
-def _run_protocol(params, seed, workers):
-    BLOCK, EncodingRule, run_protocol = _library("BLOCK", "EncodingRule", "run_protocol")
+def _run_protocol(params, seed):
+    CHUNK_BITS, EncodingRule, run_protocol = _library(
+        "CHUNK_BITS", "EncodingRule", "run_protocol")
     n_bits = params["n_bits"]
     if params["bit_source"] == "balanced":
         # the balanced bit source splits n_bits into equal halves of ones and zeros
@@ -510,10 +509,10 @@ def _run_protocol(params, seed, workers):
             raise _invalid("n_bits", f"{n_bits} is not a multiple of 2, as the balanced "
                                      "bit source needs")
     strategy = parse_strategy(params["strategy"])
-    block_photons = min(n_bits, BLOCK) * strategy.pairs_per_bit
-    if block_photons > MAX_BLOCK_PHOTONS:
+    chunk_photons = min(n_bits, CHUNK_BITS) * strategy.pairs_per_bit
+    if chunk_photons > MAX_BLOCK_PHOTONS:
         raise ConfigError(
-            f"strategy {strategy.label} needs {block_photons} photons per block of bits, "
+            f"strategy {strategy.label} needs {chunk_photons} photons per chunk of bits, "
             f"more than {MAX_BLOCK_PHOTONS}; lower its repetition factors or n_bits"
         )
     rule = EncodingRule(
@@ -525,7 +524,6 @@ def _run_protocol(params, seed, workers):
         rule=rule,
         strategy=strategy,
         seed=seed,
-        workers=workers,
         bit_source=params["bit_source"],
     )
     payload = {
@@ -545,7 +543,7 @@ def _run_protocol(params, seed, workers):
     return payload, None, summary
 
 
-def _run_mzi(params, seed, workers):
+def _run_mzi(params, seed):
     MziConfig, choice_timing_invariance, run_mzi = _library(
         "MziConfig", "choice_timing_invariance", "run_mzi")
     rows = Table(phase_deg=[], closed_fraction_d0=[], open_fraction_d0=[])
@@ -556,7 +554,6 @@ def _run_mzi(params, seed, workers):
             MziConfig(phase, second_bs=True),
             params["n_per_phase"],
             seed=seed,
-            workers=workers,
             mode=params["mode"],
             stream_base=base,
         )
@@ -564,7 +561,6 @@ def _run_mzi(params, seed, workers):
             MziConfig(phase, second_bs=False),
             params["n_per_phase"],
             seed=seed,
-            workers=workers,
             mode=params["mode"],
             stream_base=base + 2,
         )
@@ -585,7 +581,6 @@ def _run_mzi(params, seed, workers):
             MziConfig(phase, second_bs=True),
             timing["n"],
             seed=seed,
-            workers=workers,
             stream_base=4 * len(params["phases_deg"]),
         )
         timing_payload = {
@@ -745,7 +740,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=descriptions[name])
         sp.add_argument("--config", help="JSON config file; a run manifest also works")
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        sp.add_argument("--workers", type=int, default=None, help="threads to run on (default 1)")
+        sp.add_argument("--workers", type=int, default=None,
+                        help="recorded in the manifest; has no effect since 0.8.0")
         sp.add_argument("--out", default=None, help="result file path")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
         sp.add_argument(
@@ -784,7 +780,7 @@ def _run(args) -> int:
         out_path = os.path.join(out_dir, f"{experiment}.{out_format}")
 
     started = time.perf_counter()
-    payload, table, summary = _RUNNERS[experiment](params, seed, workers)
+    payload, table, summary = _RUNNERS[experiment](params, seed)
     elapsed = time.perf_counter() - started
 
     (ALGORITHM_ID,) = _library("ALGORITHM_ID")

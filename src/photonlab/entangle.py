@@ -33,7 +33,7 @@ from .core import (
     snap_probability,
     snap_probability_array,
 )
-from .rng import RngStream, map_partitions, stream_from_seed
+from .rng import RngStream, stream_from_seed
 
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -135,19 +135,15 @@ def measure_pair(pair: PairState, basis_a, basis_b, rng: RngStream) -> JointOutc
     return JointOutcome(outcome_a=idx // 2, outcome_b=idx % 2, basis_a=basis_a, basis_b=basis_b)
 
 
-def _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base) -> np.ndarray:
+def _joint_counts(theta_a, theta_b, n, seed, pair, stream_base) -> np.ndarray:
     """Counts of the joint outcomes (00, 01, 10, 11) over n sampled pairs: one
-    four-outcome core.sample_counts draw per block."""
+    four-outcome core.sample_counts draw on stream_from_seed(seed, stream_base)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if pair is None:
         pair = make_pair()
     probs = joint_probabilities(pair, theta_a, theta_b).ravel()
-
-    def run_block(block: int, size: int) -> np.ndarray:
-        return sample_counts(probs, size, stream_from_seed(seed, stream_base, block))
-
-    return sum(map_partitions(n, workers, run_block))
+    return sample_counts(probs, n, stream_from_seed(seed, stream_base))
 
 
 @dataclass(frozen=True)
@@ -171,19 +167,18 @@ def correlation(
     n: int,
     seed: int = 0,
     pair: PairState | None = None,
-    workers: int = 1,
     stream_base: int = 0,
 ) -> CorrelationStats:
     """Monte Carlo estimate of E(a, b), the mean of +1 (equal outcomes) and -1
     (different outcomes) over n pairs; analytically -cos 2(a - b) for the singlet.
 
-    Block b of the pairs draws its joint-outcome counts from the multinomial
-    law of joint_probabilities with one core.sample_counts call on
-    stream_from_seed(seed, stream_base, b); no pair is drawn one by one. At
+    The joint-outcome counts come from the multinomial law of
+    joint_probabilities, drawn with one core.sample_counts call on
+    stream_from_seed(seed, stream_base); no pair is drawn one by one. At
     equal bases the equal outcomes snap to probability 0, so E is exactly -1
     at any n.
     """
-    counts = _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base)
+    counts = _joint_counts(theta_a, theta_b, n, seed, pair, stream_base)
     return CorrelationStats.from_counts(n_equal=int(counts[0] + counts[3]), n=int(n))
 
 
@@ -195,7 +190,6 @@ def chsh(
     n_per_setting: int = 100_000,
     seed: int = 0,
     pair: PairState | None = None,
-    workers: int = 1,
     stream_base: int = 0,
 ) -> float:
     """CHSH statistic S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')| from four
@@ -216,7 +210,6 @@ def chsh(
             n_per_setting,
             seed=seed,
             pair=pair,
-            workers=workers,
             stream_base=stream_base + s,
         ).e_value
         for s, (ta, tb) in enumerate(combos)
@@ -230,17 +223,16 @@ def bob_marginal_counts(
     n: int,
     seed: int = 0,
     pair: PairState | None = None,
-    workers: int = 1,
     stream_base: int = 0,
 ) -> tuple[int, int]:
     """Sample n joint measurements and count Bob's aligned outcomes.
 
-    Returns (n, count of outcome_b == 0). The joint counts are drawn per
-    block as correlation draws them, from the same streams. The count's
+    Returns (n, count of outcome_b == 0). The joint counts are drawn as
+    correlation draws them, from the same stream. The count's
     distribution does not depend on theta_a; this is the empirical face of the
     no-signaling check.
     """
-    counts = _joint_counts(theta_a, theta_b, n, seed, pair, workers, stream_base)
+    counts = _joint_counts(theta_a, theta_b, n, seed, pair, stream_base)
     return int(n), int(counts[0] + counts[2])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import sample_counts, snap_probability
-from .rng import map_partitions, stream_from_seed
+from .rng import stream_from_seed
 
 _BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -85,23 +85,22 @@ def run_mzi(
     config: MziConfig,
     n: int,
     seed: int = 0,
-    workers: int = 1,
     mode: str = "mc",
     stream_base: int = 0,
 ) -> MziStats:
     """Send n photons through the interferometer.
 
     Analytic mode (fixed policy only) reports deterministic expected counts,
-    count_d0 = round(n * P(D0)). Monte Carlo mode draws counts per block of
-    photons with core.sample_counts, never one draw per photon. A fixed run
-    draws block b's D0 count from stream_from_seed(seed, stream_base, b). A
-    delayed-random run first draws how many of the block's photons find the
-    second beamsplitter present from the separate stream stream_base + 1,
-    then the D0 counts of the present and of the absent photons, in that
-    order, from the detection stream. An empty branch draws nothing, so a
-    degenerate policy (p_present 0 or 1) reproduces the corresponding fixed
-    run exactly. The choice is applied only at the second beamsplitter, never
-    to the arm superposition, which is the delayed-choice ordering.
+    count_d0 = round(n * P(D0)). Monte Carlo mode draws counts with
+    core.sample_counts, never one draw per photon. A fixed run draws its D0
+    count from stream_from_seed(seed, stream_base). A delayed-random run
+    first draws how many of the photons find the second beamsplitter present
+    from the separate stream stream_base + 1, then the D0 counts of the
+    present and of the absent photons, in that order, from the detection
+    stream. An empty branch draws nothing, so a degenerate policy (p_present
+    0 or 1) reproduces the corresponding fixed run exactly. The choice is
+    applied only at the second beamsplitter, never to the arm superposition,
+    which is the delayed-choice ordering.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -115,42 +114,24 @@ def run_mzi(
         count_d0 = int(round(n * p0))
         return MziStats(n=n, count_d0=count_d0, count_d1=n - count_d0)
 
-    p_closed = detector_probabilities(config.phase, True)
-    p_open = detector_probabilities(config.phase, False)
-    p_fixed = detector_probabilities(config.phase, config.second_bs)
-
-    def run_block(block: int, size: int) -> np.ndarray:
-        detect = stream_from_seed(seed, stream_base, block)
-        if not delayed:
-            d0 = int(sample_counts(p_fixed, size, detect)[0])
-            return np.array([size, d0, 0, 0, 0, 0], dtype=np.int64)
-        choice = stream_from_seed(seed, stream_base + 1, block)
-        p = config.p_present
-        n_present = int(sample_counts((p, 1.0 - p), size, choice)[0])
-        d0_present = int(sample_counts(p_closed, n_present, detect)[0])
-        d0_absent = int(sample_counts(p_open, size - n_present, detect)[0])
-        return np.array(
-            [size, d0_present + d0_absent, n_present, d0_present, size - n_present, d0_absent],
-            dtype=np.int64,
-        )
-
-    totals = sum(map_partitions(n, workers, run_block))
-    by_choice = None
-    if delayed:
-        by_choice = {
-            "present": ChoiceStats(
-                n=int(totals[2]), count_d0=int(totals[3]), count_d1=int(totals[2] - totals[3])
-            ),
-            "absent": ChoiceStats(
-                n=int(totals[4]), count_d0=int(totals[5]), count_d1=int(totals[4] - totals[5])
-            ),
-        }
-    return MziStats(
-        n=int(totals[0]),
-        count_d0=int(totals[1]),
-        count_d1=int(totals[0] - totals[1]),
-        by_choice=by_choice,
-    )
+    detect = stream_from_seed(seed, stream_base)
+    if not delayed:
+        count_d0 = int(sample_counts(detector_probabilities(config.phase, config.second_bs),
+                                     n, detect)[0])
+        return MziStats(n=n, count_d0=count_d0, count_d1=n - count_d0)
+    p = config.p_present
+    n_present = int(sample_counts((p, 1.0 - p), n, stream_from_seed(seed, stream_base + 1))[0])
+    n_absent = n - n_present
+    d0_present = int(sample_counts(detector_probabilities(config.phase, True), n_present,
+                                   detect)[0])
+    d0_absent = int(sample_counts(detector_probabilities(config.phase, False), n_absent,
+                                  detect)[0])
+    by_choice = {
+        "present": ChoiceStats(n=n_present, count_d0=d0_present, count_d1=n_present - d0_present),
+        "absent": ChoiceStats(n=n_absent, count_d0=d0_absent, count_d1=n_absent - d0_absent),
+    }
+    count_d0 = d0_present + d0_absent
+    return MziStats(n=n, count_d0=count_d0, count_d1=n - count_d0, by_choice=by_choice)
 
 
 def _two_proportion_z(x1: int, n1: int, x2: int, n2: int) -> float:
@@ -183,7 +164,6 @@ def choice_timing_invariance(
     fixed_config: MziConfig,
     n: int,
     seed: int = 0,
-    workers: int = 1,
     stream_base: int = 0,
 ) -> TimingInvarianceReport:
     """Compare delayed-random statistics, conditioned on the fixed config's
@@ -202,12 +182,8 @@ def choice_timing_invariance(
         raise ValueError(
             f"configs must share a phase, got {delayed_config.phase} and {fixed_config.phase}"
         )
-    delayed_stats = run_mzi(
-        delayed_config, n, seed=seed, workers=workers, stream_base=stream_base
-    )
-    fixed_stats = run_mzi(
-        fixed_config, n, seed=seed, workers=workers, stream_base=stream_base + 2
-    )
+    delayed_stats = run_mzi(delayed_config, n, seed=seed, stream_base=stream_base)
+    fixed_stats = run_mzi(fixed_config, n, seed=seed, stream_base=stream_base + 2)
     branch = "present" if fixed_config.second_bs else "absent"
     cond = delayed_stats.by_choice[branch]
     if cond.n == 0:

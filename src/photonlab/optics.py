@@ -29,7 +29,7 @@ from .core import (
     point_slices,
     sample_counts,
 )
-from .rng import RngStream, map_partitions, stream_from_seed
+from .rng import RngStream, stream_from_seed
 
 SOURCE_KINDS = ("natural", "linear")
 
@@ -186,10 +186,11 @@ def cascade_mc(
     polarization, averaged) and cos^2(axis - source_angle) for the linear one;
     stage i > 0 passes with cos^2(axis_i - axis_{i-1}). So each stage count is
     one binomial draw (core.sample_counts) over the previous stage's
-    survivors, never a draw per photon. Block b of the photons draws its
-    stage counts, in stage order, from stream_from_seed(seed, 0, b), and the
-    counts are summed over blocks, so results depend on the seed and not on
-    workers.
+    survivors, never a draw per photon, and the stage counts are drawn in
+    stage order from stream_from_seed(seed, 0).
+
+    workers is accepted and ignored: since 0.8.0 a run is a handful of draws
+    on one thread, and callers written for earlier versions still pass it.
     """
     axes = _validate_axes(axes)
     if n_photons < 1:
@@ -201,20 +202,15 @@ def cascade_mc(
     else:
         p_first = math.cos(axes[0] - canonical_angle(source_angle)) ** 2
     p_pass = [p_first] + [math.cos(b - a) ** 2 for a, b in zip(axes, axes[1:])]
-
-    def run_block(block: int, size: int) -> np.ndarray:
-        stream = stream_from_seed(seed, 0, block)
-        counts = np.zeros(len(axes), dtype=np.int64)
-        alive = size
-        for i, p in enumerate(p_pass):
-            alive = int(sample_counts((p, 1.0 - p), alive, stream)[0])
-            counts[i] = alive
-        return counts
-
-    totals = sum(map_partitions(n_photons, workers, run_block))
+    stream = stream_from_seed(seed, 0)
+    counts = []
+    alive = n_photons
+    for p in p_pass:
+        alive = int(sample_counts((p, 1.0 - p), alive, stream)[0])
+        counts.append(alive)
     return CascadeResult(
         axes=axes,
-        per_stage_counts=tuple(int(c) for c in totals),
+        per_stage_counts=tuple(counts),
         n_source=n_photons,
         seed=seed,
     )

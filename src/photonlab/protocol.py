@@ -31,7 +31,7 @@ from .core import (
     snap_probability,
 )
 from .entangle import conditional_state, make_pair
-from .rng import ALGORITHM_ID, RngStream, map_partitions, stream_from_seed
+from .rng import ALGORITHM_ID, RngStream, stream_from_seed
 from .stats import (
     as_bit_array,
     bit_table,
@@ -43,7 +43,11 @@ from .stats import (
 
 _TIE_ATOL = 1e-12
 
-# stream indices: bits, Alice's and Bob's measurements (per block)
+# run_protocol works through the bits in chunks of this many; a chunk's photons
+# are built, received and reduced to a count table before the next chunk starts
+CHUNK_BITS = 2**18
+
+# stream indices: bits, Alice's and Bob's measurements (block b for chunk b)
 _ROLE_BITS = 0
 _ROLE_ENCODE = 1
 _ROLE_RECEIVE = 2
@@ -304,20 +308,19 @@ def run_protocol(
     rule: EncodingRule | None = None,
     strategy: ReceiverStrategy | None = None,
     seed: int = 0,
-    workers: int = 1,
     bit_source: str = "iid",
 ) -> TransmissionReport:
     """Draw bits, encode, receive, and score one full transmission.
 
-    Block b of the bits uses block b of stream indices 0 (bit draws), 1
-    (Alice's measurements) and 2 (receiver measurements), and reduces to its
-    sent/decoded count table and tie count; the report is computed from the
-    sum of those tables and is bit-identical for a fixed seed at any workers.
+    The bits go through in chunks of CHUNK_BITS, one after another. Chunk b
+    uses block b of stream indices 0 (bit draws), 1 (Alice's measurements)
+    and 2 (receiver measurements), and reduces to its sent/decoded count
+    table and tie count; the report is computed from the sum of those tables.
 
     bit_source "iid" draws each bit uniformly; "balanced" (n_bits must be
-    even) shuffles each block's exactly half-ones array with that block of
-    stream 0, which makes the identity channel's MI exactly 1 bit in O(block)
-    memory.
+    even) shuffles each chunk's exactly half-ones array with that block of
+    stream 0, which makes the identity channel's MI exactly 1 bit in
+    O(chunk) memory.
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
@@ -327,29 +330,27 @@ def run_protocol(
         rule = EncodingRule()
     if strategy is None:
         strategy = FixedBasisML(0.0)
-    per_bit = strategy.pairs_per_bit
     if bit_source == "balanced":
-        # every block is even, as BLOCK is, so each holds exactly half ones
+        # every chunk is even, as CHUNK_BITS is, so each holds exactly half ones
         if n_bits % 2 != 0:
             raise ValueError(f"balanced bit source needs an even n_bits, got {n_bits}")
-
-    def run_block(block: int, size: int):
+    table = np.zeros(4, dtype=np.int64)
+    ties = 0
+    for block, start in enumerate(range(0, n_bits, CHUNK_BITS)):
+        size = min(CHUNK_BITS, n_bits - start)
         bit_stream = stream_from_seed(seed, _ROLE_BITS, block)
         if bit_source == "iid":
             bits = bit_stream.integers(0, 2, size)
         else:
             bits = (np.arange(size) < size // 2).astype(np.int64)
             bit_stream.shuffle(bits)
-        photons = encode(
-            bits, rule, stream_from_seed(seed, _ROLE_ENCODE, block), pairs_per_bit=per_bit
-        )
-        decoded, ties = _decode(
+        photons = encode(bits, rule, stream_from_seed(seed, _ROLE_ENCODE, block),
+                         pairs_per_bit=strategy.pairs_per_bit)
+        decoded, chunk_ties = _decode(
             photons, strategy, rule, stream_from_seed(seed, _ROLE_RECEIVE, block)
         )
-        return bit_table(bits, decoded), ties
-
-    blocks = map_partitions(n_bits, workers, run_block)
-    table = sum(t for t, _ in blocks)
+        table += bit_table(bits, decoded)
+        ties += chunk_ties
     mi, ci = mutual_information(table)
     return TransmissionReport(
         n_bits=int(n_bits),
@@ -359,6 +360,6 @@ def run_protocol(
         seed=int(seed),
         strategy=strategy,
         rule=rule,
-        decode_ties=int(sum(ties for _, ties in blocks)),
+        decode_ties=int(ties),
         bit_source=bit_source,
     )

@@ -6,24 +6,19 @@ generator (numpy's Philox-4x64): the key is (seed, stream_index) and the block
 sits in the high half of the 256-bit counter, so each block owns 2^128
 counters and the same triple produces the same sequence on every platform.
 
-Bulk work is split into fixed blocks of BLOCK trials, whatever the worker
-count. Block b of a run draws from block b of its stream, and map_partitions
-returns per-block results in block order, so every result is a function of
-(seed, params) alone; the worker count only sets how many threads run the
-blocks.
+A Monte Carlo point draws its counts from block 0 of its stream, which is the
+stream keyed by (seed, stream_index) alone. Blocks remain only for the
+protocol, which works through its bits a chunk at a time and draws chunk b
+from block b of its streams.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
+# the generator, and the protocol's chunks of 2^18 bits on block-offset counters;
+# every result file carries it
 ALGORITHM_ID = "numpy-philox-4x64/block-2^18"
-
-# trials per block; the last block of a run is shorter
-BLOCK = 2**18
 
 _MAX_U64 = 2**64
 
@@ -88,27 +83,3 @@ def stream_from_seed(seed: int, index: int, block: int = 0) -> RngStream:
     """
     return RngStream(seed, index, block)
 
-
-def pool_size(workers: int) -> int:
-    """Threads map_partitions may use for a worker count: at most one per CPU."""
-    return min(workers, os.cpu_count() or 1)
-
-
-def map_partitions(n: int, workers: int, worker_fn):
-    """Run worker_fn(block, size) over the BLOCK-trial blocks of n; results in block order.
-
-    Every block but the last holds BLOCK trials, and n = 0 has no blocks.
-    Blocks run on min(pool_size(workers), number of blocks) threads, in the
-    calling thread when that is 1. A worker function draws from block `block`
-    of its streams, which makes the returned list a pure function of the seed
-    and n, independent of workers, scheduling and thread count.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    full, rest = divmod(n, BLOCK)
-    sizes = [BLOCK] * full + ([rest] if rest else [])
-    threads = min(pool_size(workers), len(sizes))
-    if threads <= 1:
-        return list(map(worker_fn, range(len(sizes)), sizes))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker_fn, range(len(sizes)), sizes))

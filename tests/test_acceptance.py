@@ -110,8 +110,8 @@ def test_delayed_choice_leaves_no_statistical_signature():
     assert report.within_4_sigma
 
 
-# malus and the mzi timing run span three 2^18-trial blocks, so more workers
-# than one actually run blocks on threads
+# malus and the mzi timing run draw more than 2^18 trials per point, the block
+# size up to 0.7.1, when more workers than one ran blocks on threads
 CLI_CASES = {
     "malus": ["--set", "mode=mc", "--set", "n_photons=600000"],
     "entropy": [],

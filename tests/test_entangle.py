@@ -159,8 +159,8 @@ def test_correlation_is_exactly_minus_one_at_equal_bases():
         stats = correlation(theta, theta, 5000, seed=2)
         assert stats.e_value == -1.0
         assert stats.std_err == 0.0
-    # at the largest count the CLI accepts, 16,384 blocks
-    capped = correlation(0.3, 0.3, 2**32, seed=2, workers=2)
+    # at the largest count the CLI accepts
+    capped = correlation(0.3, 0.3, 2**32, seed=2)
     assert (capped.e_value, capped.std_err) == (-1.0, 0.0)
 
 
@@ -176,15 +176,23 @@ def test_correlation_matches_the_cosine_law():
         est = correlation(ta, tb, 50_000, seed=100 + i)
         sigma = math.sqrt(max(1e-12, 1 - truth**2) / 50_000)
         assert abs(est.e_value - truth) < 4 * sigma + 1e-6
+    # at the largest count the CLI accepts: the equal-outcome count is
+    # binomial with P(equal) = sin^2(a - b)
+    n, ta, tb = 2**32, 0.3, 0.1
+    est = correlation(ta, tb, n, seed=8)
+    n_equal = round((est.e_value + 1) * n / 2)
+    assert est.e_value == (2 * n_equal - n) / n
+    p_equal = math.sin(ta - tb) ** 2
+    assert abs(n_equal - n * p_equal) < 5 * math.sqrt(n * p_equal * (1 - p_equal))
 
 
 def test_correlation_reporting_and_validation():
-    stats = correlation(0.1, 0.6, 10_000, seed=4, workers=3)
+    stats = correlation(0.1, 0.6, 10_000, seed=4)
     assert stats.n == 10_000
     assert stats.std_err == pytest.approx(math.sqrt((1 - stats.e_value**2) / 10_000), rel=1e-12)
-    again = correlation(0.1, 0.6, 10_000, seed=4, workers=3)
+    again = correlation(0.1, 0.6, 10_000, seed=4)
     assert stats == again
-    assert correlation(0.1, 0.6, 10_000, seed=5, workers=3) != stats
+    assert correlation(0.1, 0.6, 10_000, seed=5) != stats
     with pytest.raises(ValueError):
         correlation(0.0, 0.0, 0)
 

@@ -77,16 +77,16 @@ def test_mc_fringe_and_flat_statistics():
 
 def test_mc_runs_are_deterministic():
     cfg = MziConfig(phase=1.1, choice_policy="delayed-random")
-    a = run_mzi(cfg, 20_000, seed=23, workers=3)
-    b = run_mzi(cfg, 20_000, seed=23, workers=3)
+    a = run_mzi(cfg, 20_000, seed=23)
+    b = run_mzi(cfg, 20_000, seed=23)
     assert (a.n, a.count_d0, a.by_choice) == (b.n, b.count_d0, b.by_choice)
-    c = run_mzi(cfg, 20_000, seed=24, workers=3)
+    c = run_mzi(cfg, 20_000, seed=24)
     assert a.count_d0 != c.count_d0
 
 
 def test_delayed_choice_bookkeeping_adds_up():
     cfg = MziConfig(phase=0.9, choice_policy="delayed-random", p_present=0.3)
-    stats = run_mzi(cfg, 40_000, seed=25, workers=2)
+    stats = run_mzi(cfg, 40_000, seed=25)
     present = stats.by_choice["present"]
     absent = stats.by_choice["absent"]
     assert present.n + absent.n == stats.n
@@ -94,6 +94,21 @@ def test_delayed_choice_bookkeeping_adds_up():
     assert present.count_d0 + present.count_d1 == present.n
     assert absent.count_d0 + absent.count_d1 == absent.n
     assert abs(present.n / stats.n - 0.3) < 4 * math.sqrt(0.3 * 0.7 / stats.n)
+
+
+def test_delayed_random_counts_follow_their_law_at_the_count_cap():
+    # over all n photons, each count is binomial with the probability that a
+    # photon lands in it: present, present and D0, absent and D0
+    n, phase, p = 2**32, 0.9, 0.3
+    stats = run_mzi(MziConfig(phase=phase, choice_policy="delayed-random", p_present=p), n,
+                    seed=29)
+    present, absent = stats.by_choice["present"], stats.by_choice["absent"]
+    assert present.n + absent.n == n
+    assert present.count_d0 + absent.count_d0 == stats.count_d0
+    for count, q in ((present.n, p),
+                     (present.count_d0, p * math.cos(phase / 2) ** 2),
+                     (absent.count_d0, (1 - p) * 0.5)):
+        assert abs(count - n * q) < 5 * math.sqrt(n * q * (1 - q))
 
 
 def test_degenerate_policies_reproduce_fixed_runs_exactly():

@@ -1,10 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from photonlab.core import InvalidStateError, ket_from_angle
-from photonlab import optics, rng
+from photonlab import optics
 from photonlab.optics import (
     CascadeResult,
     LightBeam,
@@ -122,7 +123,7 @@ def test_cascade_mc_is_deterministic():
 
 
 def test_cascade_mc_worker_counts_stay_consistent():
-    # three blocks: any worker count draws the same blocks and sums them in order
+    # workers is accepted and ignored: any worker count gives the same counts
     n = 600_000
     one = cascade_mc(n, [90 * DEG, 45 * DEG, 0.0], seed=3, workers=1)
     four = cascade_mc(n, [90 * DEG, 45 * DEG, 0.0], seed=3, workers=4)
@@ -133,25 +134,22 @@ def test_cascade_mc_worker_counts_stay_consistent():
 
 
 def test_cascade_mc_work_does_not_grow_with_workers(monkeypatch):
-    calls = []
+    streams = []
 
-    def counting_map_partitions(n, workers, worker_fn):
-        def block_fn(block, size):
-            calls.append((block, size))
-            return worker_fn(block, size)
+    def counting_stream_from_seed(*key):
+        streams.append(key)
+        return stream_from_seed(*key)
 
-        return rng.map_partitions(n, workers, block_fn)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("one block must not start a thread pool")
+    def no_thread(self):
+        raise AssertionError("cascade_mc must not start a thread")
 
     axes = [90 * DEG, 45 * DEG, 0.0]
     one = cascade_mc(1000, axes, seed=9, workers=1)
-    monkeypatch.setattr(optics, "map_partitions", counting_map_partitions)
-    monkeypatch.setattr(rng, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(optics, "stream_from_seed", counting_stream_from_seed)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     many = cascade_mc(1000, axes, seed=9, workers=100_000)
     assert many.per_stage_counts == one.per_stage_counts
-    assert calls == [(0, 1000)]
+    assert streams == [(9, 0)]
 
 
 def test_cascade_mc_natural_source_halves():
@@ -166,26 +164,34 @@ def test_cascade_mc_exact_extremes():
     assert crossed.per_stage_counts[1] == 0
     aligned = cascade_mc(10_000, [45 * DEG], source="linear", source_angle=45 * DEG, seed=1)
     assert aligned.per_stage_counts == (10_000,)
-    # at the largest count the CLI accepts, 16,384 blocks
+    # at the largest count the CLI accepts
     capped = cascade_mc(2**32, [0.0, 90 * DEG], source="natural", seed=1, workers=2)
     assert capped.per_stage_counts[1] == 0
     assert abs(capped.fractions()[0] - 0.5) < 5 * math.sqrt(0.25 / 2**32)
 
 
 def test_cascade_mc_draws_are_reconstructible():
-    # linear source over two blocks: block b draws each stage's count, in stage
-    # order, as one binomial over the survivors from stream (seed, 0, b)
-    n, theta, axes, seed = rng.BLOCK + 30_000, 0.2, [1.0, 1.5, 0.1], 9
+    # linear source, more photons than the 2^18 of a former block: each stage's
+    # count, in stage order, is one binomial over the survivors from stream (seed, 0)
+    n, theta, axes, seed = 2**18 + 30_000, 0.2, [1.0, 1.5, 0.1], 9
     result = cascade_mc(n, axes, source="linear", source_angle=theta, seed=seed, workers=2)
-    expected = [0, 0, 0]
-    for block, size in enumerate((rng.BLOCK, 30_000)):
-        stream = stream_from_seed(seed, 0, block)
-        alive, previous = size, theta
-        for i, axis in enumerate(axes):
-            alive = int(stream.binomial(alive, math.cos(axis - previous) ** 2))
-            expected[i] += alive
-            previous = axis
+    stream = stream_from_seed(seed, 0)
+    expected = []
+    alive, previous = n, theta
+    for axis in axes:
+        alive = int(stream.binomial(alive, math.cos(axis - previous) ** 2))
+        expected.append(alive)
+        previous = axis
     assert result.per_stage_counts == tuple(expected)
+
+
+def test_cascade_mc_stage_counts_follow_their_law_at_the_count_cap():
+    # stage k's count is binomial over all n source photons with the product
+    # of the pass probabilities up to k: 1/2, 1/4, 1/8 here
+    n = 2**32
+    result = cascade_mc(n, [90 * DEG, 45 * DEG, 0.0], source="natural", seed=31)
+    for count, q in zip(result.per_stage_counts, (0.5, 0.25, 0.125)):
+        assert abs(count - n * q) < 5 * math.sqrt(n * q * (1 - q))
 
 
 def test_cascade_mc_natural_source_passes_half_at_the_first_stage():

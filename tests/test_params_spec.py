@@ -288,7 +288,7 @@ def _accepted_by_spec(experiment, params):
         cli.check_params(cli.SPECS[experiment], params)
         if experiment == "protocol":
             with mock.patch.object(cli, "run_protocol", side_effect=_Ran):
-                cli._run_protocol(params, 0, 1)
+                cli._run_protocol(params, 0)
     except cli.ConfigError:
         return False
     except _Ran:

@@ -8,6 +8,7 @@ from photonlab import protocol
 from photonlab.core import MeasurementBasis, collapse, ket_from_angle, states_equal
 from photonlab.entangle import conditional_state, make_pair
 from photonlab.protocol import (
+    CHUNK_BITS,
     BasisOracle,
     EncodingRule,
     FixedBasisML,
@@ -19,7 +20,7 @@ from photonlab.protocol import (
     run_protocol,
     standard_strategies,
 )
-from photonlab.rng import ALGORITHM_ID, BLOCK, stream_from_seed
+from photonlab.rng import ALGORITHM_ID, stream_from_seed
 from photonlab.stats import bit_table
 
 
@@ -220,10 +221,10 @@ def test_mutual_information_validation():
 
 
 def test_run_protocol_is_deterministic():
-    a = run_protocol(2000, seed=14, workers=4)
-    b = run_protocol(2000, seed=14, workers=4)
+    a = run_protocol(2000, seed=14)
+    b = run_protocol(2000, seed=14)
     assert a == b
-    c = run_protocol(2000, seed=15, workers=4)
+    c = run_protocol(2000, seed=15)
     assert a != c
     assert a.rng_algorithm == ALGORITHM_ID
     assert a.bit_source == "iid"
@@ -233,15 +234,15 @@ def test_run_protocol_is_deterministic():
 
 
 def test_three_block_reports_keep_their_pinned_values():
-    # 600,000 bits are three blocks of 2^18 bits, reduced to count tables and
+    # 600,000 bits are three chunks of 2^18 bits, reduced to count tables and
     # summed; the values are those of the report computed from joined columns
-    oracle = run_protocol(600_000, strategy=BasisOracle(), seed=5, workers=3)
+    oracle = run_protocol(600_000, strategy=BasisOracle(), seed=5)
     assert oracle.ber == 0.0
     assert oracle.mutual_info_bits == 0.9999995110144906
     assert oracle.mi_confidence_interval == (0.9999934694953208, 1.0)
     assert oracle.decode_ties == 0
     strategy = Repetition(11, FixedBasisML(math.radians(22.5)))
-    repetition = run_protocol(600_000, strategy=strategy, seed=5, workers=3)
+    repetition = run_protocol(600_000, strategy=strategy, seed=5)
     assert repetition.ber == 0.5004116666666667
     assert repetition.mutual_info_bits == 0.0
     assert repetition.mi_confidence_interval == (0.0, 0.0)
@@ -257,9 +258,7 @@ def test_standard_strategies_extract_nothing_small_scale():
 
 
 def test_oracle_with_balanced_bits_is_a_perfect_channel():
-    report = run_protocol(
-        2000, strategy=BasisOracle(), seed=17, workers=2, bit_source="balanced"
-    )
+    report = run_protocol(2000, strategy=BasisOracle(), seed=17, bit_source="balanced")
     assert report.ber == 0.0
     assert report.mutual_info_bits == 1.0
     assert report.decode_ties == 0
@@ -271,38 +270,34 @@ def test_run_protocol_validation():
         run_protocol(0)
     with pytest.raises(ValueError):
         run_protocol(100, bit_source="alternating")
-    # balanced bits split n_bits into equal halves, whatever the workers
+    # balanced bits split n_bits into equal halves; the fixed-basis receiver
+    # decodes every bit as 0, so ber is the share of ones
     with pytest.raises(ValueError):
         run_protocol(5, bit_source="balanced")
-    two = run_protocol(6, bit_source="balanced", seed=20, workers=2)
-    assert two == run_protocol(6, bit_source="balanced", seed=20, workers=1)
+    assert run_protocol(6, bit_source="balanced", seed=20).ber == 0.5
 
 
 def test_balanced_bits_are_balanced_over_all_blocks():
     # the fixed-basis receiver decodes every bit as 0, so ber is the share of ones
-    n = 2 * BLOCK + 6
-    report = run_protocol(n, seed=21, workers=2, bit_source="balanced")
+    n = 2 * CHUNK_BITS + 6
+    report = run_protocol(n, seed=21, bit_source="balanced")
     assert report.ber == 0.5
-    assert report == run_protocol(n, seed=21, workers=1, bit_source="balanced")
 
 
-@pytest.mark.parametrize("n_bits", [2, BLOCK, 2 * BLOCK + 6])
+@pytest.mark.parametrize("n_bits", [2, CHUNK_BITS, 2 * CHUNK_BITS + 6])
 def test_balanced_bits_hold_half_ones_in_every_block(monkeypatch, n_bits):
-    full, rest = divmod(n_bits, BLOCK)
-    reports = []
-    for workers in (1, 3):
-        seen = []
+    full, rest = divmod(n_bits, CHUNK_BITS)
+    seen = []
 
-        def spy(x, y):
-            seen.append((len(x), int(np.sum(x))))
-            return bit_table(x, y)
+    def spy(x, y):
+        seen.append((len(x), int(np.sum(x))))
+        return bit_table(x, y)
 
-        monkeypatch.setattr(protocol, "bit_table", spy)
-        reports.append(run_protocol(n_bits, strategy=BasisOracle(), seed=23, workers=workers,
-                                    bit_source="balanced"))
-        assert sorted(size for size, _ in seen) == sorted([BLOCK] * full + [rest] * (rest > 0))
-        assert all(ones == size // 2 for size, ones in seen)
-    assert reports[0] == reports[1]
+    monkeypatch.setattr(protocol, "bit_table", spy)
+    report = run_protocol(n_bits, strategy=BasisOracle(), seed=23, bit_source="balanced")
+    assert [size for size, _ in seen] == [CHUNK_BITS] * full + [rest] * (rest > 0)
+    assert all(ones == size // 2 for size, ones in seen)
+    assert report.ber == 0.0
 
 
 def test_balanced_bits_take_memory_per_block_not_per_bit():
@@ -310,7 +305,8 @@ def test_balanced_bits_take_memory_per_block_not_per_bit():
     for blocks in (4, 16):
         tracemalloc.start()
         try:
-            run_protocol(blocks * BLOCK, strategy=BasisOracle(), seed=24, bit_source="balanced")
+            run_protocol(blocks * CHUNK_BITS, strategy=BasisOracle(), seed=24,
+                         bit_source="balanced")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -318,15 +314,14 @@ def test_balanced_bits_take_memory_per_block_not_per_bit():
     assert peaks[1] <= peaks[0] + 2**20
 
 
-def test_more_workers_than_bits_leaves_chunks_empty():
-    report = run_protocol(2, seed=19, workers=3)
+def test_runs_of_a_few_bits_fill_one_short_chunk():
+    report = run_protocol(2, seed=19)
     assert report.n_bits == 2
     assert report.ber in (0.0, 0.5, 1.0)
     assert report.decode_ties == 2
     lo, hi = report.mi_confidence_interval
     assert 0.0 <= lo <= report.mutual_info_bits <= hi <= 1.0
-    assert report == run_protocol(2, seed=19, workers=1)
-    oracle = run_protocol(3, strategy=BasisOracle(), seed=19, workers=5)
+    oracle = run_protocol(3, strategy=BasisOracle(), seed=19)
     assert oracle.ber == 0.0
     assert oracle.decode_ties == 0
 
@@ -347,6 +342,6 @@ def test_encodings_of_zero_and_one_are_indistinguishable():
 
 
 def test_no_information_even_at_a_million_bits():
-    report = run_protocol(1_000_000, strategy=FixedBasisML(0.0), seed=18, workers=4)
+    report = run_protocol(1_000_000, strategy=FixedBasisML(0.0), seed=18)
     assert report.mutual_info_bits == 0.0
     assert report.mi_confidence_interval[0] == 0.0

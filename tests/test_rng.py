@@ -1,17 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 
-from photonlab import rng
-from photonlab.rng import (
-    ALGORITHM_ID,
-    BLOCK,
-    RngStream,
-    map_partitions,
-    pool_size,
-    stream_from_seed,
-)
+from photonlab.rng import ALGORITHM_ID, RngStream, stream_from_seed
 
 # first raw words of stream (42, 0); pins the generator across versions
 _REFERENCE_RAW = [
@@ -108,69 +98,3 @@ def test_seed_and_index_bounds_are_enforced():
         RngStream(0, 0, 2**128)
     RngStream(2**64 - 1, 2**64 - 1, 2**128 - 1)  # the extremes are valid
 
-
-def block_sizes(n, workers=1):
-    return [size for _, size in map_partitions(n, workers, lambda b, size: (b, size))]
-
-
-def test_block_layout_covers_n_in_fixed_blocks():
-    assert BLOCK == 2**18
-    for n in [1, 10, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 5]:
-        for workers in (1, 2, 7):
-            sizes = block_sizes(n, workers)
-            assert sum(sizes) == n
-            assert all(size == BLOCK for size in sizes[:-1])
-            assert 0 < sizes[-1] <= BLOCK
-    calls = []
-    assert map_partitions(0, 4, lambda b, size: calls.append(b)) == []
-    assert calls == []
-    with pytest.raises(ValueError):
-        map_partitions(-1, 2, lambda b, size: size)
-
-
-def test_map_partitions_keeps_block_order():
-    def work(block, size):
-        return (block, size)
-
-    assert map_partitions(10, 1, work) == [(0, 10)]
-    assert map_partitions(10, 3, work) == [(0, 10)]
-    n = 2 * BLOCK + 3
-    expected = [(0, BLOCK), (1, BLOCK), (2, 3)]
-    for workers in (1, 2, 3, 64):
-        assert map_partitions(n, workers, work) == expected
-
-
-def test_map_partitions_threaded_equals_sequential():
-    def work(block, size):
-        return stream_from_seed(3, 0, block).random(size).sum()
-
-    n = 3 * BLOCK + 10_000
-    threaded = map_partitions(n, 4, work)
-    sequential = [work(b, s) for b, s in enumerate([BLOCK, BLOCK, BLOCK, 10_000])]
-    assert threaded == sequential
-    assert map_partitions(n, 1, work) == sequential
-
-
-def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
-    cpus = os.cpu_count() or 1
-    assert pool_size(1) == 1
-    assert pool_size(10**6) == cpus
-    assert pool_size(cpus) == cpus
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert pool_size(3) == 3
-    assert pool_size(100_000) == 4
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert pool_size(8) == 1
-
-
-def test_many_workers_share_a_capped_pool_in_block_order(monkeypatch):
-    def work(block, size):
-        return block, size, stream_from_seed(4, 0, block).random(size).sum()
-
-    n = 5 * BLOCK
-    capped = map_partitions(n, 64, work)
-    sequential = [work(b, BLOCK) for b in range(5)]
-    assert capped == sequential
-    # one thread per block, as many as the workers allow, gives the same list
-    monkeypatch.setattr(rng, "pool_size", lambda workers: workers)
-    assert map_partitions(n, 64, work) == capped
