@@ -8,7 +8,7 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # public names by the module that defines them
 _EXPORTS = {
@@ -87,6 +87,7 @@ _EXPORTS = {
         "encode",
         "mutual_information",
         "receive",
+        "receiver_law",
         "run_protocol",
         "standard_strategies",
     ),

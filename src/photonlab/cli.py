@@ -39,8 +39,7 @@ _LIBRARY = {
     "entropy": ("collapse_entropy_report",),
     "mzi": ("MziConfig", "choice_timing_invariance", "run_mzi"),
     "optics": ("cascade_analytic", "cascade_mc", "linear_light", "natural_light"),
-    "protocol": ("BasisOracle", "CHUNK_BITS", "EncodingRule", "FixedBasisML", "Repetition",
-                 "run_protocol"),
+    "protocol": ("BasisOracle", "EncodingRule", "FixedBasisML", "Repetition", "run_protocol"),
     "rng": ("ALGORITHM_ID",),
     "stats": ("wilson_interval",),
 }
@@ -71,14 +70,14 @@ _TOP_LEVEL_KEYS = {"experiment", "params", "seed", "workers", "format", "out",
 # sweeps are built as point lists before any work, so their size is capped;
 # a list parameter is a sweep written out and shares the cap
 MAX_SWEEP_POINTS = 1_000_000
-# a Monte Carlo count is one draw at any size, but the protocol still works
-# through its bits a chunk at a time: 2^14 chunks, minutes of work, at the cap
+# a Monte Carlo count, and a protocol run from its receiver's law, is a few
+# draws at any size; the cap keeps every count well inside int64
 MAX_TRIALS = 2**32
 # no_signaling_check compares every pair of bitwise-distinct marginals
 MAX_BASES = 1_000
-# a protocol chunk holds pairs_per_bit photons per bit in several arrays at
-# once, so the photons of one chunk are capped; the shipped maximum is 11 * 2^18
-MAX_BLOCK_PHOTONS = 2**24
+# keeps n_bits * pairs_per_bit, the bound on a protocol's decode_ties, below
+# 2^56; the shipped maximum is 11
+MAX_PAIRS_PER_BIT = 2**24
 # parse_strategy recurses once per repetition level
 MAX_STRATEGY_NESTING = 8
 
@@ -500,8 +499,7 @@ def _run_nosignal(params, seed):
 
 
 def _run_protocol(params, seed):
-    CHUNK_BITS, EncodingRule, run_protocol = _library(
-        "CHUNK_BITS", "EncodingRule", "run_protocol")
+    EncodingRule, run_protocol = _library("EncodingRule", "run_protocol")
     n_bits = params["n_bits"]
     if params["bit_source"] == "balanced":
         # the balanced bit source splits n_bits into equal halves of ones and zeros
@@ -509,11 +507,10 @@ def _run_protocol(params, seed):
             raise _invalid("n_bits", f"{n_bits} is not a multiple of 2, as the balanced "
                                      "bit source needs")
     strategy = parse_strategy(params["strategy"])
-    chunk_photons = min(n_bits, CHUNK_BITS) * strategy.pairs_per_bit
-    if chunk_photons > MAX_BLOCK_PHOTONS:
+    if strategy.pairs_per_bit > MAX_PAIRS_PER_BIT:
         raise ConfigError(
-            f"strategy {strategy.label} needs {chunk_photons} photons per chunk of bits, "
-            f"more than {MAX_BLOCK_PHOTONS}; lower its repetition factors or n_bits"
+            f"strategy {strategy.label} sends {strategy.pairs_per_bit} pairs per bit, "
+            f"more than {MAX_PAIRS_PER_BIT}; lower its repetition factors"
         )
     rule = EncodingRule(
         basis_for_one=math.radians(params["rule"]["one_deg"]),

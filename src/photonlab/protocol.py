@@ -2,9 +2,17 @@
 her measurement-basis choice, Bob receives the conditionally collapsed partner
 photon, and a receiver model tries to read the bit back.
 
-The photon stream is columnar. Bob's photon is fixed by the bit (which basis
-Alice measured in) and Alice's outcome, so a stream is those two columns plus
-the 2x2 table of conditional states they index.
+A run is computed from the receiver's exact law, not photon by photon. For
+each sent value v, receiver_law gives the law of one bit's (decoded, ties)
+pair from the Born table, once per run; run_protocol draws how many ones are
+sent and then how many bits of each value fall on each (decoded, ties) type.
+For every receiver defined here, each law is a single point, so
+the count table follows from the number of ones sent with no further draw.
+
+The per-photon path remains as the library API and the reference the law is
+tested against. Its photon stream is columnar: Bob's photon is fixed by the
+bit (which basis Alice measured in) and Alice's outcome, so a stream is those
+two columns plus the 2x2 table of conditional states they index.
 
 Receiver models span the honest range. The standard-physics strategies
 (fixed-basis maximum likelihood, repetition with majority vote) operate only on
@@ -28,13 +36,13 @@ from .core import (
     born_probabilities,
     canonical_angle,
     sample_binary,
+    sample_counts,
     snap_probability,
 )
 from .entangle import conditional_state, make_pair
 from .rng import ALGORITHM_ID, RngStream, stream_from_seed
 from .stats import (
     as_bit_array,
-    bit_table,
     mi_standard_error,
     null_quantile,
     permutation_null_mis,
@@ -43,14 +51,10 @@ from .stats import (
 
 _TIE_ATOL = 1e-12
 
-# run_protocol works through the bits in chunks of this many; a chunk's photons
-# are built, received and reduced to a count table before the next chunk starts
-CHUNK_BITS = 2**18
-
-# stream indices: bits, Alice's and Bob's measurements (block b for chunk b)
+# stream indices: the number of ones sent, then the type counts of the bits
+# sent as 0 and of those sent as 1
 _ROLE_BITS = 0
-_ROLE_ENCODE = 1
-_ROLE_RECEIVE = 2
+_ROLE_TYPES = (1, 2)
 
 BIT_SOURCES = ("iid", "balanced")
 
@@ -187,8 +191,16 @@ def encode(bits, rule: EncodingRule, rng: RngStream, pairs_per_bit: int = 1) -> 
     bits = as_bit_array(bits, "bits")
     if pairs_per_bit < 1:
         raise ValueError(f"pairs_per_bit must be >= 1, got {pairs_per_bit}")
+    p_aligned, states = _bob_states(rule)
+    repeated = np.repeat(bits, pairs_per_bit)
+    outcomes = sample_binary(p_aligned[repeated], rng.random(repeated.shape[0]))
+    return PhotonStream(bits=repeated, outcomes=outcomes, states=states)
+
+
+def _bob_states(rule: EncodingRule) -> tuple[np.ndarray, tuple]:
+    """Per bit value v: Alice's aligned-outcome probability p_aligned[v] and
+    Bob's conditional states states[v][outcome]."""
     pair = make_pair()
-    # per bit value: Alice's aligned-outcome probability and Bob's two states
     p_aligned = np.empty(2)
     states = []
     for v in (0, 1):
@@ -196,9 +208,7 @@ def encode(bits, rule: EncodingRule, rng: RngStream, pairs_per_bit: int = 1) -> 
         p_aligned[v], state0 = conditional_state(pair, angle, 0)
         _, state1 = conditional_state(pair, angle, 1)
         states.append((state0, state1))
-    repeated = np.repeat(bits, pairs_per_bit)
-    outcomes = sample_binary(p_aligned[repeated], rng.random(repeated.shape[0]))
-    return PhotonStream(bits=repeated, outcomes=outcomes, states=tuple(states))
+    return p_aligned, tuple(states)
 
 
 def _ml_table(rule: EncodingRule, basis: MeasurementBasis) -> np.ndarray:
@@ -219,15 +229,30 @@ def _ml_table(rule: EncodingRule, basis: MeasurementBasis) -> np.ndarray:
     return table
 
 
+def _oracle_decisions(rule: EncodingRule) -> tuple[np.ndarray, np.ndarray]:
+    """The basis oracle's (decided bit, tied) for each sent bit value."""
+    tags = np.array([rule.basis_for_zero, rule.basis_for_one])
+    d_one = np.array([_basis_set_distance(t, rule.basis_for_one) for t in tags])
+    d_zero = np.array([_basis_set_distance(t, rule.basis_for_zero) for t in tags])
+    tied = np.abs(d_one - d_zero) <= _TIE_ATOL
+    decided = (d_one + _TIE_ATOL < d_zero).astype(np.int64)
+    return decided, tied
+
+
+def _ml_decisions(rule: EncodingRule, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The maximum-likelihood (decoded bit, tied) for each of Bob's outcomes."""
+    table = _ml_table(rule, basis)
+    like_zero, like_one = table[0], table[1]
+    tied = np.abs(like_one - like_zero) <= _TIE_ATOL
+    decided = (like_one > like_zero + _TIE_ATOL).astype(np.int64)
+    return decided, tied
+
+
 def _decode(photons: PhotonStream, strategy, rule: EncodingRule, rng: RngStream):
     """Decode a photon stream, returning (bits, tie count)."""
     if isinstance(strategy, BasisOracle):
         # the decision depends only on the bit column: decide each bit value once
-        tags = np.array([rule.basis_for_zero, rule.basis_for_one])
-        d_one = np.array([_basis_set_distance(t, rule.basis_for_one) for t in tags])
-        d_zero = np.array([_basis_set_distance(t, rule.basis_for_zero) for t in tags])
-        tied = np.abs(d_one - d_zero) <= _TIE_ATOL
-        decided = (d_one + _TIE_ATOL < d_zero).astype(np.int64)
+        decided, tied = _oracle_decisions(rule)
         return decided[photons.bits], int(np.count_nonzero(tied[photons.bits]))
     if isinstance(strategy, FixedBasisML):
         # Born table over Bob's four possible states, indexed 2*bit + outcome
@@ -236,12 +261,8 @@ def _decode(photons: PhotonStream, strategy, rule: EncodingRule, rng: RngStream)
         )
         which = 2 * photons.bits + photons.outcomes
         outcomes = sample_binary(p_aligned[which], rng.random(len(photons)))
-        table = _ml_table(rule, strategy.basis)
-        like_zero = table[0, outcomes]
-        like_one = table[1, outcomes]
-        ties = int((np.abs(like_one - like_zero) <= _TIE_ATOL).sum())
-        bits = (like_one > like_zero + _TIE_ATOL).astype(np.int64)
-        return bits, ties
+        decided, tied = _ml_decisions(rule, strategy.basis)
+        return decided[outcomes], int(np.count_nonzero(tied[outcomes]))
     if isinstance(strategy, Repetition):
         inner_bits, inner_ties = _decode(photons, strategy.inner, rule, rng)
         votes = inner_bits.reshape(-1, strategy.k)
@@ -264,6 +285,73 @@ def receive(photons: PhotonStream, strategy, rule: EncodingRule, rng: RngStream)
         )
     bits, _ = _decode(photons, strategy, rule, rng)
     return bits
+
+
+def _law(pairs) -> dict:
+    """The law {type: probability} of (type, probability) pairs; equal types add up."""
+    law = {}
+    for key, p in pairs:
+        law[key] = law.get(key, 0.0) + p
+    return law
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """The law of the sum of independent (ones, ties) pairs drawn from a and b."""
+    return _law(((d1 + d2, t1 + t2), p1 * p2)
+                for (d1, t1), p1 in a.items() for (d2, t2), p2 in b.items())
+
+
+def _k_fold(law: dict, k: int) -> dict:
+    """The law of the sum of k independent draws from law, by repeated squaring."""
+    total = {(0, 0): 1.0}
+    while True:
+        if k & 1:
+            total = _convolve(total, law)
+        k >>= 1
+        if not k:
+            return total
+        law = _convolve(law, law)
+
+
+def _bit_law(strategy, rule: EncodingRule, v: int) -> dict:
+    """The law {(decoded, ties): probability} of one bit sent as v."""
+    if isinstance(strategy, BasisOracle):
+        decided, tied = _oracle_decisions(rule)
+        return {(int(decided[v]), int(tied[v])): 1.0}
+    if isinstance(strategy, FixedBasisML):
+        # Bob's outcome 0 has probability P(a) P(0|state a) summed over Alice's a,
+        # with both factors snapped as the per-photon draws snap them
+        p_aligned, states = _bob_states(rule)
+        p_a = snap_probability(p_aligned[v])
+        p_b = [snap_probability(born_probabilities(s, strategy.basis)[0]) for s in states[v]]
+        p_zero = p_a * p_b[0] + (1.0 - p_a) * p_b[1]
+        decided, tied = _ml_decisions(rule, strategy.basis)
+        return _law(((int(decided[o]), int(tied[o])), p)
+                    for o, p in enumerate((p_zero, 1.0 - p_zero)) if p > 0.0)
+    if isinstance(strategy, Repetition):
+        # majority of k inner decodes: a strict majority of ones decodes 1 and
+        # an even split is one more tie, resolved to 0
+        k = strategy.k
+        inner = _k_fold(_bit_law(strategy.inner, rule, v), k)
+        return _law(((int(2 * ones > k), ties + int(2 * ones == k)), p)
+                    for (ones, ties), p in inner.items())
+    raise ValueError(f"unknown receiver strategy: {strategy!r}")
+
+
+def receiver_law(strategy, rule: EncodingRule) -> tuple[dict, dict]:
+    """The exact law of one bit's (decoded bit, tie count) under a receiver,
+    for a bit sent as 0 and for a bit sent as 1.
+
+    Each law maps (decoded, ties) to its probability; decoded and ties are
+    what _decode reports for that bit's photons. FixedBasisML has one type
+    per outcome of Bob's measurement, from the maximum-likelihood table;
+    Repetition takes the k-fold convolution of its inner law, by repeated
+    squaring, then the majority rule; BasisOracle is a point mass. A point
+    mass stays one entry through every convolution, so a repetition factor k
+    costs O(log k). Every law of a singlet receiver is a point mass: Bob's
+    likelihoods tie on every outcome, whatever the rule and the basis.
+    """
+    return _bit_law(strategy, rule, 0), _bit_law(strategy, rule, 1)
 
 
 def mutual_information(table):
@@ -310,17 +398,16 @@ def run_protocol(
     seed: int = 0,
     bit_source: str = "iid",
 ) -> TransmissionReport:
-    """Draw bits, encode, receive, and score one full transmission.
+    """Draw bits, send them through the receiver's law, and score the transmission.
 
-    The bits go through in chunks of CHUNK_BITS, one after another. Chunk b
-    uses block b of stream indices 0 (bit draws), 1 (Alice's measurements)
-    and 2 (receiver measurements), and reduces to its sent/decoded count
-    table and tie count; the report is computed from the sum of those tables.
-
-    bit_source "iid" draws each bit uniformly; "balanced" (n_bits must be
-    even) shuffles each chunk's exactly half-ones array with that block of
-    stream 0, which makes the identity channel's MI exactly 1 bit in
-    O(chunk) memory.
+    Stream 0 gives n1, the number of ones sent: bit_source "iid" sends each
+    bit uniformly, so n1 is one binomial(n_bits, 1/2) draw; "balanced"
+    (n_bits must be even) sends exactly n_bits / 2 ones and draws nothing,
+    which makes the identity channel's MI exactly 1 bit. The bits sent as v
+    then fall on the types of receiver_law's law for v with one
+    core.sample_counts call on stream 1 + v; a point-mass law draws nothing
+    and creates no stream. The report is computed from the resulting 2x2
+    sent/decoded count table and tie count; no array grows with n_bits.
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
@@ -331,26 +418,24 @@ def run_protocol(
     if strategy is None:
         strategy = FixedBasisML(0.0)
     if bit_source == "balanced":
-        # every chunk is even, as CHUNK_BITS is, so each holds exactly half ones
         if n_bits % 2 != 0:
             raise ValueError(f"balanced bit source needs an even n_bits, got {n_bits}")
+        n_ones = n_bits // 2
+    else:
+        n_ones = int(stream_from_seed(seed, _ROLE_BITS).binomial(n_bits, 0.5))
     table = np.zeros(4, dtype=np.int64)
     ties = 0
-    for block, start in enumerate(range(0, n_bits, CHUNK_BITS)):
-        size = min(CHUNK_BITS, n_bits - start)
-        bit_stream = stream_from_seed(seed, _ROLE_BITS, block)
-        if bit_source == "iid":
-            bits = bit_stream.integers(0, 2, size)
+    for v, (law, sent) in enumerate(zip(receiver_law(strategy, rule),
+                                        (n_bits - n_ones, n_ones))):
+        types = list(law)
+        if len(types) == 1:
+            counts = [sent]
         else:
-            bits = (np.arange(size) < size // 2).astype(np.int64)
-            bit_stream.shuffle(bits)
-        photons = encode(bits, rule, stream_from_seed(seed, _ROLE_ENCODE, block),
-                         pairs_per_bit=strategy.pairs_per_bit)
-        decoded, chunk_ties = _decode(
-            photons, strategy, rule, stream_from_seed(seed, _ROLE_RECEIVE, block)
-        )
-        table += bit_table(bits, decoded)
-        ties += chunk_ties
+            counts = sample_counts(list(law.values()), sent,
+                                   stream_from_seed(seed, _ROLE_TYPES[v]))
+        for (decoded, type_ties), count in zip(types, counts):
+            table[2 * v + decoded] += count
+            ties += type_ties * int(count)
     mi, ci = mutual_information(table)
     return TransmissionReport(
         n_bits=int(n_bits),

@@ -1,24 +1,21 @@
 """Seeded, splittable random streams for reproducible Monte Carlo runs.
 
 Every stochastic routine in this package draws from an RngStream named by a
-(seed, stream_index, block) triple. Streams are backed by a counter-based
-generator (numpy's Philox-4x64): the key is (seed, stream_index) and the block
-sits in the high half of the 256-bit counter, so each block owns 2^128
-counters and the same triple produces the same sequence on every platform.
+(seed, stream_index) pair. Streams are backed by a counter-based generator
+(numpy's Philox-4x64) keyed by that pair, with the counter starting at 0, so
+the same pair produces the same sequence on every platform and distinct pairs
+are independent.
 
-A Monte Carlo point draws its counts from block 0 of its stream, which is the
-stream keyed by (seed, stream_index) alone. Blocks remain only for the
-protocol, which works through its bits a chunk at a time and draws chunk b
-from block b of its streams.
+A Monte Carlo point draws its counts from its own stream, and the protocol
+draws from at most three streams per run, whatever its number of bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# the generator, and the protocol's chunks of 2^18 bits on block-offset counters;
-# every result file carries it
-ALGORITHM_ID = "numpy-philox-4x64/block-2^18"
+# the generator; every result file carries it
+ALGORITHM_ID = "numpy-philox-4x64"
 
 _MAX_U64 = 2**64
 
@@ -26,24 +23,20 @@ _MAX_U64 = 2**64
 class RngStream:
     """One independent random stream. Single-owner: never share across threads."""
 
-    def __init__(self, seed: int, stream_index: int, block: int = 0):
+    def __init__(self, seed: int, stream_index: int):
         seed = int(seed)
         stream_index = int(stream_index)
-        block = int(block)
         if not 0 <= seed < _MAX_U64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         if not 0 <= stream_index < _MAX_U64:
             raise ValueError(
                 f"stream_index must be an unsigned 64-bit integer, got {stream_index!r}"
             )
-        if not 0 <= block < 2**128:
-            raise ValueError(f"block must be in [0, 2^128), got {block!r}")
         self.seed = seed
         self.stream_index = stream_index
-        self.block = block
         self.algorithm = ALGORITHM_ID
         key = np.array([seed, stream_index], dtype=np.uint64)
-        self._bit_generator = np.random.Philox(key=key, counter=block << 128)
+        self._bit_generator = np.random.Philox(key=key, counter=0)
         self._generator = np.random.Generator(self._bit_generator)
 
     def random(self, size=None):
@@ -71,15 +64,10 @@ class RngStream:
     def __repr__(self) -> str:
         return (
             f"RngStream(seed={self.seed}, stream_index={self.stream_index}, "
-            f"block={self.block}, algorithm={self.algorithm!r})"
+            f"algorithm={self.algorithm!r})"
         )
 
 
-def stream_from_seed(seed: int, index: int, block: int = 0) -> RngStream:
-    """Return the stream named by (seed, index, block); distinct triples are independent.
-
-    Block 0 starts at counter 0, so it is the stream keyed by (seed, index)
-    alone.
-    """
-    return RngStream(seed, index, block)
-
+def stream_from_seed(seed: int, index: int) -> RngStream:
+    """Return the stream named by (seed, index); distinct pairs are independent."""
+    return RngStream(seed, index)

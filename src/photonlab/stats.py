@@ -4,11 +4,11 @@ permutation null.
 Every mutual-information statistic here is a function of one 2x2 count table
 [n00, n01, n10, n11] of two bit sequences x and y, indexed by 2*x + y.
 bit_table is the one place that reads bit sequences; the statistics take its
-table, check it in O(1) and never see the bits, so block-wise callers sum the
-tables of their blocks instead of joining bit columns. The null is computed,
-not sampled: label shuffling keeps both margins of the table, which makes the
-n11 cell hypergeometric, so its distribution, quantiles and p-values are pure
-functions of the table.
+table, check it in O(1) and never see the bits, so a caller that knows its
+counts without the bits (the protocol, from its receiver's law) passes the
+table directly. The null is computed, not sampled: label shuffling keeps both
+margins of the table, which makes the n11 cell hypergeometric, so its
+distribution, quantiles and p-values are pure functions of the table.
 """
 
 from __future__ import annotations

@@ -463,17 +463,21 @@ def test_integral_floats_in_count_fields_are_refused(tmp_path, capsys, argv):
 
 
 def test_oversized_and_deeply_nested_strategies_are_refused(tmp_path, capsys):
-    huge = "strategy=repetition:100000000:fixed-basis-ml:0"
+    huge = f"strategy=repetition:{cli.MAX_PAIRS_PER_BIT + 1}:fixed-basis-ml:0"
     check_failure(tmp_path, capsys, ["protocol", "--set", huge, "--set", "n_bits=2"],
-                  f"more than {cli.MAX_BLOCK_PHOTONS}")
+                  f"more than {cli.MAX_PAIRS_PER_BIT}")
     # each factor alone fits the cap, their product does not
     nested = "strategy=" + "repetition:1000:" * 3 + "basis-oracle"
     check_failure(tmp_path, capsys, ["protocol", "--set", nested, "--set", "n_bits=2"],
-                  "2000000000 photons")
+                  "1000000000 pairs per bit")
     deep = "strategy=" + "repetition:1:" * 3000 + "basis-oracle"
     check_failure(tmp_path, capsys, ["protocol", "--set", deep], "nests more than")
-    # the shipped repetition strategy at a full chunk stays within the cap
-    assert 11 * cli.CHUNK_BITS <= cli.MAX_BLOCK_PHOTONS
+    # the largest accepted strategy runs at the largest accepted n_bits
+    out = tmp_path / "largest.json"
+    largest = f"strategy=repetition:{cli.MAX_PAIRS_PER_BIT}:fixed-basis-ml:0"
+    assert run_cli(["protocol", "--set", largest, "--set", f"n_bits={cli.MAX_TRIALS}",
+                    "--out", str(out)]) == 0
+    assert read_json(out)["decode_ties"] == cli.MAX_TRIALS * cli.MAX_PAIRS_PER_BIT
     shallow = "repetition:1:" * cli.MAX_STRATEGY_NESTING + "basis-oracle"
     assert parse_strategy(shallow).pairs_per_bit == 1
 

@@ -1,14 +1,15 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonlab import protocol
 from photonlab.core import MeasurementBasis, collapse, ket_from_angle, states_equal
 from photonlab.entangle import conditional_state, make_pair
 from photonlab.protocol import (
-    CHUNK_BITS,
     BasisOracle,
     EncodingRule,
     FixedBasisML,
@@ -17,6 +18,7 @@ from photonlab.protocol import (
     encode,
     mutual_information,
     receive,
+    receiver_law,
     run_protocol,
     standard_strategies,
 )
@@ -234,16 +236,16 @@ def test_run_protocol_is_deterministic():
 
 
 def test_three_block_reports_keep_their_pinned_values():
-    # 600,000 bits are three chunks of 2^18 bits, reduced to count tables and
-    # summed; the values are those of the report computed from joined columns
+    # 600,000 iid bits at seed 5, pinned at 0.9.0: one binomial draw of the
+    # number of ones, then each receiver's point-mass law
     oracle = run_protocol(600_000, strategy=BasisOracle(), seed=5)
     assert oracle.ber == 0.0
-    assert oracle.mutual_info_bits == 0.9999995110144906
-    assert oracle.mi_confidence_interval == (0.9999934694953208, 1.0)
+    assert oracle.mutual_info_bits == 0.9999991638057777
+    assert oracle.mi_confidence_interval == (0.9999931202709518, 1.0)
     assert oracle.decode_ties == 0
     strategy = Repetition(11, FixedBasisML(math.radians(22.5)))
     repetition = run_protocol(600_000, strategy=strategy, seed=5)
-    assert repetition.ber == 0.5004116666666667
+    assert repetition.ber == 0.5005383333333333
     assert repetition.mutual_info_bits == 0.0
     assert repetition.mi_confidence_interval == (0.0, 0.0)
     assert repetition.decode_ties == 11 * 600_000
@@ -277,44 +279,40 @@ def test_run_protocol_validation():
     assert run_protocol(6, bit_source="balanced", seed=20).ber == 0.5
 
 
-def test_balanced_bits_are_balanced_over_all_blocks():
+@pytest.mark.parametrize("n_bits", [2, 2**18, 2**19 + 6])
+def test_balanced_runs_send_exactly_half_ones(monkeypatch, n_bits):
+    tables = []
+
+    def spy(table):
+        tables.append(table.tolist())
+        return mutual_information(table)
+
+    monkeypatch.setattr(protocol, "mutual_information", spy)
+    half = n_bits // 2
+    oracle = run_protocol(n_bits, strategy=BasisOracle(), seed=23, bit_source="balanced")
+    assert oracle.ber == 0.0
     # the fixed-basis receiver decodes every bit as 0, so ber is the share of ones
-    n = 2 * CHUNK_BITS + 6
-    report = run_protocol(n, seed=21, bit_source="balanced")
-    assert report.ber == 0.5
+    fixed = run_protocol(n_bits, seed=21, bit_source="balanced")
+    assert fixed.ber == 0.5
+    assert tables == [[half, 0, 0, half], [half, 0, half, 0]]
 
 
-@pytest.mark.parametrize("n_bits", [2, CHUNK_BITS, 2 * CHUNK_BITS + 6])
-def test_balanced_bits_hold_half_ones_in_every_block(monkeypatch, n_bits):
-    full, rest = divmod(n_bits, CHUNK_BITS)
-    seen = []
-
-    def spy(x, y):
-        seen.append((len(x), int(np.sum(x))))
-        return bit_table(x, y)
-
-    monkeypatch.setattr(protocol, "bit_table", spy)
-    report = run_protocol(n_bits, strategy=BasisOracle(), seed=23, bit_source="balanced")
-    assert [size for size, _ in seen] == [CHUNK_BITS] * full + [rest] * (rest > 0)
-    assert all(ones == size // 2 for size, ones in seen)
-    assert report.ber == 0.0
-
-
-def test_balanced_bits_take_memory_per_block_not_per_bit():
+@pytest.mark.parametrize("bit_source", protocol.BIT_SOURCES)
+def test_runs_take_memory_independent_of_n_bits(bit_source):
+    strategy = Repetition(11, FixedBasisML(math.pi / 8))
     peaks = []
-    for blocks in (4, 16):
+    for n_bits in (2**20, 2**32):
         tracemalloc.start()
         try:
-            run_protocol(blocks * CHUNK_BITS, strategy=BasisOracle(), seed=24,
-                         bit_source="balanced")
+            run_protocol(n_bits, strategy=strategy, seed=24, bit_source=bit_source)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # one int64 array of all the bits would add 24 MiB between the two runs
-    assert peaks[1] <= peaks[0] + 2**20
+    # one byte per bit would add 4 GiB between the two runs
+    assert peaks[1] <= peaks[0] + 2**16
 
 
-def test_runs_of_a_few_bits_fill_one_short_chunk():
+def test_runs_of_a_few_bits():
     report = run_protocol(2, seed=19)
     assert report.n_bits == 2
     assert report.ber in (0.0, 0.5, 1.0)
@@ -345,3 +343,96 @@ def test_no_information_even_at_a_million_bits():
     report = run_protocol(1_000_000, strategy=FixedBasisML(0.0), seed=18)
     assert report.mutual_info_bits == 0.0
     assert report.mi_confidence_interval[0] == 0.0
+
+
+# angles in [0, pi), with a few that make the rule degenerate or put the
+# receiver on an encoding basis
+angles = st.one_of(st.floats(0.0, math.pi, exclude_max=True),
+                   st.sampled_from([0.0, math.pi / 8, math.pi / 4, math.pi / 2]))
+rules = st.builds(EncodingRule, angles, angles)
+
+
+def receivers(max_factor):
+    """FixedBasisML and BasisOracle inside at most 3 nested repetitions."""
+    return st.recursive(
+        st.one_of(st.builds(FixedBasisML, angles), st.just(BasisOracle())),
+        lambda inner: st.builds(Repetition, st.integers(1, max_factor), inner),
+        max_leaves=4,
+    ).filter(lambda s: s.label.count("repetition:") <= 3)
+
+
+def point_mass(law):
+    """The one (decoded, ties) type of a point-mass law."""
+    assert len(law) == 1 and list(law.values()) == [1.0], law
+    return next(iter(law))
+
+
+def law_table(strategy, rule, n_zeros, n_ones):
+    """The count table and tie count of n_zeros and n_ones bits under the law."""
+    table = np.zeros(4, dtype=np.int64)
+    ties = 0
+    for v, (law, sent) in enumerate(zip(receiver_law(strategy, rule), (n_zeros, n_ones))):
+        decoded, type_ties = point_mass(law)
+        table[2 * v + decoded] += sent
+        ties += type_ties * sent
+    return table, ties
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40), rules, receivers(4),
+       st.integers(0, 2**32))
+def test_per_photon_path_matches_the_law(bits, rule, strategy, seed):
+    photons = encode(bits, rule, stream_from_seed(seed, 1), strategy.pairs_per_bit)
+    decoded, ties = protocol._decode(photons, strategy, rule, stream_from_seed(seed, 2))
+    n_ones = sum(bits)
+    expected_table, expected_ties = law_table(strategy, rule, len(bits) - n_ones, n_ones)
+    assert bit_table(bits, decoded).tolist() == expected_table.tolist()
+    assert ties == expected_ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules, receivers(2**20))
+def test_every_receiver_law_is_a_point_mass(rule, strategy):
+    for law in receiver_law(strategy, rule):
+        decoded, ties = point_mass(law)
+        assert decoded in (0, 1)
+        assert 0 <= ties <= 2 * strategy.pairs_per_bit
+
+
+def test_iid_ber_at_2_32_bits_is_within_5_sigma():
+    n = 2**32
+    report = run_protocol(n, strategy=FixedBasisML(0.0), seed=31)
+    # every bit decodes as 0, so the errors are the ones sent: binomial(n, 1/2)
+    assert abs(report.ber - 0.5) < 5 * math.sqrt(0.25 / n)
+    assert report.decode_ties == n
+    assert run_protocol(n, strategy=BasisOracle(), seed=31).ber == 0.0
+
+
+@pytest.mark.parametrize("strategy", [
+    *standard_strategies(),
+    BasisOracle(),
+    Repetition(4, Repetition(3, FixedBasisML(0.0))),
+    Repetition(2**24, FixedBasisML(0.0)),
+], ids=lambda s: s.label)
+def test_2_32_bits_run_in_under_a_second(strategy):
+    start = time.perf_counter()
+    report = run_protocol(2**32, strategy=strategy, seed=32)
+    assert time.perf_counter() - start < 1.0
+    assert report.n_bits == 2**32
+
+
+def test_balanced_runs_create_no_stream_and_iid_runs_one(monkeypatch):
+    created = []
+    original = protocol.stream_from_seed
+
+    def recording(seed, index):
+        created.append((seed, index))
+        return original(seed, index)
+
+    monkeypatch.setattr(protocol, "stream_from_seed", recording)
+    for strategy in (*standard_strategies(), BasisOracle()):
+        run_protocol(1000, strategy=strategy, seed=33, bit_source="balanced")
+        assert created == []
+        run_protocol(1000, strategy=strategy, seed=33)
+        assert created == [(33, 0)]
+        created.clear()

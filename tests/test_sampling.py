@@ -152,12 +152,12 @@ def test_counts_are_the_chain_of_tail_sum_binomials():
 
 
 def test_counts_follow_the_multinomial_law_over_blocks():
-    # per cell: the mean and the sample variance over m blocks of n draws each
-    # against the binomial marginal, within 5 standard errors
+    # per cell: the mean and the sample variance over m blocks of n draws each,
+    # one stream per block, against the binomial marginal, within 5 standard errors
     m, n = 2_000, 1_000
     pair = joint_probabilities(make_pair(), 0.0, math.pi / 8).ravel()
     for probs in (pair, [0.1, 0.25, 0.0, 0.65], [0.3, 1e-16, 0.7]):
-        counts = np.array([sample_counts(probs, n, stream_from_seed(62, 0, b))
+        counts = np.array([sample_counts(probs, n, stream_from_seed(62, b))
                            for b in range(m)], dtype=np.float64)
         for cell, p in zip(counts.T, probs):
             p = p if p > PROB_SNAP else 0.0

@@ -31,7 +31,7 @@ def test_no_thread_is_started(monkeypatch):
 
 
 # small runs of every experiment; mzi runs its timing comparison, and the
-# protocol spans two chunks of bits
+# protocol draws its iid bits
 RUNS = {
     "malus": ["--set", "mode=mc", "--set", "n_photons=1000"],
     "entropy": [],
@@ -49,9 +49,9 @@ def test_no_stream_is_created_twice_in_one_run(monkeypatch, tmp_path, experiment
     created = []
     original = rng.stream_from_seed
 
-    def recording(seed, index, block=0):
-        created.append((seed, index, block))
-        return original(seed, index, block)
+    def recording(seed, index):
+        created.append((seed, index))
+        return original(seed, index)
 
     for info in pkgutil.iter_modules(photonlab.__path__):
         module = importlib.import_module(f"photonlab.{info.name}")
@@ -59,11 +59,9 @@ def test_no_stream_is_created_twice_in_one_run(monkeypatch, tmp_path, experiment
             monkeypatch.setattr(module, "stream_from_seed", recording)
     argv = [experiment, "--seed", "5", "--out", str(tmp_path / "r.json")] + RUNS[experiment]
     assert cli_main(argv) == 0
-    assert {seed for seed, _, _ in created} <= {5}
+    assert {seed for seed, _ in created} <= {5}
     assert [key for key, uses in Counter(created).items() if uses > 1] == []
     if experiment == "entropy":
         assert created == []
     else:
         assert created
-    if experiment == "protocol":
-        assert {block for _, _, block in created} == {0, 1}

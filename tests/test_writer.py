@@ -125,19 +125,21 @@ def test_failed_write_leaves_no_file(tmp_path):
     assert not out.exists()
 
 
-# sha256 of photonlab 0.7.0's default result files at seed 7, on x86-64 Linux
-# with Python 3.11 and numpy 2.4
+# sha256 of the default result files at seed 7, on x86-64 Linux with Python
+# 3.11 and numpy 2.4. They are photonlab 0.7.0's files, except that since
+# 0.9.0 every JSON file names the generator "numpy-philox-4x64" and the iid
+# protocol run draws its bits from the receiver's law.
 DEFAULTS_SEED_7 = {
-    "malus.json": "42b46cb9d8d255b17ab1cadbe86f6560b89983a2bf7cd9d80bb6b606c90e7d1b",
+    "malus.json": "01d56865836f3eb4681166ae7e08b807b34fe8565fa0a755c11ae3d47ab04010",
     "malus.csv": "3e68c388456eaa2f34b894a4b02d3570fdb922221a4712d8f6754c04ec640ed1",
-    "entropy.json": "a01778d36ad348baddd0c5e19e6f04c5a163d2e4646d2ddaee6fe2568bf2779d",
+    "entropy.json": "09530b9f0d9e17465d66442da0eaaa6f2bc9aca5e9e85beca1a05e6b9967a3bf",
     "entropy.csv": "e6533fecd378af9d06980f1c4027f0376c3073f1edf70a13fb91bc22d8783987",
-    "bell.json": "6e754491692de001d60c5f7554b1b079de6b892d1f98790b332a250a394b22ff",
+    "bell.json": "50cee48f2b5b5c978315efd94e2a3da966b3e2535b9d206d3d009c03d7b4ecbf",
     "bell.csv": "44d48ca82cd9a8931d7d6ded46c03dc550d7fd39f6e172e7d3d10cf92123e279",
-    "nosignal.json": "64cfba33f2039e5fb9854b53dc477f7adf8cfbf4c2355707d02da29c7cf63667",
+    "nosignal.json": "1cd870606d89fd4a0deda627df2ee9fc8cb0b8474e47af97c65daa94379327cc",
     "nosignal.csv": "b502d7c5919565ff45e138aafdaf010b594fe8c316b45264bd376bb2eb7b027d",
-    "protocol.json": "da096b2d38c6b4d96d864bf83906acbc6e4f1066a3eabf9944105c481324ea49",
-    "mzi.json": "5c5bccccb201ba1b93123410ff488513693f733a57c1d6f0dc83c301eb00abb7",
+    "protocol.json": "3d43fa0f7fcfc3eb504888352589fb57d4b3c3bc0fc7fdc2f644c3d403bd8581",
+    "mzi.json": "7d04d436c0c3d081c000b91269ed4c80317cbf8ffe988b3833cfc7d9c52f0c6e",
     "mzi.csv": "538537aac767ef09abbad13206ffa746efb6b1acb4812971c778ae16d205f789",
 }
 
