@@ -279,8 +279,15 @@ def test_run_protocol_validation():
     assert run_protocol(6, bit_source="balanced", seed=20).ber == 0.5
 
 
+def test_balanced_bits_are_balanced_over_all_blocks():
+    # the fixed-basis receiver decodes every bit as 0, so ber is the share of ones
+    report = run_protocol(2**19 + 6, seed=21, bit_source="balanced")
+    assert report.ber == 0.5
+
+
+# a run is scored as one block: its whole count table holds exactly n/2 ones
 @pytest.mark.parametrize("n_bits", [2, 2**18, 2**19 + 6])
-def test_balanced_runs_send_exactly_half_ones(monkeypatch, n_bits):
+def test_balanced_bits_hold_half_ones_in_every_block(monkeypatch, n_bits):
     tables = []
 
     def spy(table):
