@@ -8,7 +8,7 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"
 
 # public names by the module that defines them
 _EXPORTS = {
@@ -38,12 +38,15 @@ _EXPORTS = {
         "CorrelationStats",
         "JointOutcome",
         "PairState",
+        "bob_marginal_count_array",
         "bob_marginal_counts",
         "bob_reduced_state",
         "chsh",
         "conditional_state",
         "correlation",
+        "correlation_array",
         "joint_probabilities",
+        "joint_probability_array",
         "make_pair",
         "measure_A",
         "measure_pair",
@@ -63,6 +66,8 @@ _EXPORTS = {
         "TimingInvarianceReport",
         "choice_timing_invariance",
         "detector_probabilities",
+        "detector_probability_array",
+        "fringe_counts",
         "run_mzi",
     ),
     "optics": (
@@ -91,7 +96,7 @@ _EXPORTS = {
         "run_protocol",
         "standard_strategies",
     ),
-    "rng": ("ALGORITHM_ID", "RngStream", "stream_from_seed"),
+    "rng": ("ALGORITHM_ID", "RngStream", "stream_from_seed", "streams"),
     "stats": (
         "as_bit_array",
         "bit_table",
@@ -101,6 +106,7 @@ _EXPORTS = {
         "permutation_null_mis",
         "plugin_mi_bits",
         "wilson_interval",
+        "wilson_interval_array",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

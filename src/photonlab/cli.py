@@ -24,7 +24,12 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
+# photonlab's linear algebra is all 2x2, so a BLAS worker thread would only
+# spin; OpenBLAS reads this once, when numpy loads it. A value the user set
+# stays as it is.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 
@@ -35,13 +40,16 @@ from . import __version__
 # test's mock, a tracer's shim) replaces what the runner calls.
 _LIBRARY = {
     "core": ("ALGEBRA_ATOL", "unit_state_array"),
-    "entangle": ("bob_marginal_counts", "chsh", "correlation", "no_signaling_check"),
+    # the runners call the array forms; the per-point names stay resolvable
+    # here for whoever looks them up on this module
+    "entangle": ("bob_marginal_count_array", "bob_marginal_counts", "chsh", "correlation",
+                 "correlation_array", "no_signaling_check"),
     "entropy": ("collapse_entropy_report",),
-    "mzi": ("MziConfig", "choice_timing_invariance", "run_mzi"),
+    "mzi": ("MziConfig", "choice_timing_invariance", "fringe_counts", "run_mzi"),
     "optics": ("cascade_analytic", "cascade_mc", "linear_light", "natural_light"),
     "protocol": ("BasisOracle", "EncodingRule", "FixedBasisML", "Repetition", "run_protocol"),
     "rng": ("ALGORITHM_ID",),
-    "stats": ("wilson_interval",),
+    "stats": ("wilson_interval", "wilson_interval_array"),
 }
 _HOME = {name: module for module, names in _LIBRARY.items() for name in names}
 
@@ -365,10 +373,6 @@ class Table:
     def __init__(self, **columns):
         self.columns = columns
 
-    def append(self, row: dict) -> None:
-        for key, value in row.items():
-            self.columns[key].append(value)
-
 
 # A runner returns (payload, table, summary): payload holds the result keys that
 # follow the common head, a Table among them streamed a slice at a time; table
@@ -426,24 +430,12 @@ def _run_entropy(params, seed):
 
 
 def _run_bell(params, seed):
-    chsh, correlation = _library("chsh", "correlation")
+    chsh, correlation_array = _library("chsh", "correlation_array")
     grid = _grid_from_sweep(params["sweep"])
-    rows = Table(delta_deg=[], e_value=[], std_err=[])
-    for i, delta_deg in enumerate(grid):
-        stats = correlation(
-            math.radians(delta_deg),
-            0.0,
-            params["n_per_point"],
-            seed=seed,
-            stream_base=i,
-        )
-        rows.append(
-            {
-                "delta_deg": float(delta_deg),
-                "e_value": float(stats.e_value),
-                "std_err": float(stats.std_err),
-            }
-        )
+    # sweep point i draws from stream i, the CHSH settings from the next four
+    e_values, std_errs = correlation_array(np.radians(grid), 0.0, params["n_per_point"],
+                                           seed=seed, stream_base=0)
+    rows = Table(delta_deg=grid, e_value=e_values, std_err=std_errs)
     settings = tuple(math.radians(a) for a in params["chsh_angles_deg"])
     s_value = chsh(
         settings,
@@ -464,30 +456,19 @@ def _run_bell(params, seed):
 
 
 def _run_nosignal(params, seed):
-    ALGEBRA_ATOL, bob_marginal_counts, no_signaling_check, wilson_interval = _library(
-        "ALGEBRA_ATOL", "bob_marginal_counts", "no_signaling_check", "wilson_interval")
-    bases_deg = params["bases_a_deg"]
+    ALGEBRA_ATOL, bob_marginal_count_array, no_signaling_check, wilson_interval_array = _library(
+        "ALGEBRA_ATOL", "bob_marginal_count_array", "no_signaling_check", "wilson_interval_array")
+    bases_deg = np.array(params["bases_a_deg"], dtype=np.float64)
     probe_deg = float(params["probe_basis_deg"])
-    distance = no_signaling_check([math.radians(b) for b in bases_deg])
-    rows = Table(basis_a_deg=[], n=[], bob_fraction_d0=[], ci_lo=[], ci_hi=[])
-    for i, basis_deg in enumerate(bases_deg):
-        total, count0 = bob_marginal_counts(
-            math.radians(basis_deg),
-            math.radians(probe_deg),
-            params["n_per_basis"],
-            seed=seed,
-            stream_base=i,
-        )
-        lo, hi = wilson_interval(count0, total)
-        rows.append(
-            {
-                "basis_a_deg": float(basis_deg),
-                "n": int(total),
-                "bob_fraction_d0": count0 / total,
-                "ci_lo": float(lo),
-                "ci_hi": float(hi),
-            }
-        )
+    n = params["n_per_basis"]
+    bases = np.radians(bases_deg)
+    distance = no_signaling_check(bases)
+    # basis i draws from stream i
+    count0 = bob_marginal_count_array(bases, math.radians(probe_deg), n, seed=seed,
+                                      stream_base=0)
+    lo, hi = wilson_interval_array(count0, n)
+    rows = Table(basis_a_deg=bases_deg, n=np.full(count0.shape, n), bob_fraction_d0=count0 / n,
+                 ci_lo=lo, ci_hi=hi)
     payload = {
         "max_trace_distance": float(distance),
         "within_atol": bool(distance < ALGEBRA_ATOL),
@@ -541,33 +522,17 @@ def _run_protocol(params, seed):
 
 
 def _run_mzi(params, seed):
-    MziConfig, choice_timing_invariance, run_mzi = _library(
-        "MziConfig", "choice_timing_invariance", "run_mzi")
-    rows = Table(phase_deg=[], closed_fraction_d0=[], open_fraction_d0=[])
-    for i, phase_deg in enumerate(params["phases_deg"]):
-        phase = math.radians(phase_deg)
-        base = 4 * i
-        closed = run_mzi(
-            MziConfig(phase, second_bs=True),
-            params["n_per_phase"],
-            seed=seed,
-            mode=params["mode"],
-            stream_base=base,
-        )
-        opened = run_mzi(
-            MziConfig(phase, second_bs=False),
-            params["n_per_phase"],
-            seed=seed,
-            mode=params["mode"],
-            stream_base=base + 2,
-        )
-        rows.append(
-            {
-                "phase_deg": float(phase_deg),
-                "closed_fraction_d0": closed.count_d0 / closed.n,
-                "open_fraction_d0": opened.count_d0 / opened.n,
-            }
-        )
+    MziConfig, choice_timing_invariance, fringe_counts = _library(
+        "MziConfig", "choice_timing_invariance", "fringe_counts")
+    phases_deg = np.array(params["phases_deg"], dtype=np.float64)
+    n = params["n_per_phase"]
+    # phase i draws from stream 4i closed and 4i + 2 open; the timing
+    # comparison takes the three streams after the last phase's
+    closed, opened = (fringe_counts(np.radians(phases_deg), second_bs, n, seed=seed,
+                                    mode=params["mode"], stream_base=base, stream_step=4)
+                      for second_bs, base in ((True, 0), (False, 2)))
+    rows = Table(phase_deg=phases_deg, closed_fraction_d0=closed / n,
+                 open_fraction_d0=opened / n)
     timing_payload = None
     if params["timing"] is not None:
         timing = params["timing"]

@@ -32,6 +32,9 @@ PROB_SNAP = 1e-15
 # their temporaries (a few hundred bytes per point) stay bounded whatever the
 # number of points.
 SLICE_POINTS = 2**16
+# sample_count_array turns this many rows at a time into Python lists, a few
+# hundred bytes a row, so a sweep's draws add little to its peak memory
+COUNT_ROWS = 2**12
 
 
 class InvalidStateError(ValueError):
@@ -275,20 +278,65 @@ def sample_counts(probs, n: int, rng: RngStream) -> np.ndarray:
     An outcome of probability 0 and an empty remainder draw nothing, so a
     certain outcome gets all n draws without touching the stream.
     """
-    p = [snap_probability(x) for x in probs]
-    last_nonzero = max(k for k, x in enumerate(p) if x > 0.0)
-    left = int(n)
-    if left < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    counts = np.zeros(len(p), dtype=np.int64)
-    for k in range(last_nonzero):
-        if left == 0:
-            break
-        if p[k] > 0.0:
-            counts[k] = rng.binomial(left, min(1.0, p[k] / sum(p[k:last_nonzero + 1])))
-            left -= int(counts[k])
-    counts[last_nonzero] = left
+    return sample_count_array(np.asarray(probs, dtype=np.float64)[None], n, (rng,))[0]
+
+
+def sample_count_array(probs, n, rngs) -> np.ndarray:
+    """sample_counts of each row of a (P, K) array of outcome probabilities:
+    row i draws n trials (or n[i], for an array n) from the i-th stream that
+    the iterable rngs yields, and the result is the (P, K) int64 counts.
+
+    The conditional probabilities of the chain that sample_counts describes
+    are computed as arrays, COUNT_ROWS rows at a time, each tail sum added
+    left to right as Python's sum adds a row, so a row's counts do not depend
+    on the other rows; only the few binomial draws of each row are left to a
+    loop.
+    """
+    p = snap_probability_array(probs)
+    if p.ndim != 2:
+        raise ValueError(f"probs must be a (points, outcomes) array, got shape {p.shape}")
+    points, outcomes = p.shape
+    trials = np.broadcast_to(np.asarray(n, dtype=np.int64), (points,))
+    if points and int(trials.min()) < 0:
+        raise ValueError(f"n must be >= 0, got {int(trials.min())}")
+    if not (p > 0.0).any(axis=1).all():
+        raise ValueError("every row needs an outcome of nonzero probability")
+    rngs = iter(rngs)
+    counts = np.empty((points, outcomes), dtype=np.int64)
+    for lo in range(0, points, COUNT_ROWS):
+        rows = slice(lo, min(lo + COUNT_ROWS, points))
+        cond, last = _binomial_chain(p[rows])
+        flat = []  # the slice's counts, row after row
+        for row, left, stop, rng in zip(cond.tolist(), trials[rows].tolist(), last.tolist(), rngs):
+            binomial = rng.binomial
+            for q in row[:stop]:
+                # no draw for an impossible outcome or once every trial is placed
+                drawn = binomial(left, q) if left and q > 0.0 else 0
+                flat.append(drawn)
+                left -= drawn
+            flat.append(left)
+            flat.extend([0] * (outcomes - 1 - stop))
+        if len(flat) != (rows.stop - rows.start) * outcomes:
+            raise ValueError(f"rngs yielded fewer streams than the {points} rows")
+        counts[rows] = np.array(flat, dtype=np.int64).reshape(-1, outcomes)
     return counts
+
+
+def _binomial_chain(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For (P, K) snapped probabilities, each with a nonzero entry: the
+    binomial probability of outcome k among the trials not yet placed,
+    min(1, p_k / (p_k + ... + p_last)) or 0 where p_k is 0, and the index
+    of the last nonzero outcome of each row, which takes the rest."""
+    nonzero = p > 0.0
+    last = p.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    cond = np.zeros_like(p)
+    for k in range(p.shape[1] - 1):
+        # the outcomes past the last nonzero one add exact zeros to the tail
+        tail = p[:, k].copy()
+        for j in range(k + 1, p.shape[1]):
+            tail += p[:, j]
+        np.divide(p[:, k], tail, out=cond[:, k], where=nonzero[:, k])
+    return np.where(cond < 1.0, cond, 1.0), last
 
 
 def sample_binary(p0, u) -> np.ndarray:

@@ -29,11 +29,10 @@ from .core import (
     point_slices,
     sample_binary,
     sample_categories,
-    sample_counts,
-    snap_probability,
+    sample_count_array,
     snap_probability_array,
 )
-from .rng import RngStream, stream_from_seed
+from .rng import RngStream, streams
 
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -51,9 +50,13 @@ class PairState:
             raise ValueError(f"pair state must have dimension 4, got {self.joint.dim}")
 
 
+_PAIR = PairState(StateVector(_SINGLET))
+
+
 def make_pair() -> PairState:
-    """The singlet pair used throughout."""
-    return PairState(StateVector(_SINGLET))
+    """The singlet pair used throughout: one frozen PairState with read-only
+    amplitudes, built and checked once."""
+    return _PAIR
 
 
 @dataclass(frozen=True)
@@ -113,16 +116,31 @@ def measure_A(pair: PairState, basis_a, rng: RngStream) -> tuple[OutcomeRecord, 
 
 def joint_probabilities(pair: PairState, basis_a, basis_b) -> np.ndarray:
     """2x2 array of P(outcome_a, outcome_b) for local measurements on both photons."""
-    basis_a = _coerce_basis(basis_a)
-    basis_b = _coerce_basis(basis_b)
+    theta_a = _coerce_basis(basis_a).theta
+    theta_b = _coerce_basis(basis_b).theta
+    return joint_probability_array(pair, theta_a, theta_b)[0]
+
+
+def joint_probability_array(pair: PairState, thetas_a, thetas_b) -> np.ndarray:
+    """(P, 2, 2) stack of joint_probabilities, one per pair of measurement
+    angles; thetas_a and thetas_b broadcast against each other (a single
+    angle counts as one point).
+
+    Each amplitude <e_a| M |f_b*> runs, per point, the stacked form of the
+    BLAS calls of ea.conj() @ m @ fb.conj() on one pair of eigenvectors, so a
+    point's probabilities do not depend on the batch.
+    """
+    theta_a, theta_b = np.broadcast_arrays(canonical_angle_array(thetas_a).reshape(-1),
+                                           canonical_angle_array(thetas_b).reshape(-1))
     m = _amplitude_matrix(pair)
-    probs = np.empty((2, 2))
-    for oa in (0, 1):
-        ea = basis_a.eigenvector(oa).amplitudes
-        for ob in (0, 1):
-            fb = basis_b.eigenvector(ob).amplitudes
-            amp = ea.conj() @ m @ fb.conj()
-            probs[oa, ob] = snap_probability(float(np.real(amp * np.conj(amp))))
+    probs = np.empty(theta_a.shape + (2, 2))
+    for rows in point_slices(theta_a.shape[0]):
+        fb = [_eigenvectors(theta_b[rows], ob).conj()[:, :, None] for ob in (0, 1)]
+        for oa in (0, 1):
+            left = _eigenvectors(theta_a[rows], oa).conj()[:, None, :] @ m
+            for ob in (0, 1):
+                amp = (left @ fb[ob])[:, 0, 0]
+                probs[rows, oa, ob] = snap_probability_array(np.real(amp * np.conj(amp)))
     return probs
 
 
@@ -135,15 +153,17 @@ def measure_pair(pair: PairState, basis_a, basis_b, rng: RngStream) -> JointOutc
     return JointOutcome(outcome_a=idx // 2, outcome_b=idx % 2, basis_a=basis_a, basis_b=basis_b)
 
 
-def _joint_counts(theta_a, theta_b, n, seed, pair, stream_base) -> np.ndarray:
-    """Counts of the joint outcomes (00, 01, 10, 11) over n sampled pairs: one
-    four-outcome core.sample_counts draw on stream_from_seed(seed, stream_base)."""
+def _joint_counts(thetas_a, thetas_b, n, seed, pair, stream_base) -> np.ndarray:
+    """(P, 4) counts of the joint outcomes (00, 01, 10, 11) over n sampled
+    pairs at each pair of angles: point i makes one four-outcome
+    core.sample_counts draw on stream (seed, stream_base + i)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if pair is None:
         pair = make_pair()
-    probs = joint_probabilities(pair, theta_a, theta_b).ravel()
-    return sample_counts(probs, n, stream_from_seed(seed, stream_base))
+    probs = joint_probability_array(pair, thetas_a, thetas_b).reshape(-1, 4)
+    indices = range(stream_base, stream_base + probs.shape[0])
+    return sample_count_array(probs, n, streams(seed, indices))
 
 
 @dataclass(frozen=True)
@@ -161,6 +181,20 @@ class CorrelationStats:
         return cls(e_value=e, n=n, std_err=se)
 
 
+def correlation_array(thetas_a, thetas_b, n: int, seed: int = 0,
+                      pair: PairState | None = None,
+                      stream_base: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """correlation at each pair of angles (thetas_a and thetas_b broadcast),
+    as arrays (e_values, std_errs): point i draws its n pairs from stream
+    (seed, stream_base + i), exactly as correlation(..., stream_base=
+    stream_base + i) does, with the float operations of
+    CorrelationStats.from_counts."""
+    counts = _joint_counts(thetas_a, thetas_b, n, seed, pair, stream_base)
+    e = (2 * (counts[:, 0] + counts[:, 3]) - n) / n
+    spread = 1.0 - e * e
+    return e, np.sqrt(np.where(spread > 0.0, spread, 0.0) / n)
+
+
 def correlation(
     theta_a: float,
     theta_b: float,
@@ -173,12 +207,13 @@ def correlation(
     (different outcomes) over n pairs; analytically -cos 2(a - b) for the singlet.
 
     The joint-outcome counts come from the multinomial law of
-    joint_probabilities, drawn with one core.sample_counts call on
-    stream_from_seed(seed, stream_base); no pair is drawn one by one. At
+    joint_probabilities, drawn with one core.sample_counts call on the
+    stream (seed, stream_base); no pair is drawn one by one. At
     equal bases the equal outcomes snap to probability 0, so E is exactly -1
     at any n.
     """
-    counts = _joint_counts(theta_a, theta_b, n, seed, pair, stream_base)
+    counts = _joint_counts(_coerce_basis(theta_a).theta, _coerce_basis(theta_b).theta, n, seed,
+                           pair, stream_base)[0]
     return CorrelationStats.from_counts(n_equal=int(counts[0] + counts[3]), n=int(n))
 
 
@@ -202,18 +237,9 @@ def chsh(
     if n_per_setting < 1:
         raise ValueError(f"n_per_setting must be >= 1, got {n_per_setting}")
     a, a_prime, b, b_prime = (float(x) for x in settings)
-    combos = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
-    e = [
-        correlation(
-            ta,
-            tb,
-            n_per_setting,
-            seed=seed,
-            pair=pair,
-            stream_base=stream_base + s,
-        ).e_value
-        for s, (ta, tb) in enumerate(combos)
-    ]
+    e, _ = correlation_array([a, a, a_prime, a_prime], [b, b_prime, b, b_prime],
+                             n_per_setting, seed=seed, pair=pair, stream_base=stream_base)
+    e = e.tolist()
     return abs(e[0] - e[1] + e[2] + e[3])
 
 
@@ -232,8 +258,19 @@ def bob_marginal_counts(
     distribution does not depend on theta_a; this is the empirical face of the
     no-signaling check.
     """
-    counts = _joint_counts(theta_a, theta_b, n, seed, pair, stream_base)
+    counts = _joint_counts(_coerce_basis(theta_a).theta, _coerce_basis(theta_b).theta, n, seed,
+                           pair, stream_base)[0]
     return int(n), int(counts[0] + counts[2])
+
+
+def bob_marginal_count_array(thetas_a, thetas_b, n: int, seed: int = 0,
+                             pair: PairState | None = None,
+                             stream_base: int = 0) -> np.ndarray:
+    """Bob's aligned-outcome counts of bob_marginal_counts at each pair of
+    angles (thetas_a and thetas_b broadcast), point i drawing from stream
+    (seed, stream_base + i), as an int64 array."""
+    counts = _joint_counts(thetas_a, thetas_b, n, seed, pair, stream_base)
+    return counts[:, 0] + counts[:, 2]
 
 
 def _bob_marginals(pair: PairState, theta: np.ndarray) -> np.ndarray:

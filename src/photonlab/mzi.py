@@ -16,12 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import sample_counts, snap_probability
-from .rng import stream_from_seed
+from .core import point_slices, sample_count_array, sample_counts, snap_probability_array
+from .rng import stream_from_seed, streams
 
 _BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 CHOICE_POLICIES = ("fixed", "delayed-random")
+
+
+# the state after the first beamsplitter, before the phase shift
+_SPLIT = _BEAMSPLITTER @ np.array([1.0, 0.0], dtype=np.complex128)
 
 
 def detector_probabilities(phase: float, second_bs: bool) -> tuple[float, float]:
@@ -31,12 +35,35 @@ def detector_probabilities(phase: float, second_bs: bool) -> tuple[float, float]
     """
     if not (isinstance(phase, (int, float)) and math.isfinite(phase)):
         raise ValueError(f"phase must be finite, got {phase!r}")
-    psi = _BEAMSPLITTER @ np.array([1.0, 0.0], dtype=np.complex128)
-    psi[0] *= np.exp(1j * phase)
-    if second_bs:
-        psi = _BEAMSPLITTER @ psi
-    p0 = snap_probability(float(np.abs(psi[0]) ** 2))
-    return p0, 1.0 - p0
+    p0, p1 = detector_probability_array(np.array([float(phase)]), second_bs)[0].tolist()
+    return p0, p1
+
+
+def detector_probability_array(phases, second_bs: bool) -> np.ndarray:
+    """(P, 2) rows of detector_probabilities, one per phase (radians).
+
+    Each point takes the operations photonlab 0.9.0 took for one phase: the
+    phase factor times the split state, then, with the second beamsplitter,
+    a stacked matrix-vector product, the BLAS call of _BEAMSPLITTER @ psi.
+    |psi_0| is squared with libm pow, as 0.9.0 squared a numpy scalar;
+    x * x differs from it in the last bit for about one phase in 600, which
+    would move a Monte Carlo count.
+    """
+    phases = np.asarray(phases, dtype=np.float64).reshape(-1)
+    if not np.isfinite(phases).all():
+        raise ValueError(f"phase must be finite, got {float(phases[~np.isfinite(phases)][0])!r}")
+    probs = np.empty(phases.shape + (2,))
+    for rows in point_slices(phases.shape[0]):
+        psi = np.empty(phases[rows].shape + (2,), dtype=np.complex128)
+        psi[:, 0] = _SPLIT[0] * np.exp(1j * phases[rows])
+        psi[:, 1] = _SPLIT[1]
+        if second_bs:
+            psi = (_BEAMSPLITTER @ psi[:, :, None])[:, :, 0]
+        magnitude = np.abs(psi[:, 0]).tolist()
+        p0 = snap_probability_array([x ** 2 for x in magnitude])
+        probs[rows, 0] = p0
+        probs[rows, 1] = 1.0 - p0
+    return probs
 
 
 @dataclass(frozen=True)
@@ -107,18 +134,13 @@ def run_mzi(
     if mode not in ("mc", "analytic"):
         raise ValueError(f"mode must be 'mc' or 'analytic', got {mode!r}")
     delayed = config.choice_policy == "delayed-random"
-    if mode == "analytic":
-        if delayed:
-            raise ValueError("analytic mode supports fixed configurations only")
-        p0, _ = detector_probabilities(config.phase, config.second_bs)
-        count_d0 = int(round(n * p0))
-        return MziStats(n=n, count_d0=count_d0, count_d1=n - count_d0)
-
-    detect = stream_from_seed(seed, stream_base)
+    if mode == "analytic" and delayed:
+        raise ValueError("analytic mode supports fixed configurations only")
     if not delayed:
-        count_d0 = int(sample_counts(detector_probabilities(config.phase, config.second_bs),
-                                     n, detect)[0])
+        count_d0 = int(fringe_counts([config.phase], config.second_bs, n, seed=seed, mode=mode,
+                                     stream_base=stream_base)[0])
         return MziStats(n=n, count_d0=count_d0, count_d1=n - count_d0)
+    detect = stream_from_seed(seed, stream_base)
     p = config.p_present
     n_present = int(sample_counts((p, 1.0 - p), n, stream_from_seed(seed, stream_base + 1))[0])
     n_absent = n - n_present
@@ -132,6 +154,32 @@ def run_mzi(
     }
     count_d0 = d0_present + d0_absent
     return MziStats(n=n, count_d0=count_d0, count_d1=n - count_d0, by_choice=by_choice)
+
+
+def fringe_counts(
+    phases,
+    second_bs: bool,
+    n: int,
+    seed: int = 0,
+    mode: str = "mc",
+    stream_base: int = 0,
+    stream_step: int = 1,
+) -> np.ndarray:
+    """D0 counts of a fixed-configuration run_mzi of n photons at each phase,
+    as an int64 array: phase i draws from stream (seed, stream_base +
+    stream_step * i), exactly as run_mzi(MziConfig(phase, second_bs), n, seed,
+    mode, stream_base=stream_base + stream_step * i) does.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if mode not in ("mc", "analytic"):
+        raise ValueError(f"mode must be 'mc' or 'analytic', got {mode!r}")
+    probs = detector_probability_array(phases, second_bs)
+    if mode == "analytic":
+        # round half to even, as Python's round does
+        return np.rint(n * probs[:, 0]).astype(np.int64)
+    indices = range(stream_base, stream_base + stream_step * probs.shape[0], stream_step)
+    return sample_count_array(probs, n, streams(seed, indices))[:, 0]
 
 
 def _two_proportion_z(x1: int, n1: int, x2: int, n2: int) -> float:

@@ -32,17 +32,31 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, {trials}], got {successes}")
+    lo, hi = wilson_interval_array(np.array([successes]), trials, confidence)
+    return float(lo[0]), float(hi[0])
+
+
+def wilson_interval_array(successes, trials, confidence: float = 0.95):
+    """wilson_interval of each count in an integer array (trials one count or
+    one per element), as arrays (lo, hi). Each element takes the operations,
+    in order, that the closed form takes in Python floats, so it equals the
+    interval photonlab 0.9.0 computed one count at a time, bit for bit."""
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    x, trials = np.broadcast_arrays(np.asarray(successes, dtype=np.int64),
+                                    np.asarray(trials, dtype=np.int64))
+    if x.size and (trials.min() <= 0 or x.min() < 0 or (x > trials).any()):
+        raise ValueError("counts must satisfy 0 <= successes <= trials with trials positive")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    n = float(trials)
-    p = successes / n
+    n = trials.astype(np.float64)
+    p = x / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
     half = (z / denom) * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
-    lo = 0.0 if successes == 0 else max(0.0, center - half)
-    hi = 1.0 if successes == trials else min(1.0, center + half)
-    return (float(lo), float(hi))
+    # max(0.0, v) and min(1.0, v): v unless it passes the bound
+    lo = np.where(x == 0, 0.0, np.where(center - half > 0.0, center - half, 0.0))
+    hi = np.where(x == trials, 1.0, np.where(center + half < 1.0, center + half, 1.0))
+    return lo, hi
 
 
 def as_bit_array(values, name: str = "values") -> np.ndarray:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from photonlab.rng import ALGORITHM_ID, RngStream, stream_from_seed
+from photonlab.rng import ALGORITHM_ID, RngStream, stream_from_seed, streams
 
 # first raw words of stream (42, 0); pins the generator across versions
 _REFERENCE_RAW = [
@@ -60,9 +62,9 @@ def test_uniform_mean_is_where_it_should_be():
 def test_streams_share_no_raw_words():
     # 64 indices of one seed plus 4 seeds of one index, x 10^4 words each: any
     # collision would be a keying bug
-    streams = [stream_from_seed(5, i) for i in range(64)]
-    streams += [stream_from_seed(seed, 99) for seed in range(6, 10)]
-    words = np.concatenate([s.raw_u64(10_000) for s in streams])
+    keyed = [stream_from_seed(5, i) for i in range(64)]
+    keyed += [stream_from_seed(seed, 99) for seed in range(6, 10)]
+    words = np.concatenate([s.raw_u64(10_000) for s in keyed])
     assert np.unique(words).size == words.size
 
 
@@ -94,3 +96,62 @@ def test_seed_and_index_bounds_are_enforced():
         RngStream(0, 0, 1)  # streams have no blocks
     RngStream(2**64 - 1, 2**64 - 1)  # the extremes are valid
 
+
+
+# --- re-keyed streams ----------------------------------------------------------------
+
+u64 = st.integers(0, 2**64 - 1)
+
+
+def _predraw(stream, kind):
+    """Leave the generator part way through its output, as a run's draws may."""
+    if kind == "uint32":  # half of a 64-bit word kept for the next uint32
+        stream._generator.integers(0, 2**32, size=3, dtype=np.uint32)
+    elif kind == "buffered":  # words of Philox's 4-word output block left unread
+        stream.raw_u64(5)
+    elif kind == "binomial":
+        stream.binomial(1000, 0.3)
+
+
+def _draws(stream):
+    return (stream.raw_u64(9).tolist(), [stream.binomial(n, 0.37) for n in (1, 40, 10**6)],
+            stream.random(3).tolist(), stream._generator.integers(0, 2**32, size=3,
+                                                                  dtype=np.uint32).tolist())
+
+
+@settings(max_examples=200)
+@given(u64, u64, u64, st.sampled_from(["none", "uint32", "buffered", "binomial"]))
+@example(0, 0, 0, "uint32")
+@example(2**64 - 1, 2**64 - 1, 0, "buffered")
+@example(5, 0, 2**64 - 1, "uint32")
+def test_a_rekeyed_stream_draws_what_a_new_stream_draws(seed, first, index, kind):
+    stream = RngStream(seed, first)
+    _predraw(stream, kind)
+    stream.rekey(index)
+    assert stream.stream_index == index
+    assert _draws(stream) == _draws(stream_from_seed(seed, index))
+
+
+def test_the_predraws_leave_a_half_used_word_and_a_buffered_one():
+    stream = stream_from_seed(3, 0)
+    _predraw(stream, "uint32")
+    assert stream._bit_generator.state["has_uint32"] == 1
+    stream = stream_from_seed(3, 0)
+    _predraw(stream, "buffered")
+    assert stream._bit_generator.state["buffer_pos"] < 4
+
+
+@given(u64, st.lists(u64, max_size=8))
+def test_streams_yields_the_stream_of_each_index(seed, indices):
+    yielded = [(s.seed, s.stream_index, _draws(s)) for s in streams(seed, indices)]
+    assert yielded == [(seed, i, _draws(stream_from_seed(seed, i))) for i in indices]
+
+
+def test_rekey_bounds_are_enforced():
+    stream = stream_from_seed(1, 2)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError):
+            stream.rekey(bad)
+    assert stream.stream_index == 2
+    with pytest.raises(ValueError):
+        next(streams(2**64, [0]))

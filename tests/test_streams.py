@@ -1,16 +1,18 @@
-"""Every Monte Carlo point draws on the calling thread, and no two draws of a
-run share a stream."""
+"""Every Monte Carlo point draws on the calling thread, a CLI process runs on
+one OS thread, and no two draws of a run share a stream."""
 
-import importlib
+import json
 import math
-import pkgutil
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-import photonlab
-from photonlab import rng
+from photonlab import cli, rng
 from photonlab.cli import main as cli_main
 from photonlab.entangle import correlation
 from photonlab.mzi import MziConfig, run_mzi
@@ -44,24 +46,100 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(RUNS))
-def test_no_stream_is_created_twice_in_one_run(monkeypatch, tmp_path, experiment):
-    created = []
-    original = rng.stream_from_seed
+# the stream indices each run above keyed in photonlab 0.9.0, which built one
+# generator per stream: bell points 0-2 and CHSH settings 3-6; nosignal bases
+# 0-1; mzi phases 4i (closed) and 4i + 2 (open), then the timing comparison's
+# detection, choice and fixed streams 12-14; the iid protocol bits 0
+INDICES_0_9_0 = {
+    "malus": {0},
+    "entropy": set(),
+    "bell": set(range(7)),
+    "nosignal": {0, 1},
+    "protocol": {0},
+    "mzi": {0, 2, 4, 6, 8, 10, 12, 13, 14},
+}
 
-    def recording(seed, index):
-        created.append((seed, index))
-        return original(seed, index)
 
-    for info in pkgutil.iter_modules(photonlab.__path__):
-        module = importlib.import_module(f"photonlab.{info.name}")
-        if getattr(module, "stream_from_seed", None) is original:
-            monkeypatch.setattr(module, "stream_from_seed", recording)
+def _keyed_streams(monkeypatch, tmp_path, experiment) -> list:
+    """The (seed, index) of every stream a run keys, built or re-keyed, in order."""
+    keyed = []
+    init, rekey = rng.RngStream.__init__, rng.RngStream.rekey
+
+    def recording_init(self, seed, stream_index):
+        keyed.append((seed, stream_index))
+        init(self, seed, stream_index)
+
+    def recording_rekey(self, stream_index):
+        keyed.append((self.seed, stream_index))
+        rekey(self, stream_index)
+
+    monkeypatch.setattr(rng.RngStream, "__init__", recording_init)
+    monkeypatch.setattr(rng.RngStream, "rekey", recording_rekey)
     argv = [experiment, "--seed", "5", "--out", str(tmp_path / "r.json")] + RUNS[experiment]
     assert cli_main(argv) == 0
-    assert {seed for seed, _ in created} <= {5}
-    assert [key for key, uses in Counter(created).items() if uses > 1] == []
+    return keyed
+
+
+@pytest.mark.parametrize("experiment", sorted(RUNS))
+def test_no_stream_is_created_twice_in_one_run(monkeypatch, tmp_path, experiment):
+    keyed = _keyed_streams(monkeypatch, tmp_path, experiment)
+    assert {seed for seed, _ in keyed} <= {5}
+    assert [key for key, uses in Counter(keyed).items() if uses > 1] == []
     if experiment == "entropy":
-        assert created == []
+        assert keyed == []
     else:
-        assert created
+        assert keyed
+
+
+@pytest.mark.parametrize("experiment", sorted(RUNS))
+def test_a_run_keys_the_streams_of_0_9_0(monkeypatch, tmp_path, experiment):
+    keyed = _keyed_streams(monkeypatch, tmp_path, experiment)
+    assert sorted(keyed) == sorted((5, i) for i in INDICES_0_9_0[experiment])
+
+
+def test_a_sweep_builds_one_generator_and_rekeys_it_per_point(monkeypatch, tmp_path):
+    built = []
+    init = rng.RngStream.__init__
+
+    def counting_init(self, seed, stream_index):
+        built.append(stream_index)
+        init(self, seed, stream_index)
+
+    monkeypatch.setattr(rng.RngStream, "__init__", counting_init)
+    argv = ["bell", "--out", str(tmp_path / "r.json"), "--set", "n_per_point=10",
+            "--set", 'sweep={"start_deg": 0, "stop_deg": 90, "step_deg": 0.5}']
+    assert cli_main(argv) == 0
+    # one for the 181 sweep points, one for the four CHSH settings
+    assert built == [0, 181]
+
+
+# a CLI run in a fresh interpreter; prints its OS thread count and the BLAS
+# thread setting it saw, after the run
+_THREADS = """
+import json, os, sys
+from photonlab.cli import main
+assert main(sys.argv[1:]) == 0
+print(json.dumps([len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+def _cli_threads(tmp_path, env_value):
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if env_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_value
+    argv = ["bell", "--out", str(tmp_path / "r.json"), "--set", "n_per_point=1000"]
+    proc = subprocess.run([sys.executable, "-c", _THREADS, *argv], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_cli_process_runs_on_one_os_thread(tmp_path):
+    assert _cli_threads(tmp_path, None) == [1, "1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_user_set_blas_thread_count_is_left_as_it_is(tmp_path):
+    assert _cli_threads(tmp_path, "2")[1] == "2"
