@@ -22,16 +22,17 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-
-# photonlab's linear algebra is all 2x2, so a BLAS worker thread would only
-# spin; OpenBLAS reads this once, when numpy loads it. A value the user set
-# stays as it is.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
+from collections import namedtuple
 
 from . import __version__
+
+# numpy loads only once a run starts, with the first library module or runner
+# that needs it, so --help, --version and a configuration error exit without
+# it. photonlab's linear algebra is all 2x2, so a BLAS worker thread would only
+# spin; OpenBLAS reads this variable once, when numpy loads, and takes an empty
+# value as unset. Any other value the user set stays as it is.
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 # The library names the runners call, by the module that defines them. Each
 # resolves as an attribute of this module on first use (PEP 562), and a runner
@@ -90,8 +91,9 @@ MAX_PAIRS_PER_BIT = 2**24
 MAX_STRATEGY_NESTING = 8
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(namedtuple("Field", "kind default minimum maximum exclusive_minimum choices "
+                                "item fields nullable",
+                       defaults=(None, None, None, None, (), None, None, False))):
     """One parameter of an experiment: its kind, default and bounds.
 
     kind is "number", "integer", "string", "choice", "list" or "object". Numbers
@@ -102,15 +104,7 @@ class Field:
     starts from before its config and --set overrides.
     """
 
-    kind: str
-    default: object = None
-    minimum: float | None = None
-    maximum: float | None = None
-    exclusive_minimum: float | None = None
-    choices: tuple = ()
-    item: Field | None = None
-    fields: dict | None = None
-    nullable: bool = False
+    __slots__ = ()
 
 
 _NUMBER = Field("number")
@@ -226,20 +220,24 @@ def _check(field: Field, value, path: str) -> None:
 
 
 def _numbers_fit(field: Field, values: list) -> bool:
-    """Whether every value is a finite number within the field's bounds, by one
-    array check. False sends the caller to the item-by-item loop, which finds
-    and names the first bad item."""
-    if field.kind != "number" or not set(map(type, values)) <= {int, float}:
+    """Whether every value is a finite number within the field's bounds, by a
+    sum, a min and a max. False sends the caller to the item-by-item loop,
+    which finds and names the first bad item."""
+    if not values or field.kind != "number" or not set(map(type, values)) <= {int, float}:
         return False
     try:
-        a = np.array(values, dtype=np.float64)
+        # a NaN or infinity makes the sum non-finite; integers add exactly, so
+        # one too large for a float may cancel out of the sum, but not out of
+        # the min or max. A sum that overflows only sends finite values to the
+        # loop. Python compares ints and floats exactly, as the loop does.
+        low, high = min(values), max(values)
+        if not (math.isfinite(sum(values)) and math.isfinite(low) and math.isfinite(high)):
+            return False
     except OverflowError:  # an integer too large for a float
         return False
-    # integers convert exactly below 2**53, far beyond every bound in SPECS
-    return bool(np.isfinite(a).all()
-                and (field.minimum is None or (a >= field.minimum).all())
-                and (field.exclusive_minimum is None or (a > field.exclusive_minimum).all())
-                and (field.maximum is None or (a <= field.maximum).all()))
+    return ((field.minimum is None or low >= field.minimum)
+            and (field.exclusive_minimum is None or low > field.exclusive_minimum)
+            and (field.maximum is None or high <= field.maximum))
 
 
 def _check_bounds(field: Field, value, shown: str, path: str) -> None:
@@ -258,41 +256,63 @@ _STRATEGY_FORMS = (
 )
 
 
-def parse_strategy(label: str):
-    """Parse a receiver strategy label, e.g. 'repetition:11:fixed-basis-ml:22.5'."""
-    BasisOracle, FixedBasisML, Repetition = _library("BasisOracle", "FixedBasisML", "Repetition")
+def _strategy_form(label: str) -> tuple[list[int], float | None]:
+    """The repetition factors of a receiver strategy label, outermost first,
+    and its base strategy: None for basis-oracle, else the fixed-basis angle in
+    degrees. It checks the whole label, and that it sends at most
+    MAX_PAIRS_PER_BIT pairs per bit, without the protocol module, so a bad one
+    is refused before numpy loads."""
     label = label.strip()
     if label.count("repetition:") > MAX_STRATEGY_NESTING:
         raise ConfigError(
             f"strategy nests more than {MAX_STRATEGY_NESTING} repetitions; {_STRATEGY_FORMS}"
         )
-    if label == "basis-oracle":
-        return BasisOracle()
-    if label.startswith("fixed-basis-ml:"):
-        raw = label.split(":", 1)[1]
+    factors = []
+    base = label
+    while base.startswith("repetition:"):
+        parts = base.split(":", 2)
+        if len(parts) != 3:
+            raise ConfigError(f"malformed repetition strategy {base!r}; {_STRATEGY_FORMS}")
+        try:
+            factors.append(int(parts[1]))
+        except ValueError:
+            raise ConfigError(
+                f"bad repetition factor {parts[1]!r} in {base!r}; {_STRATEGY_FORMS}"
+            ) from None
+        base = parts[2].strip()
+    if base == "basis-oracle":
+        deg = None
+    elif base.startswith("fixed-basis-ml:"):
+        raw = base.split(":", 1)[1]
         try:
             deg = float(raw)
         except ValueError:
-            raise ConfigError(f"bad angle {raw!r} in {label!r}; {_STRATEGY_FORMS}") from None
+            raise ConfigError(f"bad angle {raw!r} in {base!r}; {_STRATEGY_FORMS}") from None
         if not math.isfinite(deg):
-            raise ConfigError(f"angle in {label!r} must be finite; {_STRATEGY_FORMS}")
-        return FixedBasisML(math.radians(deg))
-    if label.startswith("repetition:"):
-        parts = label.split(":", 2)
-        if len(parts) != 3:
-            raise ConfigError(f"malformed repetition strategy {label!r}; {_STRATEGY_FORMS}")
-        try:
-            k = int(parts[1])
-        except ValueError:
-            raise ConfigError(
-                f"bad repetition factor {parts[1]!r} in {label!r}; {_STRATEGY_FORMS}"
-            ) from None
-        inner = parse_strategy(parts[2])
-        try:
-            return Repetition(k, inner)
-        except ValueError as exc:
-            raise ConfigError(f"{exc}; {_STRATEGY_FORMS}") from None
-    raise ConfigError(f"unknown strategy {label!r}; {_STRATEGY_FORMS}")
+            raise ConfigError(f"angle in {base!r} must be finite; {_STRATEGY_FORMS}")
+    else:
+        raise ConfigError(f"unknown strategy {base!r}; {_STRATEGY_FORMS}")
+    # the innermost bad factor is named first, as Repetition refuses it
+    for k in reversed(factors):
+        if k < 1:
+            raise ConfigError(f"repetition factor must be >= 1, got {k}; {_STRATEGY_FORMS}")
+    pairs_per_bit = math.prod(factors)
+    if pairs_per_bit > MAX_PAIRS_PER_BIT:
+        raise ConfigError(
+            f"strategy {label} sends {pairs_per_bit} pairs per bit, "
+            f"more than {MAX_PAIRS_PER_BIT}; lower its repetition factors"
+        )
+    return factors, deg
+
+
+def parse_strategy(label: str):
+    """Parse a receiver strategy label, e.g. 'repetition:11:fixed-basis-ml:22.5'."""
+    factors, deg = _strategy_form(label)
+    BasisOracle, FixedBasisML, Repetition = _library("BasisOracle", "FixedBasisML", "Repetition")
+    strategy = BasisOracle() if deg is None else FixedBasisML(math.radians(deg))
+    for k in reversed(factors):
+        strategy = Repetition(k, strategy)
+    return strategy
 
 
 def _load_config(path: str) -> dict:
@@ -354,9 +374,11 @@ def _grid_from_sweep(sweep: dict) -> list[float]:
     return [start + k * step for k in range(int(span) + 1)]
 
 
-def _sweep_final_intensities(grid: list[float]) -> np.ndarray:
+def _sweep_final_intensities(grid: list[float]):
     """Natural light through polarizers at 90, theta and 0 degrees, for each
     theta of the grid (in degrees), as one batched cascade."""
+    import numpy as np
+
     cascade_analytic, natural_light = _library("cascade_analytic", "natural_light")
     theta = np.radians(grid)
     axes = np.stack([np.full_like(theta, math.pi / 2), theta, np.zeros_like(theta)], axis=1)
@@ -383,7 +405,7 @@ def _run_malus(params, seed):
     if params["sweep"] is not None:
         grid = _grid_from_sweep(params["sweep"])
         finals = _sweep_final_intensities(grid)
-        best = int(np.argmax(finals))
+        best = int(finals.argmax())
         summary = {"max_final_intensity": float(finals[best]), "argmax_deg": grid[best]}
         rows = Table(theta_deg=grid, final_intensity=finals)
         return {"sweep_rows": rows}, rows, summary
@@ -419,6 +441,8 @@ def _run_malus(params, seed):
 
 
 def _run_entropy(params, seed):
+    import numpy as np
+
     collapse_entropy_report, unit_state_array = _library(
         "collapse_entropy_report", "unit_state_array")
     p0 = np.array(params["grid"], dtype=np.float64)
@@ -430,8 +454,10 @@ def _run_entropy(params, seed):
 
 
 def _run_bell(params, seed):
-    chsh, correlation_array = _library("chsh", "correlation_array")
     grid = _grid_from_sweep(params["sweep"])
+    import numpy as np
+
+    chsh, correlation_array = _library("chsh", "correlation_array")
     # sweep point i draws from stream i, the CHSH settings from the next four
     e_values, std_errs = correlation_array(np.radians(grid), 0.0, params["n_per_point"],
                                            seed=seed, stream_base=0)
@@ -456,6 +482,8 @@ def _run_bell(params, seed):
 
 
 def _run_nosignal(params, seed):
+    import numpy as np
+
     ALGEBRA_ATOL, bob_marginal_count_array, no_signaling_check, wilson_interval_array = _library(
         "ALGEBRA_ATOL", "bob_marginal_count_array", "no_signaling_check", "wilson_interval_array")
     bases_deg = np.array(params["bases_a_deg"], dtype=np.float64)
@@ -480,7 +508,6 @@ def _run_nosignal(params, seed):
 
 
 def _run_protocol(params, seed):
-    EncodingRule, run_protocol = _library("EncodingRule", "run_protocol")
     n_bits = params["n_bits"]
     if params["bit_source"] == "balanced":
         # the balanced bit source splits n_bits into equal halves of ones and zeros
@@ -488,11 +515,7 @@ def _run_protocol(params, seed):
             raise _invalid("n_bits", f"{n_bits} is not a multiple of 2, as the balanced "
                                      "bit source needs")
     strategy = parse_strategy(params["strategy"])
-    if strategy.pairs_per_bit > MAX_PAIRS_PER_BIT:
-        raise ConfigError(
-            f"strategy {strategy.label} sends {strategy.pairs_per_bit} pairs per bit, "
-            f"more than {MAX_PAIRS_PER_BIT}; lower its repetition factors"
-        )
+    EncodingRule, run_protocol = _library("EncodingRule", "run_protocol")
     rule = EncodingRule(
         basis_for_one=math.radians(params["rule"]["one_deg"]),
         basis_for_zero=math.radians(params["rule"]["zero_deg"]),
@@ -522,6 +545,8 @@ def _run_protocol(params, seed):
 
 
 def _run_mzi(params, seed):
+    import numpy as np
+
     MziConfig, choice_timing_invariance, fringe_counts = _library(
         "MziConfig", "choice_timing_invariance", "fringe_counts")
     phases_deg = np.array(params["phases_deg"], dtype=np.float64)
@@ -579,7 +604,7 @@ SLICE_POINTS = 2**14
 
 def _slice(column, start: int) -> list:
     part = column[start:start + SLICE_POINTS]
-    return part.tolist() if isinstance(part, np.ndarray) else part
+    return part if isinstance(part, list) else part.tolist()
 
 
 def _json_cells(cells: list, newline: str):

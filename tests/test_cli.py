@@ -613,6 +613,53 @@ def test_a_run_imports_only_its_experiment(tmp_path, experiment, modules):
     assert after_run == ["cli", *modules]
 
 
+# a CLI call in a fresh interpreter; prints its exit code and which of numpy,
+# dataclasses and photonlab's library modules it loaded
+_EXITS = """
+import json, sys
+import photonlab.cli
+
+try:
+    code = photonlab.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m in ("numpy", "dataclasses")
+                               or m.startswith("photonlab.") and m != "photonlab.cli")]))
+"""
+
+
+def _exit_and_heavy_modules(*argv):
+    return json.loads(_run_fresh(_EXITS, *argv).splitlines()[-1])
+
+
+_NO_NUMPY_EXITS = [
+    (["--help"], 0),
+    *[([experiment, "--help"], 0) for experiment in cli.SPECS],
+    (["--version"], 0),
+    (["bogus"], 2),
+    (["protocol", "--set", "n_bits=0"], 2),
+    (["nosignal", "--set", "bases_a_deg=[0, 1e400]"], 2),
+    (["malus", "--config", "no-such-config.json"], 2),
+    (["bell", "--set", 'sweep={"start_deg": 1, "stop_deg": 0, "step_deg": 1}'], 2),
+    (["protocol", "--set", "strategy=repetition:0:basis-oracle"], 2),
+    (["protocol", "--set", "strategy=" + "repetition:1000:" * 3 + "basis-oracle"], 2),
+    (["protocol", "--set", "n_bits=3", "--set", "bit_source=balanced"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", _NO_NUMPY_EXITS,
+                         ids=[" ".join(argv) for argv, _ in _NO_NUMPY_EXITS])
+def test_help_version_and_config_errors_load_no_numpy(tmp_path, argv, code):
+    assert _exit_and_heavy_modules(*argv, "--out", str(tmp_path / "r.json")) == [code, []]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_run_in_the_same_harness_loads_numpy(tmp_path):
+    code, loaded = _exit_and_heavy_modules("malus", "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    assert "numpy" in loaded
+
+
 # every public name of photonlab 0.7.0, whose __init__ imported them all
 NAMES_0_7_0 = [
     "ALGEBRA_ATOL", "ALGORITHM_ID", "BasisOracle", "CascadeResult", "ChoiceStats",
@@ -705,6 +752,39 @@ def test_list_fast_path_agrees_with_the_item_loop(item, values):
     fast = _check_outcome(fields, {"xs": values})
     with mock.patch.object(cli, "_numbers_fit", return_value=False):
         assert _check_outcome(fields, {"xs": values}) == fast
+
+
+@pytest.mark.parametrize("item, values, message", [
+    (cli.Field("number"), [], None),
+    # finite values whose sum overflows
+    (cli.Field("number"), [1e308, 1e308], None),
+    (cli.Field("number"), [0.5, 10**400], "xs[1]: must be finite, got an integer too large "
+                                          "for a float"),
+    # integers add exactly, so these cancel in the sum
+    (cli.Field("number"), [10**400, -10**400, 1.0], "xs[0]: must be finite, got an integer "
+                                                    "too large for a float"),
+    (cli.Field("number", maximum=2**53), [0.0, 2**53 + 1],
+     "xs[1]: 9007199254740993 is greater than the maximum of 9007199254740992"),
+    (cli.Field("number", exclusive_minimum=0), [1.0, -0.0],
+     "xs[1]: -0.0 is less than or equal to the minimum of 0"),
+    (cli.Field("number", exclusive_minimum=0), [1, 0],
+     "xs[1]: 0 is less than or equal to the minimum of 0"),
+])
+def test_list_fast_path_edges(item, values, message):
+    fields = {"xs": cli.Field("list", item=item)}
+    fast = _check_outcome(fields, {"xs": values})
+    with mock.patch.object(cli, "_numbers_fit", return_value=False):
+        assert _check_outcome(fields, {"xs": values}) == fast
+    assert fast == message
+
+
+def test_a_field_is_immutable_and_takes_keyword_bounds():
+    field = cli.Field("number", 0.5, minimum=0, maximum=1)
+    assert (field.kind, field.default, field.minimum, field.maximum) == ("number", 0.5, 0, 1)
+    assert (field.exclusive_minimum, field.choices, field.item, field.nullable) == \
+        (None, (), None, False)
+    with pytest.raises(AttributeError):
+        field.minimum = 2
 
 
 def test_module_runs_as_a_script(tmp_path):

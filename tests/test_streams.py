@@ -141,5 +141,11 @@ def test_a_cli_process_runs_on_one_os_thread(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_an_empty_blas_thread_setting_is_set_to_one(tmp_path):
+    # OpenBLAS reads an empty value as unset and would start its worker
+    assert _cli_threads(tmp_path, "") == [1, "1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_a_user_set_blas_thread_count_is_left_as_it_is(tmp_path):
     assert _cli_threads(tmp_path, "2")[1] == "2"
