@@ -24,7 +24,7 @@ import sys
 import time
 from collections import namedtuple
 
-from . import __version__
+from . import _HOME, __version__
 
 # numpy loads only once a run starts, with the first library module or runner
 # that needs it, so --help, --version and a configuration error exit without
@@ -34,27 +34,11 @@ from . import __version__
 if not os.environ.get("OPENBLAS_NUM_THREADS"):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-# The library names the runners call, by the module that defines them. Each
-# resolves as an attribute of this module on first use (PEP 562), and a runner
-# looks its names up here when it runs (_library), so a process imports only
-# the modules of the experiment it runs, and whoever replaces cli.<name> (a
-# test's mock, a tracer's shim) replaces what the runner calls.
-_LIBRARY = {
-    "core": ("ALGEBRA_ATOL", "unit_state_array"),
-    # the runners call the array forms; the per-point names stay resolvable
-    # here for whoever looks them up on this module
-    "entangle": ("bob_marginal_count_array", "bob_marginal_counts", "chsh", "correlation",
-                 "correlation_array", "no_signaling_check"),
-    "entropy": ("collapse_entropy_report",),
-    "mzi": ("MziConfig", "choice_timing_invariance", "fringe_counts", "run_mzi"),
-    "optics": ("cascade_analytic", "cascade_mc", "linear_light", "natural_light"),
-    "protocol": ("BasisOracle", "EncodingRule", "FixedBasisML", "Repetition", "run_protocol"),
-    "rng": ("ALGORITHM_ID",),
-    "stats": ("wilson_interval", "wilson_interval_array"),
-}
-_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
-
-
+# Every public library name resolves as an attribute of this module on first
+# use (PEP 562), from the module that photonlab._HOME names for it, and a
+# runner looks its names up here when it runs (_library), so a process imports
+# only the modules of the experiment it runs, and whoever replaces cli.<name>
+# (a test's mock, a tracer's shim) replaces what the runner calls.
 def __getattr__(name):
     module = _HOME.get(name)
     if module is None:

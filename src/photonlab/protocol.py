@@ -3,11 +3,10 @@ her measurement-basis choice, Bob receives the conditionally collapsed partner
 photon, and a receiver model tries to read the bit back.
 
 A run is computed from the receiver's exact law, not photon by photon. For
-each sent value v, receiver_law gives the law of one bit's (decoded, ties)
-pair from the Born table, once per run; run_protocol draws how many ones are
-sent and then how many bits of each value fall on each (decoded, ties) type.
-For every receiver defined here, each law is a single point, so
-the count table follows from the number of ones sent with no further draw.
+every receiver defined here, each bit sent as v decodes to the same
+(decoded, ties) pair, computed once per run from the Born table; so
+run_protocol draws only the number of ones sent, and the count table follows
+from it with no further draw.
 
 The per-photon path remains as the library API and the reference the law is
 tested against. Its photon stream is columnar: Bob's photon is fixed by the
@@ -36,7 +35,6 @@ from .core import (
     born_probabilities,
     canonical_angle,
     sample_binary,
-    sample_counts,
     snap_probability,
 )
 from .entangle import conditional_state, make_pair
@@ -51,10 +49,8 @@ from .stats import (
 
 _TIE_ATOL = 1e-12
 
-# stream indices: the number of ones sent, then the type counts of the bits
-# sent as 0 and of those sent as 1
+# the stream index of the number of ones sent, the one draw of an iid run
 _ROLE_BITS = 0
-_ROLE_TYPES = (1, 2)
 
 BIT_SOURCES = ("iid", "balanced")
 
@@ -287,54 +283,20 @@ def receive(photons: PhotonStream, strategy, rule: EncodingRule, rng: RngStream)
     return bits
 
 
-def _law(pairs) -> dict:
-    """The law {type: probability} of (type, probability) pairs; equal types add up."""
-    law = {}
-    for key, p in pairs:
-        law[key] = law.get(key, 0.0) + p
-    return law
-
-
-def _convolve(a: dict, b: dict) -> dict:
-    """The law of the sum of independent (ones, ties) pairs drawn from a and b."""
-    return _law(((d1 + d2, t1 + t2), p1 * p2)
-                for (d1, t1), p1 in a.items() for (d2, t2), p2 in b.items())
-
-
-def _k_fold(law: dict, k: int) -> dict:
-    """The law of the sum of k independent draws from law, by repeated squaring."""
-    total = {(0, 0): 1.0}
-    while True:
-        if k & 1:
-            total = _convolve(total, law)
-        k >>= 1
-        if not k:
-            return total
-        law = _convolve(law, law)
-
-
-def _bit_law(strategy, rule: EncodingRule, v: int) -> dict:
-    """The law {(decoded, ties): probability} of one bit sent as v."""
+def _bit_decision(strategy, rule: EncodingRule, v: int) -> tuple[int, int]:
+    """The (decoded, ties) of every bit sent as v: what _decode reports for
+    that bit's photons, whatever Bob's outcomes."""
     if isinstance(strategy, BasisOracle):
         decided, tied = _oracle_decisions(rule)
-        return {(int(decided[v]), int(tied[v])): 1.0}
+        return int(decided[v]), int(tied[v])
     if isinstance(strategy, FixedBasisML):
-        # Bob's outcome 0 has probability P(a) P(0|state a) summed over Alice's a,
-        # with both factors snapped as the per-photon draws snap them
-        p_aligned, states = _bob_states(rule)
-        p_a = snap_probability(p_aligned[v])
-        p_b = [snap_probability(born_probabilities(s, strategy.basis)[0]) for s in states[v]]
-        p_zero = p_a * p_b[0] + (1.0 - p_a) * p_b[1]
+        # Bob's likelihoods tie on both outcomes, so both decide alike
         decided, tied = _ml_decisions(rule, strategy.basis)
-        return _law(((int(decided[o]), int(tied[o])), p)
-                    for o, p in enumerate((p_zero, 1.0 - p_zero)) if p > 0.0)
+        return int(decided[0]), int(tied[0])
     if isinstance(strategy, Repetition):
-        # majority of k inner decodes: a strict majority of ones decodes 1 and
-        # an even split is one more tie, resolved to 0
-        k = strategy.k
-        inner = _k_fold(_bit_law(strategy.inner, rule, v), k)
-        return _law(((int(2 * ones > k), ties + int(2 * ones == k)), p)
-                    for (ones, ties), p in inner.items())
+        # k equal inner decodes: the majority is their value and never splits
+        decoded, ties = _bit_decision(strategy.inner, rule, v)
+        return decoded, strategy.k * ties
     raise ValueError(f"unknown receiver strategy: {strategy!r}")
 
 
@@ -343,15 +305,13 @@ def receiver_law(strategy, rule: EncodingRule) -> tuple[dict, dict]:
     for a bit sent as 0 and for a bit sent as 1.
 
     Each law maps (decoded, ties) to its probability; decoded and ties are
-    what _decode reports for that bit's photons. FixedBasisML has one type
-    per outcome of Bob's measurement, from the maximum-likelihood table;
-    Repetition takes the k-fold convolution of its inner law, by repeated
-    squaring, then the majority rule; BasisOracle is a point mass. A point
-    mass stays one entry through every convolution, so a repetition factor k
-    costs O(log k). Every law of a singlet receiver is a point mass: Bob's
-    likelihoods tie on every outcome, whatever the rule and the basis.
+    what _decode reports for that bit's photons. Every law of a singlet
+    receiver is a point mass: Bob's likelihoods tie on every outcome,
+    whatever the rule and the basis, so FixedBasisML decides alike on both;
+    BasisOracle reads the sent value; and Repetition's k inner decodes are
+    equal, so its majority is theirs and its ties are k times theirs.
     """
-    return _bit_law(strategy, rule, 0), _bit_law(strategy, rule, 1)
+    return tuple({_bit_decision(strategy, rule, v): 1.0} for v in (0, 1))
 
 
 def mutual_information(table):
@@ -403,10 +363,10 @@ def run_protocol(
     Stream 0 gives n1, the number of ones sent: bit_source "iid" sends each
     bit uniformly, so n1 is one binomial(n_bits, 1/2) draw; "balanced"
     (n_bits must be even) sends exactly n_bits / 2 ones and draws nothing,
-    which makes the identity channel's MI exactly 1 bit. The bits sent as v
-    then fall on the types of receiver_law's law for v with one
-    core.sample_counts call on stream 1 + v; a point-mass law draws nothing
-    and creates no stream. The report is computed from the resulting 2x2
+    which makes the identity channel's MI exactly 1 bit. Every bit sent as v
+    decodes alike (receiver_law), so the receiver's (decoded, ties) is
+    computed once per sent value and counted once per bit sent with it; no
+    other stream is keyed. The report is computed from the resulting 2x2
     sent/decoded count table and tie count; no array grows with n_bits.
     """
     if n_bits < 1:
@@ -425,17 +385,10 @@ def run_protocol(
         n_ones = int(stream_from_seed(seed, _ROLE_BITS).binomial(n_bits, 0.5))
     table = np.zeros(4, dtype=np.int64)
     ties = 0
-    for v, (law, sent) in enumerate(zip(receiver_law(strategy, rule),
-                                        (n_bits - n_ones, n_ones))):
-        types = list(law)
-        if len(types) == 1:
-            counts = [sent]
-        else:
-            counts = sample_counts(list(law.values()), sent,
-                                   stream_from_seed(seed, _ROLE_TYPES[v]))
-        for (decoded, type_ties), count in zip(types, counts):
-            table[2 * v + decoded] += count
-            ties += type_ties * int(count)
+    for v, sent in enumerate((n_bits - n_ones, n_ones)):
+        decoded, bit_ties = _bit_decision(strategy, rule, v)
+        table[2 * v + decoded] += sent
+        ties += bit_ties * sent
     mi, ci = mutual_information(table)
     return TransmissionReport(
         n_bits=int(n_bits),

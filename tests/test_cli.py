@@ -717,6 +717,14 @@ def test_every_0_7_0_name_still_resolves():
         assert not hasattr(photonlab, name) and name not in photonlab.__all__
 
 
+def test_every_library_name_resolves_on_cli_from_its_module():
+    for name, module in photonlab._HOME.items():
+        assert getattr(cli, name) is getattr(getattr(photonlab, module), name), name
+    for name in ("bogus", "_LIBRARY", "_EXPORTS", "_bit_decision", "core", "__path__"):
+        with pytest.raises(AttributeError, match="'photonlab.cli' has no attribute"):
+            getattr(cli, name)
+
+
 _NUMBERS = st.one_of(
     st.floats(),
     st.integers(-2**70, 2**70),

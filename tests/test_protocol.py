@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from photonlab import protocol
+from photonlab.cli import MAX_PAIRS_PER_BIT, MAX_STRATEGY_NESTING, MAX_TRIALS
 from photonlab.core import MeasurementBasis, collapse, ket_from_angle, states_equal
 from photonlab.entangle import conditional_state, make_pair
 from photonlab.protocol import (
+    BIT_SOURCES,
     BasisOracle,
     EncodingRule,
     FixedBasisML,
@@ -395,6 +397,45 @@ def test_per_photon_path_matches_the_law(bits, rule, strategy, seed):
     expected_table, expected_ties = law_table(strategy, rule, len(bits) - n_ones, n_ones)
     assert bit_table(bits, decoded).tolist() == expected_table.tolist()
     assert ties == expected_ties
+
+
+def nested(leaf, factors):
+    """leaf inside one repetition per factor, the first outermost."""
+    for k in reversed(factors):
+        leaf = Repetition(k, leaf)
+    return leaf
+
+
+# the CLI's deepest strategies, MAX_STRATEGY_NESTING repetitions, and its
+# largest, whose factors multiply to MAX_PAIRS_PER_BIT
+deep_receivers = st.builds(
+    nested,
+    st.one_of(st.builds(FixedBasisML, angles), st.just(BasisOracle())),
+    st.one_of(
+        st.lists(st.integers(1, 8), min_size=MAX_STRATEGY_NESTING,
+                 max_size=MAX_STRATEGY_NESTING),
+        st.just([2] * (MAX_STRATEGY_NESTING - 1)
+                + [MAX_PAIRS_PER_BIT >> (MAX_STRATEGY_NESTING - 1)]),
+        st.just([MAX_PAIRS_PER_BIT]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rules, st.one_of(receivers(4), receivers(2**20), deep_receivers),
+       st.sampled_from(BIT_SOURCES),
+       st.one_of(st.integers(1, MAX_TRIALS), st.sampled_from([1, 2, 3, MAX_TRIALS])),
+       st.integers(0, 2**32))
+def test_run_protocol_counts_every_bit_by_the_law(rule, strategy, bit_source, n_bits, seed):
+    if bit_source == "balanced":
+        n_bits += n_bits % 2
+        n_ones = n_bits // 2
+    else:
+        n_ones = int(stream_from_seed(seed, 0).binomial(n_bits, 0.5))
+    report = run_protocol(n_bits, rule, strategy, seed, bit_source)
+    table, ties = law_table(strategy, rule, n_bits - n_ones, n_ones)
+    assert report.ber == float((table[1] + table[2]) / n_bits)
+    assert report.decode_ties == ties
 
 
 @settings(max_examples=300, deadline=None)
