@@ -8,7 +8,7 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.9.3"
+__version__ = "0.10.0"
 
 # public names by the module that defines them
 _EXPORTS = {
@@ -96,7 +96,7 @@ _EXPORTS = {
         "run_protocol",
         "standard_strategies",
     ),
-    "rng": ("ALGORITHM_ID", "RngStream", "stream_from_seed", "streams"),
+    "rng": ("ALGORITHM_ID", "RngStream", "WORDS_ID", "stream_from_seed"),
     "stats": (
         "as_bit_array",
         "bit_table",

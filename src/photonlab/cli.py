@@ -572,6 +572,17 @@ def _run_mzi(params, seed):
     return payload, rows, summary
 
 
+# whether a run draws Monte Carlo counts: a run that draws none, and so keys no
+# stream, names only the generator of the words, as 0.9 named every run
+_DRAWS_COUNTS = {
+    "malus": lambda params: params["mode"] == "mc",
+    "entropy": lambda params: False,
+    "bell": lambda params: True,
+    "nosignal": lambda params: True,
+    "protocol": lambda params: params["bit_source"] == "iid",
+    "mzi": lambda params: params["mode"] == "mc" or params["timing"] is not None,
+}
+
 _RUNNERS = {
     "malus": _run_malus,
     "entropy": _run_entropy,
@@ -754,14 +765,15 @@ def _run(args) -> int:
     payload, table, summary = _RUNNERS[experiment](params, seed)
     elapsed = time.perf_counter() - started
 
-    (ALGORITHM_ID,) = _library("ALGORITHM_ID")
+    (rng_algorithm,) = _library("ALGORITHM_ID" if _DRAWS_COUNTS[experiment](params)
+                                else "WORDS_ID")
     if out_format == "csv":
         _write(out_path, _write_csv, table)
     else:
         result = {
             "experiment": experiment,
             "seed": seed,
-            "rng_algorithm": ALGORITHM_ID,
+            "rng_algorithm": rng_algorithm,
             "params": params,
         }
         result.update(payload)
@@ -774,7 +786,7 @@ def _run(args) -> int:
         "workers": workers,
         "format": out_format,
         "out": str(out_path),
-        "rng_algorithm": ALGORITHM_ID,
+        "rng_algorithm": rng_algorithm,
         "wall_time_s": round(elapsed, 6),
         "summary": summary,
     }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import MAX_BINOMIAL_TRIALS, RngStream, binomial_array, stream_keys
 
 # Algebraic identities hold to ALGEBRA_ATOL; precondition checks are looser.
 ALGEBRA_ATOL = 1e-12
@@ -32,9 +32,6 @@ PROB_SNAP = 1e-15
 # their temporaries (a few hundred bytes per point) stay bounded whatever the
 # number of points.
 SLICE_POINTS = 2**16
-# sample_count_array turns this many rows at a time into Python lists, a few
-# hundred bytes a row, so a sweep's draws add little to its peak memory
-COUNT_ROWS = 2**12
 
 
 class InvalidStateError(ValueError):
@@ -278,57 +275,80 @@ def sample_counts(probs, n: int, rng: RngStream) -> np.ndarray:
     An outcome of probability 0 and an empty remainder draw nothing, so a
     certain outcome gets all n draws without touching the stream.
     """
-    return sample_count_array(np.asarray(probs, dtype=np.float64)[None], n, (rng,))[0]
+    p, trials = _count_inputs(np.asarray(probs, dtype=np.float64)[None], n)
+    counts, drawn = _chain_counts(p, trials, rng.key, np.uint64(rng.draws))
+    rng.draws += int(drawn[0])
+    return counts[0]
 
 
-def sample_count_array(probs, n, rngs) -> np.ndarray:
+def sample_count_array(probs, n, seed: int, indices) -> np.ndarray:
     """sample_counts of each row of a (P, K) array of outcome probabilities:
-    row i draws n trials (or n[i], for an array n) from the i-th stream that
-    the iterable rngs yields, and the result is the (P, K) int64 counts.
+    row i draws n trials (or n[i], for an array n) from the stream (seed,
+    indices[i]), as sample_counts(row, n, stream_from_seed(seed, indices[i]))
+    does, and the result is the (P, K) int64 counts. indices is a range or a
+    sequence of P stream indices.
 
-    The conditional probabilities of the chain that sample_counts describes
-    are computed as arrays, COUNT_ROWS rows at a time, each tail sum added
-    left to right as Python's sum adds a row, so a row's counts do not depend
-    on the other rows; only the few binomial draws of each row are left to a
-    loop.
+    The chain that sample_counts describes runs as arrays, SLICE_POINTS rows
+    at a time: each outcome's binomial draws are one rng.binomial_array call
+    over the rows that draw it. Each tail sum is added left to right as
+    Python's sum adds a row, and each row keeps its own key, so a row's
+    counts do not depend on the other rows.
     """
-    p = snap_probability_array(probs)
-    if p.ndim != 2:
-        raise ValueError(f"probs must be a (points, outcomes) array, got shape {p.shape}")
-    points, outcomes = p.shape
-    trials = np.broadcast_to(np.asarray(n, dtype=np.int64), (points,))
-    if points and int(trials.min()) < 0:
-        raise ValueError(f"n must be >= 0, got {int(trials.min())}")
-    if not (p > 0.0).any(axis=1).all():
-        raise ValueError("every row needs an outcome of nonzero probability")
-    rngs = iter(rngs)
-    counts = np.empty((points, outcomes), dtype=np.int64)
-    for lo in range(0, points, COUNT_ROWS):
-        rows = slice(lo, min(lo + COUNT_ROWS, points))
-        cond, last = _binomial_chain(p[rows])
-        flat = []  # the slice's counts, row after row
-        for row, left, stop, rng in zip(cond.tolist(), trials[rows].tolist(), last.tolist(), rngs):
-            binomial = rng.binomial
-            for q in row[:stop]:
-                # no draw for an impossible outcome or once every trial is placed
-                drawn = binomial(left, q) if left and q > 0.0 else 0
-                flat.append(drawn)
-                left -= drawn
-            flat.append(left)
-            flat.extend([0] * (outcomes - 1 - stop))
-        if len(flat) != (rows.stop - rows.start) * outcomes:
-            raise ValueError(f"rngs yielded fewer streams than the {points} rows")
-        counts[rows] = np.array(flat, dtype=np.int64).reshape(-1, outcomes)
+    p, trials = _count_inputs(probs, n)
+    points = p.shape[0]
+    if len(indices) != points:
+        raise ValueError(f"{len(indices)} stream indices for {points} rows")
+    counts = np.empty(p.shape, dtype=np.int64)
+    for rows in point_slices(points):
+        counts[rows] = _chain_counts(p[rows], trials[rows], stream_keys(seed, indices[rows]),
+                                     np.uint64(0))[0]
     return counts
 
 
-def _binomial_chain(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For (P, K) snapped probabilities, each with a nonzero entry: the
+def _count_inputs(probs, n) -> tuple[np.ndarray, np.ndarray]:
+    """Snapped (P, K) probabilities and P trial counts, checked."""
+    p = snap_probability_array(probs)
+    if p.ndim != 2:
+        raise ValueError(f"probs must be a (points, outcomes) array, got shape {p.shape}")
+    trials = np.broadcast_to(np.asarray(n, dtype=np.int64), p.shape[:1])
+    if trials.size and int(trials.min()) < 0:
+        raise ValueError(f"n must be >= 0, got {int(trials.min())}")
+    if trials.size and int(trials.max()) > MAX_BINOMIAL_TRIALS:
+        raise ValueError(f"n must be at most 2^62, got {int(trials.max())}")
+    if not (p > 0.0).any(axis=1).all():
+        raise ValueError("every row needs an outcome of nonzero probability")
+    return p, trials
+
+
+def _chain_counts(p, trials, key, first_draw) -> tuple[np.ndarray, np.ndarray]:
+    """The chain of sample_counts over P rows at once: row i draws from the
+    stream key[:, i], each row's binomial draws numbered on from first_draw.
+    Returns the (P, K) counts and the number of draws each row made."""
+    cond = _binomial_chain(p)
+    counts = np.zeros(p.shape, dtype=np.int64)
+    left = trials.copy()
+    drawn = np.zeros(left.shape, dtype=np.uint64)
+    for k in range(p.shape[1] - 1):
+        q = cond[:, k]
+        # a certain outcome takes every trial left and an impossible one none
+        take = np.where(q == 1.0, left, 0)
+        rows = np.flatnonzero((left > 0) & (q > 0.0) & (q < 1.0))
+        if rows.size:
+            take[rows] = binomial_array(left[rows], q[rows], key[:, rows],
+                                        first_draw + drawn[rows])
+            drawn[rows] += np.uint64(1)
+        counts[:, k] = take
+        left -= take
+    counts[:, -1] = left
+    return counts, drawn
+
+
+def _binomial_chain(p: np.ndarray) -> np.ndarray:
+    """For (P, K) snapped probabilities, each row with a nonzero entry: the
     binomial probability of outcome k among the trials not yet placed,
-    min(1, p_k / (p_k + ... + p_last)) or 0 where p_k is 0, and the index
-    of the last nonzero outcome of each row, which takes the rest."""
+    min(1, p_k / (p_k + ... + p_last)), or 0 where p_k is 0. It is 1 for the
+    last nonzero outcome of a row, which so takes the rest."""
     nonzero = p > 0.0
-    last = p.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
     cond = np.zeros_like(p)
     for k in range(p.shape[1] - 1):
         # the outcomes past the last nonzero one add exact zeros to the tail
@@ -336,7 +356,7 @@ def _binomial_chain(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for j in range(k + 1, p.shape[1]):
             tail += p[:, j]
         np.divide(p[:, k], tail, out=cond[:, k], where=nonzero[:, k])
-    return np.where(cond < 1.0, cond, 1.0), last
+    return np.where(cond < 1.0, cond, 1.0)
 
 
 def sample_binary(p0, u) -> np.ndarray:

@@ -32,7 +32,7 @@ from .core import (
     sample_count_array,
     snap_probability_array,
 )
-from .rng import RngStream, streams
+from .rng import RngStream
 
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -162,8 +162,7 @@ def _joint_counts(thetas_a, thetas_b, n, seed, pair, stream_base) -> np.ndarray:
     if pair is None:
         pair = make_pair()
     probs = joint_probability_array(pair, thetas_a, thetas_b).reshape(-1, 4)
-    indices = range(stream_base, stream_base + probs.shape[0])
-    return sample_count_array(probs, n, streams(seed, indices))
+    return sample_count_array(probs, n, seed, range(stream_base, stream_base + probs.shape[0]))
 
 
 @dataclass(frozen=True)

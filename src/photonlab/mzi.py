@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import point_slices, sample_count_array, sample_counts, snap_probability_array
-from .rng import stream_from_seed, streams
+from .rng import stream_from_seed
 
 _BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -179,7 +179,7 @@ def fringe_counts(
         # round half to even, as Python's round does
         return np.rint(n * probs[:, 0]).astype(np.int64)
     indices = range(stream_base, stream_base + stream_step * probs.shape[0], stream_step)
-    return sample_count_array(probs, n, streams(seed, indices))[:, 0]
+    return sample_count_array(probs, n, seed, indices)[:, 0]
 
 
 def _two_proportion_z(x1: int, n1: int, x2: int, n2: int) -> float:

@@ -13,6 +13,7 @@ import photonlab
 from photonlab import cli
 from photonlab.cli import main, parse_strategy
 from photonlab.protocol import BasisOracle, FixedBasisML, Repetition
+from photonlab.rng import ALGORITHM_ID
 
 
 def run_cli(argv):
@@ -613,6 +614,29 @@ def test_a_run_imports_only_its_experiment(tmp_path, experiment, modules):
     assert after_run == ["cli", *modules]
 
 
+# a CLI run in a fresh interpreter; prints the numpy.random modules it loaded
+_RANDOM_MODULES = """
+import json, sys
+import photonlab.cli
+
+assert photonlab.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"])))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["malus", "--set", "mode=mc"],
+    ["bell"],
+    ["nosignal"],
+    ["mzi"],
+    ["protocol", "--set", "bit_source=iid"],
+], ids=lambda argv: " ".join(argv))
+def test_a_monte_carlo_run_loads_no_numpy_random(tmp_path, argv):
+    stdout = _run_fresh(_RANDOM_MODULES, *argv, "--out", str(tmp_path / "r.json"))
+    assert json.loads(stdout.splitlines()[-1]) == []
+    assert json.loads((tmp_path / "r.json").read_text())["rng_algorithm"] == ALGORITHM_ID
+
+
 # a CLI call in a fresh interpreter; prints its exit code and which of numpy,
 # dataclasses and photonlab's library modules it loaded
 _EXITS = """
@@ -707,14 +731,19 @@ print(json.dumps(missing))
 
 # removed on purpose: 0.8.0 draws each Monte Carlo point once, with no blocks to map
 REMOVED_IN_0_8_0 = ["map_partitions"]
+# removed on purpose: since 0.10.0 a sweep keys all its points at once, with no
+# generator to re-key per point
+REMOVED_IN_0_10_0 = ["streams"]
 
 
 def test_every_0_7_0_name_still_resolves():
     kept = [name for name in NAMES_0_7_0 if name not in REMOVED_IN_0_8_0]
     missing = json.loads(_run_fresh(_RESOLVED, json.dumps(kept)))
     assert missing == {"dir": [], "star": [], "attribute": []}
-    for name in REMOVED_IN_0_8_0:
+    for name in REMOVED_IN_0_8_0 + REMOVED_IN_0_10_0:
         assert not hasattr(photonlab, name) and name not in photonlab.__all__
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
 
 
 def test_every_library_name_resolves_on_cli_from_its_module():

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonlab import core
-from photonlab.core import COUNT_ROWS, SLICE_POINTS, sample_count_array, sample_counts
+from photonlab.core import SLICE_POINTS, sample_count_array, sample_counts
 from photonlab.entangle import (
     bob_marginal_count_array,
     bob_marginal_counts,
@@ -35,7 +35,7 @@ from photonlab.mzi import (
     fringe_counts,
     run_mzi,
 )
-from photonlab.rng import stream_from_seed, streams
+from photonlab.rng import stream_from_seed
 from photonlab.stats import wilson_interval, wilson_interval_array
 
 FOUR_PI = 4 * math.pi
@@ -205,7 +205,7 @@ def test_wilson_interval_array_checks_its_counts():
 def test_sample_count_array_equals_the_scalar_chain(rows, n, seed):
     width = max(map(len, rows))
     probs = [row + [0.0] * (width - len(row)) for row in rows]
-    got = sample_count_array(probs, n, streams(seed, range(len(probs))))
+    got = sample_count_array(probs, n, seed, range(len(probs)))
     for i, row in enumerate(probs):
         want = ref_sample_counts(row, n, stream_from_seed(seed, i))
         assert got[i].tolist() == want.tolist()
@@ -214,15 +214,21 @@ def test_sample_count_array_equals_the_scalar_chain(rows, n, seed):
 
 def test_sample_count_array_takes_one_count_per_row_and_checks_its_streams():
     probs = [[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]]
-    got = sample_count_array(probs, [10, 0, 7], streams(3, range(3)))
+    got = sample_count_array(probs, [10, 0, 7], 3, range(3))
     assert got[1].tolist() == [0, 0] and got[2].tolist() == [7, 0]
     assert got[0].tolist() == ref_sample_counts(probs[0], 10, stream_from_seed(3, 0)).tolist()
+    # a list or an array of indices names the same streams as a range
+    assert sample_count_array(probs, 10, 3, [0, 1, 2]).tolist() == \
+        sample_count_array(probs, 10, 3, np.arange(3)).tolist() == \
+        sample_count_array(probs, 10, 3, range(3)).tolist()
     with pytest.raises(ValueError):
-        sample_count_array(probs, 5, streams(3, range(2)))
+        sample_count_array(probs, 5, 3, range(2))
     with pytest.raises(ValueError):
-        sample_count_array([[0.0, 1e-16]], 5, streams(3, range(1)))
+        sample_count_array([[0.0, 1e-16]], 5, 3, range(1))
     with pytest.raises(ValueError):
-        sample_count_array(probs, -1, streams(3, range(3)))
+        sample_count_array(probs, -1, 3, range(3))
+    with pytest.raises(ValueError):
+        sample_count_array(probs, 2**62 + 1, 3, range(3))
 
 
 # --- a batch equals its size-1 calls ----------------------------------------------
@@ -273,16 +279,14 @@ def test_batches_across_a_slice_boundary_equal_their_size_one_calls(monkeypatch)
     assert phases.tobytes() == np.concatenate(
         [detector_probability_array(theta[:SLICE_POINTS], True),
          detector_probability_array(theta[SLICE_POINTS:], True)]).tobytes()
-    rows = COUNT_ROWS + 3
-    e, se = correlation_array(theta[:rows], 0.3, 1000, seed=8, stream_base=5)
-    head = correlation_array(theta[:COUNT_ROWS], 0.3, 1000, seed=8, stream_base=5)
-    tail = correlation_array(theta[COUNT_ROWS:rows], 0.3, 1000, seed=8,
-                             stream_base=5 + COUNT_ROWS)
+    e, se = correlation_array(theta, 0.3, 1000, seed=8, stream_base=5)
+    head = correlation_array(theta[:SLICE_POINTS], 0.3, 1000, seed=8, stream_base=5)
+    tail = correlation_array(theta[SLICE_POINTS:], 0.3, 1000, seed=8,
+                             stream_base=5 + SLICE_POINTS)
     assert e.tolist() == head[0].tolist() + tail[0].tolist()
     assert se.tolist() == head[1].tolist() + tail[1].tolist()
-    # Monte Carlo draws cost a few microseconds each, so their slices shrink
+    # the same across many slice boundaries, against the size-1 calls
     monkeypatch.setattr(core, "SLICE_POINTS", 4)
-    monkeypatch.setattr(core, "COUNT_ROWS", 3)
     e, se = correlation_array(theta[:11], 0.3, 1000, seed=8, stream_base=5)
     for i in range(11):
         one = correlation(theta[i], 0.3, 1000, seed=8, stream_base=5 + i)

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photonlab.rng import ALGORITHM_ID, RngStream, stream_from_seed, streams
+from photonlab import rng
+from photonlab.core import sample_count_array
+from photonlab.entangle import correlation_array
+from photonlab.rng import (
+    ALGORITHM_ID,
+    WORDS_ID,
+    RngStream,
+    philox,
+    stream_from_seed,
+    stream_keys,
+)
 
 # first raw words of stream (42, 0); pins the generator across versions
 _REFERENCE_RAW = [
@@ -15,7 +25,8 @@ _REFERENCE_RAW = [
 
 
 def test_algorithm_id_is_stable():
-    assert ALGORITHM_ID == "numpy-philox-4x64"
+    assert ALGORITHM_ID == "numpy-philox-4x64/btrd"
+    assert WORDS_ID == "numpy-philox-4x64"
     assert stream_from_seed(0, 0).algorithm == ALGORITHM_ID
 
 
@@ -68,21 +79,6 @@ def test_streams_share_no_raw_words():
     assert np.unique(words).size == words.size
 
 
-def test_integers_cover_the_range():
-    draws = stream_from_seed(1, 0).integers(0, 2, 10_000)
-    assert set(np.unique(draws)) == {0, 1}
-    assert abs(draws.mean() - 0.5) < 4 * np.sqrt(0.25 / 10_000)
-
-
-def test_permutation_and_shuffle_preserve_elements():
-    s = stream_from_seed(9, 2)
-    perm = s.permutation(100)
-    assert sorted(perm) == list(range(100))
-    arr = np.arange(37)
-    s.shuffle(arr)
-    assert sorted(arr) == list(range(37))
-
-
 def test_seed_and_index_bounds_are_enforced():
     with pytest.raises(ValueError):
         RngStream(-1, 0)
@@ -97,61 +93,106 @@ def test_seed_and_index_bounds_are_enforced():
     RngStream(2**64 - 1, 2**64 - 1)  # the extremes are valid
 
 
-
-# --- re-keyed streams ----------------------------------------------------------------
+# --- the words are numpy's Philox-4x64 ------------------------------------------------
 
 u64 = st.integers(0, 2**64 - 1)
 
 
-def _predraw(stream, kind):
-    """Leave the generator part way through its output, as a run's draws may."""
-    if kind == "uint32":  # half of a 64-bit word kept for the next uint32
-        stream._generator.integers(0, 2**32, size=3, dtype=np.uint32)
-    elif kind == "buffered":  # words of Philox's 4-word output block left unread
-        stream.raw_u64(5)
-    elif kind == "binomial":
-        stream.binomial(1000, 0.3)
+@given(u64, u64, st.integers(0, 2**256 - 1))
+@example(2**64 - 1, 2**64 - 1, 0)
+@example(2**64 - 1, 2**64 - 1, 2**256 - 1)
+@example(0, 0, 2**64)
+def test_philox_is_numpys_block_at_any_counter(seed, index, counter):
+    # numpy's Philox steps its counter before each block, so its first block
+    # is the one at the counter after the one it starts from
+    start = (counter - 1) % 2**256
+    words = np.array([(start >> (64 * i)) % 2**64 for i in range(4)], dtype=np.uint64)
+    want = np.random.Philox(key=np.array([seed, index], dtype=np.uint64),
+                            counter=words).random_raw(4)
+    column = np.array([(counter >> (64 * i)) % 2**64 for i in range(4)], dtype=np.uint64)
+    got = philox(stream_keys(seed, [index]), column[:, None])
+    assert got.dtype == np.uint64 and got.shape == (4, 1)
+    assert got[:, 0].tolist() == want.tolist()
 
 
-def _draws(stream):
-    return (stream.raw_u64(9).tolist(), [stream.binomial(n, 0.37) for n in (1, 40, 10**6)],
-            stream.random(3).tolist(), stream._generator.integers(0, 2**32, size=3,
-                                                                  dtype=np.uint32).tolist())
+def test_philox_runs_many_keys_and_counters_at_once():
+    keys = stream_keys(3, range(40))
+    counters = np.arange(160, dtype=np.uint64).reshape(4, 40)
+    both = philox(keys, counters)
+    one_key = philox(keys[:, :1], counters)
+    one_counter = philox(keys, counters[:, :1])
+    for j in range(40):
+        key, counter = keys[:, j:j + 1], counters[:, j:j + 1]
+        assert both[:, j].tolist() == philox(key, counter)[:, 0].tolist()
+        assert one_key[:, j].tolist() == philox(keys[:, :1], counter)[:, 0].tolist()
+        assert one_counter[:, j].tolist() == philox(key, counters[:, :1])[:, 0].tolist()
 
 
-@settings(max_examples=200)
-@given(u64, u64, u64, st.sampled_from(["none", "uint32", "buffered", "binomial"]))
-@example(0, 0, 0, "uint32")
-@example(2**64 - 1, 2**64 - 1, 0, "buffered")
-@example(5, 0, 2**64 - 1, "uint32")
-def test_a_rekeyed_stream_draws_what_a_new_stream_draws(seed, first, index, kind):
-    stream = RngStream(seed, first)
-    _predraw(stream, kind)
-    stream.rekey(index)
-    assert stream.stream_index == index
-    assert _draws(stream) == _draws(stream_from_seed(seed, index))
+draw_sizes = st.lists(st.tuples(st.sampled_from(["random", "raw"]), st.integers(0, 13)),
+                      max_size=12)
 
 
-def test_the_predraws_leave_a_half_used_word_and_a_buffered_one():
-    stream = stream_from_seed(3, 0)
-    _predraw(stream, "uint32")
-    assert stream._bit_generator.state["has_uint32"] == 1
-    stream = stream_from_seed(3, 0)
-    _predraw(stream, "buffered")
-    assert stream._bit_generator.state["buffer_pos"] < 4
+@settings(max_examples=60)
+@given(u64, u64, draw_sizes, st.integers(1, 3))
+def test_uniform_draws_follow_numpy_across_block_and_slice_boundaries(seed, index, sizes,
+                                                                     slice_blocks):
+    # slices of 1-3 blocks put slice boundaries among a few words
+    bit_generator = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+    generator = np.random.Generator(bit_generator)
+    stream = stream_from_seed(seed, index)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "SLICE_BLOCKS", slice_blocks)
+        for kind, size in sizes:
+            if kind == "random":
+                assert stream.random(size).tolist() == generator.random(size).tolist()
+            else:
+                assert stream.raw_u64(size).tolist() == bit_generator.random_raw(size).tolist()
+        assert stream.random() == generator.random()
 
 
-@given(u64, st.lists(u64, max_size=8))
-def test_streams_yields_the_stream_of_each_index(seed, indices):
-    yielded = [(s.seed, s.stream_index, _draws(s)) for s in streams(seed, indices)]
-    assert yielded == [(seed, i, _draws(stream_from_seed(seed, i))) for i in indices]
+def test_partial_block_draws_continue_the_sequence():
+    whole = stream_from_seed(11, 4).random(4)
+    parts = stream_from_seed(11, 4)
+    assert parts.random(1).tolist() + parts.random(3).tolist() == whole.tolist()
+    words = stream_from_seed(11, 4).raw_u64(9)
+    parts = stream_from_seed(11, 4)
+    assert [int(w) for n in (3, 1, 5) for w in parts.raw_u64(n)] == words.tolist()
+    shaped = stream_from_seed(11, 4).random((2, 3))
+    assert shaped.shape == (2, 3)
+    assert shaped.ravel().tolist() == stream_from_seed(11, 4).random(6).tolist()
 
 
-def test_rekey_bounds_are_enforced():
-    stream = stream_from_seed(1, 2)
-    for bad in (-1, 2**64):
-        with pytest.raises(ValueError):
-            stream.rekey(bad)
-    assert stream.stream_index == 2
+def test_a_large_uniform_draw_runs_in_slices(monkeypatch):
+    widths = []
+    kernel = rng.philox
+
+    def recording_philox(key, counter):
+        widths.append(np.shape(counter)[1])
+        return kernel(key, counter)
+
+    monkeypatch.setattr(rng, "philox", recording_philox)
+    n = 2 * 4 * rng.SLICE_BLOCKS + 5
+    got = stream_from_seed(6, 1).random(n)
+    assert widths == [rng.SLICE_BLOCKS, rng.SLICE_BLOCKS, 2]
+    key = np.array([6, 1], dtype=np.uint64)
+    assert got.tolist() == np.random.Generator(np.random.Philox(key=key)).random(n).tolist()
+
+
+def test_stream_key_bounds_are_enforced():
     with pytest.raises(ValueError):
-        next(streams(2**64, [0]))
+        stream_keys(2**64, [0])
+    for bad in ([-1], [2**64], [0, 2**64], range(-1, 2), range(2**64 - 1, 2**64 + 1)):
+        with pytest.raises(ValueError):
+            stream_keys(1, bad)
+    with pytest.raises(ValueError):
+        stream_keys(1, [[0, 1]])
+    top = 2**64 - 1
+    assert stream_keys(1, range(top, top - 3, -1))[1].tolist() == [top, top - 1, top - 2]
+    assert stream_keys(1, range(top - 2, top + 1))[1].tolist() == [top - 2, top - 1, top]
+    assert stream_keys(1, [])[1].tolist() == [] and stream_keys(1, range(0))[1].tolist() == []
+    # a sweep whose last point would need index 2^64 is refused before any draw
+    with pytest.raises(ValueError):
+        correlation_array([0.1, 0.2], 0.0, 10, seed=1, stream_base=top)
+    with pytest.raises(ValueError):
+        sample_count_array([[0.5, 0.5]], 10, 1, [2**64])
+

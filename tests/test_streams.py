@@ -10,9 +10,10 @@ import threading
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from photonlab import cli, rng
+from photonlab import cli, core, rng
 from photonlab.cli import main as cli_main
 from photonlab.entangle import correlation
 from photonlab.mzi import MziConfig, run_mzi
@@ -61,20 +62,18 @@ INDICES_0_9_0 = {
 
 
 def _keyed_streams(monkeypatch, tmp_path, experiment) -> list:
-    """The (seed, index) of every stream a run keys, built or re-keyed, in order."""
+    """The (seed, index) of every stream a run keys, in order: rng.stream_keys
+    makes the key of each RngStream and of each slice of a sweep's points."""
     keyed = []
-    init, rekey = rng.RngStream.__init__, rng.RngStream.rekey
+    make_keys = rng.stream_keys
 
-    def recording_init(self, seed, stream_index):
-        keyed.append((seed, stream_index))
-        init(self, seed, stream_index)
+    def recording_stream_keys(seed, indices):
+        key = make_keys(seed, indices)
+        keyed.extend(zip(key[0].tolist(), key[1].tolist()))
+        return key
 
-    def recording_rekey(self, stream_index):
-        keyed.append((self.seed, stream_index))
-        rekey(self, stream_index)
-
-    monkeypatch.setattr(rng.RngStream, "__init__", recording_init)
-    monkeypatch.setattr(rng.RngStream, "rekey", recording_rekey)
+    monkeypatch.setattr(rng, "stream_keys", recording_stream_keys)
+    monkeypatch.setattr(core, "stream_keys", recording_stream_keys)
     argv = [experiment, "--seed", "5", "--out", str(tmp_path / "r.json")] + RUNS[experiment]
     assert cli_main(argv) == 0
     return keyed
@@ -91,26 +90,55 @@ def test_no_stream_is_created_twice_in_one_run(monkeypatch, tmp_path, experiment
         assert keyed
 
 
+# every run above, and the runs that draw no count besides entropy: analytic
+# malus, analytic mzi without the timing comparison, and balanced protocol bits
+NAMING_RUNS = sorted(RUNS.items()) + [
+    ("malus", []),
+    ("mzi", ["--set", "mode=analytic", "--set", "timing=null"]),
+    ("protocol", ["--set", "bit_source=balanced"]),
+]
+
+
+@pytest.mark.parametrize("experiment, args", NAMING_RUNS)
+def test_a_result_names_the_sampler_exactly_when_its_run_draws(monkeypatch, tmp_path,
+                                                              experiment, args):
+    monkeypatch.setitem(RUNS, experiment, args)
+    keyed = _keyed_streams(monkeypatch, tmp_path, experiment)
+    result = json.loads((tmp_path / "r.json").read_text())
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    want = rng.ALGORITHM_ID if keyed else rng.WORDS_ID
+    assert result["rng_algorithm"] == manifest["rng_algorithm"] == want
+
+
 @pytest.mark.parametrize("experiment", sorted(RUNS))
 def test_a_run_keys_the_streams_of_0_9_0(monkeypatch, tmp_path, experiment):
     keyed = _keyed_streams(monkeypatch, tmp_path, experiment)
     assert sorted(keyed) == sorted((5, i) for i in INDICES_0_9_0[experiment])
 
 
-def test_a_sweep_builds_one_generator_and_rekeys_it_per_point(monkeypatch, tmp_path):
-    built = []
-    init = rng.RngStream.__init__
+def _philox_calls(monkeypatch, tmp_path, step_deg) -> int:
+    calls = []
+    kernel = rng.philox
 
-    def counting_init(self, seed, stream_index):
-        built.append(stream_index)
-        init(self, seed, stream_index)
+    def counting_philox(key, counter):
+        calls.append(np.shape(counter)[1])
+        return kernel(key, counter)
 
-    monkeypatch.setattr(rng.RngStream, "__init__", counting_init)
-    argv = ["bell", "--out", str(tmp_path / "r.json"), "--set", "n_per_point=10",
-            "--set", 'sweep={"start_deg": 0, "stop_deg": 90, "step_deg": 0.5}']
+    monkeypatch.setattr(rng, "philox", counting_philox)
+    argv = ["bell", "--out", str(tmp_path / "r.json"), "--set", "n_per_point=1000",
+            "--set", f'sweep={{"start_deg": 0, "stop_deg": 90, "step_deg": {step_deg}}}']
     assert cli_main(argv) == 0
-    # one for the 181 sweep points, one for the four CHSH settings
-    assert built == [0, 181]
+    return len(calls)
+
+
+def test_a_sweeps_philox_calls_do_not_grow_with_its_point_count(monkeypatch, tmp_path):
+    # 181 and 9,001 sweep points plus four CHSH settings; each of the three
+    # binomial layers of a sweep reads every point's words in one call per
+    # rejection round, and a round is left to ever fewer points
+    few = _philox_calls(monkeypatch, tmp_path, 0.5)
+    many = _philox_calls(monkeypatch, tmp_path, 0.01)
+    assert few <= many <= few + 6
+    assert many <= 30
 
 
 # a CLI run in a fresh interpreter; prints its OS thread count and the BLAS

@@ -128,19 +128,21 @@ def test_failed_write_leaves_no_file(tmp_path):
 # sha256 of the default result files at seed 7, on x86-64 Linux with Python
 # 3.11 and numpy 2.4. They are photonlab 0.7.0's files, except that since
 # 0.9.0 every JSON file names the generator "numpy-philox-4x64" and the iid
-# protocol run draws its bits from the receiver's law.
+# protocol run draws its bits from the receiver's law, and that since 0.10.0
+# the Monte Carlo runs (bell, nosignal, protocol and mzi here) draw their
+# counts from the package's sampler and name it "numpy-philox-4x64/btrd".
 DEFAULTS_SEED_7 = {
     "malus.json": "01d56865836f3eb4681166ae7e08b807b34fe8565fa0a755c11ae3d47ab04010",
     "malus.csv": "3e68c388456eaa2f34b894a4b02d3570fdb922221a4712d8f6754c04ec640ed1",
     "entropy.json": "09530b9f0d9e17465d66442da0eaaa6f2bc9aca5e9e85beca1a05e6b9967a3bf",
     "entropy.csv": "e6533fecd378af9d06980f1c4027f0376c3073f1edf70a13fb91bc22d8783987",
-    "bell.json": "50cee48f2b5b5c978315efd94e2a3da966b3e2535b9d206d3d009c03d7b4ecbf",
-    "bell.csv": "44d48ca82cd9a8931d7d6ded46c03dc550d7fd39f6e172e7d3d10cf92123e279",
-    "nosignal.json": "1cd870606d89fd4a0deda627df2ee9fc8cb0b8474e47af97c65daa94379327cc",
-    "nosignal.csv": "b502d7c5919565ff45e138aafdaf010b594fe8c316b45264bd376bb2eb7b027d",
-    "protocol.json": "3d43fa0f7fcfc3eb504888352589fb57d4b3c3bc0fc7fdc2f644c3d403bd8581",
-    "mzi.json": "7d04d436c0c3d081c000b91269ed4c80317cbf8ffe988b3833cfc7d9c52f0c6e",
-    "mzi.csv": "538537aac767ef09abbad13206ffa746efb6b1acb4812971c778ae16d205f789",
+    "bell.json": "9b87f66b34160b2c8141c0d5317634a11d163857e48d42c04f684e172a38556a",
+    "bell.csv": "00b8c9802505fdec553d54cff1add69d3c9f28bc7adbd99ab51509b422d0b0a0",
+    "nosignal.json": "8b9bff66ee1b81585b48c2054cd22556e3eb45a08127eec2e63eba1db9314c53",
+    "nosignal.csv": "3ef548706944142f2af7e7d774ffd826607702635ea34d2474c21a0e388f46e4",
+    "protocol.json": "aef97447628a68bd9b3fa71d20f39d5d35c2772dcae40b74be3b6c4176a55451",
+    "mzi.json": "6779b5433d6d97c3eeb36e584a51f869af2760540e3a0c841493fb478c7d3d59",
+    "mzi.csv": "6e6fca6f14f5b804806276ee87a491b5086804fd7163080151890bcf3576228b",
 }
 
 
