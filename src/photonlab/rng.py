@@ -112,7 +112,9 @@ def stream_keys(seed: int, indices) -> np.ndarray:
         index = (np.arange(len(indices), dtype=np.uint64) * np.uint64(indices.step % _MAX_U64)
                  + np.uint64(indices.start % _MAX_U64))
     else:
-        index = np.asarray(indices)
+        # a list mixing indices below and above 2^63 would become float64, which
+        # rounds them; as objects they stay Python ints and are checked one by one
+        index = indices if isinstance(indices, np.ndarray) else np.array(indices, dtype=object)
         if index.ndim != 1:
             raise ValueError(f"stream indices must be 1-d, got shape {index.shape}")
         if index.dtype.kind == "u" or index.dtype.kind == "i" and (

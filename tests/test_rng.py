@@ -4,12 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonlab import rng
-from photonlab.core import sample_count_array
+from photonlab.core import sample_count_array, sample_counts
 from photonlab.entangle import correlation_array
 from photonlab.rng import (
     ALGORITHM_ID,
     WORDS_ID,
     RngStream,
+    binomial_array,
     philox,
     stream_from_seed,
     stream_keys,
@@ -176,6 +177,48 @@ def test_a_large_uniform_draw_runs_in_slices(monkeypatch):
     assert widths == [rng.SLICE_BLOCKS, rng.SLICE_BLOCKS, 2]
     key = np.array([6, 1], dtype=np.uint64)
     assert got.tolist() == np.random.Generator(np.random.Philox(key=key)).random(n).tolist()
+
+
+# --- a sweep keys each point's stream ----------------------------------------------
+
+# the first row of a two-row sweep: it draws nothing, one binomial or a chain of three
+_FIRST_ROWS = {"none": [1.0, 0.0, 0.0, 0.0], "one": [0.3, 0.7, 0.0, 0.0],
+               "chain": [0.1, 0.2, 0.3, 0.4]}
+
+
+@settings(max_examples=200)
+@given(u64, u64, u64, st.sampled_from(sorted(_FIRST_ROWS)))
+@example(0, 0, 0, "chain")
+@example(2**64 - 1, 2**64 - 1, 0, "one")
+@example(5, 0, 2**64 - 1, "none")
+def test_a_rekeyed_stream_draws_what_a_new_stream_draws(seed, first, index, kind):
+    # a sweep re-keys its chain to each row's stream: the row after one that
+    # drew anything draws what a new stream of its own index draws
+    probs = np.array([_FIRST_ROWS[kind], [0.37, 0.13, 0.25, 0.25]])
+    n = np.array([1000, 10**6])
+    got = sample_count_array(probs, n, seed, np.array([first, index], dtype=np.uint64))
+    fresh = sample_counts(probs[1], 10**6, stream_from_seed(seed, index))
+    assert got[1].tolist() == fresh.tolist()
+    assert got[0].tolist() == sample_counts(probs[0], 1000, stream_from_seed(seed, first)).tolist()
+
+
+@given(u64, st.lists(u64, max_size=8))
+@example(0, [0, 2**63 + 1])  # a list below and above 2^63 is no float64
+@example(0, [2**64 - 1, 0])
+def test_streams_yields_the_stream_of_each_index(seed, indices):
+    # stream_keys gives a sweep the stream of each index at once: its key,
+    # its uniform words and its binomial draws
+    keys = stream_keys(seed, indices)
+    streams = [stream_from_seed(seed, i) for i in indices]
+    assert keys.T.tolist() == [[s.seed, s.stream_index] for s in streams]
+    first_block = np.zeros((4, 1), dtype=np.uint64)
+    first_block[0] = 1
+    assert philox(keys, first_block).T.tolist() == [s.raw_u64(4).tolist() for s in streams]
+    size = len(indices)
+    drawn = [binomial_array(np.full(size, n), np.full(size, 0.37), keys, np.full(size, d))
+             for d, n in enumerate((1, 40, 10**6))]
+    assert np.array(drawn, dtype=np.int64).reshape(3, size).T.tolist() == [
+        [s.binomial(n, 0.37) for n in (1, 40, 10**6)] for s in streams]
 
 
 def test_stream_key_bounds_are_enforced():
