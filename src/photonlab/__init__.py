@@ -8,7 +8,7 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 # public names by the module that defines them
 _EXPORTS = {
@@ -17,13 +17,11 @@ _EXPORTS = {
         "DensityOperator",
         "InvalidStateError",
         "MeasurementBasis",
-        "OutcomeRecord",
         "PROB_SNAP",
         "StateVector",
         "born_probabilities",
         "born_probabilities_array",
         "canonical_angle",
-        "collapse",
         "eigenvector_array",
         "ket_from_angle",
         "partial_trace",
@@ -36,7 +34,6 @@ _EXPORTS = {
     ),
     "entangle": (
         "CorrelationStats",
-        "JointOutcome",
         "PairState",
         "bob_marginal_count_array",
         "bob_marginal_counts",
@@ -48,8 +45,6 @@ _EXPORTS = {
         "joint_probabilities",
         "joint_probability_array",
         "make_pair",
-        "measure_A",
-        "measure_pair",
         "no_signaling_check",
     ),
     "entropy": (
@@ -73,25 +68,20 @@ _EXPORTS = {
     "optics": (
         "CascadeResult",
         "LightBeam",
-        "PhotonRecord",
         "Polarizer",
         "cascade_analytic",
         "cascade_mc",
         "linear_light",
         "natural_light",
         "transmit_analytic",
-        "transmit_photon_mc",
     ),
     "protocol": (
         "BasisOracle",
         "EncodingRule",
         "FixedBasisML",
-        "PhotonStream",
         "Repetition",
         "TransmissionReport",
-        "encode",
         "mutual_information",
-        "receive",
         "receiver_law",
         "run_protocol",
         "standard_strategies",

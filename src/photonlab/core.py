@@ -1,4 +1,5 @@
-"""Qubit states, measurement bases, and Born-rule collapse.
+"""Qubit states, measurement bases, Born-rule outcome laws and their sampled
+counts.
 
 Photon polarization lives in a 2-dimensional complex Hilbert space; linear
 polarization at angle theta is the real ket (cos theta, sin theta), and a
@@ -10,13 +11,12 @@ operators represent mixed beams and reduced single-photon states.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import MAX_BINOMIAL_TRIALS, RngStream, binomial_array, stream_keys
+from .rng import MAX_BINOMIAL_TRIALS, SLICE_BLOCKS, RngStream, binomial_array, stream_keys
 
 # Algebraic identities hold to ALGEBRA_ATOL; precondition checks are looser.
 ALGEBRA_ATOL = 1e-12
@@ -30,8 +30,9 @@ PROB_SNAP = 1e-15
 
 # The array forms below work through at most this many points at a time, so
 # their temporaries (a few hundred bytes per point) stay bounded whatever the
-# number of points.
-SLICE_POINTS = 2**16
+# number of points. It is the binomial sampler's slice too, so the count
+# chain holds no more rows at once than the sampler draws for.
+SLICE_POINTS = SLICE_BLOCKS
 
 
 class InvalidStateError(ValueError):
@@ -192,16 +193,6 @@ def _coerce_basis(basis) -> MeasurementBasis:
     return basis if isinstance(basis, MeasurementBasis) else MeasurementBasis(basis)
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """One projective measurement: outcome 0 is aligned, 1 is orthogonal."""
-
-    outcome: int
-    post_state: StateVector
-    basis: MeasurementBasis
-    probability: float
-
-
 def ket_from_angle(theta: float) -> StateVector:
     """Linear polarization state (cos theta, sin theta)."""
     theta = float(theta)
@@ -244,27 +235,10 @@ def snap_probability_array(p) -> np.ndarray:
     return np.where(p <= PROB_SNAP, 0.0, np.where(p >= 1.0 - PROB_SNAP, 1.0, p))
 
 
-def sample_categories(probs, u) -> np.ndarray:
-    """Born-rule outcome index (uint8, shaped like the array u) of each uniform
-    draw in u, all following one distribution over len(probs) outcomes.
-
-    Outcome k is drawn when u lies between the cumulative snapped probabilities
-    before and through it. A draw in the sliver where snapped probabilities sum
-    to under 1 goes to the last outcome with nonzero probability, so a
-    snapped-to-zero outcome is never drawn.
-    """
-    p = [snap_probability(x) for x in probs]
-    last_nonzero = max(k for k, x in enumerate(p) if x > 0.0)
-    outcome = np.zeros(np.shape(u), dtype=np.uint8)
-    for edge in itertools.accumulate(p[:last_nonzero]):
-        outcome += u >= edge
-    return outcome
-
-
 def sample_counts(probs, n: int, rng: RngStream) -> np.ndarray:
     """Outcome counts (int64, one per outcome) of n Born draws from one
-    distribution over len(probs) outcomes: the counting twin of
-    sample_categories, at the cost of one binomial draw per outcome.
+    distribution over len(probs) outcomes, at the cost of at most one
+    binomial draw per outcome, whatever n.
 
     The counts follow the multinomial law, drawn as a chain of conditional
     binomials: outcome k gets rng.binomial(left, p_k / (p_k + ... + p_last))
@@ -359,21 +333,6 @@ def _binomial_chain(p: np.ndarray) -> np.ndarray:
     return np.where(cond < 1.0, cond, 1.0)
 
 
-def sample_binary(p0, u) -> np.ndarray:
-    """Two-outcome sample_categories for an outcome-0 probability p0 that may
-    differ per draw (p0 broadcasts against u). Outcome 1 holds the rest, so it
-    is impossible exactly when p0 snaps to 1.
-    """
-    if np.ndim(p0) == 0:
-        return np.greater_equal(u, snap_probability(p0)).view(np.uint8)
-    p0 = np.asarray(p0)
-    # u >= snapped p0, without a snapped copy of the per-draw p0
-    outcome = np.greater_equal(u, p0)
-    outcome &= p0 < 1.0 - PROB_SNAP
-    outcome |= p0 <= PROB_SNAP
-    return outcome.view(np.uint8)
-
-
 def _require_qubit(state) -> StateVector:
     state = _coerce_state(state)
     if state.dim != 2:
@@ -415,19 +374,6 @@ def born_probabilities(state, basis) -> tuple[float, float]:
     theta = np.array([_coerce_basis(basis).theta])
     p0, p1 = _born(state.amplitudes[None], theta)[0].tolist()
     return p0, p1
-
-
-def collapse(state, basis, rng: RngStream) -> OutcomeRecord:
-    """Sample an outcome per the Born rule; consumes exactly one uniform draw."""
-    basis = _coerce_basis(basis)
-    p0, p1 = born_probabilities(state, basis)
-    outcome = int(sample_categories((p0, p1), rng.random(1))[0])
-    return OutcomeRecord(
-        outcome=outcome,
-        post_state=basis.eigenvector(outcome),
-        basis=basis,
-        probability=p0 if outcome == 0 else p1,
-    )
 
 
 def tensor_product(a, b) -> StateVector:

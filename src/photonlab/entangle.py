@@ -19,7 +19,6 @@ from .core import (
     DensityOperator,
     InvalidStateError,
     MeasurementBasis,
-    OutcomeRecord,
     StateVector,
     _coerce_basis,
     _eigenvectors,
@@ -27,12 +26,9 @@ from .core import (
     canonical_angle_array,
     normalize_array,
     point_slices,
-    sample_binary,
-    sample_categories,
     sample_count_array,
     snap_probability_array,
 )
-from .rng import RngStream
 
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -59,16 +55,6 @@ def make_pair() -> PairState:
     return _PAIR
 
 
-@dataclass(frozen=True)
-class JointOutcome:
-    """Outcomes of one joint measurement; 0 is aligned with the local basis."""
-
-    outcome_a: int
-    outcome_b: int
-    basis_a: MeasurementBasis
-    basis_b: MeasurementBasis
-
-
 def _amplitude_matrix(pair: PairState) -> np.ndarray:
     # amplitudes indexed [a, b] in the computational product basis
     return pair.joint.amplitudes.reshape(2, 2)
@@ -83,35 +69,15 @@ def _branches(pair: PairState, theta: np.ndarray, outcome: int):
     return p, c
 
 
-def _branch(pair: PairState, basis_a, outcome: int):
-    """Project photon A onto an eigenvector, returning (probability, B amplitudes)."""
-    p, c = _branches(pair, np.array([_coerce_basis(basis_a).theta]), outcome)
-    return float(p[0]), c[0]
-
-
 def conditional_state(pair: PairState, basis_a, outcome: int) -> tuple[float, StateVector]:
     """Probability of A's outcome and the normalized state B is left in."""
-    p, c = _branch(pair, basis_a, outcome)
+    p, c = _branches(pair, np.array([_coerce_basis(basis_a).theta]), outcome)
+    p, c = float(p[0]), c[0]
     if p < _MIN_BRANCH_PROBABILITY:
         raise InvalidStateError(
             f"outcome {outcome} has probability {p:.3e}; no conditional state exists"
         )
     return p, StateVector.normalize(c)
-
-
-def measure_A(pair: PairState, basis_a, rng: RngStream) -> tuple[OutcomeRecord, StateVector]:
-    """Measure photon A with one uniform draw, returning A's record and B's
-    post-measurement state (for the singlet, the eigenvector orthogonal to A's)."""
-    basis_a = _coerce_basis(basis_a)
-    outcome = int(sample_binary(_branch(pair, basis_a, 0)[0], rng.random(1))[0])
-    p, b_state = conditional_state(pair, basis_a, outcome)
-    record = OutcomeRecord(
-        outcome=outcome,
-        post_state=basis_a.eigenvector(outcome),
-        basis=basis_a,
-        probability=p,
-    )
-    return record, b_state
 
 
 def joint_probabilities(pair: PairState, basis_a, basis_b) -> np.ndarray:
@@ -142,15 +108,6 @@ def joint_probability_array(pair: PairState, thetas_a, thetas_b) -> np.ndarray:
                 amp = (left @ fb[ob])[:, 0, 0]
                 probs[rows, oa, ob] = snap_probability_array(np.real(amp * np.conj(amp)))
     return probs
-
-
-def measure_pair(pair: PairState, basis_a, basis_b, rng: RngStream) -> JointOutcome:
-    """Sample one joint outcome from the 4-category joint distribution."""
-    basis_a = _coerce_basis(basis_a)
-    basis_b = _coerce_basis(basis_b)
-    probs = joint_probabilities(pair, basis_a, basis_b).ravel()
-    idx = int(sample_categories(probs, rng.random(1))[0])
-    return JointOutcome(outcome_a=idx // 2, outcome_b=idx % 2, basis_a=basis_a, basis_b=basis_b)
 
 
 def _joint_counts(thetas_a, thetas_b, n, seed, pair, stream_base) -> np.ndarray:

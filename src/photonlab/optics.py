@@ -17,19 +17,16 @@ import numpy as np
 
 from .core import (
     DensityOperator,
-    InvalidStateError,
     MeasurementBasis,
-    StateVector,
     _eigenvectors,
     _expectation,
     canonical_angle,
     canonical_angle_array,
-    collapse,
     ket_from_angle,
     point_slices,
     sample_counts,
 )
-from .rng import RngStream, stream_from_seed
+from .rng import stream_from_seed
 
 SOURCE_KINDS = ("natural", "linear")
 
@@ -58,15 +55,6 @@ class LightBeam:
         if self.intensity < 0.0:
             raise ValueError(f"intensity must be >= 0, got {self.intensity!r}")
         object.__setattr__(self, "intensity", float(self.intensity))
-
-
-@dataclass(frozen=True)
-class PhotonRecord:
-    """One tracked photon; collapse_history holds (axis angle, outcome) pairs."""
-
-    state: StateVector
-    alive: bool = True
-    collapse_history: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -161,15 +149,6 @@ def cascade_analytic(beam: LightBeam, axes) -> CascadeResult:
     return CascadeResult(axes=grid, per_stage_intensity=intensities)
 
 
-def transmit_photon_mc(photon: PhotonRecord, p: Polarizer, rng: RngStream) -> PhotonRecord:
-    """Collapse one photon in the polarizer basis; aligned passes, orthogonal is absorbed."""
-    if not photon.alive:
-        raise InvalidStateError("photon was already absorbed")
-    record = collapse(photon.state, p.axis, rng)
-    history = photon.collapse_history + ((p.axis.theta, record.outcome),)
-    return PhotonRecord(state=record.post_state, alive=record.outcome == 0, collapse_history=history)
-
-
 def cascade_mc(
     n_photons: int,
     axes,
@@ -180,8 +159,8 @@ def cascade_mc(
 ) -> CascadeResult:
     """Monte Carlo cascade: count the photons that survive each stage.
 
-    A photon passes a stage with the Born weight transmit_photon_mc would use,
-    and a survivor leaves polarized along the stage axis. Stage 0 passes with
+    A photon passes a stage with the Born weight of the aligned outcome, and a
+    survivor leaves polarized along the stage axis. Stage 0 passes with
     probability 1/2 for the natural source (a uniformly random linear
     polarization, averaged) and cos^2(axis - source_angle) for the linear one;
     stage i > 0 passes with cos^2(axis_i - axis_{i-1}). So each stage count is

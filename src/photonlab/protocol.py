@@ -8,16 +8,11 @@ every receiver defined here, each bit sent as v decodes to the same
 run_protocol draws only the number of ones sent, and the count table follows
 from it with no further draw.
 
-The per-photon path remains as the library API and the reference the law is
-tested against. Its photon stream is columnar: Bob's photon is fixed by the
-bit (which basis Alice measured in) and Alice's outcome, so a stream is those
-two columns plus the 2x2 table of conditional states they index.
-
 Receiver models span the honest range. The standard-physics strategies
 (fixed-basis maximum likelihood, repetition with majority vote) operate only on
 Bob's photon states; because Bob's marginal is the maximally mixed state
 whatever Alice does, their likelihoods tie on every photon and the decoded
-stream carries no information. The basis-oracle strategy reads the bit column,
+stream carries no information. The basis-oracle strategy reads the bit itself,
 that is, which basis Alice measured in, directly: a capability no physical
 receiver has for a single copy. It is included, clearly labeled, to show that
 the scheme works if and only if that capability is granted.
@@ -34,13 +29,10 @@ from .core import (
     MeasurementBasis,
     born_probabilities,
     canonical_angle,
-    sample_binary,
     snap_probability,
 )
-from .entangle import conditional_state, make_pair
-from .rng import ALGORITHM_ID, RngStream, stream_from_seed
+from .rng import ALGORITHM_ID, stream_from_seed
 from .stats import (
-    as_bit_array,
     mi_standard_error,
     null_quantile,
     permutation_null_mis,
@@ -84,24 +76,6 @@ class EncodingRule:
 
     def basis_for(self, bit: int) -> float:
         return self.basis_for_one if bit else self.basis_for_zero
-
-
-@dataclass(frozen=True, eq=False)
-class PhotonStream:
-    """Bob's photons, one per transmitted pair, as columns.
-
-    Photon i is states[bits[i]][outcomes[i]]: Alice measured its partner in
-    the basis of bit bits[i] and got outcome outcomes[i]. The bit column is
-    bookkeeping the simulation carries, not a property a receiver can extract
-    from a single photon; only the basis-oracle strategy reads it.
-    """
-
-    bits: np.ndarray
-    outcomes: np.ndarray
-    states: tuple
-
-    def __len__(self) -> int:
-        return int(self.bits.shape[0])
 
 
 @dataclass(frozen=True)
@@ -178,35 +152,6 @@ def standard_strategies() -> list:
     ]
 
 
-def encode(bits, rule: EncodingRule, rng: RngStream, pairs_per_bit: int = 1) -> PhotonStream:
-    """Measure one fresh singlet per pair in the bit's basis; collect Bob's photons.
-
-    Each photon consumes one uniform (Alice's outcome draw). With
-    pairs_per_bit = k, bit i occupies photons i*k through i*k + k - 1.
-    """
-    bits = as_bit_array(bits, "bits")
-    if pairs_per_bit < 1:
-        raise ValueError(f"pairs_per_bit must be >= 1, got {pairs_per_bit}")
-    p_aligned, states = _bob_states(rule)
-    repeated = np.repeat(bits, pairs_per_bit)
-    outcomes = sample_binary(p_aligned[repeated], rng.random(repeated.shape[0]))
-    return PhotonStream(bits=repeated, outcomes=outcomes, states=states)
-
-
-def _bob_states(rule: EncodingRule) -> tuple[np.ndarray, tuple]:
-    """Per bit value v: Alice's aligned-outcome probability p_aligned[v] and
-    Bob's conditional states states[v][outcome]."""
-    pair = make_pair()
-    p_aligned = np.empty(2)
-    states = []
-    for v in (0, 1):
-        angle = rule.basis_for(v)
-        p_aligned[v], state0 = conditional_state(pair, angle, 0)
-        _, state1 = conditional_state(pair, angle, 1)
-        states.append((state0, state1))
-    return p_aligned, tuple(states)
-
-
 def _ml_table(rule: EncodingRule, basis: MeasurementBasis) -> np.ndarray:
     """Outcome likelihoods table[bit, outcome] under the equal-mixture model.
 
@@ -244,48 +189,10 @@ def _ml_decisions(rule: EncodingRule, basis: MeasurementBasis) -> tuple[np.ndarr
     return decided, tied
 
 
-def _decode(photons: PhotonStream, strategy, rule: EncodingRule, rng: RngStream):
-    """Decode a photon stream, returning (bits, tie count)."""
-    if isinstance(strategy, BasisOracle):
-        # the decision depends only on the bit column: decide each bit value once
-        decided, tied = _oracle_decisions(rule)
-        return decided[photons.bits], int(np.count_nonzero(tied[photons.bits]))
-    if isinstance(strategy, FixedBasisML):
-        # Born table over Bob's four possible states, indexed 2*bit + outcome
-        p_aligned = np.array(
-            [born_probabilities(s, strategy.basis)[0] for row in photons.states for s in row]
-        )
-        which = 2 * photons.bits + photons.outcomes
-        outcomes = sample_binary(p_aligned[which], rng.random(len(photons)))
-        decided, tied = _ml_decisions(rule, strategy.basis)
-        return decided[outcomes], int(np.count_nonzero(tied[outcomes]))
-    if isinstance(strategy, Repetition):
-        inner_bits, inner_ties = _decode(photons, strategy.inner, rule, rng)
-        votes = inner_bits.reshape(-1, strategy.k)
-        ones = votes.sum(axis=1)
-        majority_ties = int((2 * ones == strategy.k).sum())
-        bits = (2 * ones > strategy.k).astype(np.int64)
-        return bits, inner_ties + majority_ties
-    raise ValueError(f"unknown receiver strategy: {strategy!r}")
-
-
-def receive(photons: PhotonStream, strategy, rule: EncodingRule, rng: RngStream) -> np.ndarray:
-    """Decode the photon stream into bits with the given receiver strategy."""
-    if len(photons) == 0:
-        raise ValueError("photons must be non-empty")
-    per_bit = strategy.pairs_per_bit
-    if len(photons) % per_bit != 0:
-        raise ValueError(
-            f"photon count {len(photons)} is not a multiple of {per_bit} "
-            f"(pairs per bit for {strategy.label})"
-        )
-    bits, _ = _decode(photons, strategy, rule, rng)
-    return bits
-
-
 def _bit_decision(strategy, rule: EncodingRule, v: int) -> tuple[int, int]:
-    """The (decoded, ties) of every bit sent as v: what _decode reports for
-    that bit's photons, whatever Bob's outcomes."""
+    """The (decoded, ties) of every bit sent as v, whatever Bob's outcomes:
+    the bit the receiver reads from that bit's photons and how many of its
+    decodes tied."""
     if isinstance(strategy, BasisOracle):
         decided, tied = _oracle_decisions(rule)
         return int(decided[v]), int(tied[v])
@@ -304,8 +211,9 @@ def receiver_law(strategy, rule: EncodingRule) -> tuple[dict, dict]:
     """The exact law of one bit's (decoded bit, tie count) under a receiver,
     for a bit sent as 0 and for a bit sent as 1.
 
-    Each law maps (decoded, ties) to its probability; decoded and ties are
-    what _decode reports for that bit's photons. Every law of a singlet
+    Each law maps (decoded, ties) to its probability; decoded is the bit the
+    receiver reads from that bit's photons and ties the number of its decodes
+    that tied. Every law of a singlet
     receiver is a point mass: Bob's likelihoods tie on every outcome,
     whatever the rule and the basis, so FixedBasisML decides alike on both;
     BasisOracle reads the sent value; and Repetition's k inner decodes are

@@ -333,7 +333,9 @@ class RngStream:
 
     def random(self, size=None):
         """Uniform float64 samples in [0, 1), as numpy's Generator.random
-        draws them; a float when size is None."""
+        draws them; a float when size is None. No experiment draws uniforms:
+        this stays for the tests of the words against numpy's Philox and for
+        perfbench's draw-rate microbenchmark."""
         out = np.empty(1 if size is None else size, dtype=np.float64)
         flat = out.reshape(-1)
         start = 0

@@ -604,7 +604,7 @@ print(json.dumps([at_import, loaded()]))
     ("entropy", ["core", "entropy", "rng"]),
     ("bell", ["core", "entangle", "rng"]),
     ("nosignal", ["core", "entangle", "rng", "stats"]),
-    ("protocol", ["core", "entangle", "protocol", "rng", "stats"]),
+    ("protocol", ["core", "protocol", "rng", "stats"]),
     ("mzi", ["core", "mzi", "rng"]),
 ])
 def test_a_run_imports_only_its_experiment(tmp_path, experiment, modules):
@@ -734,16 +734,28 @@ REMOVED_IN_0_8_0 = ["map_partitions"]
 # removed on purpose: since 0.10.0 a sweep keys all its points at once, with no
 # generator to re-key per point
 REMOVED_IN_0_10_0 = ["streams"]
+# removed on purpose: since 0.11.0 every experiment computes collapse from its
+# exact law, and no run sampled photons one by one, so that API went
+REMOVED_IN_0_11_0 = {
+    "core": ["OutcomeRecord", "collapse", "sample_binary", "sample_categories"],
+    "entangle": ["JointOutcome", "measure_A", "measure_pair"],
+    "optics": ["PhotonRecord", "transmit_photon_mc"],
+    "protocol": ["PhotonStream", "encode", "receive"],
+}
+REMOVED = REMOVED_IN_0_8_0 + REMOVED_IN_0_10_0 + sum(REMOVED_IN_0_11_0.values(), [])
 
 
 def test_every_0_7_0_name_still_resolves():
-    kept = [name for name in NAMES_0_7_0 if name not in REMOVED_IN_0_8_0]
+    kept = [name for name in NAMES_0_7_0 if name not in REMOVED]
     missing = json.loads(_run_fresh(_RESOLVED, json.dumps(kept)))
     assert missing == {"dir": [], "star": [], "attribute": []}
-    for name in REMOVED_IN_0_8_0 + REMOVED_IN_0_10_0:
+    for name in REMOVED:
         assert not hasattr(photonlab, name) and name not in photonlab.__all__
         with pytest.raises(AttributeError):
             getattr(cli, name)
+    for module, names in REMOVED_IN_0_11_0.items():
+        for name in names:
+            assert not hasattr(getattr(photonlab, module), name), (module, name)
 
 
 def test_every_library_name_resolves_on_cli_from_its_module():

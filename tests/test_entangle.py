@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonlab.core import (
     DensityOperator,
     InvalidStateError,
     MeasurementBasis,
-    collapse,
+    born_probabilities,
     ket_from_angle,
     partial_trace,
     states_equal,
@@ -24,8 +26,6 @@ from photonlab.entangle import (
     correlation,
     joint_probabilities,
     make_pair,
-    measure_A,
-    measure_pair,
     no_signaling_check,
 )
 from photonlab.rng import stream_from_seed
@@ -71,29 +71,6 @@ def test_conditional_state_refuses_impossible_branches():
         conditional_state(product_pair(), 0.0, 1)
 
 
-def test_measure_A_outcome_statistics_and_remote_state():
-    pair = make_pair()
-    rng = stream_from_seed(52, 0)
-    n = 2000
-    zeros = 0
-    for _ in range(n):
-        record, b_state = measure_A(pair, 0.9, rng)
-        zeros += record.outcome == 0
-        assert states_equal(b_state, MeasurementBasis(0.9).eigenvector(1 - record.outcome))
-        assert abs(record.probability - 0.5) < 1e-12
-    assert abs(zeros / n - 0.5) < 4 * math.sqrt(0.25 / n)
-
-
-def test_measure_A_consumes_one_uniform():
-    pair = make_pair()
-    used = stream_from_seed(53, 0)
-    reference = stream_from_seed(53, 0)
-    record, _ = measure_A(pair, 0.3, used)
-    u = float(reference.random())
-    assert record.outcome == (0 if u < 0.5 else 1)
-    np.testing.assert_array_equal(used.random(4), reference.random(4))
-
-
 def test_joint_probabilities_are_a_distribution():
     pair = make_pair()
     rng = stream_from_seed(54, 0)
@@ -125,33 +102,16 @@ def test_equal_bases_never_agree():
     assert probs[0, 0] == 0.0
     assert probs[1, 1] == 0.0
     np.testing.assert_allclose(probs, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
-    rng = stream_from_seed(56, 0)
-    for _ in range(500):
-        out = measure_pair(pair, 1.1, 1.1, rng)
-        assert out.outcome_a != out.outcome_b
 
 
-def test_perpendicular_bases_always_agree():
-    pair = make_pair()
-    rng = stream_from_seed(57, 0)
-    for _ in range(500):
-        out = measure_pair(pair, 0.4, 0.4 + math.pi / 2, rng)
-        assert out.outcome_a == out.outcome_b
+angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
-def test_measure_pair_agreement_rate():
-    # P(equal) = sin^2(delta) for the singlet
-    pair = make_pair()
-    delta = math.pi / 8
-    p_eq = math.sin(delta) ** 2
-    assert abs(p_eq - 0.14644660940672624) < 1e-15
-    rng = stream_from_seed(58, 0)
-    n = 20_000
-    equal = 0
-    for _ in range(n):
-        out = measure_pair(pair, 0.0, delta, rng)
-        equal += out.outcome_a == out.outcome_b
-    assert abs(equal / n - p_eq) < 4 * math.sqrt(p_eq * (1 - p_eq) / n)
+@settings(max_examples=60)
+@given(angles, st.integers(min_value=0, max_value=2**32))
+def test_perpendicular_bases_always_agree(theta, seed):
+    # the different outcomes snap to probability 0, so no sampled pair differs
+    assert correlation(theta, theta + math.pi / 2, 2000, seed=seed).e_value == 1.0
 
 
 def test_correlation_is_exactly_minus_one_at_equal_bases():
@@ -261,23 +221,11 @@ def test_bob_counts_ignore_alice_basis():
         bob_marginal_counts(0.0, 0.0, 0)
 
 
-def test_sequential_and_joint_sampling_tell_the_same_story():
-    # measure A then collapse B's conditional state, versus one joint draw
+@given(angles, angles, st.integers(0, 1), st.integers(0, 1))
+def test_sequential_and_joint_sampling_tell_the_same_story(ta, tb, oa, ob):
+    # measure A, then B's conditional state, versus one joint measurement
     pair = make_pair()
-    ta, tb = 0.2, 0.9
-    p_equal = math.sin(tb - ta) ** 2
-    n = 3000
-    rng = stream_from_seed(61, 0)
-    seq_equal = 0
-    for _ in range(n):
-        record, b_state = measure_A(pair, ta, rng)
-        b_out = collapse(b_state, tb, rng).outcome
-        seq_equal += record.outcome == b_out
-    rng = stream_from_seed(61, 1)
-    joint_equal = 0
-    for _ in range(n):
-        out = measure_pair(pair, ta, tb, rng)
-        joint_equal += out.outcome_a == out.outcome_b
-    bound = 4 * math.sqrt(p_equal * (1 - p_equal) / n)
-    assert abs(seq_equal / n - p_equal) < bound
-    assert abs(joint_equal / n - p_equal) < bound
+    p, b_state = conditional_state(pair, ta, oa)
+    sequential = p * born_probabilities(b_state, tb)[ob]
+    assert abs(sequential - joint_probabilities(pair, ta, tb)[oa, ob]) <= 1e-12
+

@@ -4,19 +4,17 @@ import threading
 import numpy as np
 import pytest
 
-from photonlab.core import InvalidStateError, ket_from_angle
+from photonlab.core import ket_from_angle
 from photonlab import optics
 from photonlab.optics import (
     CascadeResult,
     LightBeam,
-    PhotonRecord,
     Polarizer,
     cascade_analytic,
     cascade_mc,
     linear_light,
     natural_light,
     transmit_analytic,
-    transmit_photon_mc,
 )
 from photonlab.rng import stream_from_seed
 
@@ -89,28 +87,12 @@ def test_cascade_requires_at_least_one_axis():
         cascade_analytic(natural_light(), [float("nan")])
 
 
-def test_photon_mc_transmission():
-    rng = stream_from_seed(43, 0)
-    photon = PhotonRecord(state=ket_from_angle(0.0))
-    out = transmit_photon_mc(photon, Polarizer.at_angle(0.0), rng)
-    assert out.alive
-    assert out.collapse_history == ((0.0, 0),)
-    blocked = transmit_photon_mc(out, Polarizer.at_angle(math.pi / 2), rng)
-    assert not blocked.alive
-    assert blocked.collapse_history[-1][1] == 1
-    with pytest.raises(InvalidStateError):
-        transmit_photon_mc(blocked, Polarizer.at_angle(0.0), rng)
-
-
 def test_photon_mc_pass_rate_matches_malus():
-    rng = stream_from_seed(44, 0)
     theta = math.pi / 3
     p_pass = math.cos(theta) ** 2
     n = 20_000
-    alive = 0
-    for _ in range(n):
-        photon = PhotonRecord(state=ket_from_angle(0.0))
-        alive += transmit_photon_mc(photon, Polarizer.at_angle(theta), rng).alive
+    result = cascade_mc(n, [theta], source="linear", source_angle=0.0, seed=44)
+    alive = result.per_stage_counts[0]
     assert abs(alive / n - p_pass) < 4 * math.sqrt(p_pass * (1 - p_pass) / n)
 
 

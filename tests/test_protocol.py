@@ -8,18 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from photonlab import protocol
 from photonlab.cli import MAX_PAIRS_PER_BIT, MAX_STRATEGY_NESTING, MAX_TRIALS
-from photonlab.core import MeasurementBasis, collapse, ket_from_angle, states_equal
-from photonlab.entangle import conditional_state, make_pair
+from photonlab.core import MeasurementBasis, states_equal
+from photonlab.entangle import conditional_state, joint_probability_array, make_pair
 from photonlab.protocol import (
     BIT_SOURCES,
     BasisOracle,
     EncodingRule,
     FixedBasisML,
-    PhotonStream,
     Repetition,
-    encode,
     mutual_information,
-    receive,
     receiver_law,
     run_protocol,
     standard_strategies,
@@ -36,8 +33,11 @@ def balanced_bits(n, seed):
     return bits
 
 
-def bob_state(photons, i):
-    return photons.states[photons.bits[i]][photons.outcomes[i]]
+# angles in [0, pi), with a few that make the rule degenerate or put the
+# receiver on an encoding basis
+angles = st.one_of(st.floats(0.0, math.pi, exclude_max=True),
+                   st.sampled_from([0.0, math.pi / 8, math.pi / 4, math.pi / 2]))
+rules = st.builds(EncodingRule, angles, angles)
 
 
 def test_encoding_rule_defaults_and_degeneracy():
@@ -51,61 +51,11 @@ def test_encoding_rule_defaults_and_degeneracy():
     assert EncodingRule(math.pi + 0.3, 0.3).basis_for_one == pytest.approx(0.3, abs=1e-12)
 
 
-def test_encode_tags_and_states():
-    rule = EncodingRule()
-    rng = stream_from_seed(81, 0)
-    photons = encode([1] * 400 + [0] * 400, rule, rng)
-    pair = make_pair()
-    aligned = 0
-    for i in range(400):
-        assert rule.basis_for(photons.bits[i]) == 0.0
-        s0 = conditional_state(pair, 0.0, 0)[1]
-        s1 = conditional_state(pair, 0.0, 1)[1]
-        state = bob_state(photons, i)
-        assert states_equal(state, s0) or states_equal(state, s1)
-        aligned += states_equal(state, s0)
-    assert abs(aligned / 400 - 0.5) < 4 * math.sqrt(0.25 / 400)
-    for i in range(400, 800):
-        assert rule.basis_for(photons.bits[i]) == pytest.approx(math.pi / 4, abs=1e-15)
-
-
-def test_encode_indexing_and_validation():
-    rule = EncodingRule()
-    photons = encode([1, 0], rule, stream_from_seed(82, 0), pairs_per_bit=3)
-    assert list(photons.bits) == [1, 1, 1, 0, 0, 0]
-    assert len(photons) == 6
-    with pytest.raises(ValueError):
-        encode([], rule, stream_from_seed(82, 0))
-    with pytest.raises(ValueError):
-        encode([1], rule, stream_from_seed(82, 0), pairs_per_bit=0)
-    with pytest.raises(ValueError):
-        encode([2, 0], rule, stream_from_seed(82, 0))
-
-
-def test_encode_draws_are_reconstructible():
-    rule = EncodingRule()
-    pair = make_pair()
-    n = 1000
-    photons = encode([1] * n, rule, stream_from_seed(83, 0))
-    u = stream_from_seed(83, 0).random(n)
-    for i, draw in enumerate(u):
-        outcome = int(draw >= 0.5)
-        assert photons.outcomes[i] == outcome
-        assert states_equal(bob_state(photons, i), conditional_state(pair, 0.0, outcome)[1])
-
-
-def test_bob_state_always_sits_in_the_tagged_eigenset():
-    rng = stream_from_seed(84, 0)
-    for _ in range(5):
-        one, zero = rng.random(2) * math.pi
-        rule = EncodingRule(one, zero)
-        photons = encode([0, 1] * 50, rule, rng)
-        for i in range(len(photons)):
-            basis = MeasurementBasis(rule.basis_for(photons.bits[i]))
-            state = bob_state(photons, i)
-            assert states_equal(state, basis.eigenvector(0)) or states_equal(
-                state, basis.eigenvector(1)
-            )
+@given(rules, st.integers(0, 1), st.integers(0, 1))
+def test_bob_state_always_sits_in_the_tagged_eigenset(rule, bit, outcome):
+    basis = MeasurementBasis(rule.basis_for(bit))
+    state = conditional_state(make_pair(), basis, outcome)[1]
+    assert states_equal(state, basis.eigenvector(0)) or states_equal(state, basis.eigenvector(1))
 
 
 def test_strategy_labels_and_pair_counts():
@@ -123,13 +73,10 @@ def test_strategy_labels_and_pair_counts():
 
 
 def test_oracle_receiver_reads_every_bit():
-    rng = stream_from_seed(85, 0)
-    for seed in (0, 1, 2):
-        for rule in (EncodingRule(), EncodingRule(0.3, 1.2), EncodingRule(1.0, 0.1)):
-            bits = (rng.random(500) < 0.5).astype(int)
-            photons = encode(bits, rule, stream_from_seed(seed, 1))
-            decoded = receive(photons, BasisOracle(), rule, stream_from_seed(seed, 2))
-            np.testing.assert_array_equal(decoded, bits)
+    for rule in (EncodingRule(), EncodingRule(0.3, 1.2), EncodingRule(1.0, 0.1)):
+        assert receiver_law(BasisOracle(), rule) == ({(0, 0): 1.0}, {(1, 0): 1.0})
+        for seed in (0, 1, 2):
+            assert run_protocol(500, rule, BasisOracle(), seed).ber == 0.0
 
 
 def test_fixed_basis_ml_decodes_nothing():
@@ -150,35 +97,16 @@ def test_repetition_cannot_amplify_zero_information():
     assert report.mutual_info_bits == 0.0
 
 
-def test_receive_validates_the_photon_count():
-    rule = EncodingRule()
-    photons = encode([1, 0, 1], rule, stream_from_seed(86, 0))
-    with pytest.raises(ValueError):
-        receive(photons, Repetition(2, BasisOracle()), rule, stream_from_seed(86, 1))
-    with pytest.raises(ValueError):
-        receive([], BasisOracle(), rule, stream_from_seed(86, 1))
-
-
-def test_majority_tie_resolves_to_zero():
-    rule = EncodingRule()
-    state = ket_from_angle(0.0)
-    # one photon encoding a 1 (basis 0) and one encoding a 0 (basis pi/4)
-    photons = PhotonStream(
-        bits=np.array([1, 0]), outcomes=np.array([0, 0]), states=((state, state), (state, state))
-    )
-    decoded = receive(photons, Repetition(2, BasisOracle()), rule, stream_from_seed(87, 0))
-    np.testing.assert_array_equal(decoded, [0])
-
-
 def test_unknown_strategy_is_rejected():
     class Mystery:
         label = "mystery"
         pairs_per_bit = 1
 
-    rule = EncodingRule()
-    photons = encode([1], rule, stream_from_seed(88, 0))
-    with pytest.raises(ValueError):
-        receive(photons, Mystery(), rule, stream_from_seed(88, 1))
+    for strategy in (Mystery(), Repetition(3, Mystery())):
+        with pytest.raises(ValueError, match="unknown receiver strategy"):
+            receiver_law(strategy, EncodingRule())
+        with pytest.raises(ValueError, match="unknown receiver strategy"):
+            run_protocol(10, strategy=strategy, seed=88)
 
 
 def test_degenerate_rule_blinds_even_the_oracle():
@@ -336,32 +264,23 @@ def test_runs_of_a_few_bits():
     assert oracle.decode_ties == 0
 
 
-def test_encodings_of_zero_and_one_are_indistinguishable():
-    # measure both populations in one fixed basis and compare pass rates
-    rule = EncodingRule()
-    n = 5000
-    ones = encode([1] * n, rule, stream_from_seed(96, 0))
-    zeros = encode([0] * n, rule, stream_from_seed(96, 1))
-    basis = MeasurementBasis(0.3)
-    rng = stream_from_seed(96, 2)
-    count_one = sum(collapse(bob_state(ones, i), basis, rng).outcome == 0 for i in range(n))
-    count_zero = sum(collapse(bob_state(zeros, i), basis, rng).outcome == 0 for i in range(n))
-    p = (count_one + count_zero) / (2 * n)
-    z = (count_one / n - count_zero / n) / math.sqrt(p * (1 - p) * 2 / n)
-    assert abs(z) < 4
+@given(rules, angles)
+def test_encodings_of_zero_and_one_are_indistinguishable(rule, theta):
+    # Bob's outcome law given the bit is the joint Born law summed over
+    # Alice's outcomes; it equals the receiver's likelihood row for that bit,
+    # and the rows of the two bits agree
+    basis = MeasurementBasis(theta)
+    table = protocol._ml_table(rule, basis)
+    for v in (0, 1):
+        bob = joint_probability_array(make_pair(), rule.basis_for(v), basis.theta)[0].sum(axis=0)
+        assert np.abs(bob - table[v]).max() <= 1e-12
+    assert np.abs(table[1] - table[0]).max() <= 1e-12
 
 
 def test_no_information_even_at_a_million_bits():
     report = run_protocol(1_000_000, strategy=FixedBasisML(0.0), seed=18)
     assert report.mutual_info_bits == 0.0
     assert report.mi_confidence_interval[0] == 0.0
-
-
-# angles in [0, pi), with a few that make the rule degenerate or put the
-# receiver on an encoding basis
-angles = st.one_of(st.floats(0.0, math.pi, exclude_max=True),
-                   st.sampled_from([0.0, math.pi / 8, math.pi / 4, math.pi / 2]))
-rules = st.builds(EncodingRule, angles, angles)
 
 
 def receivers(max_factor):
@@ -390,16 +309,32 @@ def law_table(strategy, rule, n_zeros, n_ones):
     return table, ties
 
 
+def decode_from_the_joint_law(strategy, rule, v):
+    """(decoded, ties) of a bit sent as v, decided from the joint Born law:
+    BasisOracle reads v unless the rule is degenerate, FixedBasisML decides
+    each of Bob's outcomes by maximum likelihood, and Repetition votes over
+    k copies of its inner decision."""
+    if isinstance(strategy, BasisOracle):
+        return (0, 1) if rule.is_degenerate else (v, 0)
+    if isinstance(strategy, FixedBasisML):
+        like = [joint_probability_array(make_pair(), rule.basis_for(u),
+                                        strategy.basis.theta)[0].sum(axis=0) for u in (0, 1)]
+        decisions = {(int(like[1][o] > like[0][o] + 1e-12),
+                      int(abs(like[1][o] - like[0][o]) <= 1e-12)) for o in (0, 1)}
+        # both of Bob's outcomes decide alike
+        assert len(decisions) == 1
+        return decisions.pop()
+    inner, inner_ties = decode_from_the_joint_law(strategy.inner, rule, v)
+    ones = sum([inner] * strategy.k)
+    return int(2 * ones > strategy.k), strategy.k * inner_ties + int(2 * ones == strategy.k)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=40), rules, receivers(4),
-       st.integers(0, 2**32))
-def test_per_photon_path_matches_the_law(bits, rule, strategy, seed):
-    photons = encode(bits, rule, stream_from_seed(seed, 1), strategy.pairs_per_bit)
-    decoded, ties = protocol._decode(photons, strategy, rule, stream_from_seed(seed, 2))
-    n_ones = sum(bits)
-    expected_table, expected_ties = law_table(strategy, rule, len(bits) - n_ones, n_ones)
-    assert bit_table(bits, decoded).tolist() == expected_table.tolist()
-    assert ties == expected_ties
+@given(rules, receivers(4))
+def test_bit_decision_matches_a_decode_from_the_joint_law(rule, strategy):
+    for v in (0, 1):
+        assert protocol._bit_decision(strategy, rule, v) == decode_from_the_joint_law(
+            strategy, rule, v)
 
 
 def nested(leaf, factors):
