@@ -8,17 +8,19 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.11.0"
+__version__ = "0.11.1"
 
 # public names by the module that defines them
 _EXPORTS = {
     "core": (
         "ALGEBRA_ATOL",
+        "ALGORITHM_ID",
         "DensityOperator",
         "InvalidStateError",
         "MeasurementBasis",
         "PROB_SNAP",
         "StateVector",
+        "WORDS_ID",
         "born_probabilities",
         "born_probabilities_array",
         "canonical_angle",
@@ -86,7 +88,7 @@ _EXPORTS = {
         "run_protocol",
         "standard_strategies",
     ),
-    "rng": ("ALGORITHM_ID", "RngStream", "WORDS_ID", "stream_from_seed"),
+    "rng": ("RngStream", "stream_from_seed"),
     "stats": (
         "as_bit_array",
         "bit_table",

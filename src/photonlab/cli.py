@@ -36,9 +36,10 @@ if not os.environ.get("OPENBLAS_NUM_THREADS"):
 
 # Every public library name resolves as an attribute of this module on first
 # use (PEP 562), from the module that photonlab._HOME names for it, and a
-# runner looks its names up here when it runs (_library), so a process imports
-# only the modules of the experiment it runs, and whoever replaces cli.<name>
-# (a test's mock, a tracer's shim) replaces what the runner calls.
+# runner looks its names up in this module's namespace when it runs (_library),
+# so a process imports only the modules of the experiment it runs, and whoever
+# replaces cli.<name> (a test's mock, a tracer's shim) replaces what the runner
+# calls.
 def __getattr__(name):
     module = _HOME.get(name)
     if module is None:
@@ -47,9 +48,12 @@ def __getattr__(name):
 
 
 def _library(*names) -> list:
-    """The named library objects, as this module resolves them now."""
-    module = sys.modules[__name__]
-    return [getattr(module, name) for name in names]
+    """The named library objects, as this module resolves them now: a name set
+    on it first, else its home module's. This reads the module's own globals,
+    not sys.modules[__name__], which is another module when a tool such as
+    cProfile runs this file as __main__."""
+    namespace = globals()
+    return [namespace[name] if name in namespace else __getattr__(name) for name in names]
 
 
 class ConfigError(ValueError):
@@ -360,13 +364,20 @@ def _grid_from_sweep(sweep: dict) -> list[float]:
 
 def _sweep_final_intensities(grid: list[float]):
     """Natural light through polarizers at 90, theta and 0 degrees, for each
-    theta of the grid (in degrees), as one batched cascade."""
+    theta of the grid (in degrees), as one batched cascade per point slice,
+    so that only the final intensities are held for every point."""
     import numpy as np
 
+    from .core import point_slices
+
     cascade_analytic, natural_light = _library("cascade_analytic", "natural_light")
-    theta = np.radians(grid)
-    axes = np.stack([np.full_like(theta, math.pi / 2), theta, np.zeros_like(theta)], axis=1)
-    return cascade_analytic(natural_light(), axes).final_intensity()
+    beam = natural_light()
+    finals = np.empty(len(grid))
+    for rows in point_slices(len(grid)):
+        theta = np.radians(grid[rows])
+        axes = np.stack([np.full_like(theta, math.pi / 2), theta, np.zeros_like(theta)], axis=1)
+        finals[rows] = cascade_analytic(beam, axes).final_intensity()
+    return finals
 
 
 class Table:
@@ -381,8 +392,8 @@ class Table:
 
 
 # A runner returns (payload, table, summary): payload holds the result keys that
-# follow the common head, a Table among them streamed a slice at a time; table
-# is what --format csv writes, None where the result is not tabular.
+# follow the common head, a Table among them streamed a block of rows at a
+# time; table is what --format csv writes, None where the result is not tabular.
 
 
 def _run_malus(params, seed):
@@ -427,14 +438,21 @@ def _run_malus(params, seed):
 def _run_entropy(params, seed):
     import numpy as np
 
+    from .core import point_slices
+
     collapse_entropy_report, unit_state_array = _library(
         "collapse_entropy_report", "unit_state_array")
     p0 = np.array(params["grid"], dtype=np.float64)
-    states = unit_state_array(np.stack([np.sqrt(p0), np.sqrt(1.0 - p0)], axis=1))
-    report = collapse_entropy_report(states, 0.0)
-    rows = Table(p0=p0, before_bits=report.before_bits, after_bits=report.after_bits,
-                 delta_bits=report.delta_bits)
-    return {"rows": rows}, rows, {"max_after_bits": float(report.after_bits.max())}
+    # the states and their report are made one point slice at a time, so that
+    # only the table's columns are held for every point
+    before, after, delta = (np.empty_like(p0) for _ in range(3))
+    for rows in point_slices(p0.size):
+        states = unit_state_array(np.stack([np.sqrt(p0[rows]), np.sqrt(1.0 - p0[rows])], axis=1))
+        report = collapse_entropy_report(states, 0.0)
+        before[rows], after[rows], delta[rows] = (report.before_bits, report.after_bits,
+                                                  report.delta_bits)
+    rows = Table(p0=p0, before_bits=before, after_bits=after, delta_bits=delta)
+    return {"rows": rows}, rows, {"max_after_bits": float(after.max())}
 
 
 def _run_bell(params, seed):
@@ -593,12 +611,12 @@ _RUNNERS = {
 }
 
 # rows the writer formats per write: beyond the columns themselves, the text
-# of one slice is all it holds at once
-SLICE_POINTS = 2**14
+# of one block is all it holds at once
+WRITE_ROWS = 2**10
 
 
-def _slice(column, start: int) -> list:
-    part = column[start:start + SLICE_POINTS]
+def _block(column, start: int) -> list:
+    part = column[start:start + WRITE_ROWS]
     return part if isinstance(part, list) else part.tolist()
 
 
@@ -637,7 +655,7 @@ def _csv_cells(cells: list):
 
 def _write_json(fh, value) -> None:
     """Write json.dumps(value, indent=2) + "\n", with every list and Table
-    streamed a slice at a time."""
+    streamed a block of rows at a time."""
     _dump(fh, value, "\n")
     fh.write("\n")
 
@@ -663,15 +681,15 @@ def _dump(fh, value, newline: str) -> None:
 
 
 def _write_rows(fh, columns: list, keys, newline: str) -> None:
-    """Write a JSON list, SLICE_POINTS rows at a time, each row through one
+    """Write a JSON list, WRITE_ROWS rows at a time, each row through one
     %-template: an object with the given keys over the columns, or, with keys
     None, the cell of the one column itself."""
     inner = newline + "  "
     cell_newline = inner + "  " if keys else inner
     lead = "[" + inner
     n = len(columns[0])
-    for start in range(0, n, SLICE_POINTS):
-        formats, cells = zip(*(_json_cells(_slice(c, start), cell_newline) for c in columns))
+    for start in range(0, n, WRITE_ROWS):
+        formats, cells = zip(*(_json_cells(_block(c, start), cell_newline) for c in columns))
         if keys is None:
             row = formats[0]
         else:
@@ -683,12 +701,12 @@ def _write_rows(fh, columns: list, keys, newline: str) -> None:
 
 
 def _write_csv(fh, table: Table) -> None:
-    """Write the table as CSV, SLICE_POINTS rows at a time, each row through one
+    """Write the table as CSV, WRITE_ROWS rows at a time, each row through one
     %-template: 10 significant digits for floats."""
     fh.write(",".join(table.columns) + "\n")
     columns = list(table.columns.values())
-    for start in range(0, len(columns[0]), SLICE_POINTS):
-        formats, cells = zip(*(_csv_cells(_slice(c, start)) for c in columns))
+    for start in range(0, len(columns[0]), WRITE_ROWS):
+        formats, cells = zip(*(_csv_cells(_block(c, start)) for c in columns))
         fh.write("".join(map((",".join(formats) + "\n").__mod__, zip(*cells))))
 
 

@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .rng import MAX_BINOMIAL_TRIALS, SLICE_BLOCKS, RngStream, binomial_array, stream_keys
+# rng loads with a run's first draw, not with this module, so a run that draws
+# nothing never imports it
+if TYPE_CHECKING:
+    from .rng import RngStream
 
 # Algebraic identities hold to ALGEBRA_ATOL; precondition checks are looser.
 ALGEBRA_ATOL = 1e-12
@@ -30,9 +34,15 @@ PROB_SNAP = 1e-15
 
 # The array forms below work through at most this many points at a time, so
 # their temporaries (a few hundred bytes per point) stay bounded whatever the
-# number of points. It is the binomial sampler's slice too, so the count
-# chain holds no more rows at once than the sampler draws for.
-SLICE_POINTS = SLICE_BLOCKS
+# number of points. It is the binomial sampler's slice too (rng.SLICE_BLOCKS),
+# so the count chain holds no more rows at once than the sampler draws for.
+SLICE_POINTS = 2**14
+
+# the uniform words, numpy's Philox-4x64 sequence (rng); a result that draws
+# no count depends on nothing else and keeps the name of 0.9
+WORDS_ID = "numpy-philox-4x64"
+# the words and the binomial sampler on them; every Monte Carlo result carries it
+ALGORITHM_ID = "numpy-philox-4x64/btrd"
 
 
 class InvalidStateError(ValueError):
@@ -268,6 +278,8 @@ def sample_count_array(probs, n, seed: int, indices) -> np.ndarray:
     Python's sum adds a row, and each row keeps its own key, so a row's
     counts do not depend on the other rows.
     """
+    from .rng import stream_keys
+
     p, trials = _count_inputs(probs, n)
     points = p.shape[0]
     if len(indices) != points:
@@ -281,6 +293,8 @@ def sample_count_array(probs, n, seed: int, indices) -> np.ndarray:
 
 def _count_inputs(probs, n) -> tuple[np.ndarray, np.ndarray]:
     """Snapped (P, K) probabilities and P trial counts, checked."""
+    from .rng import MAX_BINOMIAL_TRIALS
+
     p = snap_probability_array(probs)
     if p.ndim != 2:
         raise ValueError(f"probs must be a (points, outcomes) array, got shape {p.shape}")
@@ -298,6 +312,8 @@ def _chain_counts(p, trials, key, first_draw) -> tuple[np.ndarray, np.ndarray]:
     """The chain of sample_counts over P rows at once: row i draws from the
     stream key[:, i], each row's binomial draws numbered on from first_draw.
     Returns the (P, K) counts and the number of draws each row made."""
+    from .rng import binomial_array
+
     cond = _binomial_chain(p)
     counts = np.zeros(p.shape, dtype=np.int64)
     left = trials.copy()

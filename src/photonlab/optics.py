@@ -26,9 +26,20 @@ from .core import (
     point_slices,
     sample_counts,
 )
-from .rng import stream_from_seed
 
 SOURCE_KINDS = ("natural", "linear")
+
+
+# rng loads with the first Monte Carlo cascade, not with this module (PEP 562),
+# so an analytic run never imports it; cascade_mc looks stream_from_seed up
+# here when it runs, so whoever sets optics.stream_from_seed (a test's mock, a
+# tracer's shim) replaces what it calls
+def __getattr__(name):
+    if name != "stream_from_seed":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .rng import stream_from_seed
+
+    return stream_from_seed
 
 
 @dataclass(frozen=True)
@@ -181,7 +192,8 @@ def cascade_mc(
     else:
         p_first = math.cos(axes[0] - canonical_angle(source_angle)) ** 2
     p_pass = [p_first] + [math.cos(b - a) ** 2 for a, b in zip(axes, axes[1:])]
-    stream = stream_from_seed(seed, 0)
+    make_stream = globals().get("stream_from_seed") or __getattr__("stream_from_seed")
+    stream = make_stream(seed, 0)
     counts = []
     alive = n_photons
     for p in p_pass:

@@ -25,11 +25,12 @@ import operator
 
 import numpy as np
 
-# the uniform words, numpy's Philox-4x64 sequence; a result that draws no
-# count depends on nothing else and keeps the name of 0.9
-WORDS_ID = "numpy-philox-4x64"
-# the words and the binomial sampler on them; every Monte Carlo result carries it
-ALGORITHM_ID = "numpy-philox-4x64/btrd"
+# Uniform and binomial draws run Philox over at most SLICE_BLOCKS blocks at a
+# time, so their temporaries stay within a few MB however many are asked for.
+# It is core's point slice; core also keeps the names of the words and of the
+# sampler on them, so a run that draws nothing slices its points and names its
+# words without loading this module.
+from .core import ALGORITHM_ID, SLICE_POINTS as SLICE_BLOCKS, WORDS_ID
 
 _MAX_U64 = 2**64
 # the sampler computes in float64, so its law is exact to rounding up to
@@ -45,10 +46,6 @@ _MUL_LO = _MULTIPLIER & _LOW
 _MUL_HI = _MULTIPLIER >> _HALF
 _BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _ROUNDS = 10
-
-# uniform and binomial draws run Philox over at most this many blocks at a
-# time, so their temporaries stay within a few MB however many are asked for
-SLICE_BLOCKS = 2**14
 
 
 def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ with x*x instead of libm pow (Born probabilities and outcome entropies), and
 must not depend on how points are grouped into calls or slices.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from photonlab import cli, entangle
+from photonlab import cli, core, entangle
 from photonlab.core import (
     SLICE_POINTS,
     DensityOperator,
@@ -207,6 +208,34 @@ def test_a_cascade_across_a_slice_boundary_equals_its_halves():
     head = cascade_analytic(natural_light(), axes[:SLICE_POINTS]).per_stage_intensity
     tail = cascade_analytic(natural_light(), axes[SLICE_POINTS:]).per_stage_intensity
     assert whole.tobytes() == np.concatenate([head, tail]).tobytes()
+
+
+def _analytic_run_bytes(tmp_path, name, argv) -> bytes:
+    out = tmp_path / name
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("experiment", ["entropy", "malus"])
+def test_analytic_runs_write_the_same_bytes_whatever_the_point_slice(monkeypatch, tmp_path,
+                                                                    experiment):
+    # three points past one whole slice: the default run ends on a short
+    # slice, and the patched one runs thousands of slices of 7 points
+    n = SLICE_POINTS + 3
+    if experiment == "entropy":
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"params": {"grid": np.linspace(0, 1, n).tolist()}}))
+        argv = ["entropy", "--config", str(config)]
+    else:
+        # a step of 2^-6 degrees puts exactly n points on the sweep
+        sweep = {"start_deg": -3.0, "stop_deg": -3.0 + (n - 1) / 64, "step_deg": 1 / 64}
+        argv = ["malus", "--set", f"sweep={json.dumps(sweep)}", "--format", "csv"]
+    whole = _analytic_run_bytes(tmp_path, "default", argv)
+    monkeypatch.setattr(core, "SLICE_POINTS", 7)
+    sliced = _analytic_run_bytes(tmp_path, "sliced", argv)
+    assert sliced == whole
+    rows = whole.count(b'"p0"') if experiment == "entropy" else whole.count(b"\n") - 1
+    assert rows == n
 
 
 def test_batched_cascade_rejects_bad_axes():

@@ -599,9 +599,10 @@ print(json.dumps([at_import, loaded()]))
 """
 
 
+# malus and entropy draw nothing by default, so they leave rng unloaded
 @pytest.mark.parametrize("experiment, modules", [
-    ("malus", ["core", "optics", "rng"]),
-    ("entropy", ["core", "entropy", "rng"]),
+    ("malus", ["core", "optics"]),
+    ("entropy", ["core", "entropy"]),
     ("bell", ["core", "entangle", "rng"]),
     ("nosignal", ["core", "entangle", "rng", "stats"]),
     ("protocol", ["core", "protocol", "rng", "stats"]),
@@ -612,6 +613,42 @@ def test_a_run_imports_only_its_experiment(tmp_path, experiment, modules):
     at_import, after_run = json.loads(stdout.splitlines()[-1])
     assert at_import == ["cli"]
     assert after_run == ["cli", *modules]
+
+
+# -X importtime lists every module a process imports, one line each, ending in
+# "| <module name>"; a run that draws no count names only the words
+@pytest.mark.parametrize("argv", [
+    ["entropy"],
+    ["malus"],
+    ["malus", "--set", 'sweep={"start_deg": 0, "stop_deg": 90, "step_deg": 0.5}',
+     "--format", "csv"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_run_that_draws_nothing_never_imports_rng(tmp_path, argv):
+    out = tmp_path / "r.out"
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "photonlab.cli", *argv,
+                           "--out", str(out)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    modules = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert "photonlab.core" in modules
+    assert "photonlab.rng" not in modules
+    manifest = read_json(f"{out}.manifest.json")
+    assert manifest["rng_algorithm"] == photonlab.WORDS_ID
+
+
+def test_a_run_under_cprofile_writes_its_result(tmp_path):
+    # cProfile runs the CLI as __main__ but keeps its own module as
+    # sys.modules["__main__"], so the runner must find its names elsewhere
+    out = tmp_path / "e.json"
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(tmp_path / "p.prof"),
+                           "-m", "photonlab.cli", "entropy", "--out", str(out)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and "error" not in proc.stderr, proc.stderr
+    assert read_json(out)["experiment"] == "entropy"
+    assert (tmp_path / "p.prof").stat().st_size > 0
 
 
 # a CLI run in a fresh interpreter; prints the numpy.random modules it loaded

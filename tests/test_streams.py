@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonlab import cli, core, rng
+from photonlab import cli, rng
 from photonlab.cli import main as cli_main
 from photonlab.entangle import correlation
 from photonlab.mzi import MziConfig, run_mzi
@@ -72,8 +72,8 @@ def _keyed_streams(monkeypatch, tmp_path, experiment) -> list:
         keyed.extend(zip(key[0].tolist(), key[1].tolist()))
         return key
 
+    # core's draws import stream_keys from rng when they run
     monkeypatch.setattr(rng, "stream_keys", recording_stream_keys)
-    monkeypatch.setattr(core, "stream_keys", recording_stream_keys)
     argv = [experiment, "--seed", "5", "--out", str(tmp_path / "r.json")] + RUNS[experiment]
     assert cli_main(argv) == 0
     return keyed

@@ -3,12 +3,14 @@
 A JSON result or manifest must be exactly json.dumps(obj, indent=2) + "\\n" of
 the same object with every Table written out as a list of row dicts, and a CSV
 result exactly the header line plus one '%.10g' line per row, whatever the
-slice boundaries.
+block boundaries.
 """
 
 import hashlib
 import io
 import json
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -92,8 +94,8 @@ def tables(draw, columns=st.one_of(numeric_columns, st.lists(scalars, max_size=9
 
 @settings(max_examples=300)
 @given(st.dictionaries(keys, st.one_of(values, tables()), max_size=5), st.integers(1, 4))
-def test_streamed_json_equals_json_dumps(head, slice_points):
-    with mock.patch.object(cli, "SLICE_POINTS", slice_points):
+def test_streamed_json_equals_json_dumps(head, write_rows):
+    with mock.patch.object(cli, "WRITE_ROWS", write_rows):
         text = _streamed(cli._write_json, head)
     assert text == json.dumps(_plain(head), indent=2) + "\n"
 
@@ -101,21 +103,43 @@ def test_streamed_json_equals_json_dumps(head, slice_points):
 @settings(max_examples=200)
 @given(tables(st.one_of(numeric_columns, st.lists(scalars.filter(lambda v: v is not None),
                                             max_size=9))), st.integers(1, 4))
-def test_streamed_csv_equals_0_7_0_rendering(table, slice_points):
-    with mock.patch.object(cli, "SLICE_POINTS", slice_points):
+def test_streamed_csv_equals_0_7_0_rendering(table, write_rows):
+    with mock.patch.object(cli, "WRITE_ROWS", write_rows):
         text = _streamed(cli._write_csv, table)
     assert text == _csv_0_7_0(table)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_slice_boundaries(offset):
-    n = cli.SLICE_POINTS + offset
+    n = cli.WRITE_ROWS + offset
     rng = np.random.default_rng(n)
     table = Table(k=list(range(n)), x=rng.random(n), y=(rng.random(n) * 1e-300).tolist())
     head = {"params": {"grid": rng.random(n).tolist(), "mode": "mc"}, "rows": table,
             "tail": None}
     assert _streamed(cli._write_json, head) == json.dumps(_plain(head), indent=2) + "\n"
     assert _streamed(cli._write_csv, table) == _csv_0_7_0(table)
+
+
+def _json_write_peak(rows: int) -> int:
+    """tracemalloc's peak while a 4-column float table of rows is written as JSON."""
+    rng = np.random.default_rng(rows)
+    table = Table(**{name: rng.random(rows) for name in ("a", "b", "c", "d")})
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            cli._write_json(sink, {"rows": table})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_the_json_writer_holds_one_block_of_rows_at_a_time():
+    # beyond its columns the writer holds one block's cells and text, so a
+    # table 16 times longer peaks about as high (the whole text of 2^15 rows
+    # is several MB)
+    few, many = _json_write_peak(2**11), _json_write_peak(2**15)
+    assert many < 2**20
+    assert many < 1.1 * few
 
 
 def test_failed_write_leaves_no_file(tmp_path):
