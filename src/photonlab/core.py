@@ -12,7 +12,7 @@ operators represent mixed beams and reduced single-photon states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -141,25 +141,24 @@ def normalize_array(values) -> np.ndarray:
     return _unit_rows(rows / norms[:, None])
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """A normalized pure state on 2 or 4 dimensions."""
+class StateVector(namedtuple("StateVector", "amplitudes")):
+    """A normalized pure state on 2 or 4 dimensions; amplitudes is a read-only
+    complex array. States compare and hash by identity."""
 
-    amplitudes: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        arr = _unit_rows(_as_complex_vector(self.amplitudes, "amplitudes")[None])[0]
+    def __new__(cls, amplitudes):
+        arr = _unit_rows(_as_complex_vector(amplitudes, "amplitudes")[None])[0]
         arr.flags.writeable = False
-        object.__setattr__(self, "amplitudes", arr)
+        return tuple.__new__(cls, (arr,))
 
     @classmethod
     def _of_unit(cls, arr: np.ndarray) -> "StateVector":
         """Wrap amplitudes an array form has already normalized, without a second pass."""
-        state = object.__new__(cls)
         arr = arr.copy()
         arr.flags.writeable = False
-        object.__setattr__(state, "amplitudes", arr)
-        return state
+        return tuple.__new__(cls, (arr,))
 
     @classmethod
     def normalize(cls, values) -> "StateVector":
@@ -176,14 +175,14 @@ def _coerce_state(state) -> StateVector:
     return state if isinstance(state, StateVector) else StateVector(state)
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """A polarization measurement axis; angles are directions mod pi."""
+class MeasurementBasis(namedtuple("MeasurementBasis", "theta")):
+    """A polarization measurement axis; angles are directions mod pi, so theta
+    is the canonical angle in [0, pi)."""
 
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", canonical_angle(self.theta))
+    def __new__(cls, theta: float):
+        return tuple.__new__(cls, (canonical_angle(theta),))
 
     def aligned(self) -> StateVector:
         """Eigenvector for outcome 0, |theta>."""
@@ -418,19 +417,20 @@ def _check_density_array(m: np.ndarray) -> None:
         raise InvalidStateError("matrix has an eigenvalue below -1e-12")
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Hermitian, trace-1, positive-semidefinite operator on 2 or 4 dimensions."""
+class DensityOperator(namedtuple("DensityOperator", "matrix")):
+    """Hermitian, trace-1, positive-semidefinite operator on 2 or 4 dimensions;
+    matrix is a read-only complex array. Operators compare and hash by identity."""
 
-    matrix: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
+    def __new__(cls, matrix):
+        m = np.array(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise ValueError(f"matrix must be 2x2 or 4x4, got shape {m.shape}")
         _check_density_array(m[None])
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        return tuple.__new__(cls, (m,))
 
     @classmethod
     def from_pure(cls, state) -> "DensityOperator":

@@ -10,7 +10,7 @@ standard settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,15 +35,17 @@ _SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 _MIN_BRANCH_PROBABILITY = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class PairState:
-    """A two-photon pure state on the 4-dimensional joint space."""
+class PairState(namedtuple("PairState", "joint")):
+    """A two-photon pure state on the 4-dimensional joint space; joint is a
+    StateVector. Pairs compare and hash by identity."""
 
-    joint: StateVector
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        if self.joint.dim != 4:
-            raise ValueError(f"pair state must have dimension 4, got {self.joint.dim}")
+    def __new__(cls, joint: StateVector):
+        if joint.dim != 4:
+            raise ValueError(f"pair state must have dimension 4, got {joint.dim}")
+        return tuple.__new__(cls, (joint,))
 
 
 _PAIR = PairState(StateVector(_SINGLET))
@@ -122,13 +124,10 @@ def _joint_counts(thetas_a, thetas_b, n, seed, pair, stream_base) -> np.ndarray:
     return sample_count_array(probs, n, seed, range(stream_base, stream_base + probs.shape[0]))
 
 
-@dataclass(frozen=True)
-class CorrelationStats:
+class CorrelationStats(namedtuple("CorrelationStats", "e_value n std_err")):
     """Sample correlation of +-1 outcome products with its standard error."""
 
-    e_value: float
-    n: int
-    std_err: float
+    __slots__ = ()
 
     @classmethod
     def from_counts(cls, n_equal: int, n: int) -> "CorrelationStats":

@@ -8,7 +8,7 @@ drives the outcome entropy to zero; the report tracks that drop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,14 +30,11 @@ _SUM_ATOL = 1e-9
 _NEG_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(namedtuple("EntropyReport", "before_bits after_bits delta_bits")):
     """Outcome entropy before and after one collapse, in bits; for a stack of
     states, arrays of one value per state."""
 
-    before_bits: float | np.ndarray
-    after_bits: float | np.ndarray
-    delta_bits: float | np.ndarray
+    __slots__ = ()
 
 
 def shannon_entropy(probs) -> float:

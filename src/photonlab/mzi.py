@@ -12,7 +12,7 @@ is that per-choice conditional statistics match the fixed configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -66,43 +66,37 @@ def detector_probability_array(phases, second_bs: bool) -> np.ndarray:
     return probs
 
 
-@dataclass(frozen=True)
-class MziConfig:
+class MziConfig(namedtuple("MziConfig", "phase second_bs choice_policy p_present")):
     """One interferometer setup; p_present only matters for delayed-random."""
 
-    phase: float
-    second_bs: bool = True
-    choice_policy: str = "fixed"
-    p_present: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.phase, (int, float)) and math.isfinite(self.phase)):
-            raise ValueError(f"phase must be finite, got {self.phase!r}")
-        if self.choice_policy not in CHOICE_POLICIES:
+    def __new__(cls, phase: float, second_bs: bool = True, choice_policy: str = "fixed",
+                p_present: float = 0.5):
+        if not (isinstance(phase, (int, float)) and math.isfinite(phase)):
+            raise ValueError(f"phase must be finite, got {phase!r}")
+        if choice_policy not in CHOICE_POLICIES:
             raise ValueError(
-                f"choice_policy must be one of {CHOICE_POLICIES}, got {self.choice_policy!r}"
+                f"choice_policy must be one of {CHOICE_POLICIES}, got {choice_policy!r}"
             )
-        if not 0.0 <= self.p_present <= 1.0:
-            raise ValueError(f"p_present must be in [0, 1], got {self.p_present!r}")
-        object.__setattr__(self, "phase", float(self.phase))
-        object.__setattr__(self, "p_present", float(self.p_present))
+        if not 0.0 <= p_present <= 1.0:
+            raise ValueError(f"p_present must be in [0, 1], got {p_present!r}")
+        return tuple.__new__(cls, (float(phase), second_bs, choice_policy, float(p_present)))
 
 
-@dataclass(frozen=True)
-class ChoiceStats:
+class ChoiceStats(namedtuple("ChoiceStats", "n count_d0 count_d1")):
     """Counts conditioned on one realized choice of the second beamsplitter."""
 
-    n: int
-    count_d0: int
-    count_d1: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class MziStats:
-    n: int
-    count_d0: int
-    count_d1: int
-    by_choice: dict | None = None
+class MziStats(namedtuple("MziStats", "n count_d0 count_d1 by_choice", defaults=(None,))):
+    """Detector counts of one run; a delayed-random run also keeps its
+    ChoiceStats by choice ("present", "absent"). Runs compare and hash by
+    identity."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def fraction_d0(self) -> float:
         return self.count_d0 / self.n
@@ -193,18 +187,12 @@ def _two_proportion_z(x1: int, n1: int, x2: int, n2: int) -> float:
     return (p1 - p2) / math.sqrt(var)
 
 
-@dataclass(frozen=True)
-class TimingInvarianceReport:
+class TimingInvarianceReport(namedtuple("TimingInvarianceReport",
+                                        "phase choice n_conditional conditional_fraction_d0 "
+                                        "fixed_n fixed_fraction_d0 z_value within_4_sigma")):
     """Delayed-choice conditional statistics against the fixed configuration."""
 
-    phase: float
-    choice: str
-    n_conditional: int
-    conditional_fraction_d0: float
-    fixed_n: int
-    fixed_fraction_d0: float
-    z_value: float
-    within_4_sigma: bool
+    __slots__ = ()
 
 
 def choice_timing_invariance(

@@ -11,7 +11,7 @@ one eighth of the source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -42,45 +42,41 @@ def __getattr__(name):
     return stream_from_seed
 
 
-@dataclass(frozen=True)
-class Polarizer:
-    """An ideal linear polarizer; axis is the transmission direction."""
+class Polarizer(namedtuple("Polarizer", "axis")):
+    """An ideal linear polarizer; axis, a MeasurementBasis, is the transmission
+    direction."""
 
-    axis: MeasurementBasis
+    __slots__ = ()
 
     @classmethod
     def at_angle(cls, theta: float) -> "Polarizer":
         return cls(MeasurementBasis(theta))
 
 
-@dataclass(frozen=True)
-class LightBeam:
-    """A beam with a polarization density operator and a photon-fraction intensity."""
+class LightBeam(namedtuple("LightBeam", "rho intensity")):
+    """A beam with a polarization DensityOperator rho and a photon-fraction intensity."""
 
-    rho: DensityOperator
-    intensity: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.intensity, (int, float)) and math.isfinite(self.intensity)):
-            raise ValueError(f"intensity must be finite, got {self.intensity!r}")
-        if self.intensity < 0.0:
-            raise ValueError(f"intensity must be >= 0, got {self.intensity!r}")
-        object.__setattr__(self, "intensity", float(self.intensity))
+    def __new__(cls, rho: DensityOperator, intensity: float):
+        if not (isinstance(intensity, (int, float)) and math.isfinite(intensity)):
+            raise ValueError(f"intensity must be finite, got {intensity!r}")
+        if intensity < 0.0:
+            raise ValueError(f"intensity must be >= 0, got {intensity!r}")
+        return tuple.__new__(cls, (rho, float(intensity)))
 
 
-@dataclass(frozen=True)
-class CascadeResult:
+class CascadeResult(namedtuple("CascadeResult", "axes per_stage_intensity per_stage_counts "
+                                                "n_source seed", defaults=(None,) * 4)):
     """Stagewise output of a polarizer cascade, analytic or Monte Carlo.
 
-    A batched cascade_analytic call holds (P, S) arrays of axes and
-    intensities, one row per cascade, instead of tuples.
+    An analytic cascade gives per_stage_intensity, a Monte Carlo one
+    per_stage_counts out of n_source photons, drawn under seed. A batched
+    cascade_analytic call holds (P, S) arrays of axes and intensities, one row
+    per cascade, instead of tuples.
     """
 
-    axes: tuple[float, ...] | np.ndarray
-    per_stage_intensity: tuple[float, ...] | np.ndarray | None = None
-    per_stage_counts: tuple[int, ...] | None = None
-    n_source: int | None = None
-    seed: int | None = None
+    __slots__ = ()
 
     def fractions(self) -> tuple[float, ...] | np.ndarray:
         """Per-stage intensity, with MC counts normalized by the source size."""

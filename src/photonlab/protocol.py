@@ -21,17 +21,17 @@ the scheme works if and only if that capability is granted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
 from .core import (
+    ALGORITHM_ID,
     MeasurementBasis,
     born_probabilities,
     canonical_angle,
     snap_probability,
 )
-from .rng import ALGORITHM_ID, stream_from_seed
 from .stats import (
     mi_standard_error,
     null_quantile,
@@ -47,26 +47,38 @@ _ROLE_BITS = 0
 BIT_SOURCES = ("iid", "balanced")
 
 
+# rng loads with the first iid run, not with this module (PEP 562), so a
+# balanced run never imports it; run_protocol looks stream_from_seed up here
+# when it draws, so whoever sets protocol.stream_from_seed (a test's mock, a
+# tracer's shim) replaces what it calls
+def __getattr__(name):
+    if name != "stream_from_seed":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .rng import stream_from_seed
+
+    return stream_from_seed
+
+
 def _basis_set_distance(a: float, b: float) -> float:
     """Angle between the eigenvector sets of two bases, folded into [0, pi/4].
 
     A basis at theta and one at theta + pi/2 share the same eigenvector pair,
-    so distinctness of encodings is distance modulo pi/2, not modulo pi.
+    so distinctness of encodings is distance modulo pi/2, not modulo pi. The
+    fold takes |a - b|, so the distance is symmetric in a and b to the bit.
     """
-    r = (a - b) % (math.pi / 2)
+    r = abs(a - b) % (math.pi / 2)
     return min(r, math.pi / 2 - r)
 
 
-@dataclass(frozen=True)
-class EncodingRule:
-    """Alice's bit-to-basis map; defaults are basis 0 for "1" and pi/4 for "0"."""
+class EncodingRule(namedtuple("EncodingRule", "basis_for_one basis_for_zero")):
+    """Alice's bit-to-basis map; defaults are basis 0 for "1" and pi/4 for "0".
+    Both angles are kept canonical, in [0, pi)."""
 
-    basis_for_one: float = 0.0
-    basis_for_zero: float = math.pi / 4
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis_for_one", canonical_angle(self.basis_for_one))
-        object.__setattr__(self, "basis_for_zero", canonical_angle(self.basis_for_zero))
+    def __new__(cls, basis_for_one: float = 0.0, basis_for_zero: float = math.pi / 4):
+        return tuple.__new__(cls, (canonical_angle(basis_for_one),
+                                   canonical_angle(basis_for_zero)))
 
     @property
     def is_degenerate(self) -> bool:
@@ -78,21 +90,20 @@ class EncodingRule:
         return self.basis_for_one if bit else self.basis_for_zero
 
 
-@dataclass(frozen=True)
-class FixedBasisML:
+class FixedBasisML(namedtuple("FixedBasisML", "basis")):
     """Measure every photon in one fixed basis, decode by maximum likelihood.
 
     The likelihood of either outcome is exactly 1/2 under both bit hypotheses,
     so every decode is a tie and resolves to 0; the tie count makes that
-    visible in reports.
+    visible in reports. basis is a MeasurementBasis, or an angle made into one.
     """
 
-    basis: MeasurementBasis
+    __slots__ = ()
 
-    def __init__(self, basis):
+    def __new__(cls, basis):
         if not isinstance(basis, MeasurementBasis):
             basis = MeasurementBasis(float(basis))
-        object.__setattr__(self, "basis", basis)
+        return tuple.__new__(cls, (basis,))
 
     @property
     def label(self) -> str:
@@ -103,13 +114,14 @@ class FixedBasisML:
         return 1
 
 
-@dataclass(frozen=True)
-class BasisOracle:
+class BasisOracle(namedtuple("BasisOracle", "")):
     """Counterfactual receiver that reads the hidden basis tag directly.
 
     Grants exactly the single-copy basis identification the transmission
     scheme requires; no quantum operation provides it.
     """
+
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -120,16 +132,15 @@ class BasisOracle:
         return 1
 
 
-@dataclass(frozen=True)
-class Repetition:
+class Repetition(namedtuple("Repetition", "k inner")):
     """Send k pairs per bit, decode each with the inner strategy, majority-vote."""
 
-    k: int
-    inner: "ReceiverStrategy"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"repetition factor must be >= 1, got {self.k}")
+    def __new__(cls, k: int, inner: "ReceiverStrategy"):
+        if k < 1:
+            raise ValueError(f"repetition factor must be >= 1, got {k}")
+        return tuple.__new__(cls, (k, inner))
 
     @property
     def label(self) -> str:
@@ -243,20 +254,13 @@ def mutual_information(table):
     return mi, (lo, hi)
 
 
-@dataclass(frozen=True)
-class TransmissionReport:
+class TransmissionReport(namedtuple("TransmissionReport",
+                                    "n_bits ber mutual_info_bits mi_confidence_interval seed "
+                                    "strategy rule decode_ties bit_source rng_algorithm",
+                                    defaults=(ALGORITHM_ID,))):
     """Everything one protocol run produced, sufficient to reproduce it."""
 
-    n_bits: int
-    ber: float
-    mutual_info_bits: float
-    mi_confidence_interval: tuple[float, float]
-    seed: int
-    strategy: ReceiverStrategy
-    rule: EncodingRule
-    decode_ties: int
-    bit_source: str
-    rng_algorithm: str = field(default=ALGORITHM_ID)
+    __slots__ = ()
 
 
 def run_protocol(
@@ -290,7 +294,8 @@ def run_protocol(
             raise ValueError(f"balanced bit source needs an even n_bits, got {n_bits}")
         n_ones = n_bits // 2
     else:
-        n_ones = int(stream_from_seed(seed, _ROLE_BITS).binomial(n_bits, 0.5))
+        make_stream = globals().get("stream_from_seed") or __getattr__("stream_from_seed")
+        n_ones = int(make_stream(seed, _ROLE_BITS).binomial(n_bits, 0.5))
     table = np.zeros(4, dtype=np.int64)
     ties = 0
     for v, sent in enumerate((n_bits - n_ones, n_ones)):

@@ -14,7 +14,6 @@ distribution, quantiles and p-values are pure functions of the table.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
@@ -41,6 +40,10 @@ def wilson_interval_array(successes, trials, confidence: float = 0.95):
     one per element), as arrays (lo, hi). Each element takes the operations,
     in order, that the closed form takes in Python floats, so it equals the
     interval photonlab 0.9.0 computed one count at a time, bit for bit."""
+    # statistics loads decimal and fractions with it, and only this function
+    # needs it, so a run that computes no interval (protocol) never imports it
+    from statistics import NormalDist
+
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     x, trials = np.broadcast_arrays(np.asarray(successes, dtype=np.int64),

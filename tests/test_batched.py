@@ -364,19 +364,19 @@ def test_array_forms_check_their_inputs_once():
 def _counted_run(monkeypatch, tmp_path, argv):
     counts = {"eigvalsh": 0, "DensityOperator": 0}
     eigvalsh = np.linalg.eigvalsh
-    init = DensityOperator.__post_init__
+    new = DensityOperator.__new__
 
     def counting_eigvalsh(*args, **kwargs):
         counts["eigvalsh"] += 1
         return eigvalsh(*args, **kwargs)
 
-    def counting_init(self):
+    def counting_new(cls, *args, **kwargs):
         counts["DensityOperator"] += 1
-        init(self)
+        return new(cls, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        m.setattr(DensityOperator, "__post_init__", counting_init)
+        m.setattr(DensityOperator, "__new__", counting_new)
         assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
     return counts
 

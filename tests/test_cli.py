@@ -594,12 +594,13 @@ def loaded():
     return sorted(m[len("photonlab."):] for m in sys.modules if m.startswith("photonlab."))
 
 at_import = loaded()
-photonlab.cli.main([sys.argv[1], "--out", sys.argv[2]])
+photonlab.cli.main([*sys.argv[2:], "--out", sys.argv[1]])
 print(json.dumps([at_import, loaded()]))
 """
 
 
-# malus and entropy draw nothing by default, so they leave rng unloaded
+# malus and entropy draw nothing by default, and protocol draws only with its
+# default iid bits, so the others leave rng unloaded
 @pytest.mark.parametrize("experiment, modules", [
     ("malus", ["core", "optics"]),
     ("entropy", ["core", "entropy"]),
@@ -607,9 +608,10 @@ print(json.dumps([at_import, loaded()]))
     ("nosignal", ["core", "entangle", "rng", "stats"]),
     ("protocol", ["core", "protocol", "rng", "stats"]),
     ("mzi", ["core", "mzi", "rng"]),
+    ("protocol --set bit_source=balanced", ["core", "protocol", "stats"]),
 ])
 def test_a_run_imports_only_its_experiment(tmp_path, experiment, modules):
-    stdout = _run_fresh(_LOADED, experiment, str(tmp_path / "r.json"))
+    stdout = _run_fresh(_LOADED, str(tmp_path / "r.json"), *experiment.split())
     at_import, after_run = json.loads(stdout.splitlines()[-1])
     assert at_import == ["cli"]
     assert after_run == ["cli", *modules]
@@ -636,6 +638,37 @@ def test_a_run_that_draws_nothing_never_imports_rng(tmp_path, argv):
     assert "photonlab.rng" not in modules
     manifest = read_json(f"{out}.manifest.json")
     assert manifest["rng_algorithm"] == photonlab.WORDS_ID
+
+
+# a CLI run in a fresh interpreter; prints which of dataclasses and statistics
+# (which brings decimal and fractions) it loaded
+_STDLIB_MODULES = """
+import json, sys
+import photonlab.cli
+
+assert photonlab.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in ("dataclasses", "statistics") if m in sys.modules)))
+"""
+
+
+# the value classes are namedtuples, so no run generates dataclass code; only
+# a Wilson interval needs statistics.NormalDist, and of the default runs only
+# nosignal computes one
+@pytest.mark.parametrize("argv, modules", [
+    (["malus"], []),
+    (["malus", "--set", "mode=mc"], []),
+    (["entropy"], []),
+    (["bell"], []),
+    (["nosignal"], ["statistics"]),
+    (["mzi"], []),
+    (["protocol"], []),
+    (["protocol", "--set", "bit_source=balanced", "--set", "strategy=basis-oracle"], []),
+    (["protocol", "--set", "strategy=repetition:11:fixed-basis-ml:22.5"], []),
+], ids=lambda value: " ".join(value) if value and value[0] in cli.SPECS else None)
+def test_no_run_loads_dataclasses_and_only_an_interval_loads_statistics(tmp_path, argv,
+                                                                          modules):
+    stdout = _run_fresh(_STDLIB_MODULES, *argv, "--out", str(tmp_path / "r.json"))
+    assert json.loads(stdout.splitlines()[-1]) == modules
 
 
 def test_a_run_under_cprofile_writes_its_result(tmp_path):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from photonlab import protocol
 from photonlab.cli import MAX_PAIRS_PER_BIT, MAX_STRATEGY_NESTING, MAX_TRIALS
@@ -331,6 +331,9 @@ def decode_from_the_joint_law(strategy, rule, v):
 
 @settings(max_examples=200, deadline=None)
 @given(rules, receivers(4))
+# two bases one tie tolerance apart: the oracle's decision must agree with
+# is_degenerate whichever basis the distance is measured from
+@example(EncodingRule(0.0, 1e-12), BasisOracle())
 def test_bit_decision_matches_a_decode_from_the_joint_law(rule, strategy):
     for v in (0, 1):
         assert protocol._bit_decision(strategy, rule, v) == decode_from_the_joint_law(
