@@ -8,22 +8,17 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 # public names by the module that defines them
 _EXPORTS = {
     "core": (
         "ALGEBRA_ATOL",
-        "ALGORITHM_ID",
         "DensityOperator",
         "InvalidStateError",
-        "MeasurementBasis",
-        "PROB_SNAP",
         "StateVector",
-        "WORDS_ID",
         "born_probabilities",
         "born_probabilities_array",
-        "canonical_angle",
         "eigenvector_array",
         "ket_from_angle",
         "partial_trace",
@@ -89,20 +84,21 @@ _EXPORTS = {
         "standard_strategies",
     ),
     "rng": ("RngStream", "stream_from_seed"),
+    # core re-exports these; they live where a run loads them without numpy
+    "scalars": ("ALGORITHM_ID", "MeasurementBasis", "PROB_SNAP", "WORDS_ID", "canonical_angle"),
     "stats": (
         "as_bit_array",
         "bit_table",
         "mi_standard_error",
-        "null_quantile",
         "permutation_independence_test",
-        "permutation_null_mis",
+        "permutation_null_quantile",
         "plugin_mi_bits",
         "wilson_interval",
         "wilson_interval_array",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-# the eight modules are public names too, so `from photonlab import *` binds them
+# the nine modules are public names too, so `from photonlab import *` binds them
 __all__ = sorted([*_EXPORTS, *_HOME])
 
 

@@ -17,6 +17,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+# the scalar pieces live where a run that needs no arrays can load them without
+# numpy; core re-exports them
+from .scalars import (
+    ALGORITHM_ID,
+    PROB_SNAP,
+    SLICE_POINTS,
+    WORDS_ID,
+    MeasurementBasis,
+    canonical_angle,
+    snap_probability,
+)
+
 # rng loads with a run's first draw, not with this module, so a run that draws
 # nothing never imports it
 if TYPE_CHECKING:
@@ -26,40 +38,10 @@ if TYPE_CHECKING:
 ALGEBRA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-9
 
-# Probabilities within PROB_SNAP of exact 0 or 1 are snapped to the exact value.
-# cos(pi/2) in doubles is ~6.1e-17, so crossed-polarizer extinction, eigenstate
-# measurement, and equal-basis pair anti-correlation would otherwise miss their
-# exact branch; every genuine probability in scope is many orders larger.
-PROB_SNAP = 1e-15
-
-# The array forms below work through at most this many points at a time, so
-# their temporaries (a few hundred bytes per point) stay bounded whatever the
-# number of points. It is the binomial sampler's slice too (rng.SLICE_BLOCKS),
-# so the count chain holds no more rows at once than the sampler draws for.
-SLICE_POINTS = 2**14
-
-# the uniform words, numpy's Philox-4x64 sequence (rng); a result that draws
-# no count depends on nothing else and keeps the name of 0.9
-WORDS_ID = "numpy-philox-4x64"
-# the words and the binomial sampler on them; every Monte Carlo result carries it
-ALGORITHM_ID = "numpy-philox-4x64/btrd"
-
 
 class InvalidStateError(ValueError):
     """An input violates its structural invariants, e.g. an unnormalized state,
     a malformed density operator, an absorbed photon, or an empty branch."""
-
-
-def canonical_angle(theta: float) -> float:
-    """Reduce an angle to the polarization range [0, pi)."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta!r}")
-    reduced = theta - math.pi * math.floor(theta / math.pi)
-    if reduced >= math.pi:
-        # floor division noise can land exactly on pi for tiny negative inputs
-        reduced -= math.pi
-    return 0.0 if reduced < 0.0 else reduced
 
 
 def canonical_angle_array(thetas) -> np.ndarray:
@@ -175,27 +157,10 @@ def _coerce_state(state) -> StateVector:
     return state if isinstance(state, StateVector) else StateVector(state)
 
 
-class MeasurementBasis(namedtuple("MeasurementBasis", "theta")):
-    """A polarization measurement axis; angles are directions mod pi, so theta
-    is the canonical angle in [0, pi)."""
-
-    __slots__ = ()
-
-    def __new__(cls, theta: float):
-        return tuple.__new__(cls, (canonical_angle(theta),))
-
-    def aligned(self) -> StateVector:
-        """Eigenvector for outcome 0, |theta>."""
-        return self.eigenvector(0)
-
-    def orthogonal(self) -> StateVector:
-        """Eigenvector for outcome 1, |theta + pi/2>."""
-        return self.eigenvector(1)
-
-    def eigenvector(self, outcome: int) -> StateVector:
-        if outcome not in (0, 1):
-            raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-        return StateVector._of_unit(_eigenvectors(np.array([self.theta]), outcome)[0])
+def _basis_eigenvector(theta: float, outcome: int) -> StateVector:
+    """The StateVector of MeasurementBasis(theta).eigenvector(outcome), for a
+    canonical angle theta."""
+    return StateVector._of_unit(_eigenvectors(np.array([theta]), outcome)[0])
 
 
 def _coerce_basis(basis) -> MeasurementBasis:
@@ -226,16 +191,6 @@ def _eigenvectors(theta: np.ndarray, outcome: int) -> np.ndarray:
     rows = np.empty(theta.shape + (2,), dtype=np.complex128)
     rows[:, 0], rows[:, 1] = (c, s) if outcome == 0 else (-s, c)
     return rows / _row_norms(rows)[:, None]
-
-
-def snap_probability(p: float) -> float:
-    """Clamp to [0, 1] and snap double-precision noise onto exact 0 and 1."""
-    p = float(p)
-    if p <= PROB_SNAP:
-        return 0.0
-    if p >= 1.0 - PROB_SNAP:
-        return 1.0
-    return p
 
 
 def snap_probability_array(p) -> np.ndarray:

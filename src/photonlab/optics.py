@@ -24,22 +24,10 @@ from .core import (
     canonical_angle_array,
     ket_from_angle,
     point_slices,
-    sample_counts,
+    snap_probability,
 )
 
 SOURCE_KINDS = ("natural", "linear")
-
-
-# rng loads with the first Monte Carlo cascade, not with this module (PEP 562),
-# so an analytic run never imports it; cascade_mc looks stream_from_seed up
-# here when it runs, so whoever sets optics.stream_from_seed (a test's mock, a
-# tracer's shim) replaces what it calls
-def __getattr__(name):
-    if name != "stream_from_seed":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .rng import stream_from_seed
-
-    return stream_from_seed
 
 
 class Polarizer(namedtuple("Polarizer", "axis")):
@@ -171,9 +159,12 @@ def cascade_mc(
     probability 1/2 for the natural source (a uniformly random linear
     polarization, averaged) and cos^2(axis - source_angle) for the linear one;
     stage i > 0 passes with cos^2(axis_i - axis_{i-1}). So each stage count is
-    one binomial draw (core.sample_counts) over the previous stage's
-    survivors, never a draw per photon, and the stage counts are drawn in
-    stage order from stream_from_seed(seed, 0).
+    at most one binomial draw over the previous stage's survivors, never a
+    draw per photon: the draw core.sample_counts((p, 1 - p), survivors,
+    stream) makes, numbered on in stage order on the stream (seed, 0), made
+    here one count at a time with draw.binomial. A stage whose count is
+    certain (no survivor left, or a snapped pass probability of 0 or 1)
+    makes no draw.
 
     workers is accepted and ignored: since 0.8.0 a run is a handful of draws
     on one thread, and callers written for earlier versions still pass it.
@@ -188,12 +179,25 @@ def cascade_mc(
     else:
         p_first = math.cos(axes[0] - canonical_angle(source_angle)) ** 2
     p_pass = [p_first] + [math.cos(b - a) ** 2 for a, b in zip(axes, axes[1:])]
-    make_stream = globals().get("stream_from_seed") or __getattr__("stream_from_seed")
-    stream = make_stream(seed, 0)
+    # loaded here, so an analytic run never imports it
+    from . import draw
+
+    if n_photons > draw.MAX_BINOMIAL_TRIALS:
+        raise ValueError(f"n must be at most 2^62, got {n_photons}")
+    key = draw.stream_key(seed, 0)
+    draws = 0
     counts = []
     alive = n_photons
     for p in p_pass:
-        alive = int(sample_counts((p, 1.0 - p), alive, stream)[0])
+        # sample_counts' chain over (p, 1 - p): snapped, then p / (p + (1 - p))
+        # capped at 1, 0 where the snapped pass probability is 0
+        passed, absorbed = snap_probability(p), snap_probability(1.0 - p)
+        q = min(1.0, passed / (passed + absorbed)) if passed > 0.0 else 0.0
+        if q == 0.0:
+            alive = 0
+        elif alive and q < 1.0:
+            alive = draw.binomial(alive, q, key, draws)
+            draws += 1
         counts.append(alive)
     return CascadeResult(
         axes=axes,

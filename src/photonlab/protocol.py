@@ -23,21 +23,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-import numpy as np
-
-from .core import (
-    ALGORITHM_ID,
-    MeasurementBasis,
-    born_probabilities,
-    canonical_angle,
-    snap_probability,
-)
-from .stats import (
-    mi_standard_error,
-    null_quantile,
-    permutation_null_mis,
-    plugin_mi_bits,
-)
+# every step of a run is a closed form over a few scalars, so nothing here
+# (nor in scalars, stats or draw) loads numpy
+from .scalars import ALGORITHM_ID, MeasurementBasis, canonical_angle, snap_probability
+from .stats import mi_standard_error, permutation_null_quantile, plugin_mi_bits
 
 _TIE_ATOL = 1e-12
 
@@ -45,18 +34,6 @@ _TIE_ATOL = 1e-12
 _ROLE_BITS = 0
 
 BIT_SOURCES = ("iid", "balanced")
-
-
-# rng loads with the first iid run, not with this module (PEP 562), so a
-# balanced run never imports it; run_protocol looks stream_from_seed up here
-# when it draws, so whoever sets protocol.stream_from_seed (a test's mock, a
-# tracer's shim) replaces what it calls
-def __getattr__(name):
-    if name != "stream_from_seed":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .rng import stream_from_seed
-
-    return stream_from_seed
 
 
 def _basis_set_distance(a: float, b: float) -> float:
@@ -163,40 +140,45 @@ def standard_strategies() -> list:
     ]
 
 
-def _ml_table(rule: EncodingRule, basis: MeasurementBasis) -> np.ndarray:
-    """Outcome likelihoods table[bit, outcome] under the equal-mixture model.
+def _outcome_probability(theta: float, basis: MeasurementBasis, outcome: int) -> float:
+    """Born probability of outcome 0 (aligned with basis) or 1 for a photon
+    polarized at theta: cos^2 or sin^2 of the angle between them."""
+    d = theta - basis.theta
+    return math.cos(d) ** 2 if outcome == 0 else math.sin(d) ** 2
+
+
+def _ml_table(rule: EncodingRule, basis: MeasurementBasis) -> list[list[float]]:
+    """Outcome likelihoods table[bit][outcome] under the equal-mixture model.
 
     Given the bit, Bob's photon is an even mixture of the two eigenvectors of
-    Alice's basis, so table[v, o] = (P(o|aligned) + P(o|orthogonal))/2. Both
+    Alice's basis, so table[v][o] = (P(o|aligned) + P(o|orthogonal))/2. Both
     rows are (1/2, 1/2) for every angle pair; the general formula is kept so
     the tie is a computed fact rather than an assumption.
     """
-    table = np.empty((2, 2))
+    table = []
     for v in (0, 1):
-        b = MeasurementBasis(rule.basis_for(v))
-        pa = born_probabilities(b.aligned(), basis)
-        po = born_probabilities(b.orthogonal(), basis)
-        table[v, 0] = snap_probability(0.5 * (pa[0] + po[0]))
-        table[v, 1] = snap_probability(0.5 * (pa[1] + po[1]))
+        theta = rule.basis_for(v)
+        aligned = [_outcome_probability(theta, basis, o) for o in (0, 1)]
+        orthogonal = [_outcome_probability(theta + math.pi / 2, basis, o) for o in (0, 1)]
+        table.append([snap_probability(0.5 * (pa + po)) for pa, po in zip(aligned, orthogonal)])
     return table
 
 
-def _oracle_decisions(rule: EncodingRule) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_decisions(rule: EncodingRule) -> tuple[list[int], list[bool]]:
     """The basis oracle's (decided bit, tied) for each sent bit value."""
-    tags = np.array([rule.basis_for_zero, rule.basis_for_one])
-    d_one = np.array([_basis_set_distance(t, rule.basis_for_one) for t in tags])
-    d_zero = np.array([_basis_set_distance(t, rule.basis_for_zero) for t in tags])
-    tied = np.abs(d_one - d_zero) <= _TIE_ATOL
-    decided = (d_one + _TIE_ATOL < d_zero).astype(np.int64)
+    tags = (rule.basis_for_zero, rule.basis_for_one)
+    d_one = [_basis_set_distance(t, rule.basis_for_one) for t in tags]
+    d_zero = [_basis_set_distance(t, rule.basis_for_zero) for t in tags]
+    tied = [abs(one - zero) <= _TIE_ATOL for one, zero in zip(d_one, d_zero)]
+    decided = [int(one + _TIE_ATOL < zero) for one, zero in zip(d_one, d_zero)]
     return decided, tied
 
 
-def _ml_decisions(rule: EncodingRule, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
+def _ml_decisions(rule: EncodingRule, basis: MeasurementBasis) -> tuple[list[int], list[bool]]:
     """The maximum-likelihood (decoded bit, tied) for each of Bob's outcomes."""
-    table = _ml_table(rule, basis)
-    like_zero, like_one = table[0], table[1]
-    tied = np.abs(like_one - like_zero) <= _TIE_ATOL
-    decided = (like_one > like_zero + _TIE_ATOL).astype(np.int64)
+    like_zero, like_one = _ml_table(rule, basis)
+    tied = [abs(one - zero) <= _TIE_ATOL for one, zero in zip(like_one, like_zero)]
+    decided = [int(one > zero + _TIE_ATOL) for one, zero in zip(like_one, like_zero)]
     return decided, tied
 
 
@@ -239,15 +221,15 @@ def mutual_information(table):
     table is the channel's 2x2 count table [n00, n01, n10, n11], indexed by
     2*sent + decoded (stats.bit_table). The half-width is the larger of the
     permutation-null 97.5% quantile and the 1.96-sigma delta-method error,
-    clamped to [0, 1]. The null is exact (stats.permutation_null_mis), and
-    its quantile is the smallest null MI whose cumulative probability reaches
-    0.975, so the interval is a pure function of the table. The null part
-    keeps the interval honest near independence, where the delta method
+    clamped to [0, 1]. The null is exact (stats.permutation_null_quantile),
+    and its quantile is the smallest null MI whose cumulative probability
+    reaches 0.975, so the interval is a pure function of the table. The null
+    part keeps the interval honest near independence, where the delta method
     degenerates; the delta part keeps it honest away from independence, where
     the null quantile says nothing about estimator spread.
     """
     mi = plugin_mi_bits(table)
-    null_q = null_quantile(*permutation_null_mis(table), 0.975)
+    null_q = permutation_null_quantile(table, 0.975)
     half = max(null_q, 1.96 * mi_standard_error(table))
     lo = max(0.0, mi - half)
     hi = min(1.0, mi + half)
@@ -294,9 +276,12 @@ def run_protocol(
             raise ValueError(f"balanced bit source needs an even n_bits, got {n_bits}")
         n_ones = n_bits // 2
     else:
-        make_stream = globals().get("stream_from_seed") or __getattr__("stream_from_seed")
-        n_ones = int(make_stream(seed, _ROLE_BITS).binomial(n_bits, 0.5))
-    table = np.zeros(4, dtype=np.int64)
+        # loaded here, so a balanced run, which draws nothing, never imports it
+        from . import draw
+
+        # binomial(n_bits, 1/2), the first draw of stream 0
+        n_ones = draw.binomial(n_bits, 0.5, draw.stream_key(seed, _ROLE_BITS), 0)
+    table = [0, 0, 0, 0]
     ties = 0
     for v, sent in enumerate((n_bits - n_ones, n_ones)):
         decoded, bit_ties = _bit_decision(strategy, rule, v)
@@ -305,7 +290,7 @@ def run_protocol(
     mi, ci = mutual_information(table)
     return TransmissionReport(
         n_bits=int(n_bits),
-        ber=float((table[1] + table[2]) / n_bits),
+        ber=(table[1] + table[2]) / n_bits,
         mutual_info_bits=mi,
         mi_confidence_interval=ci,
         seed=int(seed),

@@ -17,57 +17,64 @@ r, the four words of counter (r, d, 0, 1), two per attempt. A uniform word has
 last counter word 0, so the two never share a word, and a draw's count is a
 function of (seed, stream_index, d, n, p) alone: a sweep draws all its points
 at once, and each point's counts do not depend on the other points.
+draw.binomial computes one such count over Python ints and floats, and
+RngStream.binomial draws through it.
+
+Each function here imports numpy when it runs, so importing this module
+loads no numpy.
 """
 
 from __future__ import annotations
 
 import operator
 
-import numpy as np
-
 # Uniform and binomial draws run Philox over at most SLICE_BLOCKS blocks at a
 # time, so their temporaries stay within a few MB however many are asked for.
-# It is core's point slice; core also keeps the names of the words and of the
-# sampler on them, so a run that draws nothing slices its points and names its
-# words without loading this module.
-from .core import ALGORITHM_ID, SLICE_POINTS as SLICE_BLOCKS, WORDS_ID
+# It is core's point slice. scalars also keeps the names of the words and of
+# the sampler on them and the sampler's constants, so a run that draws
+# nothing slices its points and names its words without loading this module,
+# and a run that draws one count at a time (draw) without compiling it.
+from .scalars import (
+    ALGORITHM_ID,
+    INVERSION_MEAN,
+    MAX_BINOMIAL_TRIALS,
+    PHILOX_BUMPS as _BUMPS,
+    PHILOX_MULTIPLIERS as _MULTIPLIERS,
+    PHILOX_ROUNDS as _ROUNDS,
+    SLICE_POINTS as SLICE_BLOCKS,
+    STIRLING_TAIL as _STIRLING_TAIL,
+    WORDS_ID,
+    check_u64 as _u64,
+)
 
 _MAX_U64 = 2**64
-# the sampler computes in float64, so its law is exact to rounding up to
-# 2^53 trials; beyond 2^62 a count would not fit int64 on the way back
-MAX_BINOMIAL_TRIALS = 2**62
-
-# Philox-4x64-10: the two round multipliers, as 32-bit halves, and the two key
-# increments, one row per multiply
-_MULTIPLIER = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_LOW = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
-_MUL_LO = _MULTIPLIER & _LOW
-_MUL_HI = _MULTIPLIER >> _HALF
-_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_ROUNDS = 10
 
 
-def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(x: np.ndarray, multiplier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit product of each row of the (2, P)
-    array x with its round multiplier, computed through 32-bit halves."""
-    lo = x & _LOW
-    hi = x >> _HALF
-    lo_lo = lo * _MUL_LO
-    lo *= _MUL_HI
-    hi_lo = hi * _MUL_LO
-    hi *= _MUL_HI
+    uint64 array x with its row of the (2, 1) multipliers, computed through
+    32-bit halves."""
+    import numpy as np
+
+    low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
+    mul_lo, mul_hi = multiplier & low, multiplier >> half
+    lo = x & low
+    hi = x >> half
+    lo_lo = lo * mul_lo
+    lo *= mul_hi
+    hi_lo = hi * mul_lo
+    hi *= mul_hi
     # the middle sum stays below 3 * 2^32, so it cannot wrap
-    lo_lo >>= _HALF
-    lo_lo += lo & _LOW
-    lo_lo += hi_lo & _LOW
-    lo >>= _HALF
-    hi_lo >>= _HALF
-    lo_lo >>= _HALF
+    lo_lo >>= half
+    lo_lo += lo & low
+    lo_lo += hi_lo & low
+    lo >>= half
+    hi_lo >>= half
+    lo_lo >>= half
     hi += lo
     hi += hi_lo
     hi += lo_lo
-    return hi, x * _MULTIPLIER
+    return hi, x * multiplier
 
 
 def philox(key, counter) -> np.ndarray:
@@ -77,29 +84,29 @@ def philox(key, counter) -> np.ndarray:
     single column, shared by every column of the other.
 
     Both 64x64 -> 128-bit multiplies of a round run as one (2, P) operation."""
+    import numpy as np
+
     key = np.array(key, dtype=np.uint64)  # a copy: the rounds bump it
     counter = np.asarray(counter, dtype=np.uint64)
+    # one row per multiplied word
+    multiplier = np.array(_MULTIPLIERS, dtype=np.uint64)[:, None]
+    bump = np.array(_BUMPS, dtype=np.uint64)[:, None]
     x, y = counter[0::2], counter[1::2]  # words (0, 2) are multiplied
     for r in range(_ROUNDS):
         if r:
-            key += _BUMP
-        hi, lo = _mulhilo(x)
+            key += bump
+        hi, lo = _mulhilo(x, multiplier)
         # (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
         x = hi[::-1] ^ y ^ key
         y = lo[::-1]
     return np.stack([x[0], y[0], x[1], y[1]])
 
 
-def _u64(value, name: str) -> int:
-    value = int(value)
-    if not 0 <= value < _MAX_U64:
-        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
-    return value
-
-
 def stream_keys(seed: int, indices) -> np.ndarray:
     """The (2, P) uint64 Philox keys (seed, index) of the streams named by a
     seed and P stream indices, a range or a 1-d sequence of integers."""
+    import numpy as np
+
     seed = _u64(seed, "seed")
     if isinstance(indices, range):
         for end in indices[:1], indices[-1:]:
@@ -127,28 +134,21 @@ def stream_keys(seed: int, indices) -> np.ndarray:
 
 # --- the binomial sampler ------------------------------------------------------------
 
-# a draw of mean n * min(p, 1 - p) below this inverts the cdf; BTRD needs 10
-INVERSION_MEAN = 10.0
-
-# log k! minus its Stirling form (k + 1/2) log(k + 1) - (k + 1) + log(2 pi) / 2,
-# for k = 0..9; above 9, the series in _stirling_tail (Hoermann 1993)
-_STIRLING_TAIL = np.array([
-    0.08106146679532726, 0.04134069595540929, 0.02767792568499834, 0.02079067210376509,
-    0.01664469118982119, 0.01387612882307075, 0.01189670994589177, 0.01041126526197209,
-    0.009255462182712733, 0.008330563433362871,
-])
-
-
 def _stirling_tail(k: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     inv = 1.0 / (k + 1.0)
     inv2 = inv * inv
     series = (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) * inv
-    return np.where(k < 10.0, _STIRLING_TAIL[np.minimum(k, 9.0).astype(np.intp)], series)
+    table = np.array(_STIRLING_TAIL)
+    return np.where(k < 10.0, table[np.minimum(k, 9.0).astype(np.intp)], series)
 
 
 def _binomial_words(key: np.ndarray, draw: np.ndarray, rnd: int) -> np.ndarray:
     """The (4, P) words that binomial draw draw[j] of stream key[:, j] reads
     in rejection round rnd: the block of counter (rnd, draw[j], 0, 1)."""
+    import numpy as np
+
     counter = np.empty((4, draw.size), dtype=np.uint64)
     counter[0] = rnd
     counter[1] = draw
@@ -163,6 +163,8 @@ def _inversion(n, q, u):
     found by walking the pmf up from f(0) = (1 - q)^n. An attempt fails past
     n q + 10 sqrt(n q (1 - q) + 1) or n, which only a cdf that rounding
     leaves short of 1 reaches. Returns the counts and which are accepted."""
+    import numpy as np
+
     mean = n * q
     bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * (1.0 - q) + 1.0))
     odds = q / (1.0 - q)
@@ -184,6 +186,8 @@ def _btrd(n, q, v, w):
     n q of at least INVERSION_MEAN, from the uniforms v and w (Hoermann, "The
     generation of binomial random variates", J. Stat. Comput. Simul. 46,
     1993). Returns the candidate counts and which are accepted."""
+    import numpy as np
+
     spq = np.sqrt(n * q * (1.0 - q))
     b = 1.15 + 2.53 * spq
     a = -0.0873 + 0.0248 * b + 0.01 * q
@@ -210,6 +214,8 @@ def _btrd(n, q, v, w):
 
 def _btrd_ratio(n, q, k, v):
     """Steps 3.1-3.4 of BTRD: whether v <= f(k) / f(m), m the mode."""
+    import numpy as np
+
     r = q / (1.0 - q)
     m = np.floor((n + 1.0) * q)
     km = np.abs(k - m)
@@ -243,6 +249,8 @@ def _btrd_ratio(n, q, k, v):
 def _attempt(n, q, v, w):
     """One attempt per element from the uniforms v and w: inversion below
     INVERSION_MEAN, which reads v only, BTRD at or above it."""
+    import numpy as np
+
     k = np.empty(n.shape)
     accepted = np.empty(n.shape, dtype=bool)
     small = n * q < INVERSION_MEAN
@@ -260,6 +268,8 @@ def _round(n, p, words):
     probability p from their (4, P) round words, and which points accepted:
     attempt 0 reads words 0 and 1, and where it fails attempt 1 reads words 2
     and 3. A point samples the smaller of p and 1 - p and reflects the count."""
+    import numpy as np
+
     flip = p > 0.5
     q = np.where(flip, 1.0 - p, p)
     trials = n.astype(np.float64)
@@ -282,6 +292,8 @@ def binomial_array(n, p, key, draw) -> np.ndarray:
     time: round r reads the block of counter (r, draw, 0, 1) for the points
     still rejecting only. The int64 counts have the binomial law up to
     float64 rounding, exactly for n up to 2^53 trials."""
+    import numpy as np
+
     n = np.asarray(n, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
     draw = np.asarray(draw, dtype=np.uint64)
@@ -305,6 +317,8 @@ class RngStream:
     count up from 0 in draws, and a draw with a certain count reads no word."""
 
     def __init__(self, seed: int, stream_index: int):
+        import numpy as np
+
         self.key = stream_keys(seed, (stream_index,))
         self.seed, self.stream_index = (int(word) for word in self.key[:, 0])
         self.algorithm = ALGORITHM_ID
@@ -314,6 +328,8 @@ class RngStream:
 
     def _words(self, n: int):
         """The next n uniform words, in arrays of at most 4 * SLICE_BLOCKS."""
+        import numpy as np
+
         spare, self._spare = self._spare[:n], self._spare[n:]
         if spare.size:
             yield spare
@@ -333,6 +349,8 @@ class RngStream:
         draws them; a float when size is None. No experiment draws uniforms:
         this stays for the tests of the words against numpy's Philox and for
         perfbench's draw-rate microbenchmark."""
+        import numpy as np
+
         out = np.empty(1 if size is None else size, dtype=np.float64)
         flat = out.reshape(-1)
         start = 0
@@ -343,6 +361,8 @@ class RngStream:
 
     def raw_u64(self, n: int) -> np.ndarray:
         """The next n uniform words, as numpy's Philox random_raw gives them."""
+        import numpy as np
+
         out = np.empty(operator.index(n), dtype=np.uint64)
         start = 0
         for words in self._words(out.size):
@@ -360,9 +380,11 @@ class RngStream:
             raise ValueError(f"p must be in [0, 1], got {p!r}")
         if n == 0 or p in (0.0, 1.0):
             return n if p == 1.0 else 0
-        count = binomial_array([n], [p], self.key, [self.draws])
+        from .draw import binomial
+
+        count = binomial(n, p, (self.seed, self.stream_index), self.draws)
         self.draws += 1
-        return int(count[0])
+        return count
 
     def __repr__(self) -> str:
         return (

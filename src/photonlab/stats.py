@@ -8,16 +8,21 @@ table, check it in O(1) and never see the bits, so a caller that knows its
 counts without the bits (the protocol, from its receiver's law) passes the
 table directly. The null is computed, not sampled: label shuffling keeps both
 margins of the table, which makes the n11 cell hypergeometric, so its
-distribution, quantiles and p-values are pure functions of the table.
+quantiles and p-values are pure functions of the table.
+
+The table statistics run in Python floats, with math's log2 and fsum, and load
+no numpy; only the array functions (the Wilson intervals, as_bit_array and
+bit_table) import it, when they run.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-
-from .core import point_slices
+import operator
+from array import array
+from bisect import bisect_left
+from itertools import accumulate, chain, count, islice, takewhile
+from operator import mul, truediv
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -31,7 +36,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, {trials}], got {successes}")
-    lo, hi = wilson_interval_array(np.array([successes]), trials, confidence)
+    lo, hi = wilson_interval_array([successes], trials, confidence)
     return float(lo[0]), float(hi[0])
 
 
@@ -43,6 +48,8 @@ def wilson_interval_array(successes, trials, confidence: float = 0.95):
     # statistics loads decimal and fractions with it, and only this function
     # needs it, so a run that computes no interval (protocol) never imports it
     from statistics import NormalDist
+
+    import numpy as np
 
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
@@ -64,6 +71,8 @@ def wilson_interval_array(successes, trials, confidence: float = 0.95):
 
 def as_bit_array(values, name: str = "values") -> np.ndarray:
     """Validate and convert a bit sequence to an int64 array of 0s and 1s."""
+    import numpy as np
+
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
@@ -89,6 +98,8 @@ def bit_table(x, y) -> np.ndarray:
     statistics below take, and the table of a concatenation is the sum of the
     tables of its parts.
     """
+    import numpy as np
+
     x = as_bit_array(x, "x")
     y = as_bit_array(y, "y")
     if x.shape != y.shape:
@@ -96,40 +107,45 @@ def bit_table(x, y) -> np.ndarray:
     return np.bincount(2 * x + y, minlength=4)
 
 
-def _checked_table(table) -> np.ndarray:
-    """The table as an int64 array, after the O(1) checks every MI statistic runs."""
-    counts = np.asarray(table)
-    if counts.shape != (4,) or not np.issubdtype(counts.dtype, np.integer):
+def _checked_table(table) -> tuple[int, int, int, int]:
+    """The table's four counts as Python ints, after the O(1) checks every MI
+    statistic runs."""
+    try:
+        cells = tuple(table)
+        counts = tuple(map(operator.index, cells))
+    except TypeError:
+        cells = counts = ()
+    if len(counts) != 4 or any(isinstance(c, bool) for c in cells):
         raise ValueError(f"table must be 4 integer counts [n00, n01, n10, n11], got {table!r}")
-    if counts.min() < 0 or counts.sum() <= 0:
+    if min(counts) < 0 or sum(counts) <= 0:
         raise ValueError(f"table counts must be >= 0 with a positive total, got {table!r}")
-    return counts.astype(np.int64)
+    return counts
 
 
-def _information_density(n00, n01, n10, n11, n):
-    """(p, g) per cell of 2x2 count tables, in the cell order 00, 01, 10, 11.
+def _information_density(n00: int, n01: int, n10: int, n11: int) -> tuple:
+    """(p, g) per cell of a 2x2 count table, in the cell order 00, 01, 10, 11.
 
     p is the cell probability and g = log2(p / (px py)) its pointwise
-    information, 0 where p is 0. Counts may be arrays of tables. Every MI
-    value in this module is summed from these pairs in this order, so one
-    table gives the same float whichever function reaches it.
+    information, 0 where p is 0. Every MI value in this module is summed from
+    these pairs in this order, so one table gives the same float whichever
+    function reaches it. Each count and the total become floats before they
+    divide, as numpy divides int64 counts.
     """
-    cells = [np.asarray(c) / n for c in (n00, n01, n10, n11)]
-    px = (cells[0] + cells[1], cells[2] + cells[3])
-    py = (cells[0] + cells[2], cells[1] + cells[3])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return [
-            (p, np.where(p > 0.0, np.log2(p / (px[i] * py[j])), 0.0))
-            for p, (i, j) in zip(cells, ((0, 0), (0, 1), (1, 0), (1, 1)))
-        ]
+    n = float(n00 + n01 + n10 + n11)
+    p00, p01, p10, p11 = n00 / n, n01 / n, n10 / n, n11 / n
+    x0, x1, y0, y1 = p00 + p01, p10 + p11, p00 + p10, p01 + p11
+    log2 = math.log2
+    return ((p00, log2(p00 / (x0 * y0)) if p00 > 0.0 else 0.0),
+            (p01, log2(p01 / (x0 * y1)) if p01 > 0.0 else 0.0),
+            (p10, log2(p10 / (x1 * y0)) if p10 > 0.0 else 0.0),
+            (p11, log2(p11 / (x1 * y1)) if p11 > 0.0 else 0.0))
 
 
-def _mi_bits(n00, n01, n10, n11, n):
-    """Plug-in MI in bits of 2x2 count tables, floored at 0.0 against rounding."""
-    mi = 0.0
-    for p, g in _information_density(n00, n01, n10, n11, n):
-        mi = mi + p * g
-    return np.maximum(mi, 0.0)
+def _mi_bits(n00: int, n01: int, n10: int, n11: int) -> float:
+    """Plug-in MI in bits of a 2x2 count table, floored at 0.0 against rounding."""
+    (p00, g00), (p01, g01), (p10, g10), (p11, g11) = _information_density(n00, n01, n10, n11)
+    mi = 0.0 + p00 * g00 + p01 * g01 + p10 * g10 + p11 * g11
+    return mi if mi > 0.0 else 0.0
 
 
 def plugin_mi_bits(table) -> float:
@@ -138,8 +154,7 @@ def plugin_mi_bits(table) -> float:
     Zero cells contribute zero; the estimate is floored at 0.0 so rounding
     noise never produces a negative information value.
     """
-    counts = _checked_table(table)
-    return float(_mi_bits(*counts, int(counts.sum())))
+    return _mi_bits(*_checked_table(table))
 
 
 def mi_standard_error(table) -> float:
@@ -150,94 +165,204 @@ def mi_standard_error(table) -> float:
     is constant.
     """
     counts = _checked_table(table)
-    n = int(counts.sum())
     mean = 0.0
     mean_sq = 0.0
-    for p, g in _information_density(*counts, n):
+    for p, g in _information_density(*counts):
         mean += p * g
         mean_sq += p * g * g
-    var = max(0.0, mean_sq - mean * mean) / n
-    return float(np.sqrt(var))
+    var = max(0.0, mean_sq - mean * mean) / sum(counts)
+    return math.sqrt(var)
 
 
-def permutation_null_mis(table) -> tuple[np.ndarray, np.ndarray]:
-    """Exact label-shuffling null of the plug-in MI: (values, probabilities).
+# The null weighs each table by its hypergeometric probability relative to the
+# mode's, w(mode) = 1, from the ratio recurrence w(k + 1) = w(k) r(k). Its
+# window, the run of tables around the mode with w >= _CUTOFF, carries every
+# quantile and the normalising sum; a p-value tail reads further out, down to
+# _CUTOFF of its own first weight. Weights below _FLOOR, far above the
+# subnormals where the recurrence would stall, count as 0.
+_CUTOFF = 2.0**-60
+_FLOOR = 2.0**-1020
 
-    Shuffling y keeps both margins of the table, so a shuffled table is fixed
-    by its n11 cell k, whose law is hypergeometric:
+
+def _first(lo: int, hi: int, pred) -> int:
+    """The least k in [lo, hi] with pred(k), for pred false then true; hi + 1
+    if there is none."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
+
+
+class _Null:
+    """The label-shuffling null of the tables with a ones in x and b in y
+    among n, 0 < a, b < n, as a function of the n11 cell k.
+
+    Shuffling y keeps both margins, so k is hypergeometric:
     P(k) = C(a, k) C(n - a, b - k) / C(n, b) over
-    max(0, a + b - n) <= k <= min(a, b), where a = n10 + n11 and
-    b = n01 + n11 count the ones in x and y (Fisher's exact test;
-    asymptotically 2 n ln2 MI ~ chi^2_1). Returns the MI of every feasible
-    table, ascending, with its probability, leaving out the tables whose
-    probability is 0.0 in float64 (at 10^7 balanced bits, all but 6e4 of
-    5e6). The observed MI is bitwise one of the values unless its own
-    probability is 0.0. A constant side gives ([0.0], [1.0]).
-
-    Only k within `reach` of the mean ab/n is computed, so time and memory
-    grow as sqrt(n), not n. With s = min(a, b, n - a, n - b), Hoeffding's
-    bound for sampling without replacement gives P(k) <= exp(-2 t^2 / s) at
-    distance t from the mean, and P(mode) >= 1/(s + 1); beyond `reach` their
-    ratio is below exp(-745.2), which underflows to 0.0 like the tables left
-    out above.
+    max(0, a + b - n) <= k <= min(a, b) (Fisher's exact test;
+    asymptotically 2 n ln2 MI ~ chi^2_1). MI is convex in k with its minimum
+    at ab/n, so it falls over k <= split = floor(ab/n) and rises after:
+    {MI <= v} is an interval of k and {MI >= v} a lower and an upper tail,
+    each end found by bisection with O(log n) MI evaluations.
     """
-    n00, n01, n10, n11 = (int(c) for c in _checked_table(table))
-    n = n00 + n01 + n10 + n11
-    a = n10 + n11
-    b = n01 + n11
+
+    def __init__(self, n: int, a: int, b: int):
+        self.n, self.a, self.b, self.c = n, a, b, n - a - b
+        self.lo, self.hi = max(0, a + b - n), min(a, b)
+        self.split = a * b // n
+        self.mode = (a + 1) * (b + 1) // (n + 2)
+        below, above = self._window(-1), self._window(1)
+        self.start = self.mode - len(below)
+        self._below, self._above = below, above
+        below = below[::-1]
+        below.append(1.0)
+        self.weights = below + above
+        # the window's sums in k order: the mass of the tables from k to k' is
+        # prefix[k' + 1 - start] - prefix[k - start]
+        self.prefix = array("d", accumulate(self.weights, initial=0.0))
+        self.total = self.prefix[-1]
+
+    def _window(self, step: int) -> array:
+        """w(mode + step), w(mode + 2 step), ... while they are >= _CUTOFF."""
+        # Most windows end near 9.12 sigma (exp(-t^2 / 2 sigma^2) = 2^-60), so
+        # that many weights are made without a test each, then cut back to the
+        # first below _CUTOFF; a skewed side that reaches further goes on
+        n, a, b = self.n, self.a, self.b
+        sigma = math.sqrt(a * b * (n - a) * (n - b) / (n * n * (n - 1)))
+        room = self._room(self.mode, step)
+        weights = array("d", self._walk(self.mode, 1.0, step, min(room, int(9.2 * sigma) + 32)))
+        cut = bisect_left(weights, True, key=_CUTOFF.__gt__)
+        if cut < len(weights):
+            del weights[cut:]
+        elif weights:
+            # the weights fall monotonically far from the mode, so only a run
+            # that has not yet crossed _CUTOFF can go on
+            far = self._walk(self.mode + step * cut, weights[-1], step, room - cut)
+            weights.extend(takewhile(_CUTOFF.__le__, far))
+        return weights
+
+    def mi(self, k: int) -> float:
+        return _mi_bits(self.c + k, self.b - k, self.a - k, k)
+
+    def _room(self, k: int, step: int) -> int:
+        """How many tables lie beyond k in the direction of step."""
+        return self.hi - k if step > 0 else k - self.lo
+
+    def _walk(self, k: int, w: float, step: int, limit: int):
+        """w(k + step), w(k + 2 step), ..., limit of them, from w(k) = w, by
+        the ratio recurrence r(k) = (a - k)(b - k) / ((k + 1)(c + k + 1)) in
+        floats: w(k + 1) = w(k) r(k) and w(k - 1) = w(k) / r(k - 1)."""
+        a, b, c = self.a, self.b, self.c
+        if step > 0:
+            ratios = map(truediv, map(mul, count(float(a - k), -1.0), count(float(b - k), -1.0)),
+                         map(mul, count(k + 1.0), count(c + k + 1.0)))
+            steps = accumulate(ratios, mul, initial=w)
+        else:
+            ratios = map(truediv, map(mul, count(a - k + 1.0), count(b - k + 1.0)),
+                         map(mul, count(float(k), -1.0), count(float(c + k), -1.0)))
+            steps = accumulate(ratios, truediv, initial=w)
+        return islice(steps, 1, limit + 1)
+
+    def _outward(self, step: int):
+        """w(mode), w(mode + step), ... out to the first weight below _FLOOR."""
+        window = self._above if step > 0 else self._below
+        last = window[-1] if window else 1.0
+        k = self.mode + step * len(window)
+        beyond = self._walk(k, last, step, self._room(k, step))
+        return chain((1.0,), window, takewhile(_FLOOR.__le__, beyond))
+
+    def quantile(self, level: float) -> float:
+        """The smallest MI v of a window table with P(MI <= v) >= level - 1e-9;
+        the slack absorbs the rounding of a sum that reaches the level
+        exactly. The tables with MI <= v are a run of k, and P(MI <= v) is
+        their prefix difference over the total."""
+        target = level - 1e-9
+        start, prefix = self.start, self.prefix
+        end = start + len(self.weights) - 1
+        left_end, right_start = min(self.split, end), max(self.split + 1, start)
+
+        def reaches(v: float) -> bool:
+            # the run of tables with MI <= v: from the first on the falling
+            # side to the last on the rising side
+            i = (_first(start, left_end, lambda k: self.mi(k) <= v)
+                 if start <= left_end else right_start)
+            j = (_first(right_start, end, lambda k: self.mi(k) > v)
+                 if right_start <= end else left_end + 1)
+            return (prefix[j - start] - prefix[i - start]) / self.total >= target
+
+        answers = []
+        # along each side the candidates' MI rises step by step away from split
+        for k_of, size in ((lambda t: left_end - t, left_end - start + 1),
+                           (lambda t: right_start + t, end - right_start + 1)):
+            t = _first(0, size - 1, lambda t: reaches(self.mi(k_of(t))))
+            if t < size:
+                answers.append(self.mi(k_of(t)))
+        return min(answers)
+
+    def tail_mass(self, threshold: float) -> float:
+        """The fsum of the weights of the tables with MI >= threshold. Each of
+        its two tails is summed from its inner end outward while a weight is
+        at least _CUTOFF of the inner end's, so a tail beyond the window keeps
+        its relative precision."""
+        mi = self.mi
+        inner_left = _first(self.lo, self.split, lambda k: mi(k) < threshold) - 1
+        inner_right = _first(self.split + 1, self.hi, lambda k: mi(k) >= threshold)
+        tails = []
+        # the mode is split or split + 1, so the left tail starts at or below
+        # it and the right one at or above it
+        if inner_left >= self.lo:
+            tails.append(islice(self._outward(-1), self.mode - inner_left, None))
+        if inner_right <= self.hi:
+            tails.append(islice(self._outward(1), inner_right - self.mode, None))
+        terms = []
+        for tail in tails:
+            first = next(tail, None)
+            if first is not None:
+                terms.append(first)
+                terms.extend(takewhile((_CUTOFF * first).__le__, tail))
+        return math.fsum(terms)
+
+
+def _margins(counts) -> tuple[int, int, int]:
+    """(n, a, b): the total and the ones of x and of y of a checked table."""
+    n00, n01, n10, n11 = counts
+    return n00 + n01 + n10 + n11, n10 + n11, n01 + n11
+
+
+def permutation_null_quantile(table, level: float = 0.975) -> float:
+    """The level quantile of the plug-in MI of a 2x2 table under the exact
+    label-shuffling null: the smallest null MI v with P(MI <= v) >= level,
+    within 1e-9, the slack for a cumulative probability of exactly level (as
+    at n = 16, a = 2, b = 3 at 0.975). A constant side gives 0.0.
+
+    Only the tables whose probability is at least 2^-60 of the most likely
+    one's are weighed, so the mass left out is of order 2^-60 of the total.
+    The work grows as sqrt(n): at 2^32 bits it walks about 3e5 tables with
+    C-level iterators and evaluates MI O(log^2 n) times.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
+    n, a, b = _margins(_checked_table(table))
     if a in (0, n) or b in (0, n):
-        return np.zeros(1), np.ones(1)
-    k, pmf = _null_support(a, b, n)
-    # a slice at a time: the MI of a table needs about a dozen temporaries
-    mis = np.empty(k.shape[0])
-    for rows in point_slices(k.shape[0]):
-        kk = k[rows]
-        mis[rows] = _mi_bits(n - a - b + kk, b - kk, a - kk, kk, n)
-    order = np.argsort(mis, kind="stable")
-    return mis[order], pmf[order]
-
-
-def _null_support(a: int, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n11 cells k within `reach` of the mean whose hypergeometric
-    probability is not 0.0 in float64, and those probabilities."""
-    s = min(a, b, n - a, n - b)
-    reach = math.ceil(math.sqrt(s * (745.2 + math.log(s + 1)) / 2)) + 1
-    mean = a * b // n
-    k = np.arange(max(0, a + b - n, mean - reach), min(a, b, mean + 1 + reach) + 1)
-    # log P(k + 1) / P(k), decreasing in k; sum it outward from the mode so
-    # the probabilities that matter carry no accumulated rounding
-    head = k[:-1]
-    step = np.log((a - head) * (b - head) / ((head + 1.0) * (n - a - b + head + 1.0)))
-    mode = int(np.count_nonzero(step > 0.0))
-    log_pmf = np.zeros(k.shape[0])
-    log_pmf[:mode] = -np.cumsum(step[:mode][::-1])[::-1]
-    log_pmf[mode + 1 :] = np.cumsum(step[mode:])
-    pmf = np.exp(log_pmf)
-    # tables whose probability underflows to 0.0 move no quantile or p-value
-    kept = pmf > 0.0
-    return k[kept], pmf[kept] / pmf.sum()
-
-
-def null_quantile(mis: np.ndarray, pmf: np.ndarray, level: float) -> float:
-    """Smallest null MI whose cumulative probability reaches level.
-
-    A cumulative sum within 1e-9 below level, the rounding a sum of up to
-    10^7 terms can carry, counts as reaching it: where the exact cumulative
-    probability is level itself (n = 16, a = 2, b = 3 at 0.975), the float
-    sum can fall short and would skip to a far larger MI.
-    """
-    return float(mis[np.searchsorted(np.cumsum(pmf), level - 1e-9)])
+        return 0.0
+    return _Null(n, a, b).quantile(level)
 
 
 def permutation_independence_test(table) -> float:
     """Exact permutation p-value for independence of the two sides of a 2x2 table.
 
     The statistic is plug-in MI and the null is label shuffling:
-    p = P(MI_null >= observed) under permutation_null_mis, 1.0 when a side
-    is constant. Null values within a relative 1e-7 of the observed MI count
-    as ties, as in R's fisher.test, so a table and its mirror image, whose MI
-    can differ in the last bits, are counted alike.
+    p = P(MI_null >= observed), 1.0 when a side is constant. Null values
+    within a relative 1e-7 of the observed MI count as ties, as in R's
+    fisher.test, so a table and its mirror image, whose MI can differ in the
+    last bits, are counted alike.
     """
-    observed = plugin_mi_bits(table)
-    mis, pmf = permutation_null_mis(table)
-    return min(1.0, float(pmf[mis >= observed * (1.0 - 1e-7)].sum()))
+    counts = _checked_table(table)
+    n, a, b = _margins(counts)
+    if a in (0, n) or b in (0, n):
+        return 1.0
+    null = _Null(n, a, b)
+    return min(1.0, null.tail_mass(_mi_bits(*counts) * (1.0 - 1e-7)) / null.total)

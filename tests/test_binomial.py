@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photonlab import rng
+from photonlab import draw, rng
 from photonlab.core import PROB_SNAP, sample_count_array, sample_counts
 from photonlab.entangle import correlation
 from photonlab.optics import cascade_mc
@@ -129,15 +129,21 @@ def test_the_stirling_table_is_log_factorial_minus_stirling():
 
 
 def _recording(monkeypatch) -> list:
-    """Patch rng.philox to record the counters of every call."""
+    """Patch rng.philox and draw.philox_block, the one-count kernel, to
+    record the counters of every call, each as a (4, P) array."""
     counters = []
-    kernel = rng.philox
+    kernel, block = rng.philox, draw.philox_block
 
     def recording_philox(key, counter):
         counters.append(np.asarray(counter).copy())
         return kernel(key, counter)
 
+    def recording_block(key, counter):
+        counters.append(np.array(counter, dtype=np.uint64)[:, None])
+        return block(key, counter)
+
     monkeypatch.setattr(rng, "philox", recording_philox)
+    monkeypatch.setattr(draw, "philox_block", recording_block)
     return counters
 
 
@@ -233,3 +239,82 @@ def test_crossed_polarizers_pass_none_of_the_cap(source):
     assert result.per_stage_counts[1] == 0
     if source == "linear":
         assert result.per_stage_counts == (MAX_TRIALS, 0)
+
+
+# --- the scalar draw ---------------------------------------------------------------------
+
+
+def array_count(n, p, seed, index, d):
+    return int(binomial_array([n], [p], stream_keys(seed, [index]), [d])[0])
+
+
+@st.composite
+def scalar_draws(pick):
+    """(n, p, seed, index, d): n up to MAX_BINOMIAL_TRIALS, and p at the
+    snap edges, at 1/2, on both sides of the inversion/BTRD switch, or anywhere."""
+    n = pick(st.integers(1, 40) | st.integers(1, 2**32) | st.integers(1, rng.MAX_BINOMIAL_TRIALS))
+    switch = INVERSION_MEAN / n
+    edges = [1.5 * PROB_SNAP, 1.0 - 1.5 * PROB_SNAP, 0.5, switch, 1.0 - switch,
+             math.nextafter(switch, 0.0), math.nextafter(switch, 1.0)]
+    p = pick(st.sampled_from([q for q in edges if 0.0 < q < 1.0])
+             | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    u64 = st.integers(0, 2**64 - 1)
+    return n, p, pick(u64), pick(u64 | st.integers(0, 9)), pick(u64 | st.integers(0, 9))
+
+
+@settings(max_examples=500, deadline=None)
+@given(scalar_draws())
+@example((2**62, 0.5, 0, 0, 0))
+@example((MAX_TRIALS, 1.5 * PROB_SNAP, 2**64 - 1, 2**64 - 1, 2**64 - 1))
+def test_the_scalar_draw_is_binomial_arrays_count(case):
+    n, p, seed, index, d = case
+    assert draw.binomial(n, p, (seed, index), d) == array_count(n, p, seed, index, d)
+
+
+def test_the_scalar_draw_inverts_every_count_below_20_at_one_half():
+    # n p < INVERSION_MEAN: the protocol's smallest iid runs
+    for n in range(1, 20):
+        for seed in range(40):
+            assert draw.binomial(n, 0.5, (seed, 0), 0) == array_count(n, 0.5, seed, 0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_draws())
+@example((5, 0.5, 1, 0, 0))
+def test_a_draw_that_defers_everywhere_gives_the_same_count(case):
+    n, p, seed, index, d = case
+    deferred = []
+    kernel = rng.binomial_array
+
+    def recording(*args):
+        deferred.append(args)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(draw, "_DEFER_MARGIN", math.inf)
+        patch.setattr(rng, "binomial_array", recording)
+        count = draw.binomial(n, p, (seed, index), d)
+    assert count == array_count(n, p, seed, index, d)
+    # every inversion compares u with the pmf at least once, so it defers
+    if n * min(p, 1.0 - p) < INVERSION_MEAN:
+        assert len(deferred) == 1
+
+
+@settings(max_examples=300)
+@given(st.tuples(*[st.integers(0, 2**64 - 1)] * 2), st.tuples(*[st.integers(0, 2**64 - 1)] * 4))
+@example((0, 0), (0, 0, 0, 0))
+@example((2**64 - 1,) * 2, (2**64 - 1,) * 4)
+def test_the_scalar_philox_is_rng_philox(key, counter):
+    column = rng.philox(np.array(key, dtype=np.uint64)[:, None],
+                        np.array(counter, dtype=np.uint64)[:, None])[:, 0]
+    assert draw.philox_block(key, counter) == tuple(int(word) for word in column)
+
+
+def test_the_scalar_draw_checks_its_arguments():
+    assert draw.stream_key(2**64 - 1, 0) == (2**64 - 1, 0)
+    for seed, index in ((-1, 0), (0, 2**64)):
+        with pytest.raises(ValueError):
+            draw.stream_key(seed, index)
+    for n, p in ((0, 0.5), (2**62 + 1, 0.5), (5, 0.0), (5, 1.0), (5, math.nan)):
+        with pytest.raises(ValueError):
+            draw.binomial(n, p, (1, 0), 0)

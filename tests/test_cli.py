@@ -600,15 +600,17 @@ print(json.dumps([at_import, loaded()]))
 
 
 # malus and entropy draw nothing by default, and protocol draws only with its
-# default iid bits, so the others leave rng unloaded
+# default iid bits, so the others leave rng unloaded; every run loads scalars,
+# and the protocol, which works on scalars alone, loads no core and draws its
+# one count with draw
 @pytest.mark.parametrize("experiment, modules", [
-    ("malus", ["core", "optics"]),
-    ("entropy", ["core", "entropy"]),
-    ("bell", ["core", "entangle", "rng"]),
-    ("nosignal", ["core", "entangle", "rng", "stats"]),
-    ("protocol", ["core", "protocol", "rng", "stats"]),
-    ("mzi", ["core", "mzi", "rng"]),
-    ("protocol --set bit_source=balanced", ["core", "protocol", "stats"]),
+    ("malus", ["core", "optics", "scalars"]),
+    ("entropy", ["core", "entropy", "scalars"]),
+    ("bell", ["core", "entangle", "rng", "scalars"]),
+    ("nosignal", ["core", "entangle", "rng", "scalars", "stats"]),
+    ("protocol", ["draw", "protocol", "scalars", "stats"]),
+    ("mzi", ["core", "mzi", "rng", "scalars"]),
+    ("protocol --set bit_source=balanced", ["protocol", "scalars", "stats"]),
 ])
 def test_a_run_imports_only_its_experiment(tmp_path, experiment, modules):
     stdout = _run_fresh(_LOADED, str(tmp_path / "r.json"), *experiment.split())
@@ -754,6 +756,39 @@ def test_a_run_in_the_same_harness_loads_numpy(tmp_path):
     assert "numpy" in loaded
 
 
+# protocol CLI runs in a fresh interpreter, one argv per line of stdin; prints,
+# for each, its exit code and whether numpy was loaded after it. It reads
+# sys.modules, since -X importtime does not list a module importlib loads.
+_PROTOCOL_NUMPY = """
+import json, sys
+import photonlab.cli
+
+for line in sys.stdin:
+    code = photonlab.cli.main(json.loads(line))
+    print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+# the iid bit counts of 1 and 19 bits are inverted cdfs, of 20 and more BTRD
+# draws; the oracle's tables reach the MI null, and 2^32 is the CLI's cap
+_PROTOCOL_RUNS = [(bits, n_bits) for bits in ("iid", "balanced")
+                  for n_bits in (1, 19, 20, 30_000, 2**32) if bits == "iid" or n_bits % 2 == 0]
+
+
+@pytest.mark.parametrize("strategy", ["fixed-basis-ml:0", "repetition:11:fixed-basis-ml:22.5",
+                                      "basis-oracle"])
+def test_a_protocol_run_loads_no_numpy(tmp_path, strategy):
+    argvs = [["protocol", "--set", f"strategy={strategy}", "--set", f"bit_source={bits}",
+              "--set", f"n_bits={n_bits}", "--out", str(tmp_path / f"{bits}-{n_bits}.json")]
+             for bits, n_bits in _PROTOCOL_RUNS]
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _PROTOCOL_NUMPY],
+                          input="".join(json.dumps(argv) + "\n" for argv in argvs),
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    outcomes = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert outcomes == [[0, False]] * len(_PROTOCOL_RUNS)
+
+
 # every public name of photonlab 0.7.0, whose __init__ imported them all
 NAMES_0_7_0 = [
     "ALGEBRA_ATOL", "ALGORITHM_ID", "BasisOracle", "CascadeResult", "ChoiceStats",
@@ -812,7 +847,12 @@ REMOVED_IN_0_11_0 = {
     "optics": ["PhotonRecord", "transmit_photon_mc"],
     "protocol": ["PhotonStream", "encode", "receive"],
 }
-REMOVED = REMOVED_IN_0_8_0 + REMOVED_IN_0_10_0 + sum(REMOVED_IN_0_11_0.values(), [])
+# removed on purpose: since 0.13.0 the null's quantile and p-value come from a
+# walk out from its mean (stats.permutation_null_quantile), with no array of
+# the null's values and probabilities
+REMOVED_IN_0_13_0 = {"stats": ["null_quantile", "permutation_null_mis"]}
+REMOVED = (REMOVED_IN_0_8_0 + REMOVED_IN_0_10_0 + sum(REMOVED_IN_0_11_0.values(), [])
+           + sum(REMOVED_IN_0_13_0.values(), []))
 
 
 def test_every_0_7_0_name_still_resolves():
@@ -823,7 +863,7 @@ def test_every_0_7_0_name_still_resolves():
         assert not hasattr(photonlab, name) and name not in photonlab.__all__
         with pytest.raises(AttributeError):
             getattr(cli, name)
-    for module, names in REMOVED_IN_0_11_0.items():
+    for module, names in [*REMOVED_IN_0_11_0.items(), *REMOVED_IN_0_13_0.items()]:
         for name in names:
             assert not hasattr(getattr(photonlab, module), name), (module, name)
 

@@ -3,10 +3,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from photonlab.core import ket_from_angle
-from photonlab import optics
+import photonlab.draw
+from photonlab.core import canonical_angle, ket_from_angle, sample_counts
 from photonlab.optics import (
+    SOURCE_KINDS,
     CascadeResult,
     LightBeam,
     Polarizer,
@@ -117,17 +119,19 @@ def test_cascade_mc_worker_counts_stay_consistent():
 
 def test_cascade_mc_work_does_not_grow_with_workers(monkeypatch):
     streams = []
+    stream_key = photonlab.draw.stream_key
 
-    def counting_stream_from_seed(*key):
+    def counting_stream_key(*key):
         streams.append(key)
-        return stream_from_seed(*key)
+        return stream_key(*key)
 
     def no_thread(self):
         raise AssertionError("cascade_mc must not start a thread")
 
     axes = [90 * DEG, 45 * DEG, 0.0]
     one = cascade_mc(1000, axes, seed=9, workers=1)
-    monkeypatch.setattr(optics, "stream_from_seed", counting_stream_from_seed)
+    # cascade_mc keys its stream with draw.stream_key when it runs
+    monkeypatch.setattr(photonlab.draw, "stream_key", counting_stream_key)
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     many = cascade_mc(1000, axes, seed=9, workers=100_000)
     assert many.per_stage_counts == one.per_stage_counts
@@ -185,6 +189,52 @@ def test_cascade_mc_natural_source_passes_half_at_the_first_stage():
     first = int(stream.binomial(n, 0.5))
     second = int(stream.binomial(first, math.cos(axes[1] - axes[0]) ** 2))
     assert result.per_stage_counts == (first, second)
+
+
+def cascade_mc_0_12_0(n, axes, source, source_angle, seed):
+    """photonlab 0.12.0's cascade: one core.sample_counts call per stage."""
+    p_first = 0.5 if source == "natural" else math.cos(axes[0] - canonical_angle(source_angle)) ** 2
+    p_pass = [p_first] + [math.cos(b - a) ** 2 for a, b in zip(axes, axes[1:])]
+    stream = stream_from_seed(seed, 0)
+    counts, alive = [], n
+    for p in p_pass:
+        alive = int(sample_counts((p, 1.0 - p), alive, stream)[0])
+        counts.append(alive)
+    return tuple(counts)
+
+
+# near-parallel and crossed axes put pass probabilities at the snap edges
+_axes = st.lists(st.floats(-4.0, 4.0) | st.sampled_from([0.0, 1e-9, 90 * DEG, 90 * DEG + 1e-9]),
+                 min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**32), _axes, st.sampled_from(SOURCE_KINDS), st.floats(-4.0, 4.0),
+       st.integers(0, 2**64 - 1))
+def test_cascade_mc_draws_what_sample_counts_drew(n, axes, source, source_angle, seed):
+    result = cascade_mc(n, axes, source=source, source_angle=source_angle, seed=seed)
+    assert result.per_stage_counts == cascade_mc_0_12_0(n, axes, source, source_angle, seed)
+
+
+def test_a_certain_stage_makes_no_draw(monkeypatch):
+    draws = []
+    block = photonlab.draw.philox_block
+
+    def recording(key, counter):
+        if counter[0] == 0:  # round 0 of each draw
+            draws.append(counter[1])
+        return block(key, counter)
+
+    monkeypatch.setattr(photonlab.draw, "philox_block", recording)
+    # natural light passes half the first stage; the crossed second stage
+    # passes none, and nothing is left to draw for after it
+    result = cascade_mc(10**6, [0.0, 90 * DEG] * 500, seed=4)
+    assert result.per_stage_counts[1:] == (0,) * 999
+    assert draws == [0]
+    # an aligned stage passes every survivor without a draw
+    draws.clear()
+    result = cascade_mc(10**6, [0.3] * 1000, source="linear", source_angle=0.3, seed=4)
+    assert result.per_stage_counts == (10**6,) * 1000 and draws == []
 
 
 def test_cascade_mc_validation():

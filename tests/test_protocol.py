@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from photonlab import protocol
+from photonlab import draw, protocol
 from photonlab.cli import MAX_PAIRS_PER_BIT, MAX_STRATEGY_NESTING, MAX_TRIALS
 from photonlab.core import MeasurementBasis, states_equal
 from photonlab.entangle import conditional_state, joint_probability_array, make_pair
@@ -224,7 +224,7 @@ def test_balanced_bits_hold_half_ones_in_every_block(monkeypatch, n_bits):
     tables = []
 
     def spy(table):
-        tables.append(table.tolist())
+        tables.append(list(table))
         return mutual_information(table)
 
     monkeypatch.setattr(protocol, "mutual_information", spy)
@@ -274,7 +274,7 @@ def test_encodings_of_zero_and_one_are_indistinguishable(rule, theta):
     for v in (0, 1):
         bob = joint_probability_array(make_pair(), rule.basis_for(v), basis.theta)[0].sum(axis=0)
         assert np.abs(bob - table[v]).max() <= 1e-12
-    assert np.abs(table[1] - table[0]).max() <= 1e-12
+    assert np.abs(np.subtract(table[1], table[0])).max() <= 1e-12
 
 
 def test_no_information_even_at_a_million_bits():
@@ -412,13 +412,14 @@ def test_2_32_bits_run_in_under_a_second(strategy):
 
 def test_balanced_runs_create_no_stream_and_iid_runs_one(monkeypatch):
     created = []
-    original = protocol.stream_from_seed
+    original = draw.stream_key
 
     def recording(seed, index):
         created.append((seed, index))
         return original(seed, index)
 
-    monkeypatch.setattr(protocol, "stream_from_seed", recording)
+    # an iid run keys its stream with draw.stream_key when it draws
+    monkeypatch.setattr(draw, "stream_key", recording)
     for strategy in (*standard_strategies(), BasisOracle()):
         run_protocol(1000, strategy=strategy, seed=33, bit_source="balanced")
         assert created == []

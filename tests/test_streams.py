@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonlab import cli, rng
+from photonlab import cli, draw, rng
 from photonlab.cli import main as cli_main
 from photonlab.entangle import correlation
 from photonlab.mzi import MziConfig, run_mzi
@@ -63,17 +63,25 @@ INDICES_0_9_0 = {
 
 def _keyed_streams(monkeypatch, tmp_path, experiment) -> list:
     """The (seed, index) of every stream a run keys, in order: rng.stream_keys
-    makes the key of each RngStream and of each slice of a sweep's points."""
+    makes the key of each RngStream and of each slice of a sweep's points,
+    and draw.stream_key the key of each stream drawn one count at a time (the
+    protocol's bits, a Monte Carlo cascade)."""
     keyed = []
-    make_keys = rng.stream_keys
+    make_keys, make_key = rng.stream_keys, draw.stream_key
 
     def recording_stream_keys(seed, indices):
         key = make_keys(seed, indices)
         keyed.extend(zip(key[0].tolist(), key[1].tolist()))
         return key
 
-    # core's draws import stream_keys from rng when they run
+    def recording_stream_key(seed, index):
+        key = make_key(seed, index)
+        keyed.append(key)
+        return key
+
+    # the draws look both up in their modules when they run
     monkeypatch.setattr(rng, "stream_keys", recording_stream_keys)
+    monkeypatch.setattr(draw, "stream_key", recording_stream_key)
     argv = [experiment, "--seed", "5", "--out", str(tmp_path / "r.json")] + RUNS[experiment]
     assert cli_main(argv) == 0
     return keyed
