@@ -8,7 +8,7 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 # public names by the module that defines them
 _EXPORTS = {

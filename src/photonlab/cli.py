@@ -455,14 +455,32 @@ def _run_entropy(params, seed):
     return {"rows": rows}, rows, {"max_after_bits": float(after.max())}
 
 
-def _run_bell(params, seed):
-    grid = _grid_from_sweep(params["sweep"])
+def _radians(degrees: list):
+    """The angles in radians: a list of floats for a sweep small enough to be
+    drawn row by row (scalars.point_list), else an array."""
+    from .scalars import point_list
+
+    if point_list(degrees) is not None:
+        return [math.radians(d) for d in degrees]
     import numpy as np
 
-    chsh, correlation_array = _library("chsh", "correlation_array")
+    return np.radians(degrees)
+
+
+def _fractions(counts, n: int):
+    """counts / n, for a list of counts or an array of them."""
+    return [c / n for c in counts] if isinstance(counts, list) else counts / n
+
+
+def _run_bell(params, seed):
+    grid = _grid_from_sweep(params["sweep"])
+    # the sweep's columns, lists or arrays as the sweep's size has them drawn
+    from .entangle import _correlation_columns
+
+    (chsh,) = _library("chsh")
     # sweep point i draws from stream i, the CHSH settings from the next four
-    e_values, std_errs = correlation_array(np.radians(grid), 0.0, params["n_per_point"],
-                                           seed=seed, stream_base=0)
+    e_values, std_errs = _correlation_columns(_radians(grid), 0.0, params["n_per_point"],
+                                              seed=seed, stream_base=0)
     rows = Table(delta_deg=grid, e_value=e_values, std_err=std_errs)
     settings = tuple(math.radians(a) for a in params["chsh_angles_deg"])
     s_value = chsh(
@@ -547,19 +565,19 @@ def _run_protocol(params, seed):
 
 
 def _run_mzi(params, seed):
-    import numpy as np
+    # the fringe's counts, a list or an array as the sweep's size has them drawn
+    from .mzi import _d0_counts
 
-    MziConfig, choice_timing_invariance, fringe_counts = _library(
-        "MziConfig", "choice_timing_invariance", "fringe_counts")
-    phases_deg = np.array(params["phases_deg"], dtype=np.float64)
+    MziConfig, choice_timing_invariance = _library("MziConfig", "choice_timing_invariance")
+    phases_deg = [float(d) for d in params["phases_deg"]]
+    phases = _radians(phases_deg)
     n = params["n_per_phase"]
     # phase i draws from stream 4i closed and 4i + 2 open; the timing
     # comparison takes the three streams after the last phase's
-    closed, opened = (fringe_counts(np.radians(phases_deg), second_bs, n, seed=seed,
-                                    mode=params["mode"], stream_base=base, stream_step=4)
+    closed, opened = (_d0_counts(phases, second_bs, n, seed, params["mode"], base, 4)
                       for second_bs, base in ((True, 0), (False, 2)))
-    rows = Table(phase_deg=phases_deg, closed_fraction_d0=closed / n,
-                 open_fraction_d0=opened / n)
+    rows = Table(phase_deg=phases_deg, closed_fraction_d0=_fractions(closed, n),
+                 open_fraction_d0=_fractions(opened, n))
     timing_payload = None
     if params["timing"] is not None:
         timing = params["timing"]

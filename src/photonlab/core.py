@@ -25,6 +25,7 @@ from .scalars import (
     SLICE_POINTS,
     WORDS_ID,
     MeasurementBasis,
+    _coerce_basis,
     canonical_angle,
     snap_probability,
 )
@@ -163,10 +164,6 @@ def _basis_eigenvector(theta: float, outcome: int) -> StateVector:
     return StateVector._of_unit(_eigenvectors(np.array([theta]), outcome)[0])
 
 
-def _coerce_basis(basis) -> MeasurementBasis:
-    return basis if isinstance(basis, MeasurementBasis) else MeasurementBasis(basis)
-
-
 def ket_from_angle(theta: float) -> StateVector:
     """Linear polarization state (cos theta, sin theta)."""
     theta = float(theta)
@@ -211,18 +208,20 @@ def sample_counts(probs, n: int, rng: RngStream) -> np.ndarray:
     snapped-to-zero outcome gets exactly 0. The tail sum, not 1 minus the
     head, keeps the conditional probability accurate when the tail is small.
     An outcome of probability 0 and an empty remainder draw nothing, so a
-    certain outcome gets all n draws without touching the stream.
+    certain outcome gets all n draws without touching the stream. The chain
+    is draw.counts, numbered on from the stream's draws.
     """
-    p, trials = _count_inputs(np.asarray(probs, dtype=np.float64)[None], n)
-    counts, drawn = _chain_counts(p, trials, rng.key, np.uint64(rng.draws))
-    rng.draws += int(drawn[0])
-    return counts[0]
+    from .draw import counts
+
+    row, drawn = counts(probs, n, (rng.seed, rng.stream_index), rng.draws)
+    rng.draws += drawn
+    return np.array(row, dtype=np.int64)
 
 
 def sample_count_array(probs, n, seed: int, indices) -> np.ndarray:
     """sample_counts of each row of a (P, K) array of outcome probabilities:
     row i draws n trials (or n[i], for an array n) from the stream (seed,
-    indices[i]), as sample_counts(row, n, stream_from_seed(seed, indices[i]))
+    indices[i]), as draw.counts(row, n, draw.stream_key(seed, indices[i]), 0)
     does, and the result is the (P, K) int64 counts. indices is a range or a
     sequence of P stream indices.
 

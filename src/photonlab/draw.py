@@ -1,13 +1,15 @@
 """One binomial count at a time, over Python ints and floats, without numpy.
 
-A protocol run draws one count and a Monte Carlo cascade one per stage, so
-they draw here instead of through rng's arrays: philox_block computes a
-Philox-4x64-10 block over Python ints, and binomial runs the inversion and
-BTRD steps of rng.binomial_array on it for one point. Its contract is
-equality: binomial(n, p, stream_key(seed, index), draw) is the count
-rng.binomial_array gives for the same (seed, index, draw, n, p), since it
-reads the same words (counter (round, draw, 0, 1)) and takes the same IEEE
-steps in the same order.
+A protocol run draws one count, a Monte Carlo cascade one per stage and a
+sweep of at most SCALAR_ROWS points one outcome chain per point, so they draw
+here instead of through rng's arrays: philox_block computes a Philox-4x64-10
+block over Python ints, and binomial runs the inversion and BTRD steps of
+rng.binomial_array on it for one point. Its contract is equality:
+binomial(n, p, stream_key(seed, index), draw) is the count rng.binomial_array
+gives for the same (seed, index, draw, n, p), since it reads the same words
+(counter (round, draw, 0, 1)) and takes the same IEEE steps in the same order.
+counts is core._chain_counts for one row on top of it, so its counts are
+core.sample_count_array's.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .scalars import (
     PHILOX_ROUNDS,
     STIRLING_TAIL,
     check_u64,
+    snap_probability,
 )
 
 _MASK_U64 = 2**64 - 1
@@ -200,3 +203,43 @@ def binomial(n: int, p: float, key: tuple[int, int], draw: int) -> int:
     # rounding beyond 2^53 trials could put k past n
     count = min(int(k), n)
     return n - count if flip else count
+
+
+def counts(probs, n: int, key: tuple[int, int], first_draw: int) -> tuple[list[int], int]:
+    """Outcome counts of n Born draws from one distribution over len(probs)
+    outcomes, from the stream key, its binomial draws numbered on from
+    first_draw: (the counts, the number of draws made).
+
+    This is one row of core._chain_counts in Python floats. The probabilities
+    are snapped; outcome k then gets binomial(left, min(1, p_k / (p_k + ... +
+    p_last))) of the n - (counts so far) trials left, the tail summed left to
+    right. An outcome of probability 0 gets none and a certain one all that
+    are left, and neither, nor an empty remainder, draws; the last outcome
+    takes what is left.
+    """
+    p = [snap_probability(x) for x in probs]
+    if not 0 <= n <= MAX_BINOMIAL_TRIALS:
+        raise ValueError(f"n must be in [0, 2^62], got {n}")
+    if not any(x > 0.0 for x in p):
+        raise ValueError("a row needs an outcome of nonzero probability")
+    out = []
+    left = n
+    drawn = 0
+    for k in range(len(p) - 1):
+        q = 0.0
+        if p[k] > 0.0:
+            tail = p[k]
+            for x in p[k + 1:]:
+                tail += x
+            q = min(1.0, p[k] / tail)
+        if q == 1.0:
+            take = left
+        elif left and q > 0.0:
+            take = binomial(left, q, key, first_draw + drawn)
+            drawn += 1
+        else:
+            take = 0
+        out.append(take)
+        left -= take
+    out.append(left)
+    return out, drawn

@@ -2,68 +2,70 @@
 
 The model is the minimal two-mode one: a balanced beamsplitter, a phase shift
 on one arm, and an optional second beamsplitter. With the second beamsplitter
-in place the detectors see the interference fringe cos^2(phi/2); without it
-they see the arms directly, flat at 1/2. The delayed-random policy decides
-presence or absence of the second beamsplitter per photon, after the arm
-superposition is formed in the simulated event sequence; the testable content
-is that per-choice conditional statistics match the fixed configurations.
+in place the detectors see the interference fringe (1 + cos phi)/2 =
+cos^2(phi/2); without it they see the arms directly, flat at exactly 1/2. The
+delayed-random policy decides presence or absence of the second beamsplitter
+per photon, after the arm superposition is formed in the simulated event
+sequence; the testable content is that per-choice conditional statistics match
+the fixed configurations.
+
+The detector probabilities are those closed forms, evaluated with math for one
+phase and with numpy for arrays by the same IEEE steps, so the two agree bit
+for bit and a phase's counts do not depend on which path drew them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy and core load only for a sweep of more than SCALAR_ROWS phases
+from .scalars import point_list, snap_probability
 
-from .core import point_slices, sample_count_array, sample_counts, snap_probability_array
-from .rng import stream_from_seed
-
-_BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+if TYPE_CHECKING:
+    import numpy as np
 
 CHOICE_POLICIES = ("fixed", "delayed-random")
 
 
-# the state after the first beamsplitter, before the phase shift
-_SPLIT = _BEAMSPLITTER @ np.array([1.0, 0.0], dtype=np.complex128)
+def _check_phase(phase) -> float:
+    if not (isinstance(phase, (int, float)) and math.isfinite(phase)):
+        raise ValueError(f"phase must be finite, got {phase!r}")
+    return float(phase)
+
+
+def _d0_probability(phase: float, second_bs: bool) -> float:
+    """P(D0) at one phase: (1 + cos phase)/2, snapped, with the second
+    beamsplitter, and exactly 1/2 without it."""
+    return snap_probability((1.0 + math.cos(phase)) / 2.0) if second_bs else 0.5
 
 
 def detector_probabilities(phase: float, second_bs: bool) -> tuple[float, float]:
-    """Detection probabilities (D0, D1) from the two-mode amplitude algebra.
+    """Detection probabilities (D0, D1) from their closed forms.
 
     D1 is computed as the exact complement so the pair always sums to 1.
     """
-    if not (isinstance(phase, (int, float)) and math.isfinite(phase)):
-        raise ValueError(f"phase must be finite, got {phase!r}")
-    p0, p1 = detector_probability_array(np.array([float(phase)]), second_bs)[0].tolist()
-    return p0, p1
+    p0 = _d0_probability(_check_phase(phase), second_bs)
+    return p0, 1.0 - p0
 
 
 def detector_probability_array(phases, second_bs: bool) -> np.ndarray:
-    """(P, 2) rows of detector_probabilities, one per phase (radians).
+    """(P, 2) rows of detector_probabilities, one per phase (radians), with
+    numpy's cos in place of math's: the same IEEE steps, so each row equals
+    detector_probabilities of its phase bit for bit."""
+    import numpy as np
 
-    Each point takes the operations photonlab 0.9.0 took for one phase: the
-    phase factor times the split state, then, with the second beamsplitter,
-    a stacked matrix-vector product, the BLAS call of _BEAMSPLITTER @ psi.
-    |psi_0| is squared with libm pow, as 0.9.0 squared a numpy scalar;
-    x * x differs from it in the last bit for about one phase in 600, which
-    would move a Monte Carlo count.
-    """
+    from .core import snap_probability_array
+
     phases = np.asarray(phases, dtype=np.float64).reshape(-1)
     if not np.isfinite(phases).all():
         raise ValueError(f"phase must be finite, got {float(phases[~np.isfinite(phases)][0])!r}")
-    probs = np.empty(phases.shape + (2,))
-    for rows in point_slices(phases.shape[0]):
-        psi = np.empty(phases[rows].shape + (2,), dtype=np.complex128)
-        psi[:, 0] = _SPLIT[0] * np.exp(1j * phases[rows])
-        psi[:, 1] = _SPLIT[1]
-        if second_bs:
-            psi = (_BEAMSPLITTER @ psi[:, :, None])[:, :, 0]
-        magnitude = np.abs(psi[:, 0]).tolist()
-        p0 = snap_probability_array([x ** 2 for x in magnitude])
-        probs[rows, 0] = p0
-        probs[rows, 1] = 1.0 - p0
-    return probs
+    if second_bs:
+        p0 = snap_probability_array((1.0 + np.cos(phases)) / 2.0)
+    else:
+        p0 = np.full(phases.shape, 0.5)
+    return np.stack([p0, 1.0 - p0], axis=1)
 
 
 class MziConfig(namedtuple("MziConfig", "phase second_bs choice_policy p_present")):
@@ -73,15 +75,14 @@ class MziConfig(namedtuple("MziConfig", "phase second_bs choice_policy p_present
 
     def __new__(cls, phase: float, second_bs: bool = True, choice_policy: str = "fixed",
                 p_present: float = 0.5):
-        if not (isinstance(phase, (int, float)) and math.isfinite(phase)):
-            raise ValueError(f"phase must be finite, got {phase!r}")
+        phase = _check_phase(phase)
         if choice_policy not in CHOICE_POLICIES:
             raise ValueError(
                 f"choice_policy must be one of {CHOICE_POLICIES}, got {choice_policy!r}"
             )
         if not 0.0 <= p_present <= 1.0:
             raise ValueError(f"p_present must be in [0, 1], got {p_present!r}")
-        return tuple.__new__(cls, (float(phase), second_bs, choice_policy, float(p_present)))
+        return tuple.__new__(cls, (phase, second_bs, choice_policy, float(p_present)))
 
 
 class ChoiceStats(namedtuple("ChoiceStats", "n count_d0 count_d1")):
@@ -113,15 +114,16 @@ def run_mzi(
 
     Analytic mode (fixed policy only) reports deterministic expected counts,
     count_d0 = round(n * P(D0)). Monte Carlo mode draws counts with
-    core.sample_counts, never one draw per photon. A fixed run draws its D0
-    count from stream_from_seed(seed, stream_base). A delayed-random run
-    first draws how many of the photons find the second beamsplitter present
-    from the separate stream stream_base + 1, then the D0 counts of the
-    present and of the absent photons, in that order, from the detection
-    stream. An empty branch draws nothing, so a degenerate policy (p_present
-    0 or 1) reproduces the corresponding fixed run exactly. The choice is
-    applied only at the second beamsplitter, never to the arm superposition,
-    which is the delayed-choice ordering.
+    draw.counts, never one draw per photon. A fixed run draws its D0 count
+    from the stream (seed, stream_base). A delayed-random run first draws how
+    many of the photons find the second beamsplitter present from the
+    separate stream (seed, stream_base + 1), then the D0 counts of the present
+    and of the absent photons, in that order, from the detection stream, the
+    absent count's draws numbered on after the present count's. An empty
+    branch draws nothing, so a degenerate policy (p_present 0 or 1) reproduces
+    the corresponding fixed run exactly. The choice is applied only at the
+    second beamsplitter, never to the arm superposition, which is the
+    delayed-choice ordering.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -131,17 +133,18 @@ def run_mzi(
     if mode == "analytic" and delayed:
         raise ValueError("analytic mode supports fixed configurations only")
     if not delayed:
-        count_d0 = int(fringe_counts([config.phase], config.second_bs, n, seed=seed, mode=mode,
-                                     stream_base=stream_base)[0])
+        count_d0 = _d0_counts([config.phase], config.second_bs, n, seed, mode, stream_base, 1)[0]
         return MziStats(n=n, count_d0=count_d0, count_d1=n - count_d0)
-    detect = stream_from_seed(seed, stream_base)
+    from . import draw
+
+    detect = draw.stream_key(seed, stream_base)
     p = config.p_present
-    n_present = int(sample_counts((p, 1.0 - p), n, stream_from_seed(seed, stream_base + 1))[0])
+    (n_present, _), _ = draw.counts((p, 1.0 - p), n, draw.stream_key(seed, stream_base + 1), 0)
     n_absent = n - n_present
-    d0_present = int(sample_counts(detector_probabilities(config.phase, True), n_present,
-                                   detect)[0])
-    d0_absent = int(sample_counts(detector_probabilities(config.phase, False), n_absent,
-                                  detect)[0])
+    (d0_present, _), drawn = draw.counts(detector_probabilities(config.phase, True), n_present,
+                                         detect, 0)
+    (d0_absent, _), _ = draw.counts(detector_probabilities(config.phase, False), n_absent,
+                                    detect, drawn)
     by_choice = {
         "present": ChoiceStats(n=n_present, count_d0=d0_present, count_d1=n_present - d0_present),
         "absent": ChoiceStats(n=n_absent, count_d0=d0_absent, count_d1=n_absent - d0_absent),
@@ -164,16 +167,40 @@ def fringe_counts(
     stream_step * i), exactly as run_mzi(MziConfig(phase, second_bs), n, seed,
     mode, stream_base=stream_base + stream_step * i) does.
     """
+    import numpy as np
+
+    return np.asarray(_d0_counts(phases, second_bs, n, seed, mode, stream_base, stream_step),
+                      dtype=np.int64)
+
+
+def _d0_counts(phases, second_bs, n, seed, mode, stream_base, stream_step):
+    """The D0 counts of fringe_counts: for at most SCALAR_ROWS phases a list
+    of ints, from math's closed form and one draw.counts chain per phase; for
+    more an int64 array, from numpy's and core.sample_count_array. The two
+    paths give the same counts."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if mode not in ("mc", "analytic"):
         raise ValueError(f"mode must be 'mc' or 'analytic', got {mode!r}")
-    probs = detector_probability_array(phases, second_bs)
+    points = point_list(phases)
+    if points is None:
+        import numpy as np
+
+        from .core import sample_count_array
+
+        probs = detector_probability_array(phases, second_bs)
+        if mode == "analytic":
+            # round half to even, as Python's round does
+            return np.rint(n * probs[:, 0]).astype(np.int64)
+        indices = range(stream_base, stream_base + stream_step * probs.shape[0], stream_step)
+        return sample_count_array(probs, n, seed, indices)[:, 0]
+    p0 = [_d0_probability(_check_phase(phase), second_bs) for phase in points]
     if mode == "analytic":
-        # round half to even, as Python's round does
-        return np.rint(n * probs[:, 0]).astype(np.int64)
-    indices = range(stream_base, stream_base + stream_step * probs.shape[0], stream_step)
-    return sample_count_array(probs, n, seed, indices)[:, 0]
+        return [round(n * p) for p in p0]
+    from . import draw
+
+    return [draw.counts((p, 1.0 - p), n, draw.stream_key(seed, stream_base + stream_step * i),
+                        0)[0][0] for i, p in enumerate(p0)]
 
 
 def _two_proportion_z(x1: int, n1: int, x2: int, n2: int) -> float:

@@ -12,20 +12,16 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy and core load with the first analytic call, so a Monte Carlo cascade,
+# which draws each stage's count with draw, imports neither
+from .scalars import MeasurementBasis, canonical_angle
 
-from .core import (
-    DensityOperator,
-    MeasurementBasis,
-    _eigenvectors,
-    _expectation,
-    canonical_angle,
-    canonical_angle_array,
-    ket_from_angle,
-    point_slices,
-    snap_probability,
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core import DensityOperator
 
 SOURCE_KINDS = ("natural", "linear")
 
@@ -75,16 +71,20 @@ class CascadeResult(namedtuple("CascadeResult", "axes per_stage_intensity per_st
     def final_intensity(self) -> float | np.ndarray:
         """Intensity after the last stage: one float, or one per cascade of a batch."""
         fractions = self.fractions()
-        return fractions[:, -1] if isinstance(fractions, np.ndarray) else fractions[-1]
+        return fractions[-1] if isinstance(fractions, tuple) else fractions[:, -1]
 
 
 def natural_light() -> LightBeam:
     """Unpolarized unit-intensity source: rho = identity/2."""
+    from .core import DensityOperator
+
     return LightBeam(rho=DensityOperator.maximally_mixed(2), intensity=1.0)
 
 
 def linear_light(theta: float, intensity: float = 1.0) -> LightBeam:
     """Fully polarized beam at the given angle."""
+    from .core import DensityOperator, ket_from_angle
+
     return LightBeam(rho=DensityOperator.from_pure(ket_from_angle(theta)), intensity=intensity)
 
 
@@ -93,6 +93,8 @@ def _transmit(rho: np.ndarray, intensity, theta: np.ndarray):
     |theta><theta|) per point, for canonical axis angles theta and a (P, 2, 2)
     stack (or one 2x2 operator) rho. The transmitted beam is pure along the
     axis regardless of its input."""
+    from .core import _eigenvectors, _expectation
+
     v = _eigenvectors(theta, 0)
     return intensity * _expectation(rho, v), v[:, :, None] * v.conj()[:, None, :]
 
@@ -102,6 +104,10 @@ def transmit_analytic(beam: LightBeam, p: Polarizer) -> LightBeam:
 
     The transmitted beam is pure along the polarizer axis regardless of input.
     """
+    import numpy as np
+
+    from .core import DensityOperator
+
     intensity, rho = _transmit(beam.rho.matrix, beam.intensity, np.array([p.axis.theta]))
     return LightBeam(rho=DensityOperator(rho[0]), intensity=float(intensity[0]))
 
@@ -125,6 +131,10 @@ def cascade_analytic(beam: LightBeam, axes) -> CascadeResult:
     over up to SLICE_POINTS cascades at a time. A cascade's intensities do not
     depend on which others share its call.
     """
+    import numpy as np
+
+    from .core import canonical_angle_array, point_slices
+
     grid = np.asarray(axes, dtype=np.float64)
     single = grid.ndim == 1
     if single:
@@ -159,12 +169,10 @@ def cascade_mc(
     probability 1/2 for the natural source (a uniformly random linear
     polarization, averaged) and cos^2(axis - source_angle) for the linear one;
     stage i > 0 passes with cos^2(axis_i - axis_{i-1}). So each stage count is
-    at most one binomial draw over the previous stage's survivors, never a
-    draw per photon: the draw core.sample_counts((p, 1 - p), survivors,
-    stream) makes, numbered on in stage order on the stream (seed, 0), made
-    here one count at a time with draw.binomial. A stage whose count is
-    certain (no survivor left, or a snapped pass probability of 0 or 1)
-    makes no draw.
+    one two-outcome draw.counts chain over (pass, absorb) and the previous
+    stage's survivors, never a draw per photon, its binomial draws numbered on
+    in stage order on the stream (seed, 0). A stage whose count is certain
+    (no survivor left, or a snapped pass probability of 0 or 1) makes no draw.
 
     workers is accepted and ignored: since 0.8.0 a run is a handful of draws
     on one thread, and callers written for earlier versions still pass it.
@@ -182,22 +190,13 @@ def cascade_mc(
     # loaded here, so an analytic run never imports it
     from . import draw
 
-    if n_photons > draw.MAX_BINOMIAL_TRIALS:
-        raise ValueError(f"n must be at most 2^62, got {n_photons}")
     key = draw.stream_key(seed, 0)
     draws = 0
     counts = []
     alive = n_photons
     for p in p_pass:
-        # sample_counts' chain over (p, 1 - p): snapped, then p / (p + (1 - p))
-        # capped at 1, 0 where the snapped pass probability is 0
-        passed, absorbed = snap_probability(p), snap_probability(1.0 - p)
-        q = min(1.0, passed / (passed + absorbed)) if passed > 0.0 else 0.0
-        if q == 0.0:
-            alive = 0
-        elif alive and q < 1.0:
-            alive = draw.binomial(alive, q, key, draws)
-            draws += 1
+        (alive, _), made = draw.counts((p, 1.0 - p), alive, key, draws)
+        draws += made
         counts.append(alive)
     return CascadeResult(
         axes=axes,

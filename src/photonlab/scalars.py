@@ -25,6 +25,14 @@ PROB_SNAP = 1e-15
 # so the count chain holds no more rows at once than the sampler draws for.
 SLICE_POINTS = 2**14
 
+# A Monte Carlo sweep of at most this many points computes its probabilities
+# with math and draws its counts row by row with draw.counts, without numpy;
+# a larger one computes and draws them as arrays. Both give the same counts.
+# A four-outcome row costs about 40 us in Python floats, and the arrays about
+# 2 ms plus 3 us a row once numpy is loaded, so the two break even near here
+# even before the row path's saving of numpy's import (~0.15 s).
+SCALAR_ROWS = 64
+
 # the uniform words, numpy's Philox-4x64 sequence (rng); a result that draws
 # no count depends on nothing else and keeps the name of 0.9
 WORDS_ID = "numpy-philox-4x64"
@@ -58,6 +66,23 @@ def check_u64(value, name: str) -> int:
     if not 0 <= value < 2**64:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
     return value
+
+
+def point_list(values):
+    """values (one number, a sequence of numbers, or an array) as a flat list
+    of floats when it holds at most SCALAR_ROWS numbers, else None: the
+    points a sweep draws row by row."""
+    if isinstance(values, (int, float)):
+        return [float(values)]
+    size = getattr(values, "size", None)  # an array, which has loaded numpy
+    if size is not None:
+        return [float(v) for v in values.reshape(-1).tolist()] if size <= SCALAR_ROWS else None
+    if len(values) > SCALAR_ROWS:
+        return None
+    try:
+        return [float(v) for v in values]
+    except TypeError:  # nested sequences, which the array path flattens
+        return None
 
 
 def canonical_angle(theta: float) -> float:
@@ -105,3 +130,8 @@ class MeasurementBasis(namedtuple("MeasurementBasis", "theta")):
         from .core import _basis_eigenvector
 
         return _basis_eigenvector(self.theta, outcome)
+
+
+def _coerce_basis(basis) -> MeasurementBasis:
+    """basis itself if it is a MeasurementBasis, else the basis at that angle."""
+    return basis if isinstance(basis, MeasurementBasis) else MeasurementBasis(basis)

@@ -600,17 +600,22 @@ print(json.dumps([at_import, loaded()]))
 
 
 # malus and entropy draw nothing by default, and protocol draws only with its
-# default iid bits, so the others leave rng unloaded; every run loads scalars,
-# and the protocol, which works on scalars alone, loads no core and draws its
-# one count with draw
+# default iid bits; every run loads scalars. A run that draws at most
+# SCALAR_ROWS points, a cascade and the protocol draw one count at a time with
+# draw, and bell, mzi, a Monte Carlo cascade and the protocol, which work on
+# scalars alone, load no core; only a sweep of more points loads core and rng
+# (the CHSH settings of a long bell sweep still draw with draw)
 @pytest.mark.parametrize("experiment, modules", [
     ("malus", ["core", "optics", "scalars"]),
     ("entropy", ["core", "entropy", "scalars"]),
-    ("bell", ["core", "entangle", "rng", "scalars"]),
-    ("nosignal", ["core", "entangle", "rng", "scalars", "stats"]),
+    ("bell", ["draw", "entangle", "scalars"]),
+    ("nosignal", ["core", "draw", "entangle", "scalars", "stats"]),
     ("protocol", ["draw", "protocol", "scalars", "stats"]),
-    ("mzi", ["core", "mzi", "rng", "scalars"]),
+    ("mzi", ["draw", "mzi", "scalars"]),
     ("protocol --set bit_source=balanced", ["protocol", "scalars", "stats"]),
+    ("malus --set mode=mc", ["draw", "optics", "scalars"]),
+    ("bell --set n_per_point=1000 --set sweep={\"start_deg\":0,\"stop_deg\":90,\"step_deg\":1}",
+     ["core", "draw", "entangle", "rng", "scalars"]),
 ])
 def test_a_run_imports_only_its_experiment(tmp_path, experiment, modules):
     stdout = _run_fresh(_LOADED, str(tmp_path / "r.json"), *experiment.split())
@@ -756,10 +761,10 @@ def test_a_run_in_the_same_harness_loads_numpy(tmp_path):
     assert "numpy" in loaded
 
 
-# protocol CLI runs in a fresh interpreter, one argv per line of stdin; prints,
-# for each, its exit code and whether numpy was loaded after it. It reads
+# CLI runs in a fresh interpreter, one argv per line of stdin; prints, for
+# each, its exit code and whether numpy was loaded after it. It reads
 # sys.modules, since -X importtime does not list a module importlib loads.
-_PROTOCOL_NUMPY = """
+_NUMPY_AFTER_RUNS = """
 import json, sys
 import photonlab.cli
 
@@ -781,12 +786,43 @@ def test_a_protocol_run_loads_no_numpy(tmp_path, strategy):
               "--set", f"n_bits={n_bits}", "--out", str(tmp_path / f"{bits}-{n_bits}.json")]
              for bits, n_bits in _PROTOCOL_RUNS]
     src = str(Path(cli.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", _PROTOCOL_NUMPY],
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_AFTER_RUNS],
                           input="".join(json.dumps(argv) + "\n" for argv in argvs),
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     outcomes = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
     assert outcomes == [[0, False]] * len(_PROTOCOL_RUNS)
+
+
+# the three steps of the mc-bulk benchmark at its full size and --workers 2
+MC_BULK = [
+    ["malus", "--set", "mode=mc", "--set", "n_photons=10000000",
+     "--set", "axes_deg=[90.0, 45.0, 0.0]", "--set", "source=natural"],
+    ["bell", "--set", 'sweep={"start_deg": 0.0, "stop_deg": 90.0, "step_deg": 5.0}',
+     "--set", "n_per_point=2000000", "--set", "chsh_angles_deg=[0.0, 45.0, 22.5, 67.5]",
+     "--set", "n_per_setting=4000000"],
+    ["mzi", "--set", f"phases_deg={[22.5 * k for k in range(16)]}", "--set", "mode=mc",
+     "--set", "n_per_phase=2000000",
+     "--set", 'timing={"phase_deg": 60.0, "p_present": 0.5, "n": 10000000}'],
+]
+
+
+# a Monte Carlo cascade draws one count a stage, and a bell or mzi sweep of
+# at most SCALAR_ROWS points one chain a point, all in Python floats
+def test_a_monte_carlo_run_of_few_points_loads_no_numpy(tmp_path):
+    argvs = [["malus", "--set", "mode=mc"], ["bell"], ["mzi"],
+             ["mzi", "--set", "mode=analytic"], ["malus", "--set", "mode=mc",
+                                                   "--set", "source=linear"]]
+    argvs += [[*argv, "--workers", "2", "--seed", str(seed)] for argv in MC_BULK
+              for seed in range(3)]
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_AFTER_RUNS],
+                          input="".join(json.dumps([*argv, "--out", str(tmp_path / f"{i}.json")])
+                                        + "\n" for i, argv in enumerate(argvs)),
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    outcomes = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert outcomes == [[0, False]] * len(argvs)
 
 
 # every public name of photonlab 0.7.0, whose __init__ imported them all
