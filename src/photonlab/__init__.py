@@ -8,7 +8,7 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 # public names by the module that defines them
 _EXPORTS = {
@@ -83,7 +83,8 @@ _EXPORTS = {
         "run_protocol",
         "standard_strategies",
     ),
-    "rng": ("RngStream", "stream_from_seed"),
+    # the module is public; the benchmark-only stream it keeps is not
+    "rng": (),
     # core re-exports these; they live where a run loads them without numpy
     "scalars": ("ALGORITHM_ID", "MeasurementBasis", "PROB_SNAP", "WORDS_ID", "canonical_angle"),
     "stats": (

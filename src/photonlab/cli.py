@@ -146,7 +146,7 @@ SPECS = {
         "timing": Field(
             "object",
             {"phase_deg": 60.0, "p_present": 0.5, "n": 200_000},
-            # the report compares the "present" branch, so it must occur
+            # the report compares the "present" branch, so it must be able to occur
             fields={"phase_deg": _NUMBER,
                     "p_present": Field("number", exclusive_minimum=0, maximum=1),
                     "n": Field("integer", minimum=1, maximum=MAX_TRIALS)},
@@ -594,11 +594,12 @@ def _run_mzi(params, seed):
             "phase_deg": float(timing["phase_deg"]),
             "choice": report.choice,
             "n_conditional": int(report.n_conditional),
-            "conditional_fraction_d0": float(report.conditional_fraction_d0),
+            # None when the draw left the branch empty, as no comparison was made
+            "conditional_fraction_d0": report.conditional_fraction_d0,
             "fixed_n": int(report.fixed_n),
             "fixed_fraction_d0": float(report.fixed_fraction_d0),
-            "z_value": float(report.z_value),
-            "within_4_sigma": bool(report.within_4_sigma),
+            "z_value": report.z_value,
+            "within_4_sigma": report.within_4_sigma,
         }
     payload = {"fringe_rows": rows, "timing": timing_payload}
     summary = {

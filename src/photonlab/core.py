@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,11 +28,6 @@ from .scalars import (
     canonical_angle,
     snap_probability,
 )
-
-# rng loads with a run's first draw, not with this module, so a run that draws
-# nothing never imports it
-if TYPE_CHECKING:
-    from .rng import RngStream
 
 # Algebraic identities hold to ALGEBRA_ATOL; precondition checks are looser.
 ALGEBRA_ATOL = 1e-12
@@ -196,40 +190,27 @@ def snap_probability_array(p) -> np.ndarray:
     return np.where(p <= PROB_SNAP, 0.0, np.where(p >= 1.0 - PROB_SNAP, 1.0, p))
 
 
-def sample_counts(probs, n: int, rng: RngStream) -> np.ndarray:
-    """Outcome counts (int64, one per outcome) of n Born draws from one
-    distribution over len(probs) outcomes, at the cost of at most one
-    binomial draw per outcome, whatever n.
+def sample_count_array(probs, n, seed: int, indices) -> np.ndarray:
+    """Outcome counts of Born draws from each row of a (P, K) array of
+    outcome probabilities: row i draws n trials (or n[i], for an array n)
+    from the stream (seed, indices[i]), as draw.counts(row, n,
+    draw.stream_key(seed, indices[i]), 0) does, and the result is the (P, K)
+    int64 counts. indices is a range of P stream indices.
 
-    The counts follow the multinomial law, drawn as a chain of conditional
-    binomials: outcome k gets rng.binomial(left, p_k / (p_k + ... + p_last))
-    of the draws not yet assigned, where p_last is the last outcome with
-    nonzero snapped probability; that outcome takes whatever is left, so a
-    snapped-to-zero outcome gets exactly 0. The tail sum, not 1 minus the
+    Each row's counts follow the multinomial law, drawn as a chain of
+    conditional binomials: outcome k gets Binomial(left, p_k / (p_k + ... +
+    p_last)) of the trials not yet assigned, where p_last is the last outcome
+    with nonzero snapped probability; that outcome takes whatever is left, so
+    a snapped-to-zero outcome gets exactly 0. The tail sum, not 1 minus the
     head, keeps the conditional probability accurate when the tail is small.
     An outcome of probability 0 and an empty remainder draw nothing, so a
-    certain outcome gets all n draws without touching the stream. The chain
-    is draw.counts, numbered on from the stream's draws.
-    """
-    from .draw import counts
+    certain outcome gets all n trials without a draw.
 
-    row, drawn = counts(probs, n, (rng.seed, rng.stream_index), rng.draws)
-    rng.draws += drawn
-    return np.array(row, dtype=np.int64)
-
-
-def sample_count_array(probs, n, seed: int, indices) -> np.ndarray:
-    """sample_counts of each row of a (P, K) array of outcome probabilities:
-    row i draws n trials (or n[i], for an array n) from the stream (seed,
-    indices[i]), as draw.counts(row, n, draw.stream_key(seed, indices[i]), 0)
-    does, and the result is the (P, K) int64 counts. indices is a range or a
-    sequence of P stream indices.
-
-    The chain that sample_counts describes runs as arrays, SLICE_POINTS rows
-    at a time: each outcome's binomial draws are one rng.binomial_array call
-    over the rows that draw it. Each tail sum is added left to right as
-    Python's sum adds a row, and each row keeps its own key, so a row's
-    counts do not depend on the other rows.
+    The chain runs as arrays, SLICE_POINTS rows at a time: each outcome's
+    binomial draws are one rng.binomial_array call over the rows that draw
+    it. Each tail sum is added left to right as Python's sum adds a row, and
+    each row keeps its own key, so a row's counts do not depend on the other
+    rows.
     """
     from .rng import stream_keys
 
@@ -262,7 +243,7 @@ def _count_inputs(probs, n) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chain_counts(p, trials, key, first_draw) -> tuple[np.ndarray, np.ndarray]:
-    """The chain of sample_counts over P rows at once: row i draws from the
+    """The chain of sample_count_array over P rows at once: row i draws from the
     stream key[:, i], each row's binomial draws numbered on from first_draw.
     Returns the (P, K) counts and the number of draws each row made."""
     from .rng import binomial_array

@@ -10,8 +10,10 @@ The singlet's counts are drawn from the closed form of its joint law: with
 delta the difference of the canonical angles, each equal outcome has
 probability sin^2(delta)/2 and each different one cos^2(delta)/2. It is
 evaluated with math for one point and with numpy for arrays by the same IEEE
-steps, so the two agree bit for bit. A caller-given pair is drawn from the
-amplitude algebra of joint_probability_array.
+steps, so the two agree bit for bit. Every sampled count comes from it; the
+amplitude algebra of a PairState serves the analytic functions
+(joint_probabilities, conditional_state, bob_reduced_state and
+no_signaling_check).
 """
 
 from __future__ import annotations
@@ -169,19 +171,19 @@ def _angle_rows(thetas_a, thetas_b):
     return [(canonical_angle(a), canonical_angle(b)) for a, b in zip(side_a, side_b)]
 
 
-def _joint_counts(thetas_a, thetas_b, n, seed, pair, stream_base):
-    """Counts of the joint outcomes (00, 01, 10, 11) over n sampled pairs at
-    each pair of angles, point i drawing on stream (seed, stream_base + i).
+def _joint_counts(thetas_a, thetas_b, n, seed, stream_base):
+    """Counts of the singlet's joint outcomes (00, 01, 10, 11) over n sampled
+    pairs at each pair of angles, point i drawing on stream (seed,
+    stream_base + i).
 
-    The singlet at no more than SCALAR_ROWS points gives a list of 4-lists:
-    each point's closed form in math and one draw.counts chain. Otherwise the
-    result is a (P, 4) int64 array from core.sample_count_array, over the
-    singlet's closed form in numpy or a caller-given pair's amplitude algebra.
-    The two paths give the same counts.
+    At no more than SCALAR_ROWS points the result is a list of 4-lists: each
+    point's closed form in math and one draw.counts chain. Otherwise it is a
+    (P, 4) int64 array from core.sample_count_array over the closed form in
+    numpy. The two paths give the same counts.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    points = _angle_rows(thetas_a, thetas_b) if pair is None else None
+    points = _angle_rows(thetas_a, thetas_b)
     if points is not None:
         from . import draw
 
@@ -191,12 +193,9 @@ def _joint_counts(thetas_a, thetas_b, n, seed, pair, stream_base):
 
     from .core import canonical_angle_array, sample_count_array
 
-    if pair is None:
-        theta_a, theta_b = np.broadcast_arrays(canonical_angle_array(thetas_a).reshape(-1),
-                                               canonical_angle_array(thetas_b).reshape(-1))
-        probs = _singlet_rows(theta_a, theta_b)
-    else:
-        probs = joint_probability_array(pair, thetas_a, thetas_b).reshape(-1, 4)
+    theta_a, theta_b = np.broadcast_arrays(canonical_angle_array(thetas_a).reshape(-1),
+                                           canonical_angle_array(thetas_b).reshape(-1))
+    probs = _singlet_rows(theta_a, theta_b)
     return sample_count_array(probs, n, seed, range(stream_base, stream_base + probs.shape[0]))
 
 
@@ -213,7 +212,6 @@ class CorrelationStats(namedtuple("CorrelationStats", "e_value n std_err")):
 
 
 def correlation_array(thetas_a, thetas_b, n: int, seed: int = 0,
-                      pair: PairState | None = None,
                       stream_base: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """correlation at each pair of angles (thetas_a and thetas_b broadcast),
     as arrays (e_values, std_errs): point i draws its n pairs from stream
@@ -222,14 +220,14 @@ def correlation_array(thetas_a, thetas_b, n: int, seed: int = 0,
     CorrelationStats.from_counts."""
     import numpy as np
 
-    e, std_err = _correlation_columns(thetas_a, thetas_b, n, seed, pair, stream_base)
+    e, std_err = _correlation_columns(thetas_a, thetas_b, n, seed, stream_base)
     return np.asarray(e, dtype=np.float64), np.asarray(std_err, dtype=np.float64)
 
 
-def _correlation_columns(thetas_a, thetas_b, n, seed=0, pair=None, stream_base=0):
+def _correlation_columns(thetas_a, thetas_b, n, seed=0, stream_base=0):
     """correlation_array's (e_values, std_errs): lists of floats where
     _joint_counts draws row by row, arrays where it draws arrays."""
-    counts = _joint_counts(thetas_a, thetas_b, n, seed, pair, stream_base)
+    counts = _joint_counts(thetas_a, thetas_b, n, seed, stream_base)
     if isinstance(counts, list):
         stats = [CorrelationStats.from_counts(row[0] + row[3], n) for row in counts]
         return [c.e_value for c in stats], [c.std_err for c in stats]
@@ -245,20 +243,19 @@ def correlation(
     theta_b: float,
     n: int,
     seed: int = 0,
-    pair: PairState | None = None,
     stream_base: int = 0,
 ) -> CorrelationStats:
     """Monte Carlo estimate of E(a, b), the mean of +1 (equal outcomes) and -1
     (different outcomes) over n pairs; analytically -cos 2(a - b) for the singlet.
 
-    The joint-outcome counts come from the multinomial law of the pair's
+    The joint-outcome counts come from the multinomial law of the singlet's
     joint outcomes, drawn as one four-outcome chain on the stream (seed,
     stream_base), as _joint_counts draws a point; no pair is drawn one by one.
     At equal bases the equal outcomes snap to probability 0, so E is exactly
     -1 at any n.
     """
     counts = _joint_counts(_coerce_basis(theta_a).theta, _coerce_basis(theta_b).theta, n, seed,
-                           pair, stream_base)[0]
+                           stream_base)[0]
     return CorrelationStats.from_counts(n_equal=int(counts[0] + counts[3]), n=int(n))
 
 
@@ -269,21 +266,20 @@ def chsh(
     settings=CHSH_SETTINGS,
     n_per_setting: int = 100_000,
     seed: int = 0,
-    pair: PairState | None = None,
     stream_base: int = 0,
 ) -> float:
     """CHSH statistic S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')| from four
     independent correlation runs of n_per_setting pairs each.
 
-    The singlet reaches 2*sqrt(2) at the default settings; product states stay
-    within 2. Setting s draws from stream index stream_base + s, so no two
-    settings share draws.
+    The singlet reaches 2*sqrt(2) at the default settings, past the bound of
+    2 that every product state keeps. Setting s draws from stream index
+    stream_base + s, so no two settings share draws.
     """
     if n_per_setting < 1:
         raise ValueError(f"n_per_setting must be >= 1, got {n_per_setting}")
     a, a_prime, b, b_prime = (float(x) for x in settings)
     e, _ = _correlation_columns([a, a, a_prime, a_prime], [b, b_prime, b, b_prime],
-                                n_per_setting, seed=seed, pair=pair, stream_base=stream_base)
+                                n_per_setting, seed=seed, stream_base=stream_base)
     e = [float(x) for x in e]
     return abs(e[0] - e[1] + e[2] + e[3])
 
@@ -293,7 +289,6 @@ def bob_marginal_counts(
     theta_b: float,
     n: int,
     seed: int = 0,
-    pair: PairState | None = None,
     stream_base: int = 0,
 ) -> tuple[int, int]:
     """Sample n joint measurements and count Bob's aligned outcomes.
@@ -304,19 +299,18 @@ def bob_marginal_counts(
     no-signaling check.
     """
     counts = _joint_counts(_coerce_basis(theta_a).theta, _coerce_basis(theta_b).theta, n, seed,
-                           pair, stream_base)[0]
+                           stream_base)[0]
     return int(n), int(counts[0] + counts[2])
 
 
 def bob_marginal_count_array(thetas_a, thetas_b, n: int, seed: int = 0,
-                             pair: PairState | None = None,
                              stream_base: int = 0) -> np.ndarray:
     """Bob's aligned-outcome counts of bob_marginal_counts at each pair of
     angles (thetas_a and thetas_b broadcast), point i drawing from stream
     (seed, stream_base + i), as an int64 array."""
     import numpy as np
 
-    counts = np.asarray(_joint_counts(thetas_a, thetas_b, n, seed, pair, stream_base),
+    counts = np.asarray(_joint_counts(thetas_a, thetas_b, n, seed, stream_base),
                         dtype=np.int64).reshape(-1, 4)
     return counts[:, 0] + counts[:, 2]
 

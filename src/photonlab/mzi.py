@@ -235,7 +235,10 @@ def choice_timing_invariance(
     The delayed run draws from stream indices stream_base and stream_base + 1,
     the fixed run from stream_base + 2, all under the same seed. Agreement
     within 4 sigma is the operational statement that the timing of the choice
-    leaves no statistical signature.
+    leaves no statistical signature. A draw that leaves the compared branch
+    empty makes no comparison: the report then has n_conditional 0 and None
+    for conditional_fraction_d0, z_value and within_4_sigma. A policy that can
+    never take the branch raises ValueError.
     """
     if delayed_config.choice_policy != "delayed-random":
         raise ValueError("first config must use the delayed-random policy")
@@ -245,23 +248,25 @@ def choice_timing_invariance(
         raise ValueError(
             f"configs must share a phase, got {delayed_config.phase} and {fixed_config.phase}"
         )
+    branch = "present" if fixed_config.second_bs else "absent"
+    if delayed_config.p_present == (0.0 if fixed_config.second_bs else 1.0):
+        raise ValueError(
+            f"p_present={delayed_config.p_present} never gives the {branch!r} branch a "
+            "sample, so it cannot exercise this comparison"
+        )
     delayed_stats = run_mzi(delayed_config, n, seed=seed, stream_base=stream_base)
     fixed_stats = run_mzi(fixed_config, n, seed=seed, stream_base=stream_base + 2)
-    branch = "present" if fixed_config.second_bs else "absent"
     cond = delayed_stats.by_choice[branch]
-    if cond.n == 0:
-        raise ValueError(
-            f"delayed run produced no {branch!r} samples; "
-            f"p_present={delayed_config.p_present} cannot exercise this comparison"
-        )
-    z = _two_proportion_z(cond.count_d0, cond.n, fixed_stats.count_d0, fixed_stats.n)
+    z = None
+    if cond.n:
+        z = _two_proportion_z(cond.count_d0, cond.n, fixed_stats.count_d0, fixed_stats.n)
     return TimingInvarianceReport(
         phase=delayed_config.phase,
         choice=branch,
         n_conditional=cond.n,
-        conditional_fraction_d0=cond.count_d0 / cond.n,
+        conditional_fraction_d0=cond.count_d0 / cond.n if cond.n else None,
         fixed_n=fixed_stats.n,
         fixed_fraction_d0=fixed_stats.fraction_d0(),
         z_value=z,
-        within_4_sigma=abs(z) <= 4.0,
+        within_4_sigma=abs(z) <= 4.0 if cond.n else None,
     )

@@ -25,7 +25,7 @@ from collections import namedtuple
 
 # every step of a run is a closed form over a few scalars, so nothing here
 # (nor in scalars, stats or draw) loads numpy
-from .scalars import ALGORITHM_ID, MeasurementBasis, canonical_angle, snap_probability
+from .scalars import ALGORITHM_ID, WORDS_ID, MeasurementBasis, canonical_angle, snap_probability
 from .stats import mi_standard_error, permutation_null_quantile, plugin_mi_bits
 
 _TIE_ATOL = 1e-12
@@ -298,4 +298,6 @@ def run_protocol(
         rule=rule,
         decode_ties=int(ties),
         bit_source=bit_source,
+        # a balanced run samples nothing, so it names only the words, as the CLI does
+        rng_algorithm=WORDS_ID if bit_source == "balanced" else ALGORITHM_ID,
     )

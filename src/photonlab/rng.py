@@ -8,8 +8,8 @@ counters at once; no part of the package loads numpy.random.
 
 A stream's uniform words are those of numpy's Philox(key=(seed,
 stream_index)): the counters 1, 2, 3, ... give four words each, and a double
-is (word >> 11) * 2**-53. So RngStream.raw_u64 and RngStream.random draw
-numpy's words and doubles exactly.
+is (word >> 11) * 2**-53. So RngStream.random, which no run calls, draws
+numpy's doubles exactly.
 
 Counts come from the package's exact binomial sampler, binomial_array. The
 d-th binomial draw of a stream (d = 0, 1, ...) reads, in its rejection round
@@ -17,16 +17,13 @@ r, the four words of counter (r, d, 0, 1), two per attempt. A uniform word has
 last counter word 0, so the two never share a word, and a draw's count is a
 function of (seed, stream_index, d, n, p) alone: a sweep draws all its points
 at once, and each point's counts do not depend on the other points.
-draw.binomial computes one such count over Python ints and floats, and
-RngStream.binomial draws through it.
+draw.binomial computes one such count over Python ints and floats.
 
 Each function here imports numpy when it runs, so importing this module
 loads no numpy.
 """
 
 from __future__ import annotations
-
-import operator
 
 # Uniform and binomial draws run Philox over at most SLICE_BLOCKS blocks at a
 # time, so their temporaries stay within a few MB however many are asked for.
@@ -102,30 +99,18 @@ def philox(key, counter) -> np.ndarray:
     return np.stack([x[0], y[0], x[1], y[1]])
 
 
-def stream_keys(seed: int, indices) -> np.ndarray:
+def stream_keys(seed: int, indices: range) -> np.ndarray:
     """The (2, P) uint64 Philox keys (seed, index) of the streams named by a
-    seed and P stream indices, a range or a 1-d sequence of integers."""
+    seed and a range of P stream indices."""
     import numpy as np
 
     seed = _u64(seed, "seed")
-    if isinstance(indices, range):
-        for end in indices[:1], indices[-1:]:
-            for index in end:
-                _u64(index, "stream_index")
-        # arithmetic mod 2^64 lands every index of the range where it belongs
-        index = (np.arange(len(indices), dtype=np.uint64) * np.uint64(indices.step % _MAX_U64)
-                 + np.uint64(indices.start % _MAX_U64))
-    else:
-        # a list mixing indices below and above 2^63 would become float64, which
-        # rounds them; as objects they stay Python ints and are checked one by one
-        index = indices if isinstance(indices, np.ndarray) else np.array(indices, dtype=object)
-        if index.ndim != 1:
-            raise ValueError(f"stream indices must be 1-d, got shape {index.shape}")
-        if index.dtype.kind == "u" or index.dtype.kind == "i" and (
-                index.size == 0 or index.min() >= 0):
-            index = index.astype(np.uint64)
-        else:
-            index = np.array([_u64(i, "stream_index") for i in index.tolist()], dtype=np.uint64)
+    for end in indices[:1], indices[-1:]:
+        for index in end:
+            _u64(index, "stream_index")
+    # arithmetic mod 2^64 lands every index of the range where it belongs
+    index = (np.arange(len(indices), dtype=np.uint64) * np.uint64(indices.step % _MAX_U64)
+             + np.uint64(indices.start % _MAX_U64))
     key = np.empty((2, index.size), dtype=np.uint64)
     key[0] = seed
     key[1] = index
@@ -311,18 +296,14 @@ def binomial_array(n, p, key, draw) -> np.ndarray:
 
 
 class RngStream:
-    """One independent random stream. Single-owner: never share across threads.
-
-    Uniform draws advance through numpy's Philox sequence; binomial draws
-    count up from 0 in draws, and a draw with a certain count reads no word."""
+    """One independent stream of uniform doubles, advancing through numpy's
+    Philox sequence. Single-owner: never share across threads."""
 
     def __init__(self, seed: int, stream_index: int):
         import numpy as np
 
-        self.key = stream_keys(seed, (stream_index,))
+        self.key = stream_keys(seed, range(stream_index, stream_index + 1))
         self.seed, self.stream_index = (int(word) for word in self.key[:, 0])
-        self.algorithm = ALGORITHM_ID
-        self.draws = 0
         self._blocks = 0  # uniform blocks made; the next has counter _blocks + 1
         self._spare = np.empty(0, dtype=np.uint64)  # their words not yet read
 
@@ -359,38 +340,8 @@ class RngStream:
             start += words.size
         return float(out[0]) if size is None else out
 
-    def raw_u64(self, n: int) -> np.ndarray:
-        """The next n uniform words, as numpy's Philox random_raw gives them."""
-        import numpy as np
-
-        out = np.empty(operator.index(n), dtype=np.uint64)
-        start = 0
-        for words in self._words(out.size):
-            out[start:start + words.size] = words
-            start += words.size
-        return out
-
-    def binomial(self, n: int, p: float) -> int:
-        """One Binomial(n, p) count, this stream's next binomial draw. With n
-        = 0, p = 0 or p = 1 the count is certain and nothing is drawn."""
-        n, p = operator.index(n), float(p)
-        if not 0 <= n <= MAX_BINOMIAL_TRIALS:
-            raise ValueError(f"n must be in [0, 2^62], got {n}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p!r}")
-        if n == 0 or p in (0.0, 1.0):
-            return n if p == 1.0 else 0
-        from .draw import binomial
-
-        count = binomial(n, p, (self.seed, self.stream_index), self.draws)
-        self.draws += 1
-        return count
-
     def __repr__(self) -> str:
-        return (
-            f"RngStream(seed={self.seed}, stream_index={self.stream_index}, "
-            f"algorithm={self.algorithm!r})"
-        )
+        return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
 
 
 def stream_from_seed(seed: int, index: int) -> RngStream:

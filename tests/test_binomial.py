@@ -15,11 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photonlab import draw, rng
-from photonlab.core import PROB_SNAP, sample_count_array, sample_counts
+from photonlab import core, draw, rng
+from photonlab.core import PROB_SNAP, sample_count_array
 from photonlab.entangle import correlation
 from photonlab.optics import cascade_mc
-from photonlab.rng import INVERSION_MEAN, binomial_array, stream_from_seed, stream_keys
+from photonlab.rng import INVERSION_MEAN, binomial_array, stream_keys
 
 ALPHA = 1e-6
 MAX_TRIALS = 2**32
@@ -148,51 +148,48 @@ def _recording(monkeypatch) -> list:
 
 
 def test_binomial_draw_d_reads_counter_r_d_0_1(monkeypatch):
-    stream = stream_from_seed(5, 9)
-    uniforms = stream_from_seed(5, 9).random(6)
+    key = draw.stream_key(5, 9)
     counters = _recording(monkeypatch)
-    first, second = stream.binomial(1000, 0.3), stream.binomial(50, 0.02)
-    assert stream.draws == 2
-    # round 0 of draws 0 and 1, and the rounds of any rejection after them
+    first, second = draw.binomial(1000, 0.3, key, 0), draw.binomial(50, 0.02, key, 1)
+    # round 0 of draws 0 and 1, and the rounds of any rejection after them;
+    # no uniform word (last counter word 0) is read
     rounds = [c[:, 0].tolist() for c in counters]
     assert [r for r in rounds if r[0] == 0] == [[0, 0, 0, 1], [0, 1, 0, 1]]
     assert all(r[2:] == [0, 1] and r[1] in (0, 1) for r in rounds)
-    # the same draws as binomial_array's, and the uniform words untouched
-    key = stream_keys(5, [9])
-    assert first == binomial_array([1000], [0.3], key, [0])[0]
-    assert second == binomial_array([50], [0.02], key, [1])[0]
-    assert stream.random(6).tolist() == uniforms.tolist()
+    # the same draws as binomial_array's
+    column = stream_keys(5, range(9, 10))
+    assert first == binomial_array([1000], [0.3], column, [0])[0]
+    assert second == binomial_array([50], [0.02], column, [1])[0]
 
 
 def test_sample_counts_numbers_its_draws_on_from_the_stream():
-    stream = stream_from_seed(8, 2)
-    assert stream.binomial(100, 0.5) == stream_from_seed(8, 2).binomial(100, 0.5)
-    counts = sample_counts([0.2, 0.3, 0.5], 10_000, stream)
+    key = draw.stream_key(8, 2)
+    column = stream_keys(8, range(2, 3))
+    assert draw.binomial(100, 0.5, key, 0) == binomial_array([100], [0.5], column, [0])[0]
+    counts, drawn = draw.counts([0.2, 0.3, 0.5], 10_000, key, 1)
     # outcome 0 is draw 1 of the stream, outcome 1 draw 2
-    key = stream_keys(8, [2])
-    first = binomial_array([10_000], [0.2], key, [1])[0]
-    second = binomial_array([10_000 - first], [0.3 / 0.8], key, [2])[0]
-    assert counts.tolist() == [first, second, 10_000 - first - second]
-    assert stream.draws == 3
+    first = binomial_array([10_000], [0.2], column, [1])[0]
+    second = binomial_array([10_000 - first], [0.3 / 0.8], column, [2])[0]
+    assert counts == [first, second, 10_000 - first - second]
+    assert drawn == 2
 
 
 def test_a_certain_outcome_consumes_no_word(monkeypatch):
     counters = _recording(monkeypatch)
-    stream = stream_from_seed(1, 0)
-    assert sample_counts([1.0, 0.0], MAX_TRIALS, stream).tolist() == [MAX_TRIALS, 0]
-    assert sample_counts([1e-16, 1.0 - 1e-16, 0.0], 77, stream).tolist() == [0, 77, 0]
-    assert sample_counts([0.5, 0.5], 0, stream).tolist() == [0, 0]
-    assert (stream.binomial(10, 1.0), stream.binomial(10, 0.0), stream.binomial(0, 0.3)) == (10, 0, 0)
+    key = draw.stream_key(1, 0)
+    assert draw.counts([1.0, 0.0], MAX_TRIALS, key, 0) == ([MAX_TRIALS, 0], 0)
+    assert draw.counts([1e-16, 1.0 - 1e-16, 0.0], 77, key, 0) == ([0, 77, 0], 0)
+    assert draw.counts([0.5, 0.5], 0, key, 0) == ([0, 0], 0)
+    assert draw.counts([0.0, 1.0], 10, key, 0) == ([0, 10], 0)
     assert sample_count_array([[0.0, 1.0]] * 3, 9, 1, range(3)).tolist() == [[0, 9]] * 3
-    assert counters == [] and stream.draws == 0
+    assert counters == []
 
 
 def test_binomial_checks_its_arguments():
-    stream = stream_from_seed(1, 0)
+    key = draw.stream_key(1, 0)
     for n, p in ((-1, 0.5), (2**62 + 1, 0.5), (5, -0.1), (5, 1.5), (5, math.nan)):
         with pytest.raises(ValueError):
-            stream.binomial(n, p)
-    assert stream.draws == 0
+            draw.binomial(n, p, key, 0)
 
 
 # --- a point's counts are its own ---------------------------------------------------------
@@ -208,8 +205,11 @@ rows = st.lists(
 @given(rows, rows, st.randoms(use_true_random=False), st.integers(0, 2**64 - 1))
 def test_a_points_counts_do_not_depend_on_the_other_points(points, others, shuffle, seed):
     def counts_by_index(batch):
+        # the chain of a sweep, each row keyed by its own stream index
         index, n, probs = zip(*batch)
-        got = sample_count_array(np.array(probs), np.array(n), seed, np.array(index, dtype=np.uint64))
+        key = np.array([[seed] * len(index), index], dtype=np.uint64)
+        got, _ = core._chain_counts(core.snap_probability_array(probs),
+                                    np.array(n, dtype=np.int64), key, np.uint64(0))
         return {i: row.tolist() for i, row in zip(index, got)}
 
     alone = counts_by_index(points)
@@ -219,7 +219,7 @@ def test_a_points_counts_do_not_depend_on_the_other_points(points, others, shuff
     together = counts_by_index(mixed)
     assert {i: together[i] for i in alone} == alone
     for index, n, probs in points:
-        assert alone[index] == sample_counts(probs, n, stream_from_seed(seed, index)).tolist()
+        assert alone[index] == draw.counts(probs, n, draw.stream_key(seed, index), 0)[0]
 
 
 # --- exact counts at the count cap -------------------------------------------------------
@@ -245,7 +245,7 @@ def test_crossed_polarizers_pass_none_of_the_cap(source):
 
 
 def array_count(n, p, seed, index, d):
-    return int(binomial_array([n], [p], stream_keys(seed, [index]), [d])[0])
+    return int(binomial_array([n], [p], stream_keys(seed, range(index, index + 1)), [d])[0])
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -335,6 +336,36 @@ def test_mzi_timing_payload(tmp_path):
     assert timing["within_4_sigma"] is True
     assert timing["choice"] == "present"
     assert abs(timing["conditional_fraction_d0"] - 0.75) < 0.05
+
+
+# sha256 of the 0.14.0 result of a one-photon timing comparison at the seeds
+# whose delayed photon found the second beamsplitter present
+_ONE_PHOTON_TIMING_0_14_0 = {
+    0: "9f05b2a37c5a0d1c0d08627504a7bba9fa11b67d36164fa9f305f6746a44a7ea",
+    3: "2d287b73113fb069093a6a057745d5b9b94ab57be15832bf7eba073ffc0428f9",
+    5: "ccacac75f47d21f4e02c28698893f71a5b31fda7784228f5650844829d982001",
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_timing_draw_with_an_empty_branch_reports_no_comparison(tmp_path, seed):
+    # the schema accepts one photon at p_present 0.5; at seeds 1, 2 and 4 the
+    # photon finds the beamsplitter absent, so no comparison is made (0.14.0
+    # exited 1 there)
+    out = tmp_path / "mzi.json"
+    assert run_cli(["mzi", "--seed", str(seed), "--set", "phases_deg=[0]", "--set",
+                    'timing={"phase_deg":60,"p_present":0.5,"n":1}', "--out", str(out)]) == 0
+    timing = read_json(out)["timing"]
+    manifest = read_json(tmp_path / "mzi.json.manifest.json")
+    if seed in _ONE_PHOTON_TIMING_0_14_0:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _ONE_PHOTON_TIMING_0_14_0[seed]
+        assert timing["n_conditional"] == 1
+        assert manifest["summary"]["timing_within_4_sigma"] is True
+    else:
+        assert timing["n_conditional"] == 0 and timing["fixed_n"] == 1
+        assert timing["conditional_fraction_d0"] is timing["z_value"] is None
+        assert timing["within_4_sigma"] is None
+        assert manifest["summary"]["timing_within_4_sigma"] is None
 
 
 def test_results_are_reproducible_byte_for_byte(tmp_path):
@@ -887,8 +918,11 @@ REMOVED_IN_0_11_0 = {
 # walk out from its mean (stats.permutation_null_quantile), with no array of
 # the null's values and probabilities
 REMOVED_IN_0_13_0 = {"stats": ["null_quantile", "permutation_null_mis"]}
+# removed on purpose from the top level: since 0.15.0 no run draws from a
+# stateful stream; photonlab.rng keeps both for perfbench's microbenchmark
+REMOVED_IN_0_15_0 = ["RngStream", "stream_from_seed"]
 REMOVED = (REMOVED_IN_0_8_0 + REMOVED_IN_0_10_0 + sum(REMOVED_IN_0_11_0.values(), [])
-           + sum(REMOVED_IN_0_13_0.values(), []))
+           + sum(REMOVED_IN_0_13_0.values(), []) + REMOVED_IN_0_15_0)
 
 
 def test_every_0_7_0_name_still_resolves():
@@ -902,6 +936,7 @@ def test_every_0_7_0_name_still_resolves():
     for module, names in [*REMOVED_IN_0_11_0.items(), *REMOVED_IN_0_13_0.items()]:
         for name in names:
             assert not hasattr(getattr(photonlab, module), name), (module, name)
+    assert all(hasattr(photonlab.rng, name) for name in REMOVED_IN_0_15_0)
 
 
 def test_every_library_name_resolves_on_cli_from_its_module():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from photonlab import draw
 from photonlab.core import (
     ALGEBRA_ATOL,
     DensityOperator,
@@ -16,7 +17,6 @@ from photonlab.core import (
     ket_from_angle,
     partial_trace,
     projection_probability,
-    sample_counts,
     snap_probability,
     states_equal,
     tensor_product,
@@ -128,7 +128,7 @@ def test_collapse_frequencies_follow_the_born_rule():
     state, basis = ket_from_angle(0.0), MeasurementBasis(math.pi / 6)
     p0 = math.cos(math.pi / 6) ** 2
     n = 20_000
-    zeros, ones = sample_counts(born_probabilities(state, basis), n, stream_from_seed(25, 0))
+    (zeros, ones), _ = draw.counts(born_probabilities(state, basis), n, draw.stream_key(25, 0), 0)
     assert zeros + ones == n
     assert abs(zeros / n - p0) < 4 * math.sqrt(p0 * (1 - p0) / n)
 

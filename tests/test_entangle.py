@@ -19,11 +19,13 @@ from photonlab.entangle import (
     CHSH_SETTINGS,
     CorrelationStats,
     PairState,
+    bob_marginal_count_array,
     bob_marginal_counts,
     bob_reduced_state,
     chsh,
     conditional_state,
     correlation,
+    correlation_array,
     joint_probabilities,
     make_pair,
     no_signaling_check,
@@ -180,12 +182,35 @@ def test_chsh_standard_settings_constant():
     )
 
 
-def test_product_pair_respects_the_classical_bound():
-    n = 20_000
-    s = chsh(n_per_setting=n, seed=8, pair=product_pair())
-    assert s <= 2.0 + 3 * (2 / math.sqrt(n))
+@given(angles, angles, st.lists(angles, min_size=4, max_size=4))
+def test_product_pair_respects_the_classical_bound(theta_a, theta_b, axes):
+    # S computed exactly from a product state's joint law, at any settings
+    pair = product_pair(theta_a, theta_b)
+
+    def e(x, y):
+        p = joint_probabilities(pair, x, y)
+        return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
+
+    a, a_prime, b, b_prime = axes
+    s = abs(e(a, b) - e(a, b_prime) + e(a_prime, b) + e(a_prime, b_prime))
+    assert s <= 2.0 + 1e-12
     with pytest.raises(ValueError):
         chsh(n_per_setting=0)
+
+
+def test_a_count_comes_from_the_singlet_alone():
+    # at 0.14.0 passing the shipped singlet as pair= drew from its amplitude
+    # algebra, whose middle chain probability sits one ulp off 1/2 here, and
+    # gave 1,000,803
+    theta = math.radians(-99.138179)
+    assert bob_marginal_counts(theta, theta, 2_000_000, seed=3) == (2_000_000, 999_197)
+    for sample in (lambda: bob_marginal_counts(theta, theta, 10, pair=make_pair()),
+                   lambda: bob_marginal_count_array([theta], theta, 10, pair=make_pair()),
+                   lambda: correlation(0.0, 0.0, 10, pair=make_pair()),
+                   lambda: correlation_array([0.0], 0.0, 10, pair=make_pair()),
+                   lambda: chsh(n_per_setting=10, pair=make_pair())):
+        with pytest.raises(TypeError):
+            sample()
 
 
 def test_bob_reduced_state_never_depends_on_basis_a():

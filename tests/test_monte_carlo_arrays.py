@@ -4,7 +4,7 @@ code they replaced (photonlab 0.9.0), over generated angles, phases and counts.
 The references below are that scalar code, kept here verbatim in substance:
 one pair of eigenvectors per joint probability, one two-mode state per
 detector probability, Python floats per Wilson interval and one chain of
-binomials per sample_counts call. The stacked forms must reproduce them bit
+binomials per row. The stacked forms must reproduce them bit
 for bit, and a point's result must not depend on the batch it is in. The
 detector probabilities are the exception: since 0.14.0 they are the closed
 form (1 + cos phi)/2, and exactly 1/2 without the second beamsplitter, so the
@@ -19,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photonlab import core
-from photonlab.core import PROB_SNAP, SLICE_POINTS, sample_count_array, sample_counts
+from photonlab import core, draw
+from photonlab.core import PROB_SNAP, SLICE_POINTS, sample_count_array
 from photonlab.entangle import (
     bob_marginal_count_array,
     bob_marginal_counts,
@@ -38,7 +38,6 @@ from photonlab.mzi import (
     fringe_counts,
     run_mzi,
 )
-from photonlab.rng import stream_from_seed
 from photonlab.stats import wilson_interval, wilson_interval_array
 
 FOUR_PI = 4 * math.pi
@@ -99,16 +98,24 @@ def ref_wilson_interval(successes, trials, confidence=0.95):
     return (float(lo), float(hi))
 
 
-def ref_sample_counts(probs, n, rng):
+def ref_sample_counts(probs, n, key):
+    # the stream's binomial draws are numbered from 0, and a certain one
+    # takes every trial left without a draw
     p = [ref_snap(x) for x in probs]
     last_nonzero = max(k for k, x in enumerate(p) if x > 0.0)
     left = int(n)
     counts = np.zeros(len(p), dtype=np.int64)
+    drawn = 0
     for k in range(last_nonzero):
         if left == 0:
             break
         if p[k] > 0.0:
-            counts[k] = rng.binomial(left, min(1.0, p[k] / sum(p[k:last_nonzero + 1])))
+            q = min(1.0, p[k] / sum(p[k:last_nonzero + 1]))
+            if q < 1.0:
+                counts[k] = draw.binomial(left, q, key, drawn)
+                drawn += 1
+            else:
+                counts[k] = left
             left -= int(counts[k])
     counts[last_nonzero] = left
     return counts
@@ -221,20 +228,16 @@ def test_sample_count_array_equals_the_scalar_chain(rows, n, seed):
     probs = [row + [0.0] * (width - len(row)) for row in rows]
     got = sample_count_array(probs, n, seed, range(len(probs)))
     for i, row in enumerate(probs):
-        want = ref_sample_counts(row, n, stream_from_seed(seed, i))
+        want = ref_sample_counts(row, n, draw.stream_key(seed, i))
         assert got[i].tolist() == want.tolist()
-        assert sample_counts(row, n, stream_from_seed(seed, i)).tolist() == want.tolist()
+        assert draw.counts(row, n, draw.stream_key(seed, i), 0)[0] == want.tolist()
 
 
 def test_sample_count_array_takes_one_count_per_row_and_checks_its_streams():
     probs = [[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]]
     got = sample_count_array(probs, [10, 0, 7], 3, range(3))
     assert got[1].tolist() == [0, 0] and got[2].tolist() == [7, 0]
-    assert got[0].tolist() == ref_sample_counts(probs[0], 10, stream_from_seed(3, 0)).tolist()
-    # a list or an array of indices names the same streams as a range
-    assert sample_count_array(probs, 10, 3, [0, 1, 2]).tolist() == \
-        sample_count_array(probs, 10, 3, np.arange(3)).tolist() == \
-        sample_count_array(probs, 10, 3, range(3)).tolist()
+    assert got[0].tolist() == ref_sample_counts(probs[0], 10, draw.stream_key(3, 0)).tolist()
     with pytest.raises(ValueError):
         sample_count_array(probs, 5, 3, range(2))
     with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from photonlab.mzi import (
     detector_probabilities,
     run_mzi,
 )
-from photonlab.rng import stream_from_seed
 
 
 def test_closed_interferometer_fringe():
@@ -158,6 +157,19 @@ def test_timing_invariance_validation():
     starved = MziConfig(phase=0.5, choice_policy="delayed-random", p_present=0.0)
     with pytest.raises(ValueError):
         choice_timing_invariance(starved, fixed, 1000)
+
+
+def test_a_draw_that_leaves_the_branch_empty_makes_no_comparison():
+    # one photon at p_present 1/2 finds the beamsplitter absent at seed 1
+    delayed = MziConfig(phase=0.5, choice_policy="delayed-random", p_present=0.5)
+    report = choice_timing_invariance(delayed, MziConfig(phase=0.5), 1, seed=1)
+    assert report.choice == "present" and report.n_conditional == 0
+    assert report.conditional_fraction_d0 is report.z_value is report.within_4_sigma is None
+    assert report.fixed_n == 1
+    # a policy that always finds it present never reaches the absent branch
+    always = MziConfig(phase=0.5, choice_policy="delayed-random", p_present=1.0)
+    with pytest.raises(ValueError, match="never gives the 'absent' branch"):
+        choice_timing_invariance(always, MziConfig(phase=0.5, second_bs=False), 1000)
 
 
 def test_timing_invariance_z_is_zero_when_both_sides_are_certain():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import photonlab.draw
-from photonlab.core import canonical_angle, ket_from_angle, sample_counts
+from photonlab.core import canonical_angle, ket_from_angle
 from photonlab.optics import (
     SOURCE_KINDS,
     CascadeResult,
@@ -161,11 +161,11 @@ def test_cascade_mc_draws_are_reconstructible():
     # count, in stage order, is one binomial over the survivors from stream (seed, 0)
     n, theta, axes, seed = 2**18 + 30_000, 0.2, [1.0, 1.5, 0.1], 9
     result = cascade_mc(n, axes, source="linear", source_angle=theta, seed=seed, workers=2)
-    stream = stream_from_seed(seed, 0)
+    key = photonlab.draw.stream_key(seed, 0)
     expected = []
     alive, previous = n, theta
-    for axis in axes:
-        alive = int(stream.binomial(alive, math.cos(axis - previous) ** 2))
+    for d, axis in enumerate(axes):
+        alive = photonlab.draw.binomial(alive, math.cos(axis - previous) ** 2, key, d)
         expected.append(alive)
         previous = axis
     assert result.per_stage_counts == tuple(expected)
@@ -185,20 +185,23 @@ def test_cascade_mc_natural_source_passes_half_at_the_first_stage():
     # 1/2; later stages depend only on the axes
     n, axes, seed = 20_000, [0.6, 1.3], 13
     result = cascade_mc(n, axes, source="natural", seed=seed)
-    stream = stream_from_seed(seed, 0)
-    first = int(stream.binomial(n, 0.5))
-    second = int(stream.binomial(first, math.cos(axes[1] - axes[0]) ** 2))
+    key = photonlab.draw.stream_key(seed, 0)
+    first = photonlab.draw.binomial(n, 0.5, key, 0)
+    second = photonlab.draw.binomial(first, math.cos(axes[1] - axes[0]) ** 2, key, 1)
     assert result.per_stage_counts == (first, second)
 
 
 def cascade_mc_0_12_0(n, axes, source, source_angle, seed):
-    """photonlab 0.12.0's cascade: one core.sample_counts call per stage."""
+    """photonlab 0.12.0's cascade: one two-outcome chain per stage on stream
+    (seed, 0), each numbered on from the draws before it, as its
+    core.sample_counts calls drew them."""
     p_first = 0.5 if source == "natural" else math.cos(axes[0] - canonical_angle(source_angle)) ** 2
     p_pass = [p_first] + [math.cos(b - a) ** 2 for a, b in zip(axes, axes[1:])]
-    stream = stream_from_seed(seed, 0)
-    counts, alive = [], n
+    key = photonlab.draw.stream_key(seed, 0)
+    counts, alive, drawn = [], n, 0
     for p in p_pass:
-        alive = int(sample_counts((p, 1.0 - p), alive, stream)[0])
+        (alive, _), made = photonlab.draw.counts((p, 1.0 - p), alive, key, drawn)
+        drawn += made
         counts.append(alive)
     return tuple(counts)
 

@@ -21,7 +21,8 @@ from photonlab.protocol import (
     run_protocol,
     standard_strategies,
 )
-from photonlab.rng import ALGORITHM_ID, stream_from_seed
+from photonlab import draw
+from photonlab.rng import ALGORITHM_ID, WORDS_ID, stream_from_seed
 from photonlab.stats import bit_table
 
 
@@ -372,11 +373,13 @@ def test_run_protocol_counts_every_bit_by_the_law(rule, strategy, bit_source, n_
         n_bits += n_bits % 2
         n_ones = n_bits // 2
     else:
-        n_ones = int(stream_from_seed(seed, 0).binomial(n_bits, 0.5))
+        n_ones = draw.binomial(n_bits, 0.5, draw.stream_key(seed, 0), 0)
     report = run_protocol(n_bits, rule, strategy, seed, bit_source)
     table, ties = law_table(strategy, rule, n_bits - n_ones, n_ones)
     assert report.ber == float((table[1] + table[2]) / n_bits)
     assert report.decode_ties == ties
+    # a balanced run samples nothing, so it names only the words
+    assert report.rng_algorithm == (WORDS_ID if bit_source == "balanced" else ALGORITHM_ID)
 
 
 @settings(max_examples=300, deadline=None)

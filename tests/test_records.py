@@ -89,7 +89,7 @@ VALUE_RECORDS = [
      "TransmissionReport(n_bits=10, ber=0.0, mutual_info_bits=1.0, "
      "mi_confidence_interval=(0.7219280948873623, 1.0), seed=0, strategy=BasisOracle(), "
      "rule=EncodingRule(basis_for_one=0.0, basis_for_zero=0.7853981633974483), "
-     "decode_ties=0, bit_source='balanced', rng_algorithm='numpy-philox-4x64/btrd')",
+     "decode_ties=0, bit_source='balanced', rng_algorithm='numpy-philox-4x64')",
      ("n_bits", "ber", "mutual_info_bits", "mi_confidence_interval", "seed", "strategy", "rule",
       "decode_ties", "bit_source", "rng_algorithm")),
 ]

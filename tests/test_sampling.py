@@ -6,12 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlab.core import (
-    PROB_SNAP,
-    born_probabilities,
-    ket_from_angle,
-    sample_counts,
-)
+from photonlab import draw
+from photonlab.core import PROB_SNAP, born_probabilities, ket_from_angle
 from photonlab.entangle import (
     conditional_state,
     correlation,
@@ -19,7 +15,6 @@ from photonlab.entangle import (
     make_pair,
     no_signaling_check,
 )
-from photonlab.rng import stream_from_seed
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 counts_n = st.integers(min_value=0, max_value=2**40)
@@ -69,10 +64,10 @@ def test_no_signaling_for_generated_bases(bases):
 
 @given(distributions(), counts_n, seeds)
 def test_counts_add_up_and_skip_snapped_to_zero_outcomes(probs, n, seed):
-    counts = sample_counts(probs, n, stream_from_seed(seed, 0))
-    assert counts.dtype == np.int64 and counts.shape == (len(probs),)
-    assert int(counts.sum()) == n
-    assert (counts >= 0).all()
+    counts, _ = draw.counts(probs, n, draw.stream_key(seed, 0), 0)
+    assert len(counts) == len(probs) and all(type(c) is int for c in counts)
+    assert sum(counts) == n
+    assert min(counts) >= 0
     assert all(c == 0 for p, c in zip(probs, counts) if p <= PROB_SNAP)
 
 
@@ -81,10 +76,9 @@ def test_a_snapped_to_one_outcome_takes_every_count_without_a_draw(k, data, n, s
     others = data.draw(st.lists(st.floats(0.0, PROB_SNAP / (k - 1)), min_size=k - 1, max_size=k - 1))
     sure = data.draw(st.integers(min_value=0, max_value=k - 1))
     probs = others[:sure] + [1.0 - sum(others)] + others[sure:]
-    used = stream_from_seed(seed, 0)
-    counts = sample_counts(probs, n, used)
-    assert counts[sure] == n and int(counts.sum()) == n
-    np.testing.assert_array_equal(used.raw_u64(1), stream_from_seed(seed, 0).raw_u64(1))
+    counts, drawn = draw.counts(probs, n, draw.stream_key(seed, 0), 0)
+    assert counts[sure] == n and sum(counts) == n
+    assert drawn == 0
 
 
 def test_counts_are_the_chain_of_tail_sum_binomials():
@@ -99,14 +93,16 @@ def test_counts_are_the_chain_of_tail_sum_binomials():
     for probs, n in cases:
         snapped = [p if p > PROB_SNAP else 0.0 for p in probs]
         last = max(k for k, p in enumerate(snapped) if p > 0.0)
-        stream = stream_from_seed(61, 0)
-        left, expected = n, [0] * len(probs)
+        key = draw.stream_key(61, 0)
+        left, expected, drawn = n, [0] * len(probs), 0
         for k in range(last):
             if snapped[k] > 0.0:
-                expected[k] = int(stream.binomial(left, snapped[k] / sum(snapped[k:last + 1])))
+                q = snapped[k] / sum(snapped[k:last + 1])
+                expected[k] = draw.binomial(left, q, key, drawn)
                 left -= expected[k]
+                drawn += 1
         expected[last] = left
-        assert sample_counts(probs, n, stream_from_seed(61, 0)).tolist() == expected
+        assert draw.counts(probs, n, key, 0) == (expected, drawn)
 
 
 def test_counts_follow_the_multinomial_law_over_blocks():
@@ -115,7 +111,7 @@ def test_counts_follow_the_multinomial_law_over_blocks():
     m, n = 2_000, 1_000
     pair = joint_probabilities(make_pair(), 0.0, math.pi / 8).ravel()
     for probs in (pair, [0.1, 0.25, 0.0, 0.65], [0.3, 1e-16, 0.7]):
-        counts = np.array([sample_counts(probs, n, stream_from_seed(62, b))
+        counts = np.array([draw.counts(probs, n, draw.stream_key(62, b), 0)[0]
                            for b in range(m)], dtype=np.float64)
         for cell, p in zip(counts.T, probs):
             p = p if p > PROB_SNAP else 0.0

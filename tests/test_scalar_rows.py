@@ -48,7 +48,8 @@ rows = st.integers(2, 5).flatmap(
 def _chain_row(row, n, seed, index, first_draw):
     counts, drawn = core._chain_counts(core.snap_probability_array([row]),
                                        np.array([n], dtype=np.int64),
-                                       rng.stream_keys(seed, [index]), np.uint64(first_draw))
+                                       rng.stream_keys(seed, range(index, index + 1)),
+                                       np.uint64(first_draw))
     return counts[0].tolist(), int(drawn[0])
 
 

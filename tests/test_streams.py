@@ -63,10 +63,10 @@ INDICES_0_9_0 = {
 
 def _keyed_streams(monkeypatch, tmp_path, experiment) -> list:
     """The (seed, index) of every stream a run keys, in order: rng.stream_keys
-    makes the key of each RngStream and of each slice of a sweep's points,
-    and draw.stream_key the key of each stream drawn one count at a time (the
-    protocol's bits, a Monte Carlo cascade, mzi's delayed-random run and each
-    point of a sweep of at most SCALAR_ROWS points)."""
+    makes the keys of each slice of a sweep's points, and draw.stream_key
+    the key of each stream drawn one count at a time (the protocol's bits, a
+    Monte Carlo cascade, mzi's delayed-random run and each point of a sweep
+    of at most SCALAR_ROWS points)."""
     keyed = []
     make_keys, make_key = rng.stream_keys, draw.stream_key
 
