@@ -8,7 +8,7 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 # public names by the module that defines them
 _EXPORTS = {

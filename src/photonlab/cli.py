@@ -104,57 +104,6 @@ _SWEEP = {
 _MODES = ("analytic", "mc")
 _TYPES = {"number": (int, float), "integer": int, "string": str, "list": list, "object": dict}
 
-SPECS = {
-    "malus": {
-        "axes_deg": Field("list", [90.0, 45.0, 0.0], minimum=1, maximum=MAX_SWEEP_POINTS,
-                          item=_NUMBER),
-        "mode": Field("choice", "analytic", choices=_MODES),
-        "n_photons": Field("integer", 1_000_000, minimum=1, maximum=MAX_TRIALS),
-        "source": Field("choice", "natural", choices=("natural", "linear")),
-        "source_angle_deg": Field("number", 0.0),
-        "sweep": Field("object", None, fields=_SWEEP, nullable=True),
-    },
-    "entropy": {
-        "grid": Field("list", [0.0, 0.25, 0.5, 0.75, 1.0], minimum=1, maximum=MAX_SWEEP_POINTS,
-                      item=Field("number", minimum=0, maximum=1)),
-    },
-    "bell": {
-        "sweep": Field("object", {"start_deg": 0.0, "stop_deg": 90.0, "step_deg": 5.0},
-                       fields=_SWEEP),
-        "n_per_point": Field("integer", 50_000, minimum=1, maximum=MAX_TRIALS),
-        "chsh_angles_deg": Field("list", [0.0, 45.0, 22.5, 67.5], minimum=4, maximum=4,
-                                 item=_NUMBER),
-        "n_per_setting": Field("integer", 100_000, minimum=1, maximum=MAX_TRIALS),
-    },
-    "nosignal": {
-        "bases_a_deg": Field("list", [0.0, 45.0], minimum=1, maximum=MAX_BASES, item=_NUMBER),
-        "probe_basis_deg": Field("number", 0.0),
-        "n_per_basis": Field("integer", 100_000, minimum=1, maximum=MAX_TRIALS),
-    },
-    "protocol": {
-        "n_bits": Field("integer", 10_000, minimum=1, maximum=MAX_TRIALS),
-        "strategy": Field("string", "fixed-basis-ml:0"),
-        "rule": Field("object", {"one_deg": 0.0, "zero_deg": 45.0},
-                      fields={"one_deg": _NUMBER, "zero_deg": _NUMBER}),
-        "bit_source": Field("choice", "iid", choices=("iid", "balanced")),
-    },
-    "mzi": {
-        "phases_deg": Field("list", [22.5 * k for k in range(16)], minimum=1,
-                            maximum=MAX_SWEEP_POINTS, item=_NUMBER),
-        "n_per_phase": Field("integer", 100_000, minimum=1, maximum=MAX_TRIALS),
-        "mode": Field("choice", "mc", choices=_MODES),
-        "timing": Field(
-            "object",
-            {"phase_deg": 60.0, "p_present": 0.5, "n": 200_000},
-            # the report compares the "present" branch, so it must be able to occur
-            fields={"phase_deg": _NUMBER,
-                    "p_present": Field("number", exclusive_minimum=0, maximum=1),
-                    "n": Field("integer", minimum=1, maximum=MAX_TRIALS)},
-            nullable=True,
-        ),
-    },
-}
-
 
 def defaults(fields: dict) -> dict:
     """A fresh copy of the default value of every field."""
@@ -391,9 +340,11 @@ class Table:
         self.columns = columns
 
 
-# A runner returns (payload, table, summary): payload holds the result keys that
-# follow the common head, a Table among them streamed a block of rows at a
-# time; table is what --format csv writes, None where the result is not tabular.
+# A runner returns (payload, table, summary, streams): payload holds the result
+# keys that follow the common head, a Table among them streamed a block of rows
+# at a time; table is what --format csv writes, None where the result is not
+# tabular; streams lists the ranges of stream indices the run keys under its
+# seed, each written once, where the runner hands it to the library.
 
 
 def _run_malus(params, seed):
@@ -403,7 +354,7 @@ def _run_malus(params, seed):
         best = int(finals.argmax())
         summary = {"max_final_intensity": float(finals[best]), "argmax_deg": grid[best]}
         rows = Table(theta_deg=grid, final_intensity=finals)
-        return {"sweep_rows": rows}, rows, summary
+        return {"sweep_rows": rows}, rows, summary, []
 
     cascade_analytic, cascade_mc, linear_light, natural_light = _library(
         "cascade_analytic", "cascade_mc", "linear_light", "natural_light")
@@ -414,7 +365,7 @@ def _run_malus(params, seed):
         else:
             beam = linear_light(math.radians(params["source_angle_deg"]))
         result = cascade_analytic(beam, axes)
-        payload = {}
+        payload, streams = {}, []
     else:
         result = cascade_mc(
             params["n_photons"],
@@ -423,7 +374,8 @@ def _run_malus(params, seed):
             source_angle=math.radians(params["source_angle_deg"]),
             seed=seed,
         )
-        payload = {"n_photons": params["n_photons"]}
+        # the cascade draws its stage counts from stream 0
+        payload, streams = {"n_photons": params["n_photons"]}, [range(1)]
     stages = Table(stage=list(range(len(axes))),
                    axis_deg=[float(a) for a in params["axes_deg"]],
                    fraction=[float(f) for f in result.fractions()])
@@ -432,7 +384,7 @@ def _run_malus(params, seed):
         payload["stages"] = Table(**stages.columns,
                                   count=[int(c) for c in result.per_stage_counts])
     payload["final_intensity"] = float(result.final_intensity())
-    return payload, stages, {"final_intensity": payload["final_intensity"]}
+    return payload, stages, {"final_intensity": payload["final_intensity"]}, streams
 
 
 def _run_entropy(params, seed):
@@ -452,7 +404,7 @@ def _run_entropy(params, seed):
         before[rows], after[rows], delta[rows] = (report.before_bits, report.after_bits,
                                                   report.delta_bits)
     rows = Table(p0=p0, before_bits=before, after_bits=after, delta_bits=delta)
-    return {"rows": rows}, rows, {"max_after_bits": float(after.max())}
+    return {"rows": rows}, rows, {"max_after_bits": float(after.max())}, []
 
 
 def _radians(degrees: list):
@@ -479,15 +431,15 @@ def _run_bell(params, seed):
 
     (chsh,) = _library("chsh")
     # sweep point i draws from stream i, the CHSH settings from the next four
+    points, settings = range(len(grid)), range(len(grid), len(grid) + 4)
     e_values, std_errs = _correlation_columns(_radians(grid), 0.0, params["n_per_point"],
-                                              seed=seed, stream_base=0)
+                                              seed=seed, stream_base=points.start)
     rows = Table(delta_deg=grid, e_value=e_values, std_err=std_errs)
-    settings = tuple(math.radians(a) for a in params["chsh_angles_deg"])
     s_value = chsh(
-        settings,
+        tuple(math.radians(a) for a in params["chsh_angles_deg"]),
         params["n_per_setting"],
         seed=seed,
-        stream_base=len(grid),
+        stream_base=settings.start,
     )
     payload = {
         "sweep_rows": rows,
@@ -498,7 +450,7 @@ def _run_bell(params, seed):
         },
     }
     summary = {"chsh_s": float(s_value)}
-    return payload, rows, summary
+    return payload, rows, summary, [points, settings]
 
 
 def _run_nosignal(params, seed):
@@ -512,8 +464,9 @@ def _run_nosignal(params, seed):
     bases = np.radians(bases_deg)
     distance = no_signaling_check(bases)
     # basis i draws from stream i
+    basis_streams = range(bases.size)
     count0 = bob_marginal_count_array(bases, math.radians(probe_deg), n, seed=seed,
-                                      stream_base=0)
+                                      stream_base=basis_streams.start)
     lo, hi = wilson_interval_array(count0, n)
     rows = Table(basis_a_deg=bases_deg, n=np.full(count0.shape, n), bob_fraction_d0=count0 / n,
                  ci_lo=lo, ci_hi=hi)
@@ -524,7 +477,7 @@ def _run_nosignal(params, seed):
         "rows": rows,
     }
     summary = {"max_trace_distance": float(distance)}
-    return payload, rows, summary
+    return payload, rows, summary, [basis_streams]
 
 
 def _run_protocol(params, seed):
@@ -561,7 +514,8 @@ def _run_protocol(params, seed):
         "bit_source": report.bit_source,
     }
     summary = {"ber": payload["ber"], "mutual_info_bits": payload["mutual_info_bits"]}
-    return payload, None, summary
+    # iid bits draw their count of ones from stream 0; balanced bits draw nothing
+    return payload, None, summary, [range(1)] if params["bit_source"] == "iid" else []
 
 
 def _run_mzi(params, seed):
@@ -574,21 +528,26 @@ def _run_mzi(params, seed):
     n = params["n_per_phase"]
     # phase i draws from stream 4i closed and 4i + 2 open; the timing
     # comparison takes the three streams after the last phase's
-    closed, opened = (_d0_counts(phases, second_bs, n, seed, params["mode"], base, 4)
-                      for second_bs, base in ((True, 0), (False, 2)))
+    span = 4 * len(phases_deg)
+    fringe = [range(0, span, 4), range(2, span, 4)]
+    closed, opened = (_d0_counts(phases, second_bs, n, seed, params["mode"], indices.start,
+                                 indices.step)
+                      for second_bs, indices in zip((True, False), fringe))
+    streams = fringe if params["mode"] == "mc" else []
     rows = Table(phase_deg=phases_deg, closed_fraction_d0=_fractions(closed, n),
                  open_fraction_d0=_fractions(opened, n))
     timing_payload = None
     if params["timing"] is not None:
         timing = params["timing"]
         phase = math.radians(timing["phase_deg"])
+        streams.append(range(span, span + 3))
         report = choice_timing_invariance(
             MziConfig(phase, second_bs=True, choice_policy="delayed-random",
                       p_present=timing["p_present"]),
             MziConfig(phase, second_bs=True),
             timing["n"],
             seed=seed,
-            stream_base=4 * len(params["phases_deg"]),
+            stream_base=streams[-1].start,
         )
         timing_payload = {
             "phase_deg": float(timing["phase_deg"]),
@@ -606,28 +565,68 @@ def _run_mzi(params, seed):
         "timing_within_4_sigma": None if timing_payload is None
         else timing_payload["within_4_sigma"],
     }
-    return payload, rows, summary
+    return payload, rows, summary, streams
 
 
-# whether a run draws Monte Carlo counts: a run that draws none, and so keys no
-# stream, names only the generator of the words, as 0.9 named every run
-_DRAWS_COUNTS = {
-    "malus": lambda params: params["mode"] == "mc",
-    "entropy": lambda params: False,
-    "bell": lambda params: True,
-    "nosignal": lambda params: True,
-    "protocol": lambda params: params["bit_source"] == "iid",
-    "mzi": lambda params: params["mode"] == "mc" or params["timing"] is not None,
+class Experiment(namedtuple("Experiment", "help fields run")):
+    """One subcommand: its --help line, the Field of each of its parameters by
+    name, and its runner, run(params, seed) -> (payload, table, summary,
+    streams)."""
+
+    __slots__ = ()
+
+
+EXPERIMENTS = {
+    "malus": Experiment("polarizer cascades, analytic or Monte Carlo, plus angle sweeps", {
+        "axes_deg": Field("list", [90.0, 45.0, 0.0], minimum=1, maximum=MAX_SWEEP_POINTS,
+                          item=_NUMBER),
+        "mode": Field("choice", "analytic", choices=_MODES),
+        "n_photons": Field("integer", 1_000_000, minimum=1, maximum=MAX_TRIALS),
+        "source": Field("choice", "natural", choices=("natural", "linear")),
+        "source_angle_deg": Field("number", 0.0),
+        "sweep": Field("object", None, fields=_SWEEP, nullable=True),
+    }, _run_malus),
+    "entropy": Experiment("superposition entropy before and after collapse over a weight grid", {
+        "grid": Field("list", [0.0, 0.25, 0.5, 0.75, 1.0], minimum=1, maximum=MAX_SWEEP_POINTS,
+                      item=Field("number", minimum=0, maximum=1)),
+    }, _run_entropy),
+    "bell": Experiment("singlet correlation sweep and the CHSH statistic", {
+        "sweep": Field("object", {"start_deg": 0.0, "stop_deg": 90.0, "step_deg": 5.0},
+                       fields=_SWEEP),
+        "n_per_point": Field("integer", 50_000, minimum=1, maximum=MAX_TRIALS),
+        "chsh_angles_deg": Field("list", [0.0, 45.0, 22.5, 67.5], minimum=4, maximum=4,
+                                 item=_NUMBER),
+        "n_per_setting": Field("integer", 100_000, minimum=1, maximum=MAX_TRIALS),
+    }, _run_bell),
+    "nosignal": Experiment("Bob-marginal trace distances and per-basis Bob statistics", {
+        "bases_a_deg": Field("list", [0.0, 45.0], minimum=1, maximum=MAX_BASES, item=_NUMBER),
+        "probe_basis_deg": Field("number", 0.0),
+        "n_per_basis": Field("integer", 100_000, minimum=1, maximum=MAX_TRIALS),
+    }, _run_nosignal),
+    "protocol": Experiment("the entanglement bit-transmission scheme under a receiver model", {
+        "n_bits": Field("integer", 10_000, minimum=1, maximum=MAX_TRIALS),
+        "strategy": Field("string", "fixed-basis-ml:0"),
+        "rule": Field("object", {"one_deg": 0.0, "zero_deg": 45.0},
+                      fields={"one_deg": _NUMBER, "zero_deg": _NUMBER}),
+        "bit_source": Field("choice", "iid", choices=("iid", "balanced")),
+    }, _run_protocol),
+    "mzi": Experiment("Mach-Zehnder fringes and delayed-choice timing invariance", {
+        "phases_deg": Field("list", [22.5 * k for k in range(16)], minimum=1,
+                            maximum=MAX_SWEEP_POINTS, item=_NUMBER),
+        "n_per_phase": Field("integer", 100_000, minimum=1, maximum=MAX_TRIALS),
+        "mode": Field("choice", "mc", choices=_MODES),
+        "timing": Field(
+            "object",
+            {"phase_deg": 60.0, "p_present": 0.5, "n": 200_000},
+            # the report compares the "present" branch, so it must be able to occur
+            fields={"phase_deg": _NUMBER,
+                    "p_present": Field("number", exclusive_minimum=0, maximum=1),
+                    "n": Field("integer", minimum=1, maximum=MAX_TRIALS)},
+            nullable=True,
+        ),
+    }, _run_mzi),
 }
 
-_RUNNERS = {
-    "malus": _run_malus,
-    "entropy": _run_entropy,
-    "bell": _run_bell,
-    "nosignal": _run_nosignal,
-    "protocol": _run_protocol,
-    "mzi": _run_mzi,
-}
 
 # rows the writer formats per write: beyond the columns themselves, the text
 # of one block is all it holds at once
@@ -747,16 +746,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"photonlab {__version__}")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    descriptions = {
-        "malus": "polarizer cascades, analytic or Monte Carlo, plus angle sweeps",
-        "entropy": "superposition entropy before and after collapse over a weight grid",
-        "bell": "singlet correlation sweep and the CHSH statistic",
-        "nosignal": "Bob-marginal trace distances and per-basis Bob statistics",
-        "protocol": "the entanglement bit-transmission scheme under a receiver model",
-        "mzi": "Mach-Zehnder fringes and delayed-choice timing invariance",
-    }
-    for name in SPECS:
-        sp = sub.add_parser(name, help=descriptions[name])
+    for name, experiment in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=experiment.help)
         sp.add_argument("--config", help="JSON config file; a run manifest also works")
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
         sp.add_argument("--workers", type=int, default=None,
@@ -780,9 +771,10 @@ def _run(args) -> int:
         raise ConfigError(
             f"config is for experiment {config['experiment']!r}, not {experiment!r}"
         )
-    params = _deep_merge(defaults(SPECS[experiment]), config.get("params", {}))
+    record = EXPERIMENTS[experiment]
+    params = _deep_merge(defaults(record.fields), config.get("params", {}))
     params = _deep_merge(params, _parse_set_overrides(args.set))
-    check_params(SPECS[experiment], params)
+    check_params(record.fields, params)
 
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     workers = args.workers if args.workers is not None else config.get("workers", 1)
@@ -799,11 +791,12 @@ def _run(args) -> int:
         out_path = os.path.join(out_dir, f"{experiment}.{out_format}")
 
     started = time.perf_counter()
-    payload, table, summary = _RUNNERS[experiment](params, seed)
+    payload, table, summary, streams = record.run(params, seed)
     elapsed = time.perf_counter() - started
 
-    (rng_algorithm,) = _library("ALGORITHM_ID" if _DRAWS_COUNTS[experiment](params)
-                                else "WORDS_ID")
+    # a run that keys no stream, and so draws no count, names only the
+    # generator of the words, as 0.9 named every run
+    (rng_algorithm,) = _library("ALGORITHM_ID" if any(streams) else "WORDS_ID")
     if out_format == "csv":
         _write(out_path, _write_csv, table)
     else:

@@ -238,11 +238,16 @@ def mutual_information(table):
 
 class TransmissionReport(namedtuple("TransmissionReport",
                                     "n_bits ber mutual_info_bits mi_confidence_interval seed "
-                                    "strategy rule decode_ties bit_source rng_algorithm",
-                                    defaults=(ALGORITHM_ID,))):
+                                    "strategy rule decode_ties bit_source")):
     """Everything one protocol run produced, sufficient to reproduce it."""
 
     __slots__ = ()
+
+    @property
+    def rng_algorithm(self) -> str:
+        """The sampler the run drew with: a balanced run samples nothing, so
+        it names only the words, as the CLI does."""
+        return WORDS_ID if self.bit_source == "balanced" else ALGORITHM_ID
 
 
 def run_protocol(
@@ -298,6 +303,4 @@ def run_protocol(
         rule=rule,
         decode_ties=int(ties),
         bit_source=bit_source,
-        # a balanced run samples nothing, so it names only the words, as the CLI does
-        rng_algorithm=WORDS_ID if bit_source == "balanced" else ALGORITHM_ID,
     )

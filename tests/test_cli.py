@@ -273,14 +273,14 @@ def test_lists_longer_than_their_maximum_are_refused(tmp_path, capsys, experimen
 
 
 def test_counts_and_lists_at_their_maximum_pass_the_check():
-    params = cli.defaults(cli.SPECS["nosignal"])
+    params = cli.defaults(cli.EXPERIMENTS["nosignal"].fields)
     params["bases_a_deg"] = [0.0] * cli.MAX_BASES
     params["n_per_basis"] = cli.MAX_TRIALS
-    cli.check_params(cli.SPECS["nosignal"], params)
+    cli.check_params(cli.EXPERIMENTS["nosignal"].fields, params)
     # the balanced bit source no longer has a cap of its own
-    params = cli.defaults(cli.SPECS["protocol"])
+    params = cli.defaults(cli.EXPERIMENTS["protocol"].fields)
     params.update(n_bits=cli.MAX_TRIALS, bit_source="balanced")
-    cli.check_params(cli.SPECS["protocol"], params)
+    cli.check_params(cli.EXPERIMENTS["protocol"].fields, params)
 
 
 def test_huge_worker_count_runs_small_jobs(tmp_path):
@@ -378,18 +378,20 @@ def test_results_are_reproducible_byte_for_byte(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_manifest_round_trip(tmp_path):
-    first = tmp_path / "first.json"
-    args = ["nosignal", "--out", str(first), "--seed", "3", "--set", "n_per_basis=4000"]
-    assert run_cli(args) == 0
-    manifest_path = tmp_path / "first.json.manifest.json"
-    second = tmp_path / "second.json"
-    rc = run_cli(["nosignal", "--config", str(manifest_path), "--out", str(second)])
+# the default run of every experiment, and a CSV result
+@pytest.mark.parametrize("argv", [[experiment] for experiment in cli.EXPERIMENTS]
+                         + [["malus", "--format", "csv", "--set", "mode=mc"]],
+                         ids=" ".join)
+def test_manifest_round_trip(tmp_path, argv):
+    ext = "csv" if "csv" in argv else "json"
+    first = tmp_path / f"first.{ext}"
+    assert run_cli([*argv, "--out", str(first), "--seed", "3"]) == 0
+    manifest_path = tmp_path / f"first.{ext}.manifest.json"
+    second = tmp_path / f"second.{ext}"
+    rc = run_cli([argv[0], "--config", str(manifest_path), "--out", str(second)])
     assert rc == 0
-    first_doc = read_json(first)
-    second_doc = read_json(second)
-    assert first_doc["seed"] == second_doc["seed"] == 3
-    assert first.read_text() == second.read_text()
+    assert read_json(manifest_path)["seed"] == read_json(f"{second}.manifest.json")["seed"] == 3
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -518,7 +520,8 @@ def test_runtime_error_without_text_names_its_type(tmp_path, capsys, monkeypatch
     def out_of_memory(params, seed):
         raise MemoryError()
 
-    monkeypatch.setitem(cli._RUNNERS, "entropy", out_of_memory)
+    monkeypatch.setitem(cli.EXPERIMENTS, "entropy",
+                        cli.EXPERIMENTS["entropy"]._replace(run=out_of_memory))
     out = tmp_path / "never.json"
     assert run_cli(["entropy", "--out", str(out)]) == 1
     assert not out.exists()
@@ -702,7 +705,8 @@ print(json.dumps(sorted(m for m in ("dataclasses", "statistics") if m in sys.mod
     (["protocol"], []),
     (["protocol", "--set", "bit_source=balanced", "--set", "strategy=basis-oracle"], []),
     (["protocol", "--set", "strategy=repetition:11:fixed-basis-ml:22.5"], []),
-], ids=lambda value: " ".join(value) if value and value[0] in cli.SPECS else None)
+], ids=lambda value: (" ".join(value) if value and value[0] in cli.EXPERIMENTS
+                      else None))
 def test_no_run_loads_dataclasses_and_only_an_interval_loads_statistics(tmp_path, argv,
                                                                           modules):
     stdout = _run_fresh(_STDLIB_MODULES, *argv, "--out", str(tmp_path / "r.json"))
@@ -766,7 +770,7 @@ def _exit_and_heavy_modules(*argv):
 
 _NO_NUMPY_EXITS = [
     (["--help"], 0),
-    *[([experiment, "--help"], 0) for experiment in cli.SPECS],
+    *[([experiment, "--help"], 0) for experiment in cli.EXPERIMENTS],
     (["--version"], 0),
     (["bogus"], 2),
     (["protocol", "--set", "n_bits=0"], 2),

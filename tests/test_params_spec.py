@@ -1,10 +1,11 @@
 """The parameter spec against the 0.3.0 jsonschema documents it replaced.
 
-On generated valid and nearly valid configs, cli.SPECS (with the protocol's
-balanced-bits rules) must accept exactly what 0.3.0 accepted, except where the
-narrowing is deliberate: an integral float such as 1e3 in an integer field, an
-integer too large for a float (0.3.0 accepted it and then failed at run time),
-a count above cli.MAX_TRIALS and a list longer than its maximum.
+On generated valid and nearly valid configs, each experiment's fields in
+cli.EXPERIMENTS (with the protocol's balanced-bits rules) must accept exactly
+what 0.3.0 accepted, except where the narrowing is deliberate: an integral
+float such as 1e3 in an integer field, an integer too large for a float (0.3.0
+accepted it and then failed at run time), a count above cli.MAX_TRIALS and a
+list longer than its maximum.
 """
 
 import copy
@@ -285,7 +286,7 @@ class _Ran(Exception):
 
 def _accepted_by_spec(experiment, params):
     try:
-        cli.check_params(cli.SPECS[experiment], params)
+        cli.check_params(cli.EXPERIMENTS[experiment].fields, params)
         if experiment == "protocol":
             with mock.patch.object(cli, "run_protocol", side_effect=_Ran):
                 cli._run_protocol(params, 0)
@@ -298,7 +299,7 @@ def _accepted_by_spec(experiment, params):
 
 @pytest.mark.parametrize("experiment", list(SCHEMAS_0_3_0))
 def test_defaults_match_0_3_0(experiment):
-    assert json.dumps(cli.defaults(cli.SPECS[experiment])) == json.dumps(
+    assert json.dumps(cli.defaults(cli.EXPERIMENTS[experiment].fields)) == json.dumps(
         DEFAULTS_0_3_0[experiment])
 
 
@@ -310,7 +311,8 @@ def _assert_agreement(experiment, config_params):
     old_params = cli._deep_merge(DEFAULTS_0_3_0[experiment], parsed)
     old = parsed_ok and VALIDATORS[experiment].is_valid(old_params)
 
-    params = cli._deep_merge(cli.defaults(cli.SPECS[experiment]), json.loads(text))
+    fields = cli.EXPERIMENTS[experiment].fields
+    params = cli._deep_merge(cli.defaults(fields), json.loads(text))
     new = _accepted_by_spec(experiment, params)
 
     if old != new:

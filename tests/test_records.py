@@ -3,7 +3,8 @@ value or identity equality, and constructor checks.
 
 Since 0.12.0 every value class is a namedtuple subclass, where 0.11 had frozen
 dataclasses. The reprs, the equality of each class and the constructor error
-messages below are those of 0.11.1.
+messages below are those of 0.11.1, but for TransmissionReport's repr: since
+0.16.0 its rng_algorithm is read from bit_source, not a field.
 """
 
 import math
@@ -82,16 +83,16 @@ VALUE_RECORDS = [
      "mi_confidence_interval=(0.0, 0.0), seed=1, "
      "strategy=FixedBasisML(basis=MeasurementBasis(theta=0.0)), "
      "rule=EncodingRule(basis_for_one=0.0, basis_for_zero=0.7853981633974483), "
-     "decode_ties=10, bit_source='iid', rng_algorithm='numpy-philox-4x64/btrd')",
+     "decode_ties=10, bit_source='iid')",
      ("n_bits", "ber", "mutual_info_bits", "mi_confidence_interval", "seed", "strategy", "rule",
-      "decode_ties", "bit_source", "rng_algorithm")),
+      "decode_ties", "bit_source")),
     (lambda: run_protocol(10, strategy=BasisOracle(), bit_source="balanced"),
      "TransmissionReport(n_bits=10, ber=0.0, mutual_info_bits=1.0, "
      "mi_confidence_interval=(0.7219280948873623, 1.0), seed=0, strategy=BasisOracle(), "
      "rule=EncodingRule(basis_for_one=0.0, basis_for_zero=0.7853981633974483), "
-     "decode_ties=0, bit_source='balanced', rng_algorithm='numpy-philox-4x64')",
+     "decode_ties=0, bit_source='balanced')",
      ("n_bits", "ber", "mutual_info_bits", "mi_confidence_interval", "seed", "strategy", "rule",
-      "decode_ties", "bit_source", "rng_algorithm")),
+      "decode_ties", "bit_source")),
 ]
 
 # the four classes declared eq=False at 0.11: equal only to themselves
@@ -223,11 +224,17 @@ def test_constructors_keep_their_signatures():
     assert EncodingRule(basis_for_zero=0.5) == EncodingRule(0.0, 0.5)
     assert CascadeResult(axes=(0.0,)) == CascadeResult((0.0,), None, None, None, None)
     assert MziStats(1, 1, 0).by_choice is None
-    report = TransmissionReport(1, 0.0, 0.0, (0.0, 0.0), 0, BasisOracle(), EncodingRule(), 0,
-                                "balanced")
-    assert report.rng_algorithm == "numpy-philox-4x64/btrd"
+    # rng_algorithm is read from bit_source, so no caller can give one that
+    # contradicts the run
+    fields = (1, 0.0, 0.0, (0.0, 0.0), 0, BasisOracle(), EncodingRule(), 0)
+    assert TransmissionReport(*fields, "balanced").rng_algorithm == "numpy-philox-4x64"
+    assert TransmissionReport(*fields, "iid").rng_algorithm == "numpy-philox-4x64/btrd"
+    with pytest.raises(AttributeError):
+        TransmissionReport(*fields, "iid").rng_algorithm = "numpy-philox-4x64"
     for build in (lambda: MziConfig(), lambda: Repetition(2), lambda: ChoiceStats(1, 1),
-                  lambda: MeasurementBasis(0.0, 1.0), lambda: EncodingRule(0.0, 0.0, 0.0)):
+                  lambda: MeasurementBasis(0.0, 1.0), lambda: EncodingRule(0.0, 0.0, 0.0),
+                  lambda: TransmissionReport(*fields, "iid", "numpy-philox-4x64"),
+                  lambda: TransmissionReport(*fields, "iid", rng_algorithm="x")):
         with pytest.raises(TypeError):
             build()
 

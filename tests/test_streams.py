@@ -100,11 +100,14 @@ def test_no_stream_is_created_twice_in_one_run(monkeypatch, tmp_path, experiment
 
 
 # every run above, and the runs that draw no count besides entropy: analytic
-# malus, analytic mzi without the timing comparison, and balanced protocol bits
+# malus, analytic mzi without the timing comparison, balanced protocol bits,
+# and a malus sweep, which is analytic in either mode
 NAMING_RUNS = sorted(RUNS.items()) + [
     ("malus", []),
     ("mzi", ["--set", "mode=analytic", "--set", "timing=null"]),
     ("protocol", ["--set", "bit_source=balanced"]),
+    ("malus", ["--set", "mode=mc",
+               "--set", 'sweep={"start_deg": 0, "stop_deg": 90, "step_deg": 45}']),
 ]
 
 
@@ -117,6 +120,25 @@ def test_a_result_names_the_sampler_exactly_when_its_run_draws(monkeypatch, tmp_
     manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
     want = rng.ALGORITHM_ID if keyed else rng.WORDS_ID
     assert result["rng_algorithm"] == manifest["rng_algorithm"] == want
+
+
+@pytest.mark.parametrize("experiment, args", NAMING_RUNS)
+def test_a_run_keys_exactly_the_streams_its_runner_names(monkeypatch, tmp_path, experiment,
+                                                          args):
+    record = cli.EXPERIMENTS[experiment]
+    named = []
+
+    def recording_run(params, seed):
+        result = record.run(params, seed)
+        named.extend(result[3])
+        return result
+
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment, record._replace(run=recording_run))
+    monkeypatch.setitem(RUNS, experiment, args)
+    keyed = _keyed_streams(monkeypatch, tmp_path, experiment)
+    assert all(isinstance(indices, range) for indices in named)
+    assert len(set(keyed)) == len(keyed)
+    assert sorted(keyed) == sorted((5, i) for indices in named for i in indices)
 
 
 @pytest.mark.parametrize("experiment", sorted(RUNS))
