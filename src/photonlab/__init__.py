@@ -8,7 +8,7 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 # public names by the module that defines them
 _EXPORTS = {
@@ -79,6 +79,7 @@ _EXPORTS = {
         "Repetition",
         "TransmissionReport",
         "mutual_information",
+        "parse_strategy",
         "receiver_law",
         "run_protocol",
         "standard_strategies",

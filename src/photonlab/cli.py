@@ -75,7 +75,8 @@ MAX_BASES = 1_000
 # keeps n_bits * pairs_per_bit, the bound on a protocol's decode_ties, below
 # 2^56; the shipped maximum is 11
 MAX_PAIRS_PER_BIT = 2**24
-# parse_strategy recurses once per repetition level
+# a strategy's label, pairs_per_bit and bit decision recurse once per
+# repetition level
 MAX_STRATEGY_NESTING = 8
 
 
@@ -187,68 +188,22 @@ def _check_bounds(field: Field, value, shown: str, path: str) -> None:
         raise _invalid(path, f"{shown} is greater than the maximum of {field.maximum}")
 
 
-_STRATEGY_FORMS = (
-    "valid strategies: 'basis-oracle', 'fixed-basis-ml:<angle_deg>', "
-    "'repetition:<k>:<inner strategy>'"
-)
-
-
-def _strategy_form(label: str) -> tuple[list[int], float | None]:
-    """The repetition factors of a receiver strategy label, outermost first,
-    and its base strategy: None for basis-oracle, else the fixed-basis angle in
-    degrees. It checks the whole label, and that it sends at most
-    MAX_PAIRS_PER_BIT pairs per bit, without the protocol module, so a bad one
-    is refused before numpy loads."""
-    label = label.strip()
+def _strategy(label: str):
+    """The receiver a strategy label names, within the CLI's caps. The
+    nesting cap is checked on the raw label, before it is parsed."""
     if label.count("repetition:") > MAX_STRATEGY_NESTING:
+        raise ConfigError(f"strategy nests more than {MAX_STRATEGY_NESTING} repetitions; "
+                          "lower its nesting")
+    (parse_strategy,) = _library("parse_strategy")
+    try:
+        strategy = parse_strategy(label)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if strategy.pairs_per_bit > MAX_PAIRS_PER_BIT:
         raise ConfigError(
-            f"strategy nests more than {MAX_STRATEGY_NESTING} repetitions; {_STRATEGY_FORMS}"
-        )
-    factors = []
-    base = label
-    while base.startswith("repetition:"):
-        parts = base.split(":", 2)
-        if len(parts) != 3:
-            raise ConfigError(f"malformed repetition strategy {base!r}; {_STRATEGY_FORMS}")
-        try:
-            factors.append(int(parts[1]))
-        except ValueError:
-            raise ConfigError(
-                f"bad repetition factor {parts[1]!r} in {base!r}; {_STRATEGY_FORMS}"
-            ) from None
-        base = parts[2].strip()
-    if base == "basis-oracle":
-        deg = None
-    elif base.startswith("fixed-basis-ml:"):
-        raw = base.split(":", 1)[1]
-        try:
-            deg = float(raw)
-        except ValueError:
-            raise ConfigError(f"bad angle {raw!r} in {base!r}; {_STRATEGY_FORMS}") from None
-        if not math.isfinite(deg):
-            raise ConfigError(f"angle in {base!r} must be finite; {_STRATEGY_FORMS}")
-    else:
-        raise ConfigError(f"unknown strategy {base!r}; {_STRATEGY_FORMS}")
-    # the innermost bad factor is named first, as Repetition refuses it
-    for k in reversed(factors):
-        if k < 1:
-            raise ConfigError(f"repetition factor must be >= 1, got {k}; {_STRATEGY_FORMS}")
-    pairs_per_bit = math.prod(factors)
-    if pairs_per_bit > MAX_PAIRS_PER_BIT:
-        raise ConfigError(
-            f"strategy {label} sends {pairs_per_bit} pairs per bit, "
+            f"strategy {label.strip()} sends {strategy.pairs_per_bit} pairs per bit, "
             f"more than {MAX_PAIRS_PER_BIT}; lower its repetition factors"
         )
-    return factors, deg
-
-
-def parse_strategy(label: str):
-    """Parse a receiver strategy label, e.g. 'repetition:11:fixed-basis-ml:22.5'."""
-    factors, deg = _strategy_form(label)
-    BasisOracle, FixedBasisML, Repetition = _library("BasisOracle", "FixedBasisML", "Repetition")
-    strategy = BasisOracle() if deg is None else FixedBasisML(math.radians(deg))
-    for k in reversed(factors):
-        strategy = Repetition(k, strategy)
     return strategy
 
 
@@ -487,7 +442,7 @@ def _run_protocol(params, seed):
         if n_bits % 2:
             raise _invalid("n_bits", f"{n_bits} is not a multiple of 2, as the balanced "
                                      "bit source needs")
-    strategy = parse_strategy(params["strategy"])
+    strategy = _strategy(params["strategy"])
     EncodingRule, run_protocol = _library("EncodingRule", "run_protocol")
     rule = EncodingRule(
         basis_for_one=math.radians(params["rule"]["one_deg"]),

@@ -20,6 +20,7 @@ import numpy as np
 # numpy; core re-exports them
 from .scalars import (
     ALGORITHM_ID,
+    MAX_BINOMIAL_TRIALS,
     PROB_SNAP,
     SLICE_POINTS,
     WORDS_ID,
@@ -227,8 +228,6 @@ def sample_count_array(probs, n, seed: int, indices) -> np.ndarray:
 
 def _count_inputs(probs, n) -> tuple[np.ndarray, np.ndarray]:
     """Snapped (P, K) probabilities and P trial counts, checked."""
-    from .rng import MAX_BINOMIAL_TRIALS
-
     p = snap_probability_array(probs)
     if p.ndim != 2:
         raise ValueError(f"probs must be a (points, outcomes) array, got shape {p.shape}")

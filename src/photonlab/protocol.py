@@ -131,6 +131,52 @@ class Repetition(namedtuple("Repetition", "k inner")):
 ReceiverStrategy = FixedBasisML | BasisOracle | Repetition
 
 
+def _bad_label(what: str) -> ValueError:
+    return ValueError(f"{what}; valid strategies: 'basis-oracle', "
+                      "'fixed-basis-ml:<angle_deg>', 'repetition:<k>:<inner strategy>'")
+
+
+def parse_strategy(label: str) -> ReceiverStrategy:
+    """The receiver a label names, the inverse of .label: 'basis-oracle',
+    'fixed-basis-ml:<angle_deg>' or 'repetition:<k>:<inner label>', as in
+    'repetition:11:fixed-basis-ml:22.5'. Whitespace around the label and each
+    inner label is ignored, and k and the angle are read by int and float.
+    The constructors check what they build: a finite angle, and k >= 1, the
+    innermost bad factor named first. A bad label raises ValueError naming
+    the bad part, the label and the valid forms."""
+    factors = []
+    base = label.strip()
+    while base.startswith("repetition:"):
+        parts = base.split(":", 2)
+        if len(parts) != 3:
+            raise _bad_label(f"malformed repetition strategy {base!r}")
+        try:
+            factors.append(int(parts[1]))
+        except ValueError:
+            raise _bad_label(f"bad repetition factor {parts[1]!r} in {base!r}") from None
+        base = parts[2].strip()
+    if base == "basis-oracle":
+        strategy = BasisOracle()
+    elif base.startswith("fixed-basis-ml:"):
+        raw = base.split(":", 1)[1]
+        try:
+            deg = float(raw)
+        except ValueError:
+            raise _bad_label(f"bad angle {raw!r} in {base!r}") from None
+        try:
+            strategy = FixedBasisML(math.radians(deg))
+        except ValueError:
+            raise _bad_label(f"angle in {base!r} must be finite") from None
+    else:
+        raise _bad_label(f"unknown strategy {base!r}")
+    for k in reversed(factors):
+        try:
+            strategy = Repetition(k, strategy)
+        except ValueError as exc:
+            raise _bad_label(str(exc)) from None
+    return strategy
+
+
 def standard_strategies() -> list:
     """The shipped standard-physics receivers (no oracle)."""
     return [

@@ -19,11 +19,16 @@ function of (seed, stream_index, d, n, p) alone: a sweep draws all its points
 at once, and each point's counts do not depend on the other points.
 draw.binomial computes one such count over Python ints and floats.
 
-Each function here imports numpy when it runs, so importing this module
-loads no numpy.
+Only array code imports this module: core's count chain, which draws a
+long sweep's counts as arrays, draw.binomial, which hands it the rare draw
+whose float comparisons fall too close to call, and perfbench's draw-rate
+microbenchmark. Each has loaded numpy by then, so numpy is imported once,
+here at the top.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 # Uniform and binomial draws run Philox over at most SLICE_BLOCKS blocks at a
 # time, so their temporaries stay within a few MB however many are asked for.
@@ -51,8 +56,6 @@ def _mulhilo(x: np.ndarray, multiplier: np.ndarray) -> tuple[np.ndarray, np.ndar
     """High and low words of the 128-bit product of each row of the (2, P)
     uint64 array x with its row of the (2, 1) multipliers, computed through
     32-bit halves."""
-    import numpy as np
-
     low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
     mul_lo, mul_hi = multiplier & low, multiplier >> half
     lo = x & low
@@ -81,8 +84,6 @@ def philox(key, counter) -> np.ndarray:
     single column, shared by every column of the other.
 
     Both 64x64 -> 128-bit multiplies of a round run as one (2, P) operation."""
-    import numpy as np
-
     key = np.array(key, dtype=np.uint64)  # a copy: the rounds bump it
     counter = np.asarray(counter, dtype=np.uint64)
     # one row per multiplied word
@@ -102,8 +103,6 @@ def philox(key, counter) -> np.ndarray:
 def stream_keys(seed: int, indices: range) -> np.ndarray:
     """The (2, P) uint64 Philox keys (seed, index) of the streams named by a
     seed and a range of P stream indices."""
-    import numpy as np
-
     seed = _u64(seed, "seed")
     for end in indices[:1], indices[-1:]:
         for index in end:
@@ -120,8 +119,6 @@ def stream_keys(seed: int, indices: range) -> np.ndarray:
 # --- the binomial sampler ------------------------------------------------------------
 
 def _stirling_tail(k: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     inv = 1.0 / (k + 1.0)
     inv2 = inv * inv
     series = (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) * inv
@@ -132,8 +129,6 @@ def _stirling_tail(k: np.ndarray) -> np.ndarray:
 def _binomial_words(key: np.ndarray, draw: np.ndarray, rnd: int) -> np.ndarray:
     """The (4, P) words that binomial draw draw[j] of stream key[:, j] reads
     in rejection round rnd: the block of counter (rnd, draw[j], 0, 1)."""
-    import numpy as np
-
     counter = np.empty((4, draw.size), dtype=np.uint64)
     counter[0] = rnd
     counter[1] = draw
@@ -148,8 +143,6 @@ def _inversion(n, q, u):
     found by walking the pmf up from f(0) = (1 - q)^n. An attempt fails past
     n q + 10 sqrt(n q (1 - q) + 1) or n, which only a cdf that rounding
     leaves short of 1 reaches. Returns the counts and which are accepted."""
-    import numpy as np
-
     mean = n * q
     bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * (1.0 - q) + 1.0))
     odds = q / (1.0 - q)
@@ -171,8 +164,6 @@ def _btrd(n, q, v, w):
     n q of at least INVERSION_MEAN, from the uniforms v and w (Hoermann, "The
     generation of binomial random variates", J. Stat. Comput. Simul. 46,
     1993). Returns the candidate counts and which are accepted."""
-    import numpy as np
-
     spq = np.sqrt(n * q * (1.0 - q))
     b = 1.15 + 2.53 * spq
     a = -0.0873 + 0.0248 * b + 0.01 * q
@@ -199,8 +190,6 @@ def _btrd(n, q, v, w):
 
 def _btrd_ratio(n, q, k, v):
     """Steps 3.1-3.4 of BTRD: whether v <= f(k) / f(m), m the mode."""
-    import numpy as np
-
     r = q / (1.0 - q)
     m = np.floor((n + 1.0) * q)
     km = np.abs(k - m)
@@ -234,8 +223,6 @@ def _btrd_ratio(n, q, k, v):
 def _attempt(n, q, v, w):
     """One attempt per element from the uniforms v and w: inversion below
     INVERSION_MEAN, which reads v only, BTRD at or above it."""
-    import numpy as np
-
     k = np.empty(n.shape)
     accepted = np.empty(n.shape, dtype=bool)
     small = n * q < INVERSION_MEAN
@@ -253,8 +240,6 @@ def _round(n, p, words):
     probability p from their (4, P) round words, and which points accepted:
     attempt 0 reads words 0 and 1, and where it fails attempt 1 reads words 2
     and 3. A point samples the smaller of p and 1 - p and reflects the count."""
-    import numpy as np
-
     flip = p > 0.5
     q = np.where(flip, 1.0 - p, p)
     trials = n.astype(np.float64)
@@ -277,8 +262,6 @@ def binomial_array(n, p, key, draw) -> np.ndarray:
     time: round r reads the block of counter (r, draw, 0, 1) for the points
     still rejecting only. The int64 counts have the binomial law up to
     float64 rounding, exactly for n up to 2^53 trials."""
-    import numpy as np
-
     n = np.asarray(n, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
     draw = np.asarray(draw, dtype=np.uint64)
@@ -300,8 +283,6 @@ class RngStream:
     Philox sequence. Single-owner: never share across threads."""
 
     def __init__(self, seed: int, stream_index: int):
-        import numpy as np
-
         self.key = stream_keys(seed, range(stream_index, stream_index + 1))
         self.seed, self.stream_index = (int(word) for word in self.key[:, 0])
         self._blocks = 0  # uniform blocks made; the next has counter _blocks + 1
@@ -309,8 +290,6 @@ class RngStream:
 
     def _words(self, n: int):
         """The next n uniform words, in arrays of at most 4 * SLICE_BLOCKS."""
-        import numpy as np
-
         spare, self._spare = self._spare[:n], self._spare[n:]
         if spare.size:
             yield spare
@@ -330,8 +309,6 @@ class RngStream:
         draws them; a float when size is None. No experiment draws uniforms:
         this stays for the tests of the words against numpy's Philox and for
         perfbench's draw-rate microbenchmark."""
-        import numpy as np
-
         out = np.empty(1 if size is None else size, dtype=np.float64)
         flat = out.reshape(-1)
         start = 0

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import photonlab
 from photonlab import cli
-from photonlab.cli import main, parse_strategy
-from photonlab.protocol import BasisOracle, FixedBasisML, Repetition
+from photonlab.cli import main
 from photonlab.rng import ALGORITHM_ID
 
 
@@ -513,7 +512,7 @@ def test_oversized_and_deeply_nested_strategies_are_refused(tmp_path, capsys):
                     "--out", str(out)]) == 0
     assert read_json(out)["decode_ties"] == cli.MAX_TRIALS * cli.MAX_PAIRS_PER_BIT
     shallow = "repetition:1:" * cli.MAX_STRATEGY_NESTING + "basis-oracle"
-    assert parse_strategy(shallow).pairs_per_bit == 1
+    assert cli._strategy(shallow).pairs_per_bit == 1
 
 
 def test_runtime_error_without_text_names_its_type(tmp_path, capsys, monkeypatch):
@@ -584,22 +583,6 @@ def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-
-
-def test_parse_strategy_forms():
-    assert isinstance(parse_strategy("basis-oracle"), BasisOracle)
-    ml = parse_strategy("fixed-basis-ml:22.5")
-    assert isinstance(ml, FixedBasisML)
-    assert ml.basis.theta == pytest.approx(math.pi / 8, abs=1e-12)
-    rep = parse_strategy("repetition:5:fixed-basis-ml:0")
-    assert isinstance(rep, Repetition)
-    assert rep.k == 5
-    nested = parse_strategy("repetition:3:repetition:2:basis-oracle")
-    assert nested.pairs_per_bit == 6
-    for bad in ("oracle", "fixed-basis-ml:abc", "repetition:x:basis-oracle",
-                "repetition:0:basis-oracle", "repetition:2"):
-        with pytest.raises(ValueError):
-            parse_strategy(bad)
 
 
 def test_cli_import_leaves_jsonschema_unloaded():
@@ -777,16 +760,24 @@ _NO_NUMPY_EXITS = [
     (["nosignal", "--set", "bases_a_deg=[0, 1e400]"], 2),
     (["malus", "--config", "no-such-config.json"], 2),
     (["bell", "--set", 'sweep={"start_deg": 1, "stop_deg": 0, "step_deg": 1}'], 2),
-    (["protocol", "--set", "strategy=repetition:0:basis-oracle"], 2),
-    (["protocol", "--set", "strategy=" + "repetition:1000:" * 3 + "basis-oracle"], 2),
     (["protocol", "--set", "n_bits=3", "--set", "bit_source=balanced"], 2),
 ]
 
+# a strategy is parsed by protocol.parse_strategy, so a bad one loads protocol
+# and the two modules it imports, still without numpy
+_STRATEGY_EXITS = [
+    (["protocol", "--set", "strategy=repetition:0:basis-oracle"], 2),
+    (["protocol", "--set", "strategy=" + "repetition:1000:" * 3 + "basis-oracle"], 2),
+]
+_PARSER_MODULES = ["photonlab.protocol", "photonlab.scalars", "photonlab.stats"]
 
-@pytest.mark.parametrize("argv, code", _NO_NUMPY_EXITS,
-                         ids=[" ".join(argv) for argv, _ in _NO_NUMPY_EXITS])
-def test_help_version_and_config_errors_load_no_numpy(tmp_path, argv, code):
-    assert _exit_and_heavy_modules(*argv, "--out", str(tmp_path / "r.json")) == [code, []]
+
+@pytest.mark.parametrize("argv, code, loaded",
+                         [(argv, code, []) for argv, code in _NO_NUMPY_EXITS]
+                         + [(argv, code, _PARSER_MODULES) for argv, code in _STRATEGY_EXITS],
+                         ids=[" ".join(argv) for argv, _ in _NO_NUMPY_EXITS + _STRATEGY_EXITS])
+def test_help_version_and_config_errors_load_no_numpy(tmp_path, argv, code, loaded):
+    assert _exit_and_heavy_modules(*argv, "--out", str(tmp_path / "r.json")) == [code, loaded]
     assert not (tmp_path / "r.json").exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from photonlab import draw, protocol
+from photonlab import cli, draw, protocol
 from photonlab.cli import MAX_PAIRS_PER_BIT, MAX_STRATEGY_NESTING, MAX_TRIALS
 from photonlab.core import MeasurementBasis, states_equal
 from photonlab.entangle import conditional_state, joint_probability_array, make_pair
@@ -17,6 +17,7 @@ from photonlab.protocol import (
     FixedBasisML,
     Repetition,
     mutual_information,
+    parse_strategy,
     receiver_law,
     run_protocol,
     standard_strategies,
@@ -429,3 +430,177 @@ def test_balanced_runs_create_no_stream_and_iid_runs_one(monkeypatch):
         run_protocol(1000, strategy=strategy, seed=33)
         assert created == [(33, 0)]
         created.clear()
+
+
+def test_parse_strategy_forms():
+    assert isinstance(parse_strategy("basis-oracle"), BasisOracle)
+    ml = parse_strategy("fixed-basis-ml:22.5")
+    assert isinstance(ml, FixedBasisML)
+    assert ml.basis.theta == pytest.approx(math.pi / 8, abs=1e-12)
+    rep = parse_strategy("repetition:5:fixed-basis-ml:0")
+    assert isinstance(rep, Repetition)
+    assert rep.k == 5
+    nested = parse_strategy("repetition:3:repetition:2:basis-oracle")
+    assert nested.pairs_per_bit == 6
+    for bad in ("oracle", "fixed-basis-ml:abc", "repetition:x:basis-oracle",
+                "repetition:0:basis-oracle", "repetition:2"):
+        with pytest.raises(ValueError):
+            parse_strategy(bad)
+
+
+# 0.16.0's parser, frozen as the reference for the one in protocol: it lived in
+# the CLI, which applied its caps while parsing, and raised ConfigError, a
+# ValueError
+_FORMS_0_16_0 = (
+    "valid strategies: 'basis-oracle', 'fixed-basis-ml:<angle_deg>', "
+    "'repetition:<k>:<inner strategy>'"
+)
+
+
+def _strategy_form_0_16_0(label):
+    label = label.strip()
+    if label.count("repetition:") > MAX_STRATEGY_NESTING:
+        raise ValueError(
+            f"strategy nests more than {MAX_STRATEGY_NESTING} repetitions; {_FORMS_0_16_0}"
+        )
+    factors = []
+    base = label
+    while base.startswith("repetition:"):
+        parts = base.split(":", 2)
+        if len(parts) != 3:
+            raise ValueError(f"malformed repetition strategy {base!r}; {_FORMS_0_16_0}")
+        try:
+            factors.append(int(parts[1]))
+        except ValueError:
+            raise ValueError(
+                f"bad repetition factor {parts[1]!r} in {base!r}; {_FORMS_0_16_0}"
+            ) from None
+        base = parts[2].strip()
+    if base == "basis-oracle":
+        deg = None
+    elif base.startswith("fixed-basis-ml:"):
+        raw = base.split(":", 1)[1]
+        try:
+            deg = float(raw)
+        except ValueError:
+            raise ValueError(f"bad angle {raw!r} in {base!r}; {_FORMS_0_16_0}") from None
+        if not math.isfinite(deg):
+            raise ValueError(f"angle in {base!r} must be finite; {_FORMS_0_16_0}")
+    else:
+        raise ValueError(f"unknown strategy {base!r}; {_FORMS_0_16_0}")
+    for k in reversed(factors):
+        if k < 1:
+            raise ValueError(f"repetition factor must be >= 1, got {k}; {_FORMS_0_16_0}")
+    pairs_per_bit = math.prod(factors)
+    if pairs_per_bit > MAX_PAIRS_PER_BIT:
+        raise ValueError(
+            f"strategy {label} sends {pairs_per_bit} pairs per bit, "
+            f"more than {MAX_PAIRS_PER_BIT}; lower its repetition factors"
+        )
+    return factors, deg
+
+
+def _parse_strategy_0_16_0(label):
+    factors, deg = _strategy_form_0_16_0(label)
+    strategy = BasisOracle() if deg is None else FixedBasisML(math.radians(deg))
+    for k in reversed(factors):
+        strategy = Repetition(k, strategy)
+    return strategy
+
+
+def _tree(strategy):
+    """The classes and fields of a receiver, outermost first; namedtuples of
+    different classes may compare equal as tuples, so the class is named."""
+    tree = []
+    while isinstance(strategy, Repetition):
+        tree.append(("Repetition", strategy.k))
+        strategy = strategy.inner
+    return [*tree, (type(strategy).__name__, *strategy)]
+
+
+def _outcome(parse, label):
+    try:
+        return parse(label), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _mostly(good, bad):
+    """good in eight draws of ten, else bad."""
+    return st.integers(0, 9).flatmap(lambda i: good if i < 8 else bad)
+
+
+_pads = st.sampled_from(["", "", "", " ", "  ", "\t", "\n "])
+_factors = _mostly(
+    st.integers(1, 12).map(str),
+    st.one_of(st.integers(-2, 0).map(str), st.integers(1000, 2**25).map(str),
+              st.sampled_from(["", "x", "1.5", "1_0", "1__0", "_1", "+2", " 3 ", "0x3", "2e1",
+                               "-0", "\u0663", "1:"])),
+)
+_angles = _mostly(
+    st.one_of(st.floats(-720.0, 720.0).map(repr), st.floats(-720.0, 720.0).map(lambda x: f"{x:g}"),
+              st.sampled_from(["22.5", " 22.5 ", "1_0", ".5", "5.", "-0", "1e-300",
+                               "179.9999999"])),
+    st.one_of(st.floats().map(repr),
+              st.sampled_from(["", "abc", "1__0", "_1", "1e400", "-1e400", "inf", "nan",
+                               "22.5:1", "0:", "1e", "0x1"])),
+)
+_bases = _mostly(
+    st.one_of(st.just("basis-oracle"), _angles.map(lambda angle: "fixed-basis-ml:" + angle)),
+    st.sampled_from(["oracle", "Basis-Oracle", "BASIS-ORACLE", "basis-oracle:", "fixed-basis-ml",
+                     "Fixed-Basis-ML:0", "", ":", "repetition", "repetition:",
+                     "basis-oracle basis-oracle", "fixed-basis-ml :0"]),
+)
+_prefixes = _mostly(
+    st.just("repetition:"),
+    st.sampled_from(["Repetition:", "REPETITION:", "repetition :", "repetition", "repetition::"]),
+)
+
+
+def _label(levels, base, pad, tail):
+    return pad + "".join(f"{before}{prefix}{k}:{after}" for before, prefix, k, after in levels) \
+        + base + tail + pad
+
+
+# labels built from valid forms and their mutations, and free text over the
+# grammar's characters
+_labels = _mostly(
+    st.builds(_label,
+              st.lists(st.tuples(_pads, _prefixes, _factors, _pads),
+                       max_size=MAX_STRATEGY_NESTING + 2),
+              _bases, _pads, _mostly(st.just(""), st.sampled_from([":", " :", "x"]))),
+    st.text(alphabet="repetitionbasfxdml-:0123456789._ ", max_size=40),
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_labels)
+@example("repetition:1000:repetition:1000:repetition:1000:basis-oracle")
+@example("repetition:1:" * (MAX_STRATEGY_NESTING + 1) + "basis-oracle")
+@example(f"repetition:{MAX_PAIRS_PER_BIT}:repetition:1_0:fixed-basis-ml: 1_0 ")
+@example("repetition:0:repetition:-1:fixed-basis-ml:inf")
+@example("repetition:0:repetition:-1:basis-oracle")
+@example(" fixed-basis-ml:inf ")
+@example("repetition:2: oracle")
+@example("fixed-basis-ml:179.9999999")
+def test_the_parser_accepts_exactly_what_0_16_0_accepted(label):
+    reference, reference_error = _outcome(_parse_strategy_0_16_0, label)
+    # the CLI reads a label through the parser and its own two caps
+    parsed, error = _outcome(cli._strategy, label)
+    assert (parsed is None) == (reference is None), (reference_error, error)
+    if parsed is None:
+        # the parser's messages and the pairs cap's keep 0.16.0's wording
+        if label.count("repetition:") <= MAX_STRATEGY_NESTING:
+            assert error == reference_error
+        return
+    assert parsed.label == reference.label
+    assert parsed.pairs_per_bit == reference.pairs_per_bit
+    assert _tree(parsed) == _tree(reference)
+    assert _tree(parse_strategy(label)) == _tree(parsed)
+    # the label a receiver prints parses back to it, but for an angle just
+    # below 180 degrees: it prints as 180, which parses to 0
+    again = parse_strategy(parsed.label).label
+    if parsed.label.endswith("fixed-basis-ml:180"):
+        assert again == parsed.label[:-3] + "0"
+    else:
+        assert again == parsed.label
