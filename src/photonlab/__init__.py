@@ -8,12 +8,11 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 # public names by the module that defines them
 _EXPORTS = {
     "core": (
-        "ALGEBRA_ATOL",
         "DensityOperator",
         "InvalidStateError",
         "StateVector",
@@ -46,7 +45,9 @@ _EXPORTS = {
     ),
     "entropy": (
         "EntropyReport",
+        "binary_entropy",
         "collapse_entropy_report",
+        "eigenbasis_entropy",
         "qubit_superposition_entropy",
         "shannon_entropy",
         "von_neumann_entropy",
@@ -69,7 +70,9 @@ _EXPORTS = {
         "cascade_analytic",
         "cascade_mc",
         "linear_light",
+        "malus_law",
         "natural_light",
+        "stage_pass_probabilities",
         "transmit_analytic",
     ),
     "protocol": (
@@ -87,7 +90,8 @@ _EXPORTS = {
     # the module is public; the benchmark-only stream it keeps is not
     "rng": (),
     # core re-exports these; they live where a run loads them without numpy
-    "scalars": ("ALGORITHM_ID", "MeasurementBasis", "PROB_SNAP", "WORDS_ID", "canonical_angle"),
+    "scalars": ("ALGEBRA_ATOL", "ALGORITHM_ID", "MeasurementBasis", "PROB_SNAP", "WORDS_ID",
+                "canonical_angle"),
     "stats": (
         "as_bit_array",
         "bit_table",

@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import copy
 import importlib
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -26,11 +28,14 @@ from collections import namedtuple
 
 from . import _HOME, __version__
 
-# numpy loads only once a run starts, with the first library module or runner
-# that needs it, so --help, --version and a configuration error exit without
-# it. photonlab's linear algebra is all 2x2, so a BLAS worker thread would only
-# spin; OpenBLAS reads this variable once, when numpy loads, and takes an empty
-# value as unset. Any other value the user set stays as it is.
+# numpy loads only once a run starts, with the first library module that
+# needs it, so --help, --version and a configuration error exit without it.
+# Most runs never load it: malus, entropy and nosignal compute their closed
+# forms in Python floats (0.18.0), as the protocol and the Monte Carlo runs of
+# at most SCALAR_ROWS points do; only a longer bell or mzi sweep works on
+# arrays. photonlab's linear algebra is all 2x2, so a BLAS worker thread would
+# only spin; OpenBLAS reads this variable once, when numpy loads, and takes an
+# empty value as unset. Any other value the user set stays as it is.
 if not os.environ.get("OPENBLAS_NUM_THREADS"):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -266,24 +271,6 @@ def _grid_from_sweep(sweep: dict) -> list[float]:
     return [start + k * step for k in range(int(span) + 1)]
 
 
-def _sweep_final_intensities(grid: list[float]):
-    """Natural light through polarizers at 90, theta and 0 degrees, for each
-    theta of the grid (in degrees), as one batched cascade per point slice,
-    so that only the final intensities are held for every point."""
-    import numpy as np
-
-    from .core import point_slices
-
-    cascade_analytic, natural_light = _library("cascade_analytic", "natural_light")
-    beam = natural_light()
-    finals = np.empty(len(grid))
-    for rows in point_slices(len(grid)):
-        theta = np.radians(grid[rows])
-        axes = np.stack([np.full_like(theta, math.pi / 2), theta, np.zeros_like(theta)], axis=1)
-        finals[rows] = cascade_analytic(beam, axes).final_intensity()
-    return finals
-
-
 class Table:
     """Rows stored as named columns, lists or 1-D arrays of one length.
 
@@ -303,63 +290,71 @@ class Table:
 
 
 def _run_malus(params, seed):
+    # loaded here, so that --help and a configuration error never load them
+    from array import array
+
+    from .scalars import snap_probability
+
+    cascade_mc, malus_law, stage_pass_probabilities = _library(
+        "cascade_mc", "malus_law", "stage_pass_probabilities")
     if params["sweep"] is not None:
         grid = _grid_from_sweep(params["sweep"])
-        finals = _sweep_final_intensities(grid)
-        best = int(finals.argmax())
-        summary = {"max_final_intensity": float(finals[best]), "argmax_deg": grid[best]}
+        # natural light through polarizers at 90, theta and 0 degrees: the
+        # snapped pass probabilities of its stages multiplied in stage order,
+        # as the analytic cascade [90, theta, 0] multiplies them
+        ninety, zero = math.radians(90.0), math.radians(0.0)
+        finals = array("d", (0.5 * snap_probability(malus_law(ninety, theta))
+                             * snap_probability(malus_law(theta, zero))
+                             for theta in map(math.radians, grid)))
+        best = finals.index(max(finals))
+        summary = {"max_final_intensity": finals[best], "argmax_deg": grid[best]}
         rows = Table(theta_deg=grid, final_intensity=finals)
         return {"sweep_rows": rows}, rows, summary, []
 
-    cascade_analytic, cascade_mc, linear_light, natural_light = _library(
-        "cascade_analytic", "cascade_mc", "linear_light", "natural_light")
     axes = [math.radians(a) for a in params["axes_deg"]]
+    source_angle = math.radians(params["source_angle_deg"])
     if params["mode"] == "analytic":
-        if params["source"] == "natural":
-            beam = natural_light()
-        else:
-            beam = linear_light(math.radians(params["source_angle_deg"]))
-        result = cascade_analytic(beam, axes)
+        # each stage's intensity is the product of the snapped pass
+        # probabilities up to it
+        fractions = list(itertools.accumulate(
+            map(snap_probability, stage_pass_probabilities(axes, params["source"], source_angle)),
+            operator.mul))
         payload, streams = {}, []
     else:
         result = cascade_mc(
             params["n_photons"],
             axes,
             source=params["source"],
-            source_angle=math.radians(params["source_angle_deg"]),
+            source_angle=source_angle,
             seed=seed,
         )
+        fractions = [float(f) for f in result.fractions()]
         # the cascade draws its stage counts from stream 0
         payload, streams = {"n_photons": params["n_photons"]}, [range(1)]
     stages = Table(stage=list(range(len(axes))),
                    axis_deg=[float(a) for a in params["axes_deg"]],
-                   fraction=[float(f) for f in result.fractions()])
+                   fraction=fractions)
     payload["stages"] = stages
     if params["mode"] == "mc":
         payload["stages"] = Table(**stages.columns,
                                   count=[int(c) for c in result.per_stage_counts])
-    payload["final_intensity"] = float(result.final_intensity())
+    payload["final_intensity"] = fractions[-1]
     return payload, stages, {"final_intensity": payload["final_intensity"]}, streams
 
 
 def _run_entropy(params, seed):
-    import numpy as np
+    from array import array
 
-    from .core import point_slices
-
-    collapse_entropy_report, unit_state_array = _library(
-        "collapse_entropy_report", "unit_state_array")
-    p0 = np.array(params["grid"], dtype=np.float64)
-    # the states and their report are made one point slice at a time, so that
-    # only the table's columns are held for every point
-    before, after, delta = (np.empty_like(p0) for _ in range(3))
-    for rows in point_slices(p0.size):
-        states = unit_state_array(np.stack([np.sqrt(p0[rows]), np.sqrt(1.0 - p0[rows])], axis=1))
-        report = collapse_entropy_report(states, 0.0)
-        before[rows], after[rows], delta[rows] = (report.before_bits, report.after_bits,
-                                                  report.delta_bits)
+    binary_entropy, eigenbasis_entropy = _library("binary_entropy", "eigenbasis_entropy")
+    p0 = array("d", params["grid"])
+    # collapse in the measured basis (theta = 0) leaves one of its
+    # eigenvectors, whose outcome entropy is the same at every point
+    after_bits = eigenbasis_entropy(0.0)
+    before = array("d", map(binary_entropy, p0))
+    after = array("d", [after_bits]) * len(p0)
+    delta = array("d", map(operator.sub, after, before))
     rows = Table(p0=p0, before_bits=before, after_bits=after, delta_bits=delta)
-    return {"rows": rows}, rows, {"max_after_bits": float(after.max())}, []
+    return {"rows": rows}, rows, {"max_after_bits": after_bits}, []
 
 
 def _radians(degrees: list):
@@ -409,29 +404,28 @@ def _run_bell(params, seed):
 
 
 def _run_nosignal(params, seed):
-    import numpy as np
-
-    ALGEBRA_ATOL, bob_marginal_count_array, no_signaling_check, wilson_interval_array = _library(
-        "ALGEBRA_ATOL", "bob_marginal_count_array", "no_signaling_check", "wilson_interval_array")
-    bases_deg = np.array(params["bases_a_deg"], dtype=np.float64)
+    ALGEBRA_ATOL, bob_marginal_counts, no_signaling_check, wilson_interval = _library(
+        "ALGEBRA_ATOL", "bob_marginal_counts", "no_signaling_check", "wilson_interval")
+    bases_deg = [float(d) for d in params["bases_a_deg"]]
     probe_deg = float(params["probe_basis_deg"])
+    probe = math.radians(probe_deg)
     n = params["n_per_basis"]
-    bases = np.radians(bases_deg)
+    bases = [math.radians(d) for d in bases_deg]
     distance = no_signaling_check(bases)
     # basis i draws from stream i
-    basis_streams = range(bases.size)
-    count0 = bob_marginal_count_array(bases, math.radians(probe_deg), n, seed=seed,
-                                      stream_base=basis_streams.start)
-    lo, hi = wilson_interval_array(count0, n)
-    rows = Table(basis_a_deg=bases_deg, n=np.full(count0.shape, n), bob_fraction_d0=count0 / n,
-                 ci_lo=lo, ci_hi=hi)
+    basis_streams = range(len(bases))
+    count0 = [bob_marginal_counts(theta, probe, n, seed=seed, stream_base=i)[1]
+              for i, theta in zip(basis_streams, bases)]
+    lo, hi = zip(*(wilson_interval(c, n) for c in count0))
+    rows = Table(basis_a_deg=bases_deg, n=[n] * len(bases),
+                 bob_fraction_d0=[c / n for c in count0], ci_lo=list(lo), ci_hi=list(hi))
     payload = {
-        "max_trace_distance": float(distance),
-        "within_atol": bool(distance < ALGEBRA_ATOL),
+        "max_trace_distance": distance,
+        "within_atol": distance < ALGEBRA_ATOL,
         "probe_basis_deg": probe_deg,
         "rows": rows,
     }
-    summary = {"max_trace_distance": float(distance)}
+    summary = {"max_trace_distance": distance}
     return payload, rows, summary, [basis_streams]
 
 

@@ -19,6 +19,7 @@ import numpy as np
 # the scalar pieces live where a run that needs no arrays can load them without
 # numpy; core re-exports them
 from .scalars import (
+    ALGEBRA_ATOL,
     ALGORITHM_ID,
     MAX_BINOMIAL_TRIALS,
     PROB_SNAP,
@@ -30,8 +31,7 @@ from .scalars import (
     snap_probability,
 )
 
-# Algebraic identities hold to ALGEBRA_ATOL; precondition checks are looser.
-ALGEBRA_ATOL = 1e-12
+# precondition checks are looser than the algebra's ALGEBRA_ATOL
 PRECONDITION_ATOL = 1e-9
 
 

@@ -13,20 +13,20 @@ evaluated with math for one point and with numpy for arrays by the same IEEE
 steps, so the two agree bit for bit. Every sampled count comes from it; the
 amplitude algebra of a PairState serves the analytic functions
 (joint_probabilities, conditional_state, bob_reduced_state and
-no_signaling_check).
+no_signaling_check, which runs it in Python floats and complex).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-# numpy and core load only for the amplitude algebra, the marginals and a sweep
-# of more than SCALAR_ROWS points
+# numpy and core load only for the amplitude algebra on arrays and a sweep of
+# more than SCALAR_ROWS points
 from .scalars import (
-    SLICE_POINTS,
     MeasurementBasis,
     _coerce_basis,
     canonical_angle,
@@ -55,6 +55,10 @@ class PairState(namedtuple("PairState", "joint")):
         return tuple.__new__(cls, (joint,))
 
 
+# the singlet's amplitudes (00, 01, 10, 11), as make_pair's StateVector holds them
+_SINGLET = (0.0, math.sqrt(0.5), -math.sqrt(0.5), 0.0)
+
+
 @functools.cache
 def make_pair() -> PairState:
     """The singlet pair used throughout: one frozen PairState with read-only
@@ -63,8 +67,7 @@ def make_pair() -> PairState:
 
     from .core import StateVector
 
-    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
-    return PairState(StateVector(singlet))
+    return PairState(StateVector(np.array(_SINGLET, dtype=np.complex128)))
 
 
 def _amplitude_matrix(pair: PairState) -> np.ndarray:
@@ -341,16 +344,41 @@ def bob_reduced_state(pair: PairState, basis_a) -> DensityOperator:
     return DensityOperator(_bob_marginals(pair, np.array([_coerce_basis(basis_a).theta]))[0])
 
 
-def _pair_slices(n: int):
-    """Index arrays (i, j) of the pairs i < j of n items, in row order, whole
-    rows at a time and at most max(SLICE_POINTS, n - 1) pairs per slice."""
-    import numpy as np
+def _marginal_coordinates(amplitudes, theta: float) -> tuple:
+    """B's marginal after A measures at the canonical angle theta, in Python
+    floats or complex: rho = sum over A's outcomes o of c_o c_o^dagger, where
+    c_o = <e_o|_A |pair> holds B's unnormalized amplitudes, for the
+    eigenvectors e_0 = (cos theta, sin theta) and e_1 = (-sin theta, cos
+    theta). Returned as its trace and half its Bloch vector: (rho00 + rho11,
+    (rho00 - rho11) / 2, Re rho01, Im rho01)."""
+    m00, m01, m10, m11 = amplitudes
+    c, s = math.cos(theta), math.sin(theta)
+    rho00 = rho11 = rho01 = 0.0
+    for e0, e1 in ((c, s), (-s, c)):
+        b0, b1 = e0 * m00 + e1 * m10, e0 * m01 + e1 * m11
+        rho00 += (b0 * b0.conjugate()).real
+        rho11 += (b1 * b1.conjugate()).real
+        rho01 += b0 * b1.conjugate()
+    return rho00 + rho11, (rho00 - rho11) / 2.0, rho01.real, rho01.imag
 
-    step = max(1, SLICE_POINTS // n)
-    for lo in range(0, n - 1, step):
-        rows = range(lo, min(lo + step, n - 1))
-        yield (np.concatenate([np.full(n - 1 - r, r) for r in rows]),
-               np.concatenate([np.arange(r + 1, n) for r in rows]))
+
+def _max_trace_distance(marginals) -> float:
+    """The largest trace distance between two of the marginals, each given as
+    _marginal_coordinates gives it; 0.0 for one.
+
+    The difference D of two marginals is 2x2 Hermitian, with eigenvalues
+    tr(D)/2 +- r, r the length of half its Bloch vector, so its trace
+    distance (|lambda_+| + |lambda_-|)/2 is max(|tr D|/2, r). The maximum over
+    pairs is then the larger of the traces' spread over 2 and the largest
+    distance between two distinct half Bloch vectors, math.dist over every
+    pair of the distinct ones.
+    """
+    traces = [m[0] for m in marginals]
+    vectors = list({m[1:] for m in marginals})
+    worst = (max(traces) - min(traces)) / 2.0
+    for i, v in enumerate(vectors[:-1]):
+        worst = max(worst, max(map(math.dist, itertools.repeat(v), vectors[i + 1:])))
+    return worst
 
 
 def no_signaling_check(bases_a, pair: PairState | None = None) -> float:
@@ -360,27 +388,15 @@ def no_signaling_check(bases_a, pair: PairState | None = None) -> float:
     A's basis choice alone carries no information to B. A single basis
     trivially returns 0.0.
 
-    Bitwise-equal marginals are at distance exactly 0, so only the distinct
-    ones are compared. Sorted by their bytes, which is trace_distance's
-    canonical operand order, each pair i < j of them takes the eigvalsh that
-    trace_distance would, in stacks of up to SLICE_POINTS pairs.
+    It runs in Python floats and complex, and reads the singlet's amplitudes
+    without numpy when pair is None: each marginal is summed from the pair's
+    amplitudes (_marginal_coordinates), and each pairwise distance follows
+    from the closed-form eigenvalues of their 2x2 difference
+    (_max_trace_distance).
     """
-    import numpy as np
-
-    from .core import _ordered_trace_distances, canonical_angle_array, point_slices
-
-    if pair is None:
-        pair = make_pair()
-    bases = list(bases_a)
-    if not bases:
+    amplitudes = _SINGLET if pair is None else pair.joint.amplitudes.tolist()
+    thetas = [b.theta if isinstance(b, MeasurementBasis) else canonical_angle(b)
+              for b in bases_a]
+    if not thetas:
         raise ValueError("bases_a must be non-empty")
-    theta = canonical_angle_array([b.theta if isinstance(b, MeasurementBasis) else b
-                                   for b in bases])
-    distinct = set()
-    for rows in point_slices(theta.shape[0]):
-        distinct.update(m.tobytes() for m in _bob_marginals(pair, theta[rows]))
-    ordered = np.frombuffer(b"".join(sorted(distinct)), dtype=np.complex128).reshape(-1, 2, 2)
-    worst = 0.0
-    for i, j in _pair_slices(ordered.shape[0]):
-        worst = max(worst, float(_ordered_trace_distances(ordered[i], ordered[j]).max()))
-    return worst
+    return _max_trace_distance({_marginal_coordinates(amplitudes, theta) for theta in thetas})

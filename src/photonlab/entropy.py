@@ -4,30 +4,27 @@ Outcome entropy is Shannon entropy over Born-rule probabilities in an explicit
 measurement basis: a pure state carries positive entropy in any basis where
 both outcomes are possible and exactly zero in its own eigenbasis. Collapse
 drives the outcome entropy to zero; the report tracks that drop.
+
+binary_entropy and eigenbasis_entropy, the closed forms an entropy run
+reports, run in Python floats with math; numpy and core load with the first
+call that takes states or density operators.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .scalars import PROB_SNAP, MeasurementBasis, _coerce_basis
 
-from .core import (
-    MeasurementBasis,
-    StateVector,
-    _as_complex_rows,
-    _born,
-    _coerce_density,
-    _eigenvectors,
-    _require_qubit,
-    born_probabilities,
-    born_probabilities_array,
-    canonical_angle_array,
-    point_slices,
-)
+if TYPE_CHECKING:
+    import numpy as np
 
 _SUM_ATOL = 1e-9
 _NEG_ATOL = 1e-12
+# a probability at or above this snaps to 1: its outcome is certain
+_CERTAIN = 1.0 - PROB_SNAP
 
 
 class EntropyReport(namedtuple("EntropyReport", "before_bits after_bits delta_bits")):
@@ -43,6 +40,8 @@ def shannon_entropy(probs) -> float:
     probs must be a probability vector: entries nonnegative up to 1e-12 noise
     and summing to 1 within 1e-9.
     """
+    import numpy as np
+
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probs must be a non-empty 1-d vector")
@@ -61,13 +60,47 @@ def shannon_entropy(probs) -> float:
 def _outcome_entropy(p: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits of each row of a (P, 2) array of snapped Born
     probabilities, summed as shannon_entropy sums one row."""
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log2(p), 0.0)
     return -(terms[:, 0] + terms[:, 1]) + 0.0
 
 
+def _law_bits(p0: float, p1: float) -> float:
+    """Shannon entropy in bits of the two-outcome law (p0, p1) once snapped
+    (scalars.snap_probability), a certain outcome leaving the other
+    impossible as core's Born law has it, in math: summed as
+    _outcome_entropy sums a row, with 0 log2 0 = 0."""
+    if p0 >= _CERTAIN or p1 >= _CERTAIN:
+        return 0.0
+    return -((p0 * math.log2(p0) if p0 > PROB_SNAP else 0.0)
+             + (p1 * math.log2(p1) if p1 > PROB_SNAP else 0.0)) + 0.0
+
+
+def binary_entropy(p: float) -> float:
+    """H(p, 1 - p) in bits, the outcome entropy of a qubit measured in a basis
+    whose aligned outcome it shows with probability p, computed from p itself:
+    both probabilities snapped, 0 log2 0 = 0, and H(1/2) exactly 1."""
+    return _law_bits(p, 1.0 - p)
+
+
+def eigenbasis_entropy(basis) -> float:
+    """The larger outcome entropy, in bits, of the basis's two eigenvectors
+    |theta> = (cos theta, sin theta) and |theta_perp> = (-sin theta, cos theta),
+    each measured in that basis by the Born law: what collapse in the basis
+    leaves, whichever outcome occurs. It is 0, since each eigenvector's law
+    is one-hot up to rounding that the snap removes."""
+    theta = _coerce_basis(basis).theta
+    c, s = math.cos(theta), math.sin(theta)
+    return max(_law_bits((c * a0 + s * a1) ** 2, (-s * a0 + c * a1) ** 2)
+               for a0, a1 in ((c, s), (-s, c)))
+
+
 def qubit_superposition_entropy(state, basis) -> float:
     """Outcome entropy of a pure state measured at the given axis."""
+    from .core import born_probabilities
+
     return shannon_entropy(born_probabilities(state, basis))
 
 
@@ -83,6 +116,19 @@ def collapse_entropy_report(state, basis) -> EntropyReport:
     axis or P of them; the report then holds arrays of P values, computed
     SLICE_POINTS states at a time.
     """
+    import numpy as np
+
+    from .core import (
+        StateVector,
+        _as_complex_rows,
+        _born,
+        _eigenvectors,
+        _require_qubit,
+        born_probabilities_array,
+        canonical_angle_array,
+        point_slices,
+    )
+
     if isinstance(state, StateVector) or np.ndim(state) == 1:
         one = collapse_entropy_report(_require_qubit(state).amplitudes[None], basis)
         return EntropyReport(float(one.before_bits[0]), float(one.after_bits[0]),
@@ -102,6 +148,10 @@ def collapse_entropy_report(state, basis) -> EntropyReport:
 
 def von_neumann_entropy(rho) -> float:
     """Entropy of the eigenvalue spectrum of a density operator, in bits."""
+    import numpy as np
+
+    from .core import _coerce_density
+
     rho = _coerce_density(rho)
     lam = np.clip(rho.eigenvalues(), 0.0, 1.0)
     nz = lam[lam > 0.0]

@@ -1,4 +1,5 @@
-"""Polarizer cascades in analytic (density-operator) and Monte Carlo modes.
+"""Polarizer cascades in analytic (density-operator) and Monte Carlo modes,
+and the closed-form stage pass probabilities of a natural or linear source.
 
 A polarizer is a projective measurement in its axis basis: the aligned outcome
 is transmitted and re-polarized along the axis, the orthogonal outcome is
@@ -14,8 +15,9 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-# numpy and core load with the first analytic call, so a Monte Carlo cascade,
-# which draws each stage's count with draw, imports neither
+# numpy and core load with the first density-operator call, so a Monte Carlo
+# cascade, which draws each stage's count with draw, and the closed-form
+# stages import neither
 from .scalars import MeasurementBasis, canonical_angle
 
 if TYPE_CHECKING:
@@ -154,6 +156,31 @@ def cascade_analytic(beam: LightBeam, axes) -> CascadeResult:
     return CascadeResult(axes=grid, per_stage_intensity=intensities)
 
 
+def malus_law(a: float, b: float) -> float:
+    """cos^2(b - a): the probability that a photon polarized along a passes an
+    ideal polarizer at b (Malus's law), unsnapped."""
+    return math.cos(b - a) ** 2
+
+
+def stage_pass_probabilities(axes, source: str = "natural",
+                             source_angle: float = 0.0) -> list[float]:
+    """The probability that a photon entering each stage of the cascade passes
+    it, unsnapped: 1/2 for stage 0 under the natural source (a uniformly
+    random linear polarization, averaged) and malus_law(source_angle, axis_0)
+    under the linear one; malus_law(axis_{i-1}, axis_i) for stage i > 0, since
+    a survivor leaves polarized along its stage's axis.
+
+    cascade_mc draws with exactly these values; their snapped running products
+    are the cascade's analytic stage intensities, which the CLI reports for a
+    natural or linear source.
+    """
+    axes = _validate_axes(axes)
+    if source not in SOURCE_KINDS:
+        raise ValueError(f"source must be one of {SOURCE_KINDS}, got {source!r}")
+    first = 0.5 if source == "natural" else malus_law(canonical_angle(source_angle), axes[0])
+    return [first] + [malus_law(a, b) for a, b in zip(axes, axes[1:])]
+
+
 def cascade_mc(
     n_photons: int,
     axes,
@@ -164,15 +191,13 @@ def cascade_mc(
 ) -> CascadeResult:
     """Monte Carlo cascade: count the photons that survive each stage.
 
-    A photon passes a stage with the Born weight of the aligned outcome, and a
-    survivor leaves polarized along the stage axis. Stage 0 passes with
-    probability 1/2 for the natural source (a uniformly random linear
-    polarization, averaged) and cos^2(axis - source_angle) for the linear one;
-    stage i > 0 passes with cos^2(axis_i - axis_{i-1}). So each stage count is
-    one two-outcome draw.counts chain over (pass, absorb) and the previous
-    stage's survivors, never a draw per photon, its binomial draws numbered on
-    in stage order on the stream (seed, 0). A stage whose count is certain
-    (no survivor left, or a snapped pass probability of 0 or 1) makes no draw.
+    A photon passes a stage with the Born weight of the aligned outcome,
+    stage_pass_probabilities, and a survivor leaves polarized along the stage
+    axis. So each stage count is one two-outcome draw.counts chain over
+    (pass, absorb) and the previous stage's survivors, never a draw per
+    photon, its binomial draws numbered on in stage order on the stream
+    (seed, 0). A stage whose count is certain (no survivor left, or a snapped
+    pass probability of 0 or 1) makes no draw.
 
     workers is accepted and ignored: since 0.8.0 a run is a handful of draws
     on one thread, and callers written for earlier versions still pass it.
@@ -180,13 +205,7 @@ def cascade_mc(
     axes = _validate_axes(axes)
     if n_photons < 1:
         raise ValueError(f"n_photons must be >= 1, got {n_photons}")
-    if source not in SOURCE_KINDS:
-        raise ValueError(f"source must be one of {SOURCE_KINDS}, got {source!r}")
-    if source == "natural":
-        p_first = 0.5
-    else:
-        p_first = math.cos(axes[0] - canonical_angle(source_angle)) ** 2
-    p_pass = [p_first] + [math.cos(b - a) ** 2 for a, b in zip(axes, axes[1:])]
+    p_pass = stage_pass_probabilities(axes, source, source_angle)
     # loaded here, so an analytic run never imports it
     from . import draw
 

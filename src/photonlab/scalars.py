@@ -19,6 +19,9 @@ from collections import namedtuple
 # exact branch; every genuine probability in scope is many orders larger.
 PROB_SNAP = 1e-15
 
+# Algebraic identities hold to ALGEBRA_ATOL; core's precondition checks are looser.
+ALGEBRA_ATOL = 1e-12
+
 # The array forms in core work through at most this many points at a time, so
 # their temporaries (a few hundred bytes per point) stay bounded whatever the
 # number of points. It is the binomial sampler's slice too (rng.SLICE_BLOCKS),
@@ -30,7 +33,8 @@ SLICE_POINTS = 2**14
 # a larger one computes and draws them as arrays. Both give the same counts.
 # A four-outcome row costs about 40 us in Python floats, and the arrays about
 # 2 ms plus 3 us a row once numpy is loaded, so the two break even near here
-# even before the row path's saving of numpy's import (~0.15 s).
+# even before the row path's saving of numpy's import (about 0.1 s on a
+# 2-vCPU x86-64 VM with OPENBLAS_NUM_THREADS=1, a median of 10 processes).
 SCALAR_ROWS = 64
 
 # the uniform words, numpy's Philox-4x64 sequence (rng); a result that draws

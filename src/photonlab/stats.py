@@ -10,9 +10,9 @@ table directly. The null is computed, not sampled: label shuffling keeps both
 margins of the table, which makes the n11 cell hypergeometric, so its
 quantiles and p-values are pure functions of the table.
 
-The table statistics run in Python floats, with math's log2 and fsum, and load
-no numpy; only the array functions (the Wilson intervals, as_bit_array and
-bit_table) import it, when they run.
+The table statistics and wilson_interval run in Python floats, with math, and
+load no numpy; only the array functions (wilson_interval_array, as_bit_array
+and bit_table) import it, when they run.
 """
 
 from __future__ import annotations
@@ -30,14 +30,28 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
 
     The closed form never reaches the endpoints exactly, so the boundary cases
     are pinned by hand: zero successes gives lo = 0.0 and all successes gives
-    hi = 1.0.
+    hi = 1.0. It runs in Python floats, with the operations, in order, that
+    wilson_interval_array takes on each element.
     """
+    # statistics loads decimal and fractions with it, and only the intervals
+    # need it, so a run that computes none (protocol) never imports it
+    from statistics import NormalDist
+
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, {trials}], got {successes}")
-    lo, hi = wilson_interval_array([successes], trials, confidence)
-    return float(lo[0]), float(hi[0])
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    n = float(trials)
+    p = successes / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2.0 * n)) / denom
+    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 def wilson_interval_array(successes, trials, confidence: float = 0.95):
@@ -45,8 +59,7 @@ def wilson_interval_array(successes, trials, confidence: float = 0.95):
     one per element), as arrays (lo, hi). Each element takes the operations,
     in order, that the closed form takes in Python floats, so it equals the
     interval photonlab 0.9.0 computed one count at a time, bit for bit."""
-    # statistics loads decimal and fractions with it, and only this function
-    # needs it, so a run that computes no interval (protocol) never imports it
+    # loaded here, as in wilson_interval
     from statistics import NormalDist
 
     import numpy as np

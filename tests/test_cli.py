@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -618,15 +619,16 @@ print(json.dumps([at_import, loaded()]))
 
 # malus and entropy draw nothing by default, and protocol draws only with its
 # default iid bits; every run loads scalars. A run that draws at most
-# SCALAR_ROWS points, a cascade and the protocol draw one count at a time with
-# draw, and bell, mzi, a Monte Carlo cascade and the protocol, which work on
-# scalars alone, load no core; only a sweep of more points loads core and rng
-# (the CHSH settings of a long bell sweep still draw with draw)
+# SCALAR_ROWS points, nosignal's bases, a cascade and the protocol draw one
+# count at a time with draw, and every run but a long sweep works on scalars
+# alone and loads no core (0.18.0: malus, entropy and nosignal too); only a
+# sweep of more points loads core and rng (the CHSH settings of a long bell
+# sweep still draw with draw)
 @pytest.mark.parametrize("experiment, modules", [
-    ("malus", ["core", "optics", "scalars"]),
-    ("entropy", ["core", "entropy", "scalars"]),
+    ("malus", ["optics", "scalars"]),
+    ("entropy", ["entropy", "scalars"]),
     ("bell", ["draw", "entangle", "scalars"]),
-    ("nosignal", ["core", "draw", "entangle", "scalars", "stats"]),
+    ("nosignal", ["draw", "entangle", "scalars", "stats"]),
     ("protocol", ["draw", "protocol", "scalars", "stats"]),
     ("mzi", ["draw", "mzi", "scalars"]),
     ("protocol --set bit_source=balanced", ["protocol", "scalars", "stats"]),
@@ -658,7 +660,8 @@ def test_a_run_that_draws_nothing_never_imports_rng(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     modules = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
                if line.startswith("import time:")]
-    assert "photonlab.core" in modules
+    # their closed forms run in Python floats since 0.18.0
+    assert "photonlab.core" not in modules
     assert "photonlab.rng" not in modules
     manifest = read_json(f"{out}.manifest.json")
     assert manifest["rng_algorithm"] == photonlab.WORDS_ID
@@ -782,7 +785,10 @@ def test_help_version_and_config_errors_load_no_numpy(tmp_path, argv, code, load
 
 
 def test_a_run_in_the_same_harness_loads_numpy(tmp_path):
-    code, loaded = _exit_and_heavy_modules("malus", "--out", str(tmp_path / "r.json"))
+    # a bell sweep of SCALAR_ROWS + 1 points draws its counts as arrays
+    code, loaded = _exit_and_heavy_modules(
+        "bell", "--set", 'sweep={"start_deg": 0, "stop_deg": 64, "step_deg": 1}',
+        "--set", "n_per_point=1000", "--out", str(tmp_path / "r.json"))
     assert code == 0
     assert "numpy" in loaded
 
@@ -849,6 +855,36 @@ def test_a_monte_carlo_run_of_few_points_loads_no_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     outcomes = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
     assert outcomes == [[0, False]] * len(argvs)
+
+
+# the three steps of the analytic-grid benchmark at its full size: an
+# 8,801-point sweep as CSV at step 0.01 degrees, a 10,000-point entropy grid
+# and 300 bases at 2,000 pairs each
+_GRID = random.Random(4)
+ANALYTIC_GRID = [
+    ["malus", "--set", 'sweep={"start_deg": 0.003, "stop_deg": 88.003, "step_deg": 0.01}',
+     "--format", "csv"],
+    ["entropy", "--set", f"grid={[_GRID.random() for _ in range(10_000)]}"],
+    ["nosignal", "--set", f"bases_a_deg={[_GRID.uniform(0.0, 180.0) for _ in range(300)]}",
+     "--set", "probe_basis_deg=0.0", "--set", "n_per_basis=2000"],
+]
+
+
+# analytic malus, the malus sweep, entropy and nosignal compute their closed
+# forms in Python floats, and nosignal draws a chain a basis (0.18.0)
+def test_an_analytic_run_loads_no_numpy(tmp_path):
+    argvs = [["malus"], ["malus", "--set", "source=linear", "--set", "source_angle_deg=30"],
+             ["entropy"], ["nosignal"], *ANALYTIC_GRID]
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_AFTER_RUNS],
+                          input="".join(json.dumps([*argv, "--out", str(tmp_path / f"{i}.out")])
+                                        + "\n" for i, argv in enumerate(argvs)),
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    outcomes = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert outcomes == [[0, False]] * len(argvs)
+    with open(tmp_path / "4.out", newline="") as fh:
+        assert sum(1 for _ in fh) == 8_801 + 1
 
 
 # every public name of photonlab 0.7.0, whose __init__ imported them all

@@ -155,10 +155,14 @@ def test_failed_write_leaves_no_file(tmp_path):
 # protocol run draws its bits from the receiver's law, and that since 0.10.0
 # the Monte Carlo runs (bell, nosignal, protocol and mzi here) draw their
 # counts from the package's sampler and name it "numpy-philox-4x64/btrd".
+# Since 0.18.0 malus and entropy compute their closed forms in Python floats:
+# the analytic stage fractions multiply the snapped pass probabilities (0.25
+# and 0.125 become 0.25000000000000006 and 0.12500000000000006), and
+# before_bits is H(p0) from p0 itself (H(1/2) is now exactly 1).
 DEFAULTS_SEED_7 = {
-    "malus.json": "01d56865836f3eb4681166ae7e08b807b34fe8565fa0a755c11ae3d47ab04010",
+    "malus.json": "25ba96337a4ab26e6f260d864e544b273890061da9ee0f4fc35c7d556cd86a02",
     "malus.csv": "3e68c388456eaa2f34b894a4b02d3570fdb922221a4712d8f6754c04ec640ed1",
-    "entropy.json": "09530b9f0d9e17465d66442da0eaaa6f2bc9aca5e9e85beca1a05e6b9967a3bf",
+    "entropy.json": "c18727e7ea81beb5a8437f05cf0421f93e34a2624c3600eeac96a176442fbff1",
     "entropy.csv": "e6533fecd378af9d06980f1c4027f0376c3073f1edf70a13fb91bc22d8783987",
     "bell.json": "9b87f66b34160b2c8141c0d5317634a11d163857e48d42c04f684e172a38556a",
     "bell.csv": "00b8c9802505fdec553d54cff1add69d3c9f28bc7adbd99ab51509b422d0b0a0",
