@@ -8,7 +8,7 @@ experiment imports only that experiment's modules.
 
 import importlib
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 # public names by the module that defines them
 _EXPORTS = {
@@ -17,16 +17,12 @@ _EXPORTS = {
         "InvalidStateError",
         "StateVector",
         "born_probabilities",
-        "born_probabilities_array",
-        "eigenvector_array",
         "ket_from_angle",
         "partial_trace",
         "projection_probability",
-        "projection_probability_array",
         "states_equal",
         "tensor_product",
         "trace_distance",
-        "unit_state_array",
     ),
     "entangle": (
         "CorrelationStats",
@@ -39,7 +35,6 @@ _EXPORTS = {
         "correlation",
         "correlation_array",
         "joint_probabilities",
-        "joint_probability_array",
         "make_pair",
         "no_signaling_check",
     ),

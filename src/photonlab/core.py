@@ -7,6 +7,11 @@ measurement axis at theta projects onto the orthonormal pair
 |theta> = (cos theta, sin theta), |theta_perp> = (-sin theta, cos theta).
 Two-photon joint states live in the 4-dimensional tensor product, and density
 operators represent mixed beams and reduced single-photon states.
+
+Every analytic function takes one state, one operator and one axis, and runs
+the row kernels (_eigenvectors, _born, _expectation) on one row. The array
+code here serves only the counts of a long Monte Carlo sweep
+(sample_count_array, with canonical_angle_array and snap_probability_array).
 """
 
 from __future__ import annotations
@@ -69,17 +74,6 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _as_complex_rows(values, name: str) -> np.ndarray:
-    """values as a (P, d) complex array of P finite vectors, d = 2 or 4."""
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[1] not in (2, 4):
-        raise ValueError(f"{name} must be a (points, 2) or (points, 4) array, "
-                         f"got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must have finite entries")
-    return arr
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     # the real and imaginary parts each dotted with themselves by a stacked
     # matmul: the BLAS dot np.linalg.norm runs on one vector, to the bit
@@ -88,35 +82,14 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
-def _check_unit_norms(norms: np.ndarray) -> None:
-    off = np.abs(norms - 1.0)
-    if off.size and float(off.max()) > PRECONDITION_ATOL:
-        norm = float(norms[np.argmax(off)])
+def _unit(arr: np.ndarray) -> np.ndarray:
+    """arr divided by its norm, which must be within PRECONDITION_ATOL of 1."""
+    norm = float(_row_norms(arr[None])[0])
+    if abs(norm - 1.0) > PRECONDITION_ATOL:
         raise InvalidStateError(
             f"state norm {norm!r} deviates from 1 by more than {PRECONDITION_ATOL}"
         )
-
-
-def unit_state_array(values) -> np.ndarray:
-    """Array form of the StateVector constructor: each row of a (P, d) array,
-    d = 2 or 4, divided by its norm, which must be within PRECONDITION_ATOL of 1."""
-    return _unit_rows(_as_complex_rows(values, "states"))
-
-
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    norms = _row_norms(rows)
-    _check_unit_norms(norms)
-    return rows / norms[:, None]
-
-
-def normalize_array(values) -> np.ndarray:
-    """Array form of StateVector.normalize: each row scaled to unit norm;
-    rejects near-zero rows."""
-    rows = _as_complex_rows(values, "states")
-    norms = _row_norms(rows)
-    if norms.size and float(norms.min()) < 1e-6:
-        raise InvalidStateError("cannot normalize a near-zero vector")
-    return _unit_rows(rows / norms[:, None])
+    return arr / norm
 
 
 class StateVector(namedtuple("StateVector", "amplitudes")):
@@ -127,13 +100,13 @@ class StateVector(namedtuple("StateVector", "amplitudes")):
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __new__(cls, amplitudes):
-        arr = _unit_rows(_as_complex_vector(amplitudes, "amplitudes")[None])[0]
+        arr = _unit(_as_complex_vector(amplitudes, "amplitudes"))
         arr.flags.writeable = False
         return tuple.__new__(cls, (arr,))
 
     @classmethod
     def _of_unit(cls, arr: np.ndarray) -> "StateVector":
-        """Wrap amplitudes an array form has already normalized, without a second pass."""
+        """Wrap amplitudes already normalized, without a second pass."""
         arr = arr.copy()
         arr.flags.writeable = False
         return tuple.__new__(cls, (arr,))
@@ -142,7 +115,10 @@ class StateVector(namedtuple("StateVector", "amplitudes")):
     def normalize(cls, values) -> "StateVector":
         """Build a state from an unnormalized vector; rejects near-zero vectors."""
         arr = _as_complex_vector(values, "amplitudes")
-        return cls._of_unit(normalize_array(arr[None])[0])
+        norm = float(_row_norms(arr[None])[0])
+        if norm < 1e-6:
+            raise InvalidStateError("cannot normalize a near-zero vector")
+        return cls(arr / norm)
 
     @property
     def dim(self) -> int:
@@ -165,16 +141,6 @@ def ket_from_angle(theta: float) -> StateVector:
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
     return StateVector(np.array([math.cos(theta), math.sin(theta)], dtype=np.complex128))
-
-
-def eigenvector_array(thetas, outcome: int = 0) -> np.ndarray:
-    """Rows of the outcome eigenvector of the axis at each angle: |theta> =
-    (cos theta, sin theta) for outcome 0, |theta_perp> = (-sin theta, cos theta)
-    for outcome 1, each normalized as the StateVector constructor does. The
-    result has shape (P, 2) for P angles (a single angle counts as one)."""
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    return _eigenvectors(canonical_angle_array(thetas).reshape(-1), outcome)
 
 
 def _eigenvectors(theta: np.ndarray, outcome: int) -> np.ndarray:
@@ -289,21 +255,6 @@ def _require_qubit(state) -> StateVector:
     return state
 
 
-def born_probabilities_array(states, thetas) -> np.ndarray:
-    """Born-rule outcome probabilities of P qubit states, each measured at its
-    own axis: row k is (|<theta_k|psi_k>|^2, |<theta_k_perp|psi_k>|^2).
-
-    states is a (P, 2) array of unit vectors (norms within PRECONDITION_ATOL
-    of 1); thetas is one angle or P of them.
-    """
-    states = _as_complex_rows(states, "states")
-    if states.shape[1] != 2:
-        raise ValueError(f"expected 2-dim states, got dim {states.shape[1]}")
-    _check_unit_norms(_row_norms(states))
-    theta = np.broadcast_to(canonical_angle_array(thetas), states.shape[:1])
-    return _born(states, theta)
-
-
 def _born(states: np.ndarray, theta: np.ndarray) -> np.ndarray:
     # states: checked (P, 2) unit rows; theta: P canonical angles
     c, s = np.cos(theta), np.sin(theta)
@@ -333,24 +284,6 @@ def tensor_product(a, b) -> StateVector:
     return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
-def _check_density_array(m: np.ndarray) -> None:
-    """Raise unless every matrix of a (P, d, d) stack is Hermitian, of trace 1
-    and positive semidefinite, each within ALGEBRA_ATOL; one stacked eigvalsh."""
-    if not np.isfinite(m).all():
-        raise ValueError("matrix must have finite entries")
-    if m.size == 0:
-        return
-    if float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) > ALGEBRA_ATOL:
-        raise InvalidStateError("matrix is not Hermitian within 1e-12")
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    off = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag))
-    if float(off.max()) > ALGEBRA_ATOL:
-        worst = complex(tr[np.argmax(off)])
-        raise InvalidStateError(f"trace must be 1 within 1e-12, got {worst!r}")
-    if float(np.linalg.eigvalsh(m).min()) < -ALGEBRA_ATOL:
-        raise InvalidStateError("matrix has an eigenvalue below -1e-12")
-
-
 class DensityOperator(namedtuple("DensityOperator", "matrix")):
     """Hermitian, trace-1, positive-semidefinite operator on 2 or 4 dimensions;
     matrix is a read-only complex array. Operators compare and hash by identity."""
@@ -362,7 +295,15 @@ class DensityOperator(namedtuple("DensityOperator", "matrix")):
         m = np.array(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise ValueError(f"matrix must be 2x2 or 4x4, got shape {m.shape}")
-        _check_density_array(m[None])
+        if not np.isfinite(m).all():
+            raise ValueError("matrix must have finite entries")
+        if float(np.abs(m - m.conj().T).max()) > ALGEBRA_ATOL:
+            raise InvalidStateError("matrix is not Hermitian within 1e-12")
+        tr = complex(np.trace(m))
+        if max(abs(tr.real - 1.0), abs(tr.imag)) > ALGEBRA_ATOL:
+            raise InvalidStateError(f"trace must be 1 within 1e-12, got {tr!r}")
+        if float(np.linalg.eigvalsh(m).min()) < -ALGEBRA_ATOL:
+            raise InvalidStateError("matrix has an eigenvalue below -1e-12")
         m.flags.writeable = False
         return tuple.__new__(cls, (m,))
 
@@ -389,25 +330,11 @@ def _coerce_density(rho) -> DensityOperator:
     return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
 
 
-def projection_probability_array(rhos, thetas) -> np.ndarray:
-    """<theta|rho|theta>, the aligned-outcome probability, for P (rho, theta)
-    pairs: rhos is a (P, 2, 2) stack of density operators or one operator for
-    every angle, and thetas one angle or P of them. Each operator is checked
-    as DensityOperator checks one, with a single stacked eigvalsh."""
-    m = np.asarray(rhos, dtype=np.complex128)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
-        raise ValueError(f"rhos must be 2x2 operators, got shape {m.shape}")
-    _check_density_array(m.reshape(-1, 2, 2))
-    theta = canonical_angle_array(thetas).reshape(-1)
-    n = max(theta.shape[0], m.shape[0] if m.ndim == 3 else 1)
-    return _expectation(m, _eigenvectors(np.broadcast_to(theta, (n,)), 0))
-
-
 def _expectation(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Snapped <v|m|v> of P unit rows v against P stacked (or one) 2x2 operators.
 
     The stacked matmul runs, per point, the BLAS calls that v.conj() @ m @ v
-    runs on one vector, so a point's value does not depend on the batch.
+    runs on one vector.
     """
     vm = v.conj()[:, None, :] @ m
     return snap_probability_array(np.real(vm @ v[:, :, None])[:, 0, 0])
@@ -443,14 +370,7 @@ def trace_distance(r1, r2) -> float:
     if m1.tobytes() > m2.tobytes():
         # canonical operand order keeps the float path identical both ways
         m1, m2 = m2, m1
-    return float(_ordered_trace_distances(m1[None], m2[None])[0])
-
-
-def _ordered_trace_distances(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """trace_distance of each pair of two (P, d, d) stacks whose operands are
-    already in trace_distance's canonical order (m1[k].tobytes() <=
-    m2[k].tobytes()), with one stacked eigvalsh and no operator checks."""
-    return 0.5 * np.abs(np.linalg.eigvalsh(m1 - m2)).sum(axis=-1)
+    return float(0.5 * np.abs(np.linalg.eigvalsh(m1 - m2)).sum())
 
 
 def states_equal(a, b, atol: float = ALGEBRA_ATOL) -> bool:

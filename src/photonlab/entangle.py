@@ -9,11 +9,12 @@ standard settings.
 The singlet's counts are drawn from the closed form of its joint law: with
 delta the difference of the canonical angles, each equal outcome has
 probability sin^2(delta)/2 and each different one cos^2(delta)/2. It is
-evaluated with math for one point and with numpy for arrays by the same IEEE
-steps, so the two agree bit for bit. Every sampled count comes from it; the
-amplitude algebra of a PairState serves the analytic functions
-(joint_probabilities, conditional_state, bob_reduced_state and
-no_signaling_check, which runs it in Python floats and complex).
+evaluated with math for one point and with numpy for a long sweep's arrays by
+the same IEEE steps, so the two agree bit for bit. Every sampled count comes
+from it; the amplitude algebra of a PairState serves the analytic functions,
+each at one pair of bases (joint_probabilities, conditional_state and
+bob_reduced_state) or one list of them (no_signaling_check, which runs it in
+Python floats and complex).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-# numpy and core load only for the amplitude algebra on arrays and a sweep of
+# numpy and core load only for a PairState's amplitude algebra and a sweep of
 # more than SCALAR_ROWS points
 from .scalars import (
     MeasurementBasis,
@@ -104,36 +105,21 @@ def conditional_state(pair: PairState, basis_a, outcome: int) -> tuple[float, St
 
 
 def joint_probabilities(pair: PairState, basis_a, basis_b) -> np.ndarray:
-    """2x2 array of P(outcome_a, outcome_b) for local measurements on both photons."""
-    theta_a = _coerce_basis(basis_a).theta
-    theta_b = _coerce_basis(basis_b).theta
-    return joint_probability_array(pair, theta_a, theta_b)[0]
-
-
-def joint_probability_array(pair: PairState, thetas_a, thetas_b) -> np.ndarray:
-    """(P, 2, 2) stack of joint_probabilities, one per pair of measurement
-    angles; thetas_a and thetas_b broadcast against each other (a single
-    angle counts as one point).
-
-    Each amplitude <e_a| M |f_b*> runs, per point, the stacked form of the
-    BLAS calls of ea.conj() @ m @ fb.conj() on one pair of eigenvectors, so a
-    point's probabilities do not depend on the batch.
-    """
+    """2x2 array of P(outcome_a, outcome_b) for local measurements on both
+    photons: |<e_a| M |f_b*>|^2, snapped, for A's outcome eigenvector e_a, B's
+    f_b and the pair's amplitude matrix M."""
     import numpy as np
 
-    from .core import _eigenvectors, canonical_angle_array, point_slices, snap_probability_array
+    from .core import _eigenvectors
 
-    theta_a, theta_b = np.broadcast_arrays(canonical_angle_array(thetas_a).reshape(-1),
-                                           canonical_angle_array(thetas_b).reshape(-1))
+    theta_a, theta_b = (np.array([_coerce_basis(b).theta]) for b in (basis_a, basis_b))
     m = _amplitude_matrix(pair)
-    probs = np.empty(theta_a.shape + (2, 2))
-    for rows in point_slices(theta_a.shape[0]):
-        fb = [_eigenvectors(theta_b[rows], ob).conj()[:, :, None] for ob in (0, 1)]
-        for oa in (0, 1):
-            left = _eigenvectors(theta_a[rows], oa).conj()[:, None, :] @ m
-            for ob in (0, 1):
-                amp = (left @ fb[ob])[:, 0, 0]
-                probs[rows, oa, ob] = snap_probability_array(np.real(amp * np.conj(amp)))
+    probs = np.empty((2, 2))
+    for oa in (0, 1):
+        left = _eigenvectors(theta_a, oa)[0].conj() @ m
+        for ob in (0, 1):
+            amp = left @ _eigenvectors(theta_b, ob)[0].conj()
+            probs[oa, ob] = snap_probability(np.real(amp * np.conj(amp)))
     return probs
 
 
@@ -318,30 +304,21 @@ def bob_marginal_count_array(thetas_a, thetas_b, n: int, seed: int = 0,
     return counts[:, 0] + counts[:, 2]
 
 
-def _bob_marginals(pair: PairState, theta: np.ndarray) -> np.ndarray:
-    """(P, 2, 2) stack of B's marginals after A measures at each canonical angle:
-    the probability-weighted mixture of the conditional states."""
-    import numpy as np
-
-    from .core import normalize_array
-
-    rho = np.zeros((theta.shape[0], 2, 2), dtype=np.complex128)
-    for outcome in (0, 1):
-        p, c = _branches(pair, theta, outcome)
-        kept = p >= _MIN_BRANCH_PROBABILITY
-        psi = normalize_array(c[kept])
-        rho[kept] += p[kept, None, None] * (psi[:, :, None] * psi.conj()[:, None, :])
-    return rho
-
-
 def bob_reduced_state(pair: PairState, basis_a) -> DensityOperator:
     """B's marginal after A measures in basis_a but before the outcome is known:
     the probability-weighted mixture of the conditional states."""
     import numpy as np
 
-    from .core import DensityOperator
+    from .core import DensityOperator, StateVector
 
-    return DensityOperator(_bob_marginals(pair, np.array([_coerce_basis(basis_a).theta]))[0])
+    theta = np.array([_coerce_basis(basis_a).theta])
+    rho = np.zeros((2, 2), dtype=np.complex128)
+    for outcome in (0, 1):
+        p, c = _branches(pair, theta, outcome)
+        if p[0] >= _MIN_BRANCH_PROBABILITY:
+            psi = StateVector.normalize(c[0]).amplitudes
+            rho += p[0] * (psi[:, None] * psi.conj()[None, :])
+    return DensityOperator(rho)
 
 
 def _marginal_coordinates(amplitudes, theta: float) -> tuple:

@@ -5,6 +5,7 @@ measurement basis: a pure state carries positive entropy in any basis where
 both outcomes are possible and exactly zero in its own eigenbasis. Collapse
 drives the outcome entropy to zero; the report tracks that drop.
 
+Each function takes one state, one basis or one probability vector.
 binary_entropy and eigenbasis_entropy, the closed forms an entropy run
 reports, run in Python floats with math; numpy and core load with the first
 call that takes states or density operators.
@@ -14,12 +15,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
-from .scalars import PROB_SNAP, MeasurementBasis, _coerce_basis
-
-if TYPE_CHECKING:
-    import numpy as np
+from .scalars import PROB_SNAP, _coerce_basis
 
 _SUM_ATOL = 1e-9
 _NEG_ATOL = 1e-12
@@ -28,8 +25,7 @@ _CERTAIN = 1.0 - PROB_SNAP
 
 
 class EntropyReport(namedtuple("EntropyReport", "before_bits after_bits delta_bits")):
-    """Outcome entropy before and after one collapse, in bits; for a stack of
-    states, arrays of one value per state."""
+    """Outcome entropy before and after one collapse, in bits."""
 
     __slots__ = ()
 
@@ -57,21 +53,11 @@ def shannon_entropy(probs) -> float:
     return float(-(nz * np.log2(nz)).sum()) + 0.0
 
 
-def _outcome_entropy(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each row of a (P, 2) array of snapped Born
-    probabilities, summed as shannon_entropy sums one row."""
-    import numpy as np
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log2(p), 0.0)
-    return -(terms[:, 0] + terms[:, 1]) + 0.0
-
-
 def _law_bits(p0: float, p1: float) -> float:
     """Shannon entropy in bits of the two-outcome law (p0, p1) once snapped
     (scalars.snap_probability), a certain outcome leaving the other
     impossible as core's Born law has it, in math: summed as
-    _outcome_entropy sums a row, with 0 log2 0 = 0."""
+    shannon_entropy sums two outcomes, with 0 log2 0 = 0."""
     if p0 >= _CERTAIN or p1 >= _CERTAIN:
         return 0.0
     return -((p0 * math.log2(p0) if p0 > PROB_SNAP else 0.0)
@@ -111,38 +97,10 @@ def collapse_entropy_report(state, basis) -> EntropyReport:
     states, the basis eigenvectors, so it holds whichever outcome occurs and
     needs no draw. Both are exactly 0: an eigenvector's outcome distribution
     in its own basis is one-hot.
-
-    state may also be a (P, 2) array of unit state vectors, and basis one
-    axis or P of them; the report then holds arrays of P values, computed
-    SLICE_POINTS states at a time.
     """
-    import numpy as np
-
-    from .core import (
-        StateVector,
-        _as_complex_rows,
-        _born,
-        _eigenvectors,
-        _require_qubit,
-        born_probabilities_array,
-        canonical_angle_array,
-        point_slices,
-    )
-
-    if isinstance(state, StateVector) or np.ndim(state) == 1:
-        one = collapse_entropy_report(_require_qubit(state).amplitudes[None], basis)
-        return EntropyReport(float(one.before_bits[0]), float(one.after_bits[0]),
-                             float(one.delta_bits[0]))
-    states = _as_complex_rows(state, "states")
-    theta = basis.theta if isinstance(basis, MeasurementBasis) else basis
-    theta = np.broadcast_to(canonical_angle_array(theta), states.shape[:1])
-    before = np.empty(states.shape[0])
-    after = np.empty(states.shape[0])
-    for rows in point_slices(states.shape[0]):
-        t = theta[rows]
-        before[rows] = _outcome_entropy(born_probabilities_array(states[rows], t))
-        after[rows] = np.maximum(*(_outcome_entropy(_born(_eigenvectors(t, o), t))
-                                   for o in (0, 1)))
+    basis = _coerce_basis(basis)
+    before = qubit_superposition_entropy(state, basis)
+    after = max(qubit_superposition_entropy(basis.eigenvector(o), basis) for o in (0, 1))
     return EntropyReport(before_bits=before, after_bits=after, delta_bits=after - before)
 
 

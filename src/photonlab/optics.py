@@ -7,6 +7,10 @@ absorbed. Intensity is the dimensionless fraction of source photons, so an
 unpolarized source halves through a single polarizer and a crossed pair
 extinguishes the beam, while inserting an intermediate diagonal axis restores
 one eighth of the source.
+
+The analytic mode folds one beam through one cascade, a stage at a time;
+every CLI cascade and sweep reports the closed-form stage pass probabilities
+instead.
 """
 
 from __future__ import annotations
@@ -57,23 +61,20 @@ class CascadeResult(namedtuple("CascadeResult", "axes per_stage_intensity per_st
     """Stagewise output of a polarizer cascade, analytic or Monte Carlo.
 
     An analytic cascade gives per_stage_intensity, a Monte Carlo one
-    per_stage_counts out of n_source photons, drawn under seed. A batched
-    cascade_analytic call holds (P, S) arrays of axes and intensities, one row
-    per cascade, instead of tuples.
+    per_stage_counts out of n_source photons, drawn under seed.
     """
 
     __slots__ = ()
 
-    def fractions(self) -> tuple[float, ...] | np.ndarray:
+    def fractions(self) -> tuple[float, ...]:
         """Per-stage intensity, with MC counts normalized by the source size."""
         if self.per_stage_intensity is not None:
             return self.per_stage_intensity
         return tuple(c / self.n_source for c in self.per_stage_counts)
 
-    def final_intensity(self) -> float | np.ndarray:
-        """Intensity after the last stage: one float, or one per cascade of a batch."""
-        fractions = self.fractions()
-        return fractions[-1] if isinstance(fractions, tuple) else fractions[:, -1]
+    def final_intensity(self) -> float:
+        """Intensity after the last stage."""
+        return self.fractions()[-1]
 
 
 def natural_light() -> LightBeam:
@@ -125,35 +126,17 @@ def _validate_axes(axes) -> tuple[float, ...]:
 
 
 def cascade_analytic(beam: LightBeam, axes) -> CascadeResult:
-    """Fold the polarizer stages over the axes, recording intensity after each stage.
-
-    axes is one cascade, a sequence of S angles, or a (P, S) array of P
-    cascades of the same beam. One cascade gives tuples, as cascade_mc does;
-    P cascades give (P, S) arrays of axes and intensities, computed one stage
-    over up to SLICE_POINTS cascades at a time. A cascade's intensities do not
-    depend on which others share its call.
-    """
+    """Fold the polarizer stages over the axes, a sequence of angles, recording
+    the intensity after each stage."""
     import numpy as np
 
-    from .core import canonical_angle_array, point_slices
-
-    grid = np.asarray(axes, dtype=np.float64)
-    single = grid.ndim == 1
-    if single:
-        grid = grid[None]
-    if grid.ndim != 2 or grid.shape[1] == 0:
-        raise ValueError("axes must be a non-empty list of angles or a (points, stages) array")
-    theta = canonical_angle_array(grid)
-    intensities = np.empty(theta.shape)
-    for rows in point_slices(theta.shape[0]):
-        rho, intensity = beam.rho.matrix, beam.intensity
-        for stage in range(theta.shape[1]):
-            intensity, rho = _transmit(rho, intensity, theta[rows, stage])
-            intensities[rows, stage] = intensity
-    if single:
-        return CascadeResult(axes=tuple(grid[0].tolist()),
-                             per_stage_intensity=tuple(intensities[0].tolist()))
-    return CascadeResult(axes=grid, per_stage_intensity=intensities)
+    axes = _validate_axes(axes)
+    rho, intensity = beam.rho.matrix, beam.intensity
+    stages = []
+    for axis in axes:
+        intensity, rho = _transmit(rho, intensity, np.array([canonical_angle(axis)]))
+        stages.append(float(intensity[0]))
+    return CascadeResult(axes=axes, per_stage_intensity=tuple(stages))
 
 
 def malus_law(a: float, b: float) -> float:

@@ -121,14 +121,26 @@ class Repetition(namedtuple("Repetition", "k inner")):
 
     @property
     def label(self) -> str:
-        return f"repetition:{self.k}:{self.inner.label}"
+        factors, base = _repetitions(self)
+        return "".join(f"repetition:{k}:" for k in factors) + base.label
 
     @property
     def pairs_per_bit(self) -> int:
-        return self.k * self.inner.pairs_per_bit
+        factors, base = _repetitions(self)
+        return math.prod(factors) * base.pairs_per_bit
 
 
 ReceiverStrategy = FixedBasisML | BasisOracle | Repetition
+
+
+def _repetitions(strategy) -> tuple[list[int], object]:
+    """The repetition factors around a receiver, outermost first, and the
+    receiver inside them, walked in a loop so that no depth recurses."""
+    factors = []
+    while isinstance(strategy, Repetition):
+        factors.append(strategy.k)
+        strategy = strategy.inner
+    return factors, strategy
 
 
 def _bad_label(what: str) -> ValueError:
@@ -231,19 +243,21 @@ def _ml_decisions(rule: EncodingRule, basis: MeasurementBasis) -> tuple[list[int
 def _bit_decision(strategy, rule: EncodingRule, v: int) -> tuple[int, int]:
     """The (decoded, ties) of every bit sent as v, whatever Bob's outcomes:
     the bit the receiver reads from that bit's photons and how many of its
-    decodes tied."""
-    if isinstance(strategy, BasisOracle):
+    decodes tied.
+
+    Each repetition of k copies takes k equal inner decodes: the majority is
+    their value and never splits, and the ties are k times theirs."""
+    factors, base = _repetitions(strategy)
+    if isinstance(base, BasisOracle):
         decided, tied = _oracle_decisions(rule)
-        return int(decided[v]), int(tied[v])
-    if isinstance(strategy, FixedBasisML):
+        decoded, ties = decided[v], tied[v]
+    elif isinstance(base, FixedBasisML):
         # Bob's likelihoods tie on both outcomes, so both decide alike
-        decided, tied = _ml_decisions(rule, strategy.basis)
-        return int(decided[0]), int(tied[0])
-    if isinstance(strategy, Repetition):
-        # k equal inner decodes: the majority is their value and never splits
-        decoded, ties = _bit_decision(strategy.inner, rule, v)
-        return decoded, strategy.k * ties
-    raise ValueError(f"unknown receiver strategy: {strategy!r}")
+        decided, tied = _ml_decisions(rule, base.basis)
+        decoded, ties = decided[0], tied[0]
+    else:
+        raise ValueError(f"unknown receiver strategy: {base!r}")
+    return int(decoded), math.prod(factors) * int(ties)
 
 
 def receiver_law(strategy, rule: EncodingRule) -> tuple[dict, dict]:

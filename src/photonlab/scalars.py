@@ -22,10 +22,11 @@ PROB_SNAP = 1e-15
 # Algebraic identities hold to ALGEBRA_ATOL; core's precondition checks are looser.
 ALGEBRA_ATOL = 1e-12
 
-# The array forms in core work through at most this many points at a time, so
-# their temporaries (a few hundred bytes per point) stay bounded whatever the
+# The count chain of a long Monte Carlo sweep (core.sample_count_array), the
+# one array path left, works through at most this many points at a time, so
+# its temporaries (a few hundred bytes per point) stay bounded whatever the
 # number of points. It is the binomial sampler's slice too (rng.SLICE_BLOCKS),
-# so the count chain holds no more rows at once than the sampler draws for.
+# so the chain holds no more rows at once than the sampler draws for.
 SLICE_POINTS = 2**14
 
 # A Monte Carlo sweep of at most this many points computes its probabilities

@@ -31,12 +31,14 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     The closed form never reaches the endpoints exactly, so the boundary cases
     are pinned by hand: zero successes gives lo = 0.0 and all successes gives
     hi = 1.0. It runs in Python floats, with the operations, in order, that
-    wilson_interval_array takes on each element.
+    wilson_interval_array takes on each element. Both counts must be
+    integers, as a count table's cells must (a bool is not one).
     """
     # statistics loads decimal and fractions with it, and only the intervals
     # need it, so a run that computes none (protocol) never imports it
     from statistics import NormalDist
 
+    successes, trials = _count(successes, "successes"), _count(trials, "trials")
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
@@ -54,11 +56,25 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     return lo, hi
 
 
+def _count(value, name: str) -> int:
+    """value as a Python int, refused if it is a bool or a value
+    operator.index does not take, such as 5.5 or 5.0: the rule for every
+    count here, a Wilson interval's and a count table's cells."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer count, got {value!r}")
+
+
 def wilson_interval_array(successes, trials, confidence: float = 0.95):
     """wilson_interval of each count in an integer array (trials one count or
     one per element), as arrays (lo, hi). Each element takes the operations,
     in order, that the closed form takes in Python floats, so it equals the
-    interval photonlab 0.9.0 computed one count at a time, bit for bit."""
+    interval photonlab 0.9.0 computed one count at a time, bit for bit. The
+    counts must be integers, as wilson_interval's must: a float or a bool is
+    refused, not truncated."""
     # loaded here, as in wilson_interval
     from statistics import NormalDist
 
@@ -66,8 +82,8 @@ def wilson_interval_array(successes, trials, confidence: float = 0.95):
 
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    x, trials = np.broadcast_arrays(np.asarray(successes, dtype=np.int64),
-                                    np.asarray(trials, dtype=np.int64))
+    x, trials = np.broadcast_arrays(_count_array(successes, "successes"),
+                                    _count_array(trials, "trials"))
     if x.size and (trials.min() <= 0 or x.min() < 0 or (x > trials).any()):
         raise ValueError("counts must satisfy 0 <= successes <= trials with trials positive")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
@@ -80,6 +96,21 @@ def wilson_interval_array(successes, trials, confidence: float = 0.95):
     lo = np.where(x == 0, 0.0, np.where(center - half > 0.0, center - half, 0.0))
     hi = np.where(x == trials, 1.0, np.where(center + half < 1.0, center + half, 1.0))
     return lo, hi
+
+
+def _count_array(values, name: str):
+    """values as an int64 array of counts, each an integer as wilson_interval
+    requires: an array needs an integer dtype, and every item of a sequence
+    or a scalar passes _count, so neither 5.5 nor True is truncated."""
+    import numpy as np
+
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integer counts, got dtype {values.dtype}")
+        return values.astype(np.int64)
+    cells = np.asarray(values, dtype=object)
+    return np.array([_count(v, name) for v in cells.ravel()],
+                    dtype=np.int64).reshape(cells.shape)
 
 
 def as_bit_array(values, name: str = "values") -> np.ndarray:
@@ -124,11 +155,10 @@ def _checked_table(table) -> tuple[int, int, int, int]:
     """The table's four counts as Python ints, after the O(1) checks every MI
     statistic runs."""
     try:
-        cells = tuple(table)
-        counts = tuple(map(operator.index, cells))
-    except TypeError:
-        cells = counts = ()
-    if len(counts) != 4 or any(isinstance(c, bool) for c in cells):
+        counts = tuple(_count(c, "cell") for c in table)
+    except (TypeError, ValueError):
+        counts = ()
+    if len(counts) != 4:
         raise ValueError(f"table must be 4 integer counts [n00, n01, n10, n11], got {table!r}")
     if min(counts) < 0 or sum(counts) <= 0:
         raise ValueError(f"table counts must be >= 0 with a positive total, got {table!r}")

@@ -1,13 +1,16 @@
-"""The array forms of the analytic layer against frozen copies of the scalar
-code they replaced (photonlab 0.5.0), over generated angles, states and beams.
+"""The one-point analytic functions against frozen copies of the scalar code
+of photonlab 0.5.0, over generated angles, states and beams.
 
 The references below are that scalar code, kept here verbatim in substance:
-one DensityOperator, one StateVector and one eigvalsh per point. The batched
-forms must reproduce them bit for bit, except where 0.6.0 squares |amplitude|
-with x*x instead of libm pow (Born probabilities and outcome entropies), and
-must not depend on how points are grouped into calls or slices. Since 0.18.0
-no_signaling_check runs in Python floats on the marginals' closed-form
-eigenvalues, and its reference is the pairwise loop at 50 digits.
+one DensityOperator, one StateVector and one eigvalsh per point. 0.6.0 to
+0.18.0 also had batched forms of these functions, and 0.19.0 removed them;
+the one-point forms still run the row kernels those forms shared, and must
+reproduce the references bit for bit, except where 0.6.0 squares |amplitude|
+with x*x instead of libm pow (Born probabilities and outcome entropies).
+Since 0.18.0 no_signaling_check runs in Python floats on the marginals'
+closed-form eigenvalues, and its reference is the pairwise loop at 50
+digits. The one array path left, the count chain of a long Monte Carlo sweep,
+must write the same bytes however its points are sliced.
 """
 
 import json
@@ -22,26 +25,23 @@ from hypothesis.extra.numpy import arrays
 
 from photonlab import cli, core, entangle
 from photonlab.core import (
-    SLICE_POINTS,
     DensityOperator,
     InvalidStateError,
+    MeasurementBasis,
     StateVector,
     born_probabilities,
-    born_probabilities_array,
     canonical_angle,
     canonical_angle_array,
-    eigenvector_array,
     ket_from_angle,
     projection_probability,
-    projection_probability_array,
     snap_probability,
     snap_probability_array,
     trace_distance,
-    unit_state_array,
 )
 from photonlab.entangle import PairState, make_pair, no_signaling_check
 from photonlab.entropy import collapse_entropy_report
 from photonlab.optics import LightBeam, cascade_analytic, linear_light, natural_light
+from photonlab.scalars import SCALAR_ROWS
 
 FOUR_PI = 4 * math.pi
 angle = st.floats(min_value=-FOUR_PI, max_value=FOUR_PI, allow_nan=False)
@@ -189,7 +189,7 @@ def beams(draw):
     return LightBeam(DensityOperator(m), intensity)
 
 
-axes_grids = arrays(np.float64, st.tuples(st.integers(1, 64), st.integers(1, 6)), elements=angle)
+cascade_axes = st.lists(angle, min_size=1, max_size=6)
 
 
 def within_4_ulp(got, want):
@@ -199,103 +199,69 @@ def within_4_ulp(got, want):
 # --- cascade ----------------------------------------------------------------------
 
 
-@given(beams(), axes_grids)
+@given(beams(), cascade_axes)
 def test_batched_cascade_matches_the_scalar_fold(beam, axes):
-    got = cascade_analytic(beam, axes).per_stage_intensity
-    assert got.shape == axes.shape
-    for row, point_axes in zip(got, axes):
-        want = ref_cascade(beam.rho.matrix, beam.intensity, point_axes.tolist())
-        assert all(within_4_ulp(g, w) for g, w in zip(row.tolist(), want)), (row, want)
+    result = cascade_analytic(beam, axes)
+    want = ref_cascade(beam.rho.matrix, beam.intensity, axes)
+    assert result.axes == tuple(axes)
+    assert all(within_4_ulp(g, w) for g, w in zip(result.per_stage_intensity, want, strict=True))
+    assert result.final_intensity() == result.per_stage_intensity[-1]
 
 
-@given(beams(), axes_grids, st.data())
-def test_a_size_one_cascade_equals_its_row_of_a_batch(beam, axes, data):
-    k = data.draw(st.integers(0, axes.shape[0] - 1))
-    batch = cascade_analytic(beam, axes)
-    one = cascade_analytic(beam, axes[k].tolist())
-    assert one.per_stage_intensity == tuple(batch.per_stage_intensity[k].tolist())
-    assert one.final_intensity() == batch.final_intensity()[k]
-
-
-@given(arrays(np.float64, st.integers(1, 64), elements=angle))
+@given(angle)
 def test_crossed_axes_extinguish_exactly(theta):
-    axes = np.stack([theta, theta + math.pi / 2], axis=1)
-    result = cascade_analytic(natural_light(), axes)
-    assert (result.final_intensity() == 0.0).all()
+    assert cascade_analytic(natural_light(), [theta, theta + math.pi / 2]).final_intensity() == 0.0
 
 
-def test_a_cascade_across_a_slice_boundary_equals_its_halves():
-    n = SLICE_POINTS + 3
-    theta = np.linspace(-3.7, 400.0, n) * (math.pi / 180.0)
-    axes = np.stack([np.full(n, math.pi / 2), theta, np.zeros(n)], axis=1)
-    whole = cascade_analytic(natural_light(), axes).per_stage_intensity
-    head = cascade_analytic(natural_light(), axes[:SLICE_POINTS]).per_stage_intensity
-    tail = cascade_analytic(natural_light(), axes[SLICE_POINTS:]).per_stage_intensity
-    assert whole.tobytes() == np.concatenate([head, tail]).tobytes()
-
-
-def _analytic_run_bytes(tmp_path, name, argv) -> bytes:
+def _run_bytes(tmp_path, name, argv) -> bytes:
     out = tmp_path / name
     assert cli.main(argv + ["--out", str(out)]) == 0
     return out.read_bytes()
 
 
-@pytest.mark.parametrize("experiment", ["entropy", "malus"])
-def test_analytic_runs_write_the_same_bytes_whatever_the_point_slice(monkeypatch, tmp_path,
-                                                                    experiment):
-    # three points past one whole slice: the default run ends on a short
-    # slice, and the patched one runs thousands of slices of 7 points
-    n = SLICE_POINTS + 3
-    if experiment == "entropy":
-        config = tmp_path / "grid.json"
-        config.write_text(json.dumps({"params": {"grid": np.linspace(0, 1, n).tolist()}}))
-        argv = ["entropy", "--config", str(config)]
-    else:
+@pytest.mark.parametrize("experiment", ["bell", "mzi"])
+def test_sweeps_write_the_same_bytes_whatever_the_point_slice(monkeypatch, tmp_path, experiment):
+    # only a sweep of more than SCALAR_ROWS points draws its counts as arrays,
+    # a slice of core.SLICE_POINTS rows at a time; patched, it runs 29 slices
+    # of at most 7 points where the default runs one
+    n = 3 * SCALAR_ROWS + 5
+    if experiment == "bell":
         # a step of 2^-6 degrees puts exactly n points on the sweep
         sweep = {"start_deg": -3.0, "stop_deg": -3.0 + (n - 1) / 64, "step_deg": 1 / 64}
-        argv = ["malus", "--set", f"sweep={json.dumps(sweep)}", "--format", "csv"]
-    whole = _analytic_run_bytes(tmp_path, "default", argv)
+        argv = ["bell", "--set", f"sweep={json.dumps(sweep)}", "--set", "n_per_point=1000"]
+    else:
+        config = tmp_path / "phases.json"
+        config.write_text(json.dumps({"params": {"phases_deg": [k / 64 - 3.0 for k in range(n)],
+                                                 "n_per_phase": 1000}}))
+        argv = ["mzi", "--config", str(config)]
+    argv += ["--format", "csv"]
+    whole = _run_bytes(tmp_path, "default", argv)
     monkeypatch.setattr(core, "SLICE_POINTS", 7)
-    sliced = _analytic_run_bytes(tmp_path, "sliced", argv)
+    sliced = _run_bytes(tmp_path, "sliced", argv)
     assert sliced == whole
-    rows = whole.count(b'"p0"') if experiment == "entropy" else whole.count(b"\n") - 1
-    assert rows == n
+    assert whole.count(b"\n") - 1 == n
 
 
 def test_batched_cascade_rejects_bad_axes():
-    with pytest.raises(ValueError):
-        cascade_analytic(natural_light(), np.zeros((3, 0)))
-    with pytest.raises(ValueError):
-        cascade_analytic(natural_light(), np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError):
-        cascade_analytic(natural_light(), [[0.0, math.inf]])
+    for axes in ([], [0.0, math.inf], [math.nan]):
+        with pytest.raises(ValueError):
+            cascade_analytic(natural_light(), axes)
+    # a (points, stages) array of cascades, which 0.6.0 to 0.18.0 took
+    with pytest.raises(TypeError):
+        cascade_analytic(natural_light(), np.zeros((2, 2)))
 
 
 # --- entropy ----------------------------------------------------------------------
 
 
-@given(arrays(np.float64, st.integers(1, 64), elements=st.floats(0.0, 1.0)), angle)
+@given(st.floats(0.0, 1.0), angle)
 def test_batched_entropy_report_matches_the_pow_reference(p0, theta):
-    states = unit_state_array(np.stack([np.sqrt(p0), np.sqrt(1.0 - p0)], axis=1))
-    report = collapse_entropy_report(states, theta)
-    assert (report.after_bits == 0.0).all()
-    assert (report.delta_bits == -report.before_bits).all()
-    for k, amplitudes in enumerate(states):
-        before, after, _ = ref_entropy_report(amplitudes, theta)
-        assert abs(report.before_bits[k] - before) <= 1e-15
-        assert after == 0.0
-
-
-@given(arrays(np.float64, st.integers(1, 32), elements=angle),
-       arrays(np.float64, st.integers(1, 32), elements=angle))
-def test_entropy_report_takes_one_basis_per_state(phi, theta):
-    n = min(len(phi), len(theta))
-    states = np.array([ket_from_angle(f).amplitudes for f in phi[:n]])
-    report = collapse_entropy_report(states, theta[:n])
-    for k in range(n):
-        one = collapse_entropy_report(ket_from_angle(phi[k]), theta[k])
-        assert (one.before_bits, one.after_bits) == (report.before_bits[k],
-                                                     report.after_bits[k])
+    state = StateVector([math.sqrt(p0), math.sqrt(1.0 - p0)])
+    report = collapse_entropy_report(state, theta)
+    before, after, _ = ref_entropy_report(state.amplitudes, theta)
+    assert abs(report.before_bits - before) <= 1e-15
+    assert report.after_bits == after == 0.0
+    assert report.delta_bits == -report.before_bits
 
 
 def test_scalar_entropy_report_keeps_float_fields():
@@ -354,7 +320,7 @@ def test_trace_distance_is_the_size_one_call():
     assert trace_distance(r2, r1) == ref_trace_distance(r1, r2)
 
 
-# --- scalar forms are size-1 calls ------------------------------------------------
+# --- scalar forms ------------------------------------------------------------------
 
 
 @given(angle, angle)
@@ -365,8 +331,18 @@ def test_scalar_forms_agree_with_the_references(phi, theta):
     assert abs(p0 - w0) <= 1e-15 and abs(p1 - w1) <= 1e-15
     m = np.outer(state.amplitudes, state.amplitudes.conj())
     assert projection_probability(m, theta) == ref_projection_probability(m, theta)
-    np.testing.assert_array_equal(eigenvector_array(theta)[0], ref_eigenvector(theta, 0))
-    np.testing.assert_array_equal(eigenvector_array(theta, 1)[0], ref_eigenvector(theta, 1))
+    basis = MeasurementBasis(theta)
+    for outcome in (0, 1):
+        np.testing.assert_array_equal(basis.eigenvector(outcome).amplitudes,
+                                      ref_eigenvector(theta, outcome))
+
+
+@given(angle, st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+           lambda a: np.linalg.norm(a) > 0.1))
+def test_bob_reduced_state_equals_the_reference(theta, amplitudes):
+    for pair in (make_pair(), PairState(StateVector.normalize(amplitudes))):
+        want = ref_bob_marginal(pair.joint.amplitudes, theta)
+        assert entangle.bob_reduced_state(pair, theta).matrix.tobytes() == want.tobytes()
 
 
 @given(arrays(np.float64, st.integers(1, 32),
@@ -378,58 +354,20 @@ def test_array_rules_equal_their_scalar_rules_elementwise(theta, p):
 
 
 def test_array_forms_check_their_inputs_once():
+    # the one-point forms check their state, operator and axis
     with pytest.raises(InvalidStateError):
-        born_probabilities_array([[1.0, 1.0]], 0.0)
+        born_probabilities([1.0, 1.0], 0.0)
     with pytest.raises(ValueError):
-        born_probabilities_array([[1.0, 0.0, 0.0, 0.0]], 0.0)
+        born_probabilities([1.0, 0.0, 0.0, 0.0], 0.0)
     with pytest.raises(InvalidStateError):
-        projection_probability_array(np.eye(2), [0.0, 1.0])
+        projection_probability(np.eye(2), 1.0)
     with pytest.raises(InvalidStateError):
-        projection_probability_array([np.eye(2) / 2, [[0.5, 0.5j], [0.5j, 0.5]]], 0.0)
+        projection_probability([[0.5, 0.5j], [0.5j, 0.5]], 0.0)
     with pytest.raises(ValueError):
-        eigenvector_array([0.0, math.nan])
+        MeasurementBasis(math.nan)
     with pytest.raises(ValueError):
-        eigenvector_array(0.0, outcome=2)
-    np.testing.assert_array_equal(projection_probability_array(np.eye(2) / 2, [0.1, 2.0]),
-                                  [0.5, 0.5])
-
-
-# --- no per-point objects ----------------------------------------------------------
-
-
-def _counted_run(monkeypatch, tmp_path, argv):
-    counts = {"eigvalsh": 0, "DensityOperator": 0}
-    eigvalsh = np.linalg.eigvalsh
-    new = DensityOperator.__new__
-
-    def counting_eigvalsh(*args, **kwargs):
-        counts["eigvalsh"] += 1
-        return eigvalsh(*args, **kwargs)
-
-    def counting_new(cls, *args, **kwargs):
-        counts["DensityOperator"] += 1
-        return new(cls, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        m.setattr(DensityOperator, "__new__", counting_new)
-        assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
-    return counts
-
-
-@pytest.mark.parametrize("experiment, small, large", [
-    ("malus", ["--set", 'sweep={"start_deg": 0, "stop_deg": 19, "step_deg": 1}'],
-     ["--set", 'sweep={"start_deg": 0, "stop_deg": 1999, "step_deg": 1}']),
-    ("entropy", ["--set", "grid=" + str([k / 20 for k in range(20)])],
-     ["--set", "grid=" + str([k / 2000 for k in range(2000)])]),
-    ("nosignal", ["--set", "bases_a_deg=" + str([0.9 * k for k in range(20)]),
-                  "--set", "n_per_basis=10"],
-     ["--set", "bases_a_deg=" + str([0.9 * k for k in range(200)]),
-      "--set", "n_per_basis=10"]),
-])
-def test_analytic_runs_do_a_bounded_number_of_checks(monkeypatch, tmp_path, experiment,
-                                                     small, large):
-    few = _counted_run(monkeypatch, tmp_path, [experiment] + small)
-    many = _counted_run(monkeypatch, tmp_path, [experiment] + large)
-    assert many == few
-    assert many["eigvalsh"] <= 2 and many["DensityOperator"] <= 2
+        MeasurementBasis(0.0).eigenvector(2)
+    assert [projection_probability(np.eye(2) / 2, t) for t in (0.1, 2.0)] == [0.5, 0.5]
+    # the array rules of the count path check every angle at once
+    with pytest.raises(ValueError):
+        canonical_angle_array([0.0, math.nan])

@@ -952,8 +952,16 @@ REMOVED_IN_0_13_0 = {"stats": ["null_quantile", "permutation_null_mis"]}
 # removed on purpose from the top level: since 0.15.0 no run draws from a
 # stateful stream; photonlab.rng keeps both for perfbench's microbenchmark
 REMOVED_IN_0_15_0 = ["RngStream", "stream_from_seed"]
+# removed on purpose: since 0.19.0 the analytic functions take one state, one
+# axis and one beam; no run had called their batched forms since 0.18.0
+REMOVED_IN_0_19_0 = {
+    "core": ["born_probabilities_array", "eigenvector_array", "projection_probability_array",
+             "unit_state_array"],
+    "entangle": ["joint_probability_array"],
+}
 REMOVED = (REMOVED_IN_0_8_0 + REMOVED_IN_0_10_0 + sum(REMOVED_IN_0_11_0.values(), [])
-           + sum(REMOVED_IN_0_13_0.values(), []) + REMOVED_IN_0_15_0)
+           + sum(REMOVED_IN_0_13_0.values(), []) + REMOVED_IN_0_15_0
+           + sum(REMOVED_IN_0_19_0.values(), []))
 
 
 def test_every_0_7_0_name_still_resolves():
@@ -964,7 +972,8 @@ def test_every_0_7_0_name_still_resolves():
         assert not hasattr(photonlab, name) and name not in photonlab.__all__
         with pytest.raises(AttributeError):
             getattr(cli, name)
-    for module, names in [*REMOVED_IN_0_11_0.items(), *REMOVED_IN_0_13_0.items()]:
+    for module, names in [*REMOVED_IN_0_11_0.items(), *REMOVED_IN_0_13_0.items(),
+                          *REMOVED_IN_0_19_0.items()]:
         for name in names:
             assert not hasattr(getattr(photonlab, module), name), (module, name)
     assert all(hasattr(photonlab.rng, name) for name in REMOVED_IN_0_15_0)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from photonlab import cli, draw, protocol
 from photonlab.cli import MAX_PAIRS_PER_BIT, MAX_STRATEGY_NESTING, MAX_TRIALS
 from photonlab.core import MeasurementBasis, states_equal
-from photonlab.entangle import conditional_state, joint_probability_array, make_pair
+from photonlab.entangle import conditional_state, joint_probabilities, make_pair
 from photonlab.protocol import (
     BIT_SOURCES,
     BasisOracle,
@@ -97,6 +97,21 @@ def test_repetition_cannot_amplify_zero_information():
     sigma = math.sqrt(0.25 / 10_000)
     assert abs(report.ber - 0.5) < 3 * sigma
     assert report.mutual_info_bits == 0.0
+
+
+def test_a_receiver_of_any_depth_is_walked_without_recursion():
+    # 3,000 nested repetitions, past Python's default recursion limit of 1,000
+    for inner, ties in (("basis-oracle", 0), ("fixed-basis-ml:22.5", 1)):
+        for k in (1, 2):
+            label = f"repetition:{k}:" * 3000 + inner
+            deep = parse_strategy(label)
+            assert deep.label == label
+            assert deep.pairs_per_bit == k**3000
+            report = run_protocol(1000, strategy=deep, seed=5)
+            flat = run_protocol(1000, strategy=parse_strategy(inner), seed=5)
+            assert report.ber == flat.ber
+            assert report.mutual_info_bits == flat.mutual_info_bits
+            assert report.decode_ties == k**3000 * ties * 1000
 
 
 def test_unknown_strategy_is_rejected():
@@ -274,7 +289,7 @@ def test_encodings_of_zero_and_one_are_indistinguishable(rule, theta):
     basis = MeasurementBasis(theta)
     table = protocol._ml_table(rule, basis)
     for v in (0, 1):
-        bob = joint_probability_array(make_pair(), rule.basis_for(v), basis.theta)[0].sum(axis=0)
+        bob = joint_probabilities(make_pair(), rule.basis_for(v), basis.theta).sum(axis=0)
         assert np.abs(bob - table[v]).max() <= 1e-12
     assert np.abs(np.subtract(table[1], table[0])).max() <= 1e-12
 
@@ -319,8 +334,8 @@ def decode_from_the_joint_law(strategy, rule, v):
     if isinstance(strategy, BasisOracle):
         return (0, 1) if rule.is_degenerate else (v, 0)
     if isinstance(strategy, FixedBasisML):
-        like = [joint_probability_array(make_pair(), rule.basis_for(u),
-                                        strategy.basis.theta)[0].sum(axis=0) for u in (0, 1)]
+        like = [joint_probabilities(make_pair(), rule.basis_for(u),
+                                    strategy.basis.theta).sum(axis=0) for u in (0, 1)]
         decisions = {(int(like[1][o] > like[0][o] + 1e-12),
                       int(abs(like[1][o] - like[0][o]) <= 1e-12)) for o in (0, 1)}
         # both of Bob's outcomes decide alike

@@ -25,7 +25,7 @@ from photonlab import cli, core, draw, entangle, rng
 from photonlab.entangle import (
     bob_marginal_count_array,
     correlation_array,
-    joint_probability_array,
+    joint_probabilities,
     make_pair,
 )
 from photonlab.mzi import detector_probabilities, detector_probability_array, fringe_counts
@@ -133,7 +133,7 @@ def test_the_closed_forms_agree_on_many_random_arguments():
 @given(st.lists(st.tuples(wide_angle, wide_angle), min_size=1, max_size=40))
 def test_the_singlet_closed_form_is_the_amplitude_algebra_within_1e_15(pairs):
     a, b = (list(side) for side in zip(*pairs))
-    algebra = joint_probability_array(make_pair(), a, b).reshape(-1).tolist()
+    algebra = [p for ta, tb in pairs for p in joint_probabilities(make_pair(), ta, tb).flat]
     assert all(map(within_1e_15, _singlet_numpy(a, b).reshape(-1).tolist(), algebra))
 
 
