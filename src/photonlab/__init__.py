@@ -6,9 +6,7 @@ loads none of the modules that define them, and a process that runs one
 experiment imports only that experiment's modules.
 """
 
-import importlib
-
-__version__ = "0.19.0"
+__version__ = "0.19.1"
 
 # public names by the module that defines them
 _EXPORTS = {
@@ -104,13 +102,13 @@ __all__ = sorted([*_EXPORTS, *_HOME])
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    module = _HOME.get(name)
+    module = name if name in _EXPORTS else _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
+    # `from photonlab.<module> import <name>`, through __import__ as that
+    # statement goes: -X importtime lists its imports, not importlib's
+    home = __import__(f"{__name__}.{module}", fromlist=[name])
+    value = globals()[name] = home if module == name else getattr(home, name)
     return value
 
 

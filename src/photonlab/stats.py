@@ -25,6 +25,23 @@ from itertools import accumulate, chain, count, islice, takewhile
 from operator import mul, truediv
 
 
+# NormalDist().inv_cdf(0.975), the z of the default 95% interval. statistics
+# loads decimal and fractions with it, so only an interval at another
+# confidence imports it, and no CLI run does
+Z_95 = 1.9599639845400536
+
+
+def _z(confidence: float) -> float:
+    """The normal quantile NormalDist().inv_cdf(0.5 + confidence / 2)."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if confidence == 0.95:
+        return Z_95
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -34,18 +51,12 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     wilson_interval_array takes on each element. Both counts must be
     integers, as a count table's cells must (a bool is not one).
     """
-    # statistics loads decimal and fractions with it, and only the intervals
-    # need it, so a run that computes none (protocol) never imports it
-    from statistics import NormalDist
-
     successes, trials = _count(successes, "successes"), _count(trials, "trials")
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, {trials}], got {successes}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = _z(confidence)
     n = float(trials)
     p = successes / n
     denom = 1.0 + z * z / n
@@ -75,18 +86,13 @@ def wilson_interval_array(successes, trials, confidence: float = 0.95):
     interval photonlab 0.9.0 computed one count at a time, bit for bit. The
     counts must be integers, as wilson_interval's must: a float or a bool is
     refused, not truncated."""
-    # loaded here, as in wilson_interval
-    from statistics import NormalDist
-
     import numpy as np
 
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    z = _z(confidence)
     x, trials = np.broadcast_arrays(_count_array(successes, "successes"),
                                     _count_array(trials, "trials"))
     if x.size and (trials.min() <= 0 or x.min() < 0 or (x > trials).any()):
         raise ValueError("counts must satisfy 0 <= successes <= trials with trials positive")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     n = trials.astype(np.float64)
     p = x / n
     denom = 1.0 + z * z / n

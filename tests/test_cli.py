@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import photonlab
-from photonlab import cli
+from photonlab import cli, runner
 from photonlab.cli import main
 from photonlab.rng import ALGORITHM_ID
 
@@ -618,12 +618,12 @@ print(json.dumps([at_import, loaded()]))
 
 
 # malus and entropy draw nothing by default, and protocol draws only with its
-# default iid bits; every run loads scalars. A run that draws at most
-# SCALAR_ROWS points, nosignal's bases, a cascade and the protocol draw one
-# count at a time with draw, and every run but a long sweep works on scalars
-# alone and loads no core (0.18.0: malus, entropy and nosignal too); only a
-# sweep of more points loads core and rng (the CHSH settings of a long bell
-# sweep still draw with draw)
+# default iid bits; every run loads the run machinery (runner) and scalars. A
+# run that draws at most SCALAR_ROWS points, nosignal's bases, a cascade and
+# the protocol draw one count at a time with draw, and every run but a long
+# sweep works on scalars alone and loads no core (0.18.0: malus, entropy and
+# nosignal too); only a sweep of more points loads core and rng (the CHSH
+# settings of a long bell sweep still draw with draw)
 @pytest.mark.parametrize("experiment, modules", [
     ("malus", ["optics", "scalars"]),
     ("entropy", ["entropy", "scalars"]),
@@ -640,7 +640,7 @@ def test_a_run_imports_only_its_experiment(tmp_path, experiment, modules):
     stdout = _run_fresh(_LOADED, str(tmp_path / "r.json"), *experiment.split())
     at_import, after_run = json.loads(stdout.splitlines()[-1])
     assert at_import == ["cli"]
-    assert after_run == ["cli", *modules]
+    assert after_run == sorted(["cli", "runner", *modules])
 
 
 # -X importtime lists every module a process imports, one line each, ending in
@@ -679,14 +679,14 @@ print(json.dumps(sorted(m for m in ("dataclasses", "statistics") if m in sys.mod
 
 
 # the value classes are namedtuples, so no run generates dataclass code; only
-# a Wilson interval needs statistics.NormalDist, and of the default runs only
-# nosignal computes one
+# a Wilson interval at a confidence other than 0.95 needs
+# statistics.NormalDist, and no run computes one (nosignal's are at 0.95)
 @pytest.mark.parametrize("argv, modules", [
     (["malus"], []),
     (["malus", "--set", "mode=mc"], []),
     (["entropy"], []),
     (["bell"], []),
-    (["nosignal"], ["statistics"]),
+    (["nosignal"], []),
     (["mzi"], []),
     (["protocol"], []),
     (["protocol", "--set", "bit_source=balanced", "--set", "strategy=basis-oracle"], []),
@@ -754,11 +754,15 @@ def _exit_and_heavy_modules(*argv):
     return json.loads(_run_fresh(_EXITS, *argv).splitlines()[-1])
 
 
+# help, the version and a usage error are argparse's alone and load nothing;
+# a config error is found by the run machinery, photonlab.runner
 _NO_NUMPY_EXITS = [
     (["--help"], 0),
     *[([experiment, "--help"], 0) for experiment in cli.EXPERIMENTS],
     (["--version"], 0),
     (["bogus"], 2),
+]
+_CONFIG_EXITS = [
     (["protocol", "--set", "n_bits=0"], 2),
     (["nosignal", "--set", "bases_a_deg=[0, 1e400]"], 2),
     (["malus", "--config", "no-such-config.json"], 2),
@@ -772,13 +776,15 @@ _STRATEGY_EXITS = [
     (["protocol", "--set", "strategy=repetition:0:basis-oracle"], 2),
     (["protocol", "--set", "strategy=" + "repetition:1000:" * 3 + "basis-oracle"], 2),
 ]
-_PARSER_MODULES = ["photonlab.protocol", "photonlab.scalars", "photonlab.stats"]
+_PARSER_MODULES = ["photonlab.protocol", "photonlab.runner", "photonlab.scalars",
+                   "photonlab.stats"]
+_EXITS_LOADING = ([(argv, code, []) for argv, code in _NO_NUMPY_EXITS]
+                  + [(argv, code, ["photonlab.runner"]) for argv, code in _CONFIG_EXITS]
+                  + [(argv, code, _PARSER_MODULES) for argv, code in _STRATEGY_EXITS])
 
 
 @pytest.mark.parametrize("argv, code, loaded",
-                         [(argv, code, []) for argv, code in _NO_NUMPY_EXITS]
-                         + [(argv, code, _PARSER_MODULES) for argv, code in _STRATEGY_EXITS],
-                         ids=[" ".join(argv) for argv, _ in _NO_NUMPY_EXITS + _STRATEGY_EXITS])
+                         _EXITS_LOADING, ids=[" ".join(argv) for argv, _, _ in _EXITS_LOADING])
 def test_help_version_and_config_errors_load_no_numpy(tmp_path, argv, code, loaded):
     assert _exit_and_heavy_modules(*argv, "--out", str(tmp_path / "r.json")) == [code, loaded]
     assert not (tmp_path / "r.json").exists()
@@ -1020,7 +1026,7 @@ def _check_outcome(fields, params):
 def test_list_fast_path_agrees_with_the_item_loop(item, values):
     fields = {"xs": cli.Field("list", item=item)}
     fast = _check_outcome(fields, {"xs": values})
-    with mock.patch.object(cli, "_numbers_fit", return_value=False):
+    with mock.patch.object(runner, "_numbers_fit", return_value=False):
         assert _check_outcome(fields, {"xs": values}) == fast
 
 
@@ -1043,7 +1049,7 @@ def test_list_fast_path_agrees_with_the_item_loop(item, values):
 def test_list_fast_path_edges(item, values, message):
     fields = {"xs": cli.Field("list", item=item)}
     fast = _check_outcome(fields, {"xs": values})
-    with mock.patch.object(cli, "_numbers_fit", return_value=False):
+    with mock.patch.object(runner, "_numbers_fit", return_value=False):
         assert _check_outcome(fields, {"xs": values}) == fast
     assert fast == message
 

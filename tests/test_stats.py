@@ -59,6 +59,24 @@ def test_wilson_interval_narrows_with_confidence_and_n():
     assert big[1] - big[0] < small[1] - small[0]
 
 
+# the default 95% interval takes its z as a constant, so it loads no statistics
+def test_the_default_z_is_normal_dists_quantile_bit_for_bit():
+    assert stats.Z_95.hex() == NormalDist().inv_cdf(0.975).hex()
+    assert 0.5 + 0.95 / 2.0 == 0.975
+
+
+@pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+def test_wilson_interval_takes_normal_dists_z(confidence):
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    n, p = 1000.0, 0.3
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2.0 * n)) / denom
+    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+    assert wilson_interval(300, 1000, confidence) == (center - half, center + half)
+    lo, hi = stats.wilson_interval_array(np.array([300]), 1000, confidence)
+    assert (lo[0], hi[0]) == (center - half, center + half)
+
+
 def test_wilson_interval_validation():
     with pytest.raises(ValueError):
         wilson_interval(1, 0)

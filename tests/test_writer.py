@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from photonlab import cli
+from photonlab import cli, runner
 from photonlab.cli import Table
 
 
@@ -95,7 +95,7 @@ def tables(draw, columns=st.one_of(numeric_columns, st.lists(scalars, max_size=9
 @settings(max_examples=300)
 @given(st.dictionaries(keys, st.one_of(values, tables()), max_size=5), st.integers(1, 4))
 def test_streamed_json_equals_json_dumps(head, write_rows):
-    with mock.patch.object(cli, "WRITE_ROWS", write_rows):
+    with mock.patch.object(runner, "WRITE_ROWS", write_rows):
         text = _streamed(cli._write_json, head)
     assert text == json.dumps(_plain(head), indent=2) + "\n"
 
@@ -104,7 +104,7 @@ def test_streamed_json_equals_json_dumps(head, write_rows):
 @given(tables(st.one_of(numeric_columns, st.lists(scalars.filter(lambda v: v is not None),
                                             max_size=9))), st.integers(1, 4))
 def test_streamed_csv_equals_0_7_0_rendering(table, write_rows):
-    with mock.patch.object(cli, "WRITE_ROWS", write_rows):
+    with mock.patch.object(runner, "WRITE_ROWS", write_rows):
         text = _streamed(cli._write_csv, table)
     assert text == _csv_0_7_0(table)
 
