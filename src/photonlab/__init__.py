@@ -6,7 +6,7 @@ loads none of the modules that define them, and a process that runs one
 experiment imports only that experiment's modules.
 """
 
-__version__ = "0.19.1"
+__version__ = "0.19.2"
 
 # public names by the module that defines them
 _EXPORTS = {

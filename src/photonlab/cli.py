@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config or validation error (nothing is written),
 # no `from __future__ import annotations` here: under -m that statement
 # imports the __future__ module, on the --help path too
 import argparse
+import gc
 import os
 import sys
 
@@ -31,10 +32,12 @@ from . import _HOME, __version__
 if not os.environ.get("OPENBLAS_NUM_THREADS"):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-# This module is the front end: the subcommands and their arguments, and main.
-# All a run needs once its arguments are parsed (the parameters and their
-# checks, the runners and the writer) is in photonlab.runner, which main loads
-# only then, so --help, --version and a usage error never compile it.
+# This module is the front end: the subcommands and their arguments, main and
+# the process entry point. All a run needs once its arguments are parsed (the
+# parameters and their checks, the runners and the writers) is in
+# photonlab.runner and the modules it imports for the one runner a run calls,
+# which main loads only then, so --help, --version and a usage error never
+# compile them.
 #
 # Every public library name resolves as an attribute of this module on first
 # use (PEP 562), from the module that photonlab._HOME names for it (imported
@@ -120,5 +123,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry():
+    """The process entry point, of `python -m photonlab.cli` and of the
+    installed `photonlab` script: main, then gc.freeze() however main ends,
+    argparse's exit for --help or a usage error included.
+
+    Frozen objects sit in gc's permanent generation, which the full
+    collection at interpreter exit skips (gc.disable() does not stop that
+    collection). It would only free memory the OS takes back anyway: files
+    close in `with` blocks, stdio flushes outside the collector, and no
+    photonlab object needs a finalizer at exit. main freezes nothing, since
+    tests and tools call it in processes that go on."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -2,18 +2,18 @@
 arguments are parsed.
 
 It holds each experiment's parameters (Field, EXPERIMENTS) and their checks,
-the config file's load and merge with --set overrides, the six runners, and
-the JSON/CSV writer. photonlab.cli imports it only once argparse has parsed a
-run's arguments, so --help, --version and a usage error never compile it.
+the config file's load and merge with --set overrides, the JSON writer and
+_run. photonlab.cli imports it only once argparse has parsed a run's
+arguments, so --help, --version and a usage error never compile it. Each
+experiment's runner, with the helpers only it uses, is in its own module,
+photonlab.runner_<experiment>, and the CSV writer in photonlab.csvout; a run
+imports only the ones it calls.
 """
 
 from __future__ import annotations
 
-import copy
-import itertools
 import json
 import math
-import operator
 import os
 import time
 from collections import namedtuple
@@ -86,8 +86,10 @@ _TYPES = {"number": (int, float), "integer": int, "string": str, "list": list, "
 
 
 def defaults(fields: dict) -> dict:
-    """A fresh copy of the default value of every field."""
-    return {name: copy.deepcopy(field.default) for name, field in fields.items()}
+    """A fresh copy of the default value of every field. The defaults are
+    JSON values, so a JSON round trip copies them, to the last list and
+    object, and gives each float back bit for bit."""
+    return json.loads(json.dumps({name: field.default for name, field in fields.items()}))
 
 
 def check_params(fields: dict, params) -> None:
@@ -167,25 +169,6 @@ def _check_bounds(field: Field, value, shown: str, path: str) -> None:
         raise _invalid(path, f"{shown} is greater than the maximum of {field.maximum}")
 
 
-def _strategy(label: str):
-    """The receiver a strategy label names, within the CLI's caps. The
-    nesting cap is checked on the raw label, before it is parsed."""
-    if label.count("repetition:") > MAX_STRATEGY_NESTING:
-        raise ConfigError(f"strategy nests more than {MAX_STRATEGY_NESTING} repetitions; "
-                          "lower its nesting")
-    (parse_strategy,) = _library("parse_strategy")
-    try:
-        strategy = parse_strategy(label)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if strategy.pairs_per_bit > MAX_PAIRS_PER_BIT:
-        raise ConfigError(
-            f"strategy {label.strip()} sends {strategy.pairs_per_bit} pairs per bit, "
-            f"more than {MAX_PAIRS_PER_BIT}; lower its repetition factors"
-        )
-    return strategy
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -256,80 +239,6 @@ class Table:
         self.columns = columns
 
 
-# A runner returns (payload, table, summary, streams): payload holds the result
-# keys that follow the common head, a Table among them streamed a block of rows
-# at a time; table is what --format csv writes, None where the result is not
-# tabular; streams lists the ranges of stream indices the run keys under its
-# seed, each written once, where the runner hands it to the library.
-
-
-def _run_malus(params, seed):
-    # loaded here, so that --help and a configuration error never load them
-    from array import array
-
-    from .scalars import snap_probability
-
-    cascade_mc, malus_law, stage_pass_probabilities = _library(
-        "cascade_mc", "malus_law", "stage_pass_probabilities")
-    if params["sweep"] is not None:
-        grid = _grid_from_sweep(params["sweep"])
-        # natural light through polarizers at 90, theta and 0 degrees: the
-        # snapped pass probabilities of its stages multiplied in stage order,
-        # as the analytic cascade [90, theta, 0] multiplies them
-        ninety, zero = math.radians(90.0), math.radians(0.0)
-        finals = array("d", (0.5 * snap_probability(malus_law(ninety, theta))
-                             * snap_probability(malus_law(theta, zero))
-                             for theta in map(math.radians, grid)))
-        best = finals.index(max(finals))
-        summary = {"max_final_intensity": finals[best], "argmax_deg": grid[best]}
-        rows = Table(theta_deg=grid, final_intensity=finals)
-        return {"sweep_rows": rows}, rows, summary, []
-
-    axes = [math.radians(a) for a in params["axes_deg"]]
-    source_angle = math.radians(params["source_angle_deg"])
-    if params["mode"] == "analytic":
-        # each stage's intensity is the product of the snapped pass
-        # probabilities up to it
-        fractions = list(itertools.accumulate(
-            map(snap_probability, stage_pass_probabilities(axes, params["source"], source_angle)),
-            operator.mul))
-        payload, streams, counts = {}, [], {}
-    else:
-        result = cascade_mc(
-            params["n_photons"],
-            axes,
-            source=params["source"],
-            source_angle=source_angle,
-            seed=seed,
-        )
-        fractions = [float(f) for f in result.fractions()]
-        # the cascade draws its stage counts from stream 0
-        payload, streams = {"n_photons": params["n_photons"]}, [range(1)]
-        counts = {"count": [int(c) for c in result.per_stage_counts]}
-    # the result's stages add the counts of a Monte Carlo run; CSV has none
-    stages = Table(stage=list(range(len(axes))),
-                   axis_deg=[float(a) for a in params["axes_deg"]],
-                   fraction=fractions)
-    payload["stages"] = Table(**stages.columns, **counts)
-    payload["final_intensity"] = fractions[-1]
-    return payload, stages, {"final_intensity": payload["final_intensity"]}, streams
-
-
-def _run_entropy(params, seed):
-    from array import array
-
-    binary_entropy, eigenbasis_entropy = _library("binary_entropy", "eigenbasis_entropy")
-    p0 = array("d", params["grid"])
-    # collapse in the measured basis (theta = 0) leaves one of its
-    # eigenvectors, whose outcome entropy is the same at every point
-    after_bits = eigenbasis_entropy(0.0)
-    before = array("d", map(binary_entropy, p0))
-    after = array("d", [after_bits]) * len(p0)
-    delta = array("d", map(operator.sub, after, before))
-    rows = Table(p0=p0, before_bits=before, after_bits=after, delta_bits=delta)
-    return {"rows": rows}, rows, {"max_after_bits": after_bits}, []
-
-
 def _radians(degrees: list):
     """The angles in radians: a list of floats for a sweep small enough to be
     drawn row by row (scalars.point_list), else an array."""
@@ -342,151 +251,25 @@ def _radians(degrees: list):
     return np.radians(degrees)
 
 
-def _fractions(counts, n: int):
-    """counts / n, for a list of counts or an array of them."""
-    return [c / n for c in counts] if isinstance(counts, list) else counts / n
+# A runner returns (payload, table, summary, streams): payload holds the result
+# keys that follow the common head, a Table among them streamed a block of rows
+# at a time; table is what --format csv writes, None where the result is not
+# tabular; streams lists the ranges of stream indices the run keys under its
+# seed, each written once, where the runner hands it to the library.
+def _lazy_runner(experiment: str):
+    """The runner of an experiment: the run function of
+    photonlab.runner_<experiment>, which it imports when first called, so a
+    process compiles only the runner it calls."""
+    module = f"{__package__}.runner_{experiment}"
+
+    def run(params, seed):
+        return __import__(module, fromlist=["run"]).run(params, seed)
+
+    return run
 
 
-def _run_bell(params, seed):
-    grid = _grid_from_sweep(params["sweep"])
-    # the sweep's columns, lists or arrays as the sweep's size has them drawn
-    from .entangle import _correlation_columns
-
-    (chsh,) = _library("chsh")
-    # sweep point i draws from stream i, the CHSH settings from the next four
-    points, settings = range(len(grid)), range(len(grid), len(grid) + 4)
-    e_values, std_errs = _correlation_columns(_radians(grid), 0.0, params["n_per_point"],
-                                              seed=seed, stream_base=points.start)
-    rows = Table(delta_deg=grid, e_value=e_values, std_err=std_errs)
-    s_value = chsh(
-        tuple(math.radians(a) for a in params["chsh_angles_deg"]),
-        params["n_per_setting"],
-        seed=seed,
-        stream_base=settings.start,
-    )
-    payload = {
-        "sweep_rows": rows,
-        "chsh": {
-            "angles_deg": [float(a) for a in params["chsh_angles_deg"]],
-            "n_per_setting": params["n_per_setting"],
-            "s_value": float(s_value),
-        },
-    }
-    summary = {"chsh_s": float(s_value)}
-    return payload, rows, summary, [points, settings]
-
-
-def _run_nosignal(params, seed):
-    ALGEBRA_ATOL, bob_marginal_counts, no_signaling_check, wilson_interval = _library(
-        "ALGEBRA_ATOL", "bob_marginal_counts", "no_signaling_check", "wilson_interval")
-    bases_deg = [float(d) for d in params["bases_a_deg"]]
-    probe_deg = float(params["probe_basis_deg"])
-    probe = math.radians(probe_deg)
-    n = params["n_per_basis"]
-    bases = [math.radians(d) for d in bases_deg]
-    distance = no_signaling_check(bases)
-    # basis i draws from stream i
-    basis_streams = range(len(bases))
-    count0 = [bob_marginal_counts(theta, probe, n, seed=seed, stream_base=i)[1]
-              for i, theta in zip(basis_streams, bases)]
-    lo, hi = zip(*(wilson_interval(c, n) for c in count0))
-    rows = Table(basis_a_deg=bases_deg, n=[n] * len(bases),
-                 bob_fraction_d0=[c / n for c in count0], ci_lo=list(lo), ci_hi=list(hi))
-    payload = {
-        "max_trace_distance": distance,
-        "within_atol": distance < ALGEBRA_ATOL,
-        "probe_basis_deg": probe_deg,
-        "rows": rows,
-    }
-    summary = {"max_trace_distance": distance}
-    return payload, rows, summary, [basis_streams]
-
-
-def _run_protocol(params, seed):
-    n_bits = params["n_bits"]
-    # the balanced bit source splits n_bits into equal halves of ones and zeros
-    if params["bit_source"] == "balanced" and n_bits % 2:
-        raise _invalid("n_bits", f"{n_bits} is not a multiple of 2, as the balanced "
-                                 "bit source needs")
-    strategy = _strategy(params["strategy"])
-    EncodingRule, run_protocol = _library("EncodingRule", "run_protocol")
-    rule = EncodingRule(
-        basis_for_one=math.radians(params["rule"]["one_deg"]),
-        basis_for_zero=math.radians(params["rule"]["zero_deg"]),
-    )
-    report = run_protocol(
-        n_bits,
-        rule=rule,
-        strategy=strategy,
-        seed=seed,
-        bit_source=params["bit_source"],
-    )
-    payload = {
-        "n_bits": int(report.n_bits),
-        "ber": float(report.ber),
-        "mutual_info_bits": float(report.mutual_info_bits),
-        "mi_confidence_interval": [float(v) for v in report.mi_confidence_interval],
-        "decode_ties": int(report.decode_ties),
-        "strategy": report.strategy.label,
-        "rule": {
-            "one_deg": math.degrees(report.rule.basis_for_one),
-            "zero_deg": math.degrees(report.rule.basis_for_zero),
-        },
-        "bit_source": report.bit_source,
-    }
-    summary = {"ber": payload["ber"], "mutual_info_bits": payload["mutual_info_bits"]}
-    # iid bits draw their count of ones from stream 0; balanced bits draw nothing
-    return payload, None, summary, [range(1)] if params["bit_source"] == "iid" else []
-
-
-def _run_mzi(params, seed):
-    # the fringe's counts, a list or an array as the sweep's size has them drawn
-    from .mzi import _d0_counts
-
-    MziConfig, choice_timing_invariance = _library("MziConfig", "choice_timing_invariance")
-    phases_deg = [float(d) for d in params["phases_deg"]]
-    phases = _radians(phases_deg)
-    n = params["n_per_phase"]
-    # phase i draws from stream 4i closed and 4i + 2 open; the timing
-    # comparison takes the three streams after the last phase's
-    span = 4 * len(phases_deg)
-    fringe = [range(0, span, 4), range(2, span, 4)]
-    closed, opened = (_d0_counts(phases, second_bs, n, seed, params["mode"], indices.start,
-                                 indices.step)
-                      for second_bs, indices in zip((True, False), fringe))
-    streams = fringe if params["mode"] == "mc" else []
-    rows = Table(phase_deg=phases_deg, closed_fraction_d0=_fractions(closed, n),
-                 open_fraction_d0=_fractions(opened, n))
-    timing_payload = None
-    if params["timing"] is not None:
-        timing = params["timing"]
-        phase = math.radians(timing["phase_deg"])
-        streams.append(range(span, span + 3))
-        report = choice_timing_invariance(
-            MziConfig(phase, second_bs=True, choice_policy="delayed-random",
-                      p_present=timing["p_present"]),
-            MziConfig(phase, second_bs=True),
-            timing["n"],
-            seed=seed,
-            stream_base=streams[-1].start,
-        )
-        timing_payload = {
-            "phase_deg": float(timing["phase_deg"]),
-            "choice": report.choice,
-            "n_conditional": int(report.n_conditional),
-            # None when the draw left the branch empty, as no comparison was made
-            "conditional_fraction_d0": report.conditional_fraction_d0,
-            "fixed_n": int(report.fixed_n),
-            "fixed_fraction_d0": float(report.fixed_fraction_d0),
-            "z_value": report.z_value,
-            "within_4_sigma": report.within_4_sigma,
-        }
-    payload = {"fringe_rows": rows, "timing": timing_payload}
-    summary = {
-        "timing_within_4_sigma": None if timing_payload is None
-        else timing_payload["within_4_sigma"],
-    }
-    return payload, rows, summary, streams
+_run_malus, _run_entropy, _run_bell, _run_nosignal, _run_protocol, _run_mzi = map(
+    _lazy_runner, ("malus", "entropy", "bell", "nosignal", "protocol", "mzi"))
 
 
 # one subcommand, under its name in photonlab.cli.COMMANDS: the Field of each
@@ -570,26 +353,6 @@ def _json_cells(cells: list, newline: str):
     return "%s", [json.dumps(cell, indent=2).replace("\n", newline) for cell in cells]
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".10g")
-
-
-def _csv_cells(cells: list):
-    """A %-format and the cells it renders as _csv_cell would."""
-    kinds = set(map(type, cells))
-    if kinds <= {float}:
-        return "%.10g", cells
-    if kinds <= {int}:
-        return "%d", cells
-    return "%s", [_csv_cell(cell) for cell in cells]
-
-
 def _write_json(fh, value) -> None:
     """Write json.dumps(value, indent=2) + "\n", with every list and Table
     streamed a block of rows at a time."""
@@ -637,16 +400,6 @@ def _write_rows(fh, columns: list, keys, newline: str) -> None:
     fh.write(newline + "]" if n else "[]")
 
 
-def _write_csv(fh, table: Table) -> None:
-    """Write the table as CSV, WRITE_ROWS rows at a time, each row through one
-    %-template: 10 significant digits for floats."""
-    fh.write(",".join(table.columns) + "\n")
-    columns = list(table.columns.values())
-    for start in range(0, len(columns[0]), WRITE_ROWS):
-        formats, cells = zip(*(_csv_cells(_block(c, start)) for c in columns))
-        fh.write("".join(map((",".join(formats) + "\n").__mod__, zip(*cells))))
-
-
 def _write(path: str, write, value) -> None:
     """Write one output file; one that fails part way is removed, not left cut short."""
     fh = open(path, "w", encoding="utf-8", newline="")
@@ -680,6 +433,7 @@ def _run(args) -> int:
         raise ConfigError("the protocol report is not tabular; use --format json")
 
     out_path = args.out if args.out is not None else config.get("out")
+    _check(Field("string", nullable=True), out_path, "out")
     if out_path is None:
         out_dir = os.environ.get("PHOTONLAB_OUT_DIR", os.getcwd())
         out_path = os.path.join(out_dir, f"{experiment}.{out_format}")
@@ -692,7 +446,9 @@ def _run(args) -> int:
     # generator of the words, as 0.9 named every run
     (rng_algorithm,) = _library("ALGORITHM_ID" if any(streams) else "WORDS_ID")
     if out_format == "csv":
-        _write(out_path, _write_csv, table)
+        from .csvout import write_csv
+
+        _write(out_path, write_csv, table)
     else:
         result = {
             "experiment": experiment,

@@ -15,6 +15,7 @@ import photonlab
 from photonlab import cli, runner
 from photonlab.cli import main
 from photonlab.rng import ALGORITHM_ID
+from photonlab.runner_protocol import _strategy
 
 
 def run_cli(argv):
@@ -513,7 +514,7 @@ def test_oversized_and_deeply_nested_strategies_are_refused(tmp_path, capsys):
                     "--out", str(out)]) == 0
     assert read_json(out)["decode_ties"] == cli.MAX_TRIALS * cli.MAX_PAIRS_PER_BIT
     shallow = "repetition:1:" * cli.MAX_STRATEGY_NESTING + "basis-oracle"
-    assert cli._strategy(shallow).pairs_per_bit == 1
+    assert _strategy(shallow).pairs_per_bit == 1
 
 
 def test_runtime_error_without_text_names_its_type(tmp_path, capsys, monkeypatch):
@@ -563,6 +564,20 @@ def test_config_for_another_experiment_is_rejected(tmp_path, capsys):
     config = tmp_path / "bell.json"
     config.write_text(json.dumps({"experiment": "bell"}))
     check_failure(tmp_path, capsys, ["malus", "--config", str(config)], "bell")
+
+
+# a config's out must be a path or null; 0.19.1 opened "out": 1 as file
+# descriptor 1, so the result went to stdout and its manifest to 1.manifest.json.
+# Each call runs in its own interpreter, where a regression closes no test's stdout.
+@pytest.mark.parametrize("out", [1, True, ["a"], {}], ids=repr)
+def test_a_config_whose_out_is_not_a_string_is_refused(tmp_path, out):
+    (tmp_path / "c.json").write_text(json.dumps({"out": out}))
+    proc = subprocess.run([sys.executable, "-m", "photonlab.cli", "entropy", "--config", "c.json"],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"config error: out: {out!r} is not of type 'string' or null\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_protocol_csv_is_refused(tmp_path, capsys):
@@ -618,7 +633,8 @@ print(json.dumps([at_import, loaded()]))
 
 
 # malus and entropy draw nothing by default, and protocol draws only with its
-# default iid bits; every run loads the run machinery (runner) and scalars. A
+# default iid bits; every run loads the run machinery (runner), its own
+# experiment's runner (runner_<experiment>) and no other's, and scalars. A
 # run that draws at most SCALAR_ROWS points, nosignal's bases, a cascade and
 # the protocol draw one count at a time with draw, and every run but a long
 # sweep works on scalars alone and loads no core (0.18.0: malus, entropy and
@@ -640,7 +656,7 @@ def test_a_run_imports_only_its_experiment(tmp_path, experiment, modules):
     stdout = _run_fresh(_LOADED, str(tmp_path / "r.json"), *experiment.split())
     at_import, after_run = json.loads(stdout.splitlines()[-1])
     assert at_import == ["cli"]
-    assert after_run == sorted(["cli", "runner", *modules])
+    assert after_run == sorted(["cli", "runner", f"runner_{experiment.split()[0]}", *modules])
 
 
 # -X importtime lists every module a process imports, one line each, ending in
@@ -755,7 +771,8 @@ def _exit_and_heavy_modules(*argv):
 
 
 # help, the version and a usage error are argparse's alone and load nothing;
-# a config error is found by the run machinery, photonlab.runner
+# a config error is found by the run machinery, photonlab.runner, and a bad
+# sweep or an odd balanced n_bits by the experiment's runner, which loads it
 _NO_NUMPY_EXITS = [
     (["--help"], 0),
     *[([experiment, "--help"], 0) for experiment in cli.EXPERIMENTS],
@@ -766,6 +783,8 @@ _CONFIG_EXITS = [
     (["protocol", "--set", "n_bits=0"], 2),
     (["nosignal", "--set", "bases_a_deg=[0, 1e400]"], 2),
     (["malus", "--config", "no-such-config.json"], 2),
+]
+_RUNNER_EXITS = [
     (["bell", "--set", 'sweep={"start_deg": 1, "stop_deg": 0, "step_deg": 1}'], 2),
     (["protocol", "--set", "n_bits=3", "--set", "bit_source=balanced"], 2),
 ]
@@ -776,10 +795,12 @@ _STRATEGY_EXITS = [
     (["protocol", "--set", "strategy=repetition:0:basis-oracle"], 2),
     (["protocol", "--set", "strategy=" + "repetition:1000:" * 3 + "basis-oracle"], 2),
 ]
-_PARSER_MODULES = ["photonlab.protocol", "photonlab.runner", "photonlab.scalars",
-                   "photonlab.stats"]
+_PARSER_MODULES = ["photonlab.protocol", "photonlab.runner", "photonlab.runner_protocol",
+                   "photonlab.scalars", "photonlab.stats"]
 _EXITS_LOADING = ([(argv, code, []) for argv, code in _NO_NUMPY_EXITS]
                   + [(argv, code, ["photonlab.runner"]) for argv, code in _CONFIG_EXITS]
+                  + [(argv, code, ["photonlab.runner", f"photonlab.runner_{argv[0]}"])
+                     for argv, code in _RUNNER_EXITS]
                   + [(argv, code, _PARSER_MODULES) for argv, code in _STRATEGY_EXITS])
 
 

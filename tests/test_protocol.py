@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from photonlab import cli, draw, protocol
+from photonlab import draw, protocol
 from photonlab.cli import MAX_PAIRS_PER_BIT, MAX_STRATEGY_NESTING, MAX_TRIALS
 from photonlab.core import MeasurementBasis, states_equal
 from photonlab.entangle import conditional_state, joint_probabilities, make_pair
@@ -24,6 +24,7 @@ from photonlab.protocol import (
 )
 from photonlab import draw
 from photonlab.rng import ALGORITHM_ID, WORDS_ID, stream_from_seed
+from photonlab.runner_protocol import _strategy
 from photonlab.stats import bit_table
 
 
@@ -601,7 +602,7 @@ _labels = _mostly(
 def test_the_parser_accepts_exactly_what_0_16_0_accepted(label):
     reference, reference_error = _outcome(_parse_strategy_0_16_0, label)
     # the CLI reads a label through the parser and its own two caps
-    parsed, error = _outcome(cli._strategy, label)
+    parsed, error = _outcome(_strategy, label)
     assert (parsed is None) == (reference is None), (reference_error, error)
     if parsed is None:
         # the parser's messages and the pairs cap's keep 0.16.0's wording

@@ -1,19 +1,26 @@
-"""Start-up contracts of the CLI: what --help, --version, a usage error and a
-run load, and the texts they print.
+"""Start-up and exit contracts of the CLI: what --help, --version, a usage
+error and a run load and compile, the texts they print, and how a process
+exits.
 
-photonlab.cli is the front end: the subcommands, their arguments and main.
-photonlab.runner holds all that a run needs once its arguments are parsed,
-and main imports it only then. Each contract is checked on
-`python -m photonlab.cli` in a fresh interpreter, the way a user starts it.
+photonlab.cli is the front end: the subcommands, their arguments, main and
+the process entry point. photonlab.runner holds the machinery a run needs once
+its arguments are parsed, and main imports it only then; each experiment's
+runner is in its own module, photonlab.runner_<experiment>, which only that
+experiment's runs import. Each contract is checked on `python -m photonlab.cli`
+in a fresh interpreter, the way a user starts it.
 """
 
+import ast
 import contextlib
+import gc
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -22,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from photonlab import cli, runner
 
 SRC = str(Path(cli.__file__).parents[1])
+PACKAGE = Path(cli.__file__).parent
 
 
 def _cli(tmp_path, *argv, importtime=False) -> subprocess.CompletedProcess:
@@ -105,20 +113,145 @@ BENCHMARK_STEPS = {
 }
 
 
-# a run loads the run machinery besides the library modules it loaded at
-# 0.19.0, and -X importtime lists each of them, since every one is imported
-# through the import statement's own path (__import__), not importlib's
-@pytest.mark.parametrize("step", list(BENCHMARK_STEPS))
-def test_a_benchmark_step_loads_the_library_modules_it_loaded_at_0_19_0(tmp_path, step):
-    argv, params, modules = BENCHMARK_STEPS[step]
+def _benchmark_step(tmp_path, step) -> list:
+    """The modules -X importtime lists for one benchmark step."""
+    argv, params, _ = BENCHMARK_STEPS[step]
     (tmp_path / "config.json").write_text(json.dumps({"params": params}))
     proc = _cli(tmp_path, *argv, "--config", "config.json", "--out", "r.out",
                 importtime=True)
     assert proc.returncode == 0, proc.stderr
-    imported = _imported(proc.stderr)
+    return _imported(proc.stderr)
+
+
+# a run loads the run machinery, its own experiment's runner and no other's,
+# the CSV writer only for CSV, and the library modules it loaded at 0.19.0;
+# -X importtime lists each of them, since every one is imported through the
+# import statement's own path (__import__), not importlib's
+@pytest.mark.parametrize("step", list(BENCHMARK_STEPS))
+def test_a_benchmark_step_loads_the_library_modules_it_loaded_at_0_19_0(tmp_path, step):
+    argv, _, modules = BENCHMARK_STEPS[step]
+    imported = _benchmark_step(tmp_path, step)
     listed = sorted(m for m in imported if m.startswith("photonlab."))
-    assert listed == sorted(["photonlab.runner", *(f"photonlab.{m}" for m in modules)])
+    writer = ["csvout"] if "csv" in argv else []
+    assert listed == sorted(f"photonlab.{m}" for m in
+                            ["runner", f"runner_{argv[0]}", *writer, *modules])
     assert "statistics" not in imported
+
+
+def _code_lines(path: Path) -> int:
+    """The lines of a Python source that hold code: no blanks, comments or
+    docstrings."""
+    source = path.read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+# the photonlab code lines each benchmark step compiles, where bytecode writing
+# is off: at 0.19.1, which compiled all six runners and the CSV writer in every
+# run, and the most it may compile now
+CODE_LINES = {
+    "mc-bulk malus": (1011, 857),
+    "mc-bulk bell": (1106, 935),
+    "mc-bulk mzi": (1072, 922),
+    "protocol-stats fixed": (1331, 1185),
+    "protocol-stats repetition": (1331, 1185),
+    "protocol-stats oracle": (1168, 1022),
+    "analytic-grid malus": (848, 716),
+    "analytic-grid entropy": (800, 615),
+    "analytic-grid nosignal": (1332, 1160),
+}
+
+
+@pytest.mark.parametrize("step", list(BENCHMARK_STEPS))
+def test_a_benchmark_step_compiles_fewer_code_lines_than_at_0_19_1(tmp_path, step):
+    # the front end runs as __main__, so -X importtime does not list it
+    modules = {"photonlab.cli", *(m for m in _benchmark_step(tmp_path, step)
+                                  if m == "photonlab" or m.startswith("photonlab."))}
+    compiled = sum(_code_lines(PACKAGE / f"{m.partition('.')[2] or '__init__'}.py")
+                   for m in modules)
+    at_0_19_1, pinned = CODE_LINES[step]
+    assert compiled <= pinned < at_0_19_1
+
+
+# The process entry point freezes the objects the process holds once main
+# returns, so the collection at interpreter exit skips them. main freezes
+# nothing: tests and tools call it in processes that go on collecting.
+@pytest.mark.parametrize("argv", [["entropy"], ["protocol", "--set", "n_bits=0"], ["--help"]],
+                         ids=" ".join)
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, argv):
+    state = gc.get_freeze_count(), gc.isenabled()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main([*argv, "--out", str(tmp_path / "r.json")])
+        except SystemExit:
+            pass
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
+
+
+def _main_block_calls() -> str:
+    """The function that the `if __name__ == "__main__":` block of cli.py calls."""
+    for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            (statement,) = node.body
+            return statement.value.func.id
+    raise AssertionError("cli.py has no __main__ block")
+
+
+def test_the_installed_script_and_python_m_call_the_same_entry_point():
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.partition("[project.scripts]")[2].partition("\n[")[0]
+    (script,) = re.findall(r'^photonlab = "(.*)"$', scripts, re.MULTILINE)
+    entry = _main_block_calls()
+    assert script == f"photonlab.cli:{entry}"
+    assert entry != "main" and callable(getattr(cli, entry))
+
+
+# the process as 0.19.1 ran it: main, and no freeze; its exit code is that of
+# the process, also when argparse exits
+_MAIN_WITHOUT_FREEZE = "import sys; from photonlab import cli; sys.exit(cli.main())"
+
+# a run, help, the version, a usage error, a config error and a runtime error
+# (the result's directory does not exist), with the files each leaves
+_EXITS = [
+    (["entropy", "--out", "r.json"], 0, ["r.json", "r.json.manifest.json"]),
+    (["--help"], 0, []),
+    (["--version"], 0, []),
+    (["malus", "--bogus"], 2, []),
+    (["protocol", "--set", "n_bits=0"], 2, []),
+    (["entropy", "--out", "missing/r.json"], 1, []),
+]
+
+
+@pytest.mark.parametrize("argv, code, written", _EXITS,
+                         ids=[" ".join(argv) for argv, _, _ in _EXITS])
+def test_python_m_exits_as_main_returns(tmp_path, argv, code, written):
+    outcomes = []
+    for name, flags in (("entry", ["-m", "photonlab.cli"]),
+                        ("main", ["-c", _MAIN_WITHOUT_FREEZE])):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True,
+                              cwd=cwd, env={**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"})
+        files = {}
+        for path in sorted(cwd.iterdir()):
+            files[path.name] = path.read_bytes()
+            if path.name.endswith(".manifest.json"):  # it records the run's wall time
+                files[path.name] = {**json.loads(files[path.name]), "wall_time_s": None}
+        outcomes.append((proc.returncode, proc.stdout, proc.stderr, files))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code and list(outcomes[0][3]) == written
 
 
 def test_the_runner_never_imports_the_front_end():

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from photonlab import cli, runner
 from photonlab.cli import Table
+from photonlab.csvout import write_csv
 
 
 def _plain(value):
@@ -105,7 +106,7 @@ def test_streamed_json_equals_json_dumps(head, write_rows):
                                             max_size=9))), st.integers(1, 4))
 def test_streamed_csv_equals_0_7_0_rendering(table, write_rows):
     with mock.patch.object(runner, "WRITE_ROWS", write_rows):
-        text = _streamed(cli._write_csv, table)
+        text = _streamed(write_csv, table)
     assert text == _csv_0_7_0(table)
 
 
@@ -117,7 +118,7 @@ def test_slice_boundaries(offset):
     head = {"params": {"grid": rng.random(n).tolist(), "mode": "mc"}, "rows": table,
             "tail": None}
     assert _streamed(cli._write_json, head) == json.dumps(_plain(head), indent=2) + "\n"
-    assert _streamed(cli._write_csv, table) == _csv_0_7_0(table)
+    assert _streamed(write_csv, table) == _csv_0_7_0(table)
 
 
 def _json_write_peak(rows: int) -> int:
