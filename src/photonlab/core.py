@@ -55,9 +55,9 @@ def canonical_angle_array(thetas) -> np.ndarray:
     theta = np.asarray(thetas, dtype=np.float64)
     if not np.isfinite(theta).all():
         raise ValueError(f"angles must be finite, got {theta[~np.isfinite(theta)].flat[0]!r}")
-    reduced = theta - math.pi * np.floor(theta / math.pi)
-    reduced = np.where(reduced >= math.pi, reduced - math.pi, reduced)
-    return np.where(reduced < 0.0, 0.0, reduced)
+    reduced = np.fmod(theta, math.pi) + 0.0
+    reduced = np.where(reduced < 0.0, reduced + math.pi, reduced)
+    return np.where(reduced == math.pi, 0.0, reduced)
 
 
 def point_slices(n: int):

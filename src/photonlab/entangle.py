@@ -200,22 +200,13 @@ class CorrelationStats(namedtuple("CorrelationStats", "e_value n std_err")):
         return cls(e_value=e, n=n, std_err=se)
 
 
-def correlation_array(thetas_a, thetas_b, n: int, seed: int = 0,
-                      stream_base: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _correlation_columns(thetas_a, thetas_b, n, seed=0, stream_base=0):
     """correlation at each pair of angles (thetas_a and thetas_b broadcast),
-    as arrays (e_values, std_errs): point i draws its n pairs from stream
+    as columns (e_values, std_errs): point i draws its n pairs from stream
     (seed, stream_base + i), exactly as correlation(..., stream_base=
     stream_base + i) does, with the float operations of
-    CorrelationStats.from_counts."""
-    import numpy as np
-
-    e, std_err = _correlation_columns(thetas_a, thetas_b, n, seed, stream_base)
-    return np.asarray(e, dtype=np.float64), np.asarray(std_err, dtype=np.float64)
-
-
-def _correlation_columns(thetas_a, thetas_b, n, seed=0, stream_base=0):
-    """correlation_array's (e_values, std_errs): lists of floats where
-    _joint_counts draws row by row, arrays where it draws arrays."""
+    CorrelationStats.from_counts. The columns are lists of floats where
+    _joint_counts draws row by row, float64 arrays where it draws arrays."""
     counts = _joint_counts(thetas_a, thetas_b, n, seed, stream_base)
     if isinstance(counts, list):
         stats = [CorrelationStats.from_counts(row[0] + row[3], n) for row in counts]
@@ -290,18 +281,6 @@ def bob_marginal_counts(
     counts = _joint_counts(_coerce_basis(theta_a).theta, _coerce_basis(theta_b).theta, n, seed,
                            stream_base)[0]
     return int(n), int(counts[0] + counts[2])
-
-
-def bob_marginal_count_array(thetas_a, thetas_b, n: int, seed: int = 0,
-                             stream_base: int = 0) -> np.ndarray:
-    """Bob's aligned-outcome counts of bob_marginal_counts at each pair of
-    angles (thetas_a and thetas_b broadcast), point i drawing from stream
-    (seed, stream_base + i), as an int64 array."""
-    import numpy as np
-
-    counts = np.asarray(_joint_counts(thetas_a, thetas_b, n, seed, stream_base),
-                        dtype=np.int64).reshape(-1, 4)
-    return counts[:, 0] + counts[:, 2]
 
 
 def bob_reduced_state(pair: PairState, basis_a) -> DensityOperator:

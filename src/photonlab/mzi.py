@@ -153,31 +153,14 @@ def run_mzi(
     return MziStats(n=n, count_d0=count_d0, count_d1=n - count_d0, by_choice=by_choice)
 
 
-def fringe_counts(
-    phases,
-    second_bs: bool,
-    n: int,
-    seed: int = 0,
-    mode: str = "mc",
-    stream_base: int = 0,
-    stream_step: int = 1,
-) -> np.ndarray:
-    """D0 counts of a fixed-configuration run_mzi of n photons at each phase,
-    as an int64 array: phase i draws from stream (seed, stream_base +
-    stream_step * i), exactly as run_mzi(MziConfig(phase, second_bs), n, seed,
-    mode, stream_base=stream_base + stream_step * i) does.
-    """
-    import numpy as np
-
-    return np.asarray(_d0_counts(phases, second_bs, n, seed, mode, stream_base, stream_step),
-                      dtype=np.int64)
-
-
 def _d0_counts(phases, second_bs, n, seed, mode, stream_base, stream_step):
-    """The D0 counts of fringe_counts: for at most SCALAR_ROWS phases a list
-    of ints, from math's closed form and one draw.counts chain per phase; for
-    more an int64 array, from numpy's and core.sample_count_array. The two
-    paths give the same counts."""
+    """The D0 counts of a fixed-configuration run_mzi of n photons at each
+    phase: phase i draws from stream (seed, stream_base + stream_step * i),
+    exactly as run_mzi(MziConfig(phase, second_bs), n, seed, mode,
+    stream_base=stream_base + stream_step * i) does. For at most SCALAR_ROWS
+    phases they are a list of ints, from math's closed form and one
+    draw.counts chain per phase; for more an int64 array, from numpy's and
+    core.sample_count_array. The two paths give the same counts."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if mode not in ("mc", "analytic"):

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 # numpy and core load with the first density-operator call, so a Monte Carlo
 # cascade, which draws each stage's count with draw, and the closed-form
 # stages import neither
-from .scalars import MeasurementBasis, canonical_angle
+from .scalars import canonical_angle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,17 +30,6 @@ if TYPE_CHECKING:
     from .core import DensityOperator
 
 SOURCE_KINDS = ("natural", "linear")
-
-
-class Polarizer(namedtuple("Polarizer", "axis")):
-    """An ideal linear polarizer; axis, a MeasurementBasis, is the transmission
-    direction."""
-
-    __slots__ = ()
-
-    @classmethod
-    def at_angle(cls, theta: float) -> "Polarizer":
-        return cls(MeasurementBasis(theta))
 
 
 class LightBeam(namedtuple("LightBeam", "rho intensity")):
@@ -100,19 +89,6 @@ def _transmit(rho: np.ndarray, intensity, theta: np.ndarray):
 
     v = _eigenvectors(theta, 0)
     return intensity * _expectation(rho, v), v[:, :, None] * v.conj()[:, None, :]
-
-
-def transmit_analytic(beam: LightBeam, p: Polarizer) -> LightBeam:
-    """Malus-law transmission: output intensity is input times <theta|rho|theta>.
-
-    The transmitted beam is pure along the polarizer axis regardless of input.
-    """
-    import numpy as np
-
-    from .core import DensityOperator
-
-    intensity, rho = _transmit(beam.rho.matrix, beam.intensity, np.array([p.axis.theta]))
-    return LightBeam(rho=DensityOperator(rho[0]), intensity=float(intensity[0]))
 
 
 def _validate_axes(axes) -> tuple[float, ...]:

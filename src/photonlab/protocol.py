@@ -189,15 +189,6 @@ def parse_strategy(label: str) -> ReceiverStrategy:
     return strategy
 
 
-def standard_strategies() -> list:
-    """The shipped standard-physics receivers (no oracle)."""
-    return [
-        FixedBasisML(0.0),
-        FixedBasisML(math.pi / 8),
-        Repetition(11, FixedBasisML(math.pi / 8)),
-    ]
-
-
 def _outcome_probability(theta: float, basis: MeasurementBasis, outcome: int) -> float:
     """Born probability of outcome 0 (aligned with basis) or 1 for a photon
     polarized at theta: cos^2 or sin^2 of the angle between them."""

@@ -95,11 +95,12 @@ def canonical_angle(theta: float) -> float:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
-    reduced = theta - math.pi * math.floor(theta / math.pi)
-    if reduced >= math.pi:
-        # floor division noise can land exactly on pi for tiny negative inputs
-        reduced -= math.pi
-    return 0.0 if reduced < 0.0 else reduced
+    # fmod is exact at any size; + 0.0 turns its -0.0 into 0.0
+    reduced = math.fmod(theta, math.pi) + 0.0
+    if reduced < 0.0:
+        reduced += math.pi
+    # a tiny negative remainder rounds up to pi
+    return 0.0 if reduced == math.pi else reduced
 
 
 def snap_probability(p: float) -> float:

@@ -1,5 +1,5 @@
-"""Binomial confidence intervals, plug-in mutual information and its exact
-permutation null.
+"""The Wilson interval of a binomial proportion, plug-in mutual information
+and its exact permutation null.
 
 Every mutual-information statistic here is a function of one 2x2 count table
 [n00, n01, n10, n11] of two bit sequences x and y, indexed by 2*x + y.
@@ -11,8 +11,8 @@ margins of the table, which makes the n11 cell hypergeometric, so its
 quantiles and p-values are pure functions of the table.
 
 The table statistics and wilson_interval run in Python floats, with math, and
-load no numpy; only the array functions (wilson_interval_array, as_bit_array
-and bit_table) import it, when they run.
+load no numpy; only bit_table, which reads bit sequences as arrays, imports
+it, when it runs.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
 
     The closed form never reaches the endpoints exactly, so the boundary cases
     are pinned by hand: zero successes gives lo = 0.0 and all successes gives
-    hi = 1.0. It runs in Python floats, with the operations, in order, that
-    wilson_interval_array takes on each element. Both counts must be
-    integers, as a count table's cells must (a bool is not one).
+    hi = 1.0. It runs in Python floats. Both counts must be integers, as a
+    count table's cells must (a bool is not one).
     """
     successes, trials = _count(successes, "successes"), _count(trials, "trials")
     if trials <= 0:
@@ -79,47 +78,7 @@ def _count(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer count, got {value!r}")
 
 
-def wilson_interval_array(successes, trials, confidence: float = 0.95):
-    """wilson_interval of each count in an integer array (trials one count or
-    one per element), as arrays (lo, hi). Each element takes the operations,
-    in order, that the closed form takes in Python floats, so it equals the
-    interval photonlab 0.9.0 computed one count at a time, bit for bit. The
-    counts must be integers, as wilson_interval's must: a float or a bool is
-    refused, not truncated."""
-    import numpy as np
-
-    z = _z(confidence)
-    x, trials = np.broadcast_arrays(_count_array(successes, "successes"),
-                                    _count_array(trials, "trials"))
-    if x.size and (trials.min() <= 0 or x.min() < 0 or (x > trials).any()):
-        raise ValueError("counts must satisfy 0 <= successes <= trials with trials positive")
-    n = trials.astype(np.float64)
-    p = x / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2.0 * n)) / denom
-    half = (z / denom) * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
-    # max(0.0, v) and min(1.0, v): v unless it passes the bound
-    lo = np.where(x == 0, 0.0, np.where(center - half > 0.0, center - half, 0.0))
-    hi = np.where(x == trials, 1.0, np.where(center + half < 1.0, center + half, 1.0))
-    return lo, hi
-
-
-def _count_array(values, name: str):
-    """values as an int64 array of counts, each an integer as wilson_interval
-    requires: an array needs an integer dtype, and every item of a sequence
-    or a scalar passes _count, so neither 5.5 nor True is truncated."""
-    import numpy as np
-
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind not in "iu":
-            raise ValueError(f"{name} must be integer counts, got dtype {values.dtype}")
-        return values.astype(np.int64)
-    cells = np.asarray(values, dtype=object)
-    return np.array([_count(v, name) for v in cells.ravel()],
-                    dtype=np.int64).reshape(cells.shape)
-
-
-def as_bit_array(values, name: str = "values") -> np.ndarray:
+def _as_bit_array(values, name: str = "values") -> np.ndarray:
     """Validate and convert a bit sequence to an int64 array of 0s and 1s."""
     import numpy as np
 
@@ -150,8 +109,8 @@ def bit_table(x, y) -> np.ndarray:
     """
     import numpy as np
 
-    x = as_bit_array(x, "x")
-    y = as_bit_array(y, "y")
+    x = _as_bit_array(x, "x")
+    y = _as_bit_array(y, "y")
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     return np.bincount(2 * x + y, minlength=4)

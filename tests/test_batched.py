@@ -84,7 +84,8 @@ def ref_projection_probability(m, theta):
 
 
 def ref_cascade(m, intensity, axes):
-    """transmit_analytic folded over the axes, one DensityOperator per stage."""
+    """0.5.0's one-stage transmission folded over the axes, one DensityOperator
+    per stage."""
     stages = []
     for theta in axes:
         t = ref_projection_probability(m, theta)

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from photonlab import draw
@@ -14,6 +15,7 @@ from photonlab.core import (
     StateVector,
     born_probabilities,
     canonical_angle,
+    canonical_angle_array,
     ket_from_angle,
     partial_trace,
     projection_probability,
@@ -41,6 +43,21 @@ def test_canonical_angle_period():
     assert canonical_angle(0.0) == 0.0
     with pytest.raises(ValueError):
         canonical_angle(float("nan"))
+
+
+@given(st.floats(-1e300, 1e300))
+@example(1e16)
+@example(math.radians(2.7749958019034553e25))
+@example(-1e-300)
+@example(-0.0)
+def test_canonical_angle_reduces_any_finite_angle_exactly(theta):
+    # the exact remainder mod the double nearest pi, rounded once; a negative
+    # angle whose remainder rounds up to pi reduces to 0
+    exact = float(Fraction(theta) % Fraction(math.pi))
+    reduced = canonical_angle(theta)
+    assert reduced.hex() == (0.0 if exact == math.pi else exact).hex()
+    assert 0.0 <= reduced < math.pi
+    assert canonical_angle_array([theta])[0].hex() == reduced.hex()
 
 
 def test_state_vector_normalizes_small_deviations():

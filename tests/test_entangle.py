@@ -19,13 +19,11 @@ from photonlab.entangle import (
     CHSH_SETTINGS,
     CorrelationStats,
     PairState,
-    bob_marginal_count_array,
     bob_marginal_counts,
     bob_reduced_state,
     chsh,
     conditional_state,
     correlation,
-    correlation_array,
     joint_probabilities,
     make_pair,
     no_signaling_check,
@@ -205,9 +203,7 @@ def test_a_count_comes_from_the_singlet_alone():
     theta = math.radians(-99.138179)
     assert bob_marginal_counts(theta, theta, 2_000_000, seed=3) == (2_000_000, 999_197)
     for sample in (lambda: bob_marginal_counts(theta, theta, 10, pair=make_pair()),
-                   lambda: bob_marginal_count_array([theta], theta, 10, pair=make_pair()),
                    lambda: correlation(0.0, 0.0, 10, pair=make_pair()),
-                   lambda: correlation_array([0.0], 0.0, 10, pair=make_pair()),
                    lambda: chsh(n_per_setting=10, pair=make_pair())):
         with pytest.raises(TypeError):
             sample()

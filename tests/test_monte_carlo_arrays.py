@@ -5,7 +5,10 @@ The references below are that scalar code, kept here verbatim in substance:
 one pair of eigenvectors per joint probability, one two-mode state per
 detector probability, Python floats per Wilson interval and one chain of
 binomials per row. The stacked forms must reproduce them bit
-for bit, and a point's result must not depend on the batch it is in. The
+for bit, and a point's result must not depend on the batch it is in: the
+column functions the runners call (entangle._correlation_columns and
+_joint_counts, mzi._d0_counts) give each point what its one-point form
+gives. The Wilson interval has one form, wilson_interval, since 0.20.0. The
 detector probabilities are the exception: since 0.14.0 they are the closed
 form (1 + cos phi)/2, and exactly 1/2 without the second beamsplitter, so the
 two-mode algebra is their reference within 1e-15, not to the bit. Since
@@ -24,22 +27,23 @@ from hypothesis import strategies as st
 from photonlab import core, draw
 from photonlab.core import PROB_SNAP, SLICE_POINTS, sample_count_array
 from photonlab.entangle import (
-    bob_marginal_count_array,
+    _correlation_columns,
+    _joint_counts,
     bob_marginal_counts,
     chsh,
     correlation,
-    correlation_array,
     joint_probabilities,
     make_pair,
 )
 from photonlab.mzi import (
     MziConfig,
+    _d0_counts,
     detector_probabilities,
     detector_probability_array,
-    fringe_counts,
     run_mzi,
 )
-from photonlab.stats import wilson_interval, wilson_interval_array
+from photonlab.scalars import SCALAR_ROWS
+from photonlab.stats import wilson_interval
 
 FOUR_PI = 4 * math.pi
 angle = st.floats(min_value=-FOUR_PI, max_value=FOUR_PI, allow_nan=False)
@@ -196,43 +200,15 @@ def test_detector_probabilities_are_the_two_mode_algebra_within_1e_15():
 
 @given(wilson_counts(), st.sampled_from([0.95, 0.5, 0.99, 1e-9]))
 @example(([0, 7, 2**32], [7, 7, 2**32]), 0.95)
-def test_wilson_interval_array_equals_the_scalar_code(counts, confidence):
+def test_wilson_interval_equals_the_scalar_code(counts, confidence):
     successes, trials = counts
-    lo, hi = wilson_interval_array(successes, trials, confidence)
-    for k, (x, n) in enumerate(zip(successes, trials)):
-        want = ref_wilson_interval(x, n, confidence)
-        assert (lo[k], hi[k]) == want
-        assert wilson_interval(x, n, confidence) == want
+    for x, n in zip(successes, trials):
+        assert wilson_interval(x, n, confidence) == ref_wilson_interval(x, n, confidence)
 
 
 def test_wilson_interval_pins_the_zero_and_full_counts():
-    lo, hi = wilson_interval_array([0, 50, 0, 1], [50, 50, 1, 1])
-    assert lo.tolist()[0] == 0.0 and hi.tolist()[1] == 1.0
-    assert (lo[2], hi[3]) == (0.0, 1.0)
-
-
-def test_wilson_interval_array_checks_its_counts():
-    for successes, trials in (([1], [0]), ([-1], [5]), ([6], [5])):
-        with pytest.raises(ValueError):
-            wilson_interval_array(successes, trials)
-    with pytest.raises(ValueError):
-        wilson_interval_array([1], [5], confidence=1.0)
-    # a count that is not an integer is refused by both forms, not truncated
-    # by one of them, as a count table's cell is (a bool is not a count)
-    for successes, trials in ((5.5, 10), (5, 10.0), (5.0, 10), (True, 10), (1, True)):
-        with pytest.raises(ValueError, match="integer count"):
-            wilson_interval(successes, trials)
-        with pytest.raises(ValueError, match="integer count"):
-            wilson_interval_array([successes], [trials])
-    for successes, trials in ((np.array([5.5]), 10), (np.array([5]), np.array([10.0])),
-                              (np.array([True]), 10), ([5, True], [10, 10])):
-        with pytest.raises(ValueError, match="integer count"):
-            wilson_interval_array(successes, trials)
-    # integer counts of any integer type give the same interval
-    want = wilson_interval(5, 10)
-    assert wilson_interval(np.int64(5), np.uint32(10)) == want
-    lo, hi = wilson_interval_array(np.array([5], dtype=np.uint8), [10])
-    assert (lo[0], hi[0]) == want
+    assert wilson_interval(0, 50)[0] == 0.0 and wilson_interval(50, 50)[1] == 1.0
+    assert (wilson_interval(0, 1)[0], wilson_interval(1, 1)[1]) == (0.0, 1.0)
 
 
 @settings(max_examples=60)
@@ -270,13 +246,13 @@ def test_sample_count_array_takes_one_count_per_row_and_checks_its_streams():
 @given(st.lists(wide_angle, min_size=1, max_size=12), angle, st.integers(1, 2**32),
        st.integers(0, 2**64 - 1), st.integers(0, 2**32))
 def test_entangled_batches_equal_their_size_one_calls(thetas, probe, n, seed, base):
-    e, se = correlation_array(thetas, probe, n, seed=seed, stream_base=base)
-    count0 = bob_marginal_count_array(thetas, probe, n, seed=seed, stream_base=base)
+    e, se = _correlation_columns(thetas, probe, n, seed=seed, stream_base=base)
+    counts = _joint_counts(thetas, probe, n, seed, base)
     for i, theta in enumerate(thetas):
         one = correlation(theta, probe, n, seed=seed, stream_base=base + i)
         assert (one.e_value, one.std_err) == (e[i], se[i])
         assert bob_marginal_counts(theta, probe, n, seed=seed, stream_base=base + i) == (
-            n, count0[i])
+            n, counts[i][0] + counts[i][2])
 
 
 @settings(max_examples=30)
@@ -284,8 +260,7 @@ def test_entangled_batches_equal_their_size_one_calls(thetas, probe, n, seed, ba
        st.integers(0, 2**32), st.integers(0, 2**32), st.integers(1, 5),
        st.sampled_from(["mc", "analytic"]))
 def test_fringe_counts_equal_their_size_one_runs(phases, second_bs, n, seed, base, step, mode):
-    got = fringe_counts(phases, second_bs, n, seed=seed, mode=mode, stream_base=base,
-                        stream_step=step)
+    got = _d0_counts(phases, second_bs, n, seed, mode, base, step)
     for i, phase in enumerate(phases):
         one = run_mzi(MziConfig(phase, second_bs=second_bs), n, seed=seed, mode=mode,
                       stream_base=base + step * i)
@@ -307,22 +282,25 @@ def test_batches_across_a_slice_boundary_equal_their_size_one_calls(monkeypatch)
     assert phases.tobytes() == np.concatenate(
         [detector_probability_array(theta[:SLICE_POINTS], True),
          detector_probability_array(theta[SLICE_POINTS:], True)]).tobytes()
-    e, se = correlation_array(theta, 0.3, 1000, seed=8, stream_base=5)
-    head = correlation_array(theta[:SLICE_POINTS], 0.3, 1000, seed=8, stream_base=5)
-    tail = correlation_array(theta[SLICE_POINTS:], 0.3, 1000, seed=8,
-                             stream_base=5 + SLICE_POINTS)
-    assert e.tolist() == head[0].tolist() + tail[0].tolist()
-    assert se.tolist() == head[1].tolist() + tail[1].tolist()
-    # the same across many slice boundaries, against the size-1 calls
+    e, se = _correlation_columns(theta, 0.3, 1000, seed=8, stream_base=5)
+    head = _correlation_columns(theta[:SLICE_POINTS], 0.3, 1000, seed=8, stream_base=5)
+    # the last three points draw row by row, with the same counts
+    tail = _correlation_columns(theta[SLICE_POINTS:], 0.3, 1000, seed=8,
+                                stream_base=5 + SLICE_POINTS)
+    assert e.tolist() == head[0].tolist() + tail[0]
+    assert se.tolist() == head[1].tolist() + tail[1]
+    # the same across many slice boundaries, against the size-1 calls; past
+    # SCALAR_ROWS points, so the columns are drawn as arrays
     monkeypatch.setattr(core, "SLICE_POINTS", 4)
-    e, se = correlation_array(theta[:11], 0.3, 1000, seed=8, stream_base=5)
-    for i in range(11):
+    points = SCALAR_ROWS + 11
+    e, se = _correlation_columns(theta[:points], 0.3, 1000, seed=8, stream_base=5)
+    for i in range(points):
         one = correlation(theta[i], 0.3, 1000, seed=8, stream_base=5 + i)
         assert (one.e_value, one.std_err) == (e[i], se[i])
-    counts = fringe_counts(theta[:11], False, 1000, seed=8, stream_base=2, stream_step=4)
+    counts = _d0_counts(theta[:points], False, 1000, 8, "mc", 2, 4)
     assert counts.tolist() == [
         run_mzi(MziConfig(theta[i], second_bs=False), 1000, seed=8, stream_base=2 + 4 * i).count_d0
-        for i in range(11)]
+        for i in range(points)]
 
 
 def test_make_pair_is_one_read_only_singlet():

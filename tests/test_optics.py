@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import photonlab.draw
-from photonlab.core import canonical_angle, ket_from_angle
+from photonlab.core import MeasurementBasis, canonical_angle
 from photonlab.optics import (
     SOURCE_KINDS,
     CascadeResult,
     LightBeam,
-    Polarizer,
     cascade_analytic,
     cascade_mc,
     linear_light,
     natural_light,
-    transmit_analytic,
 )
 from photonlab.rng import stream_from_seed
 
@@ -24,8 +22,10 @@ DEG = math.pi / 180.0
 
 
 def test_polarizer_axis_is_canonical():
-    p = Polarizer.at_angle(math.pi + 0.4)
-    assert p.axis.theta == pytest.approx(0.4, abs=1e-12)
+    assert MeasurementBasis(math.pi + 0.4).theta == pytest.approx(0.4, abs=1e-12)
+    # a beam polarized at 0.4 passes a polarizer at pi + 0.4 entirely
+    result = cascade_analytic(linear_light(0.4), [math.pi + 0.4])
+    assert result.final_intensity() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_light_beam_validation():
@@ -45,19 +45,18 @@ def test_single_polarizer_follows_malus_law():
     rng = stream_from_seed(41, 0)
     for _ in range(200):
         phi, theta = rng.random(2) * math.pi
-        out = transmit_analytic(linear_light(phi), Polarizer.at_angle(theta))
-        assert abs(out.intensity - math.cos(theta - phi) ** 2) < 1e-12
-        # transmitted beam is repolarized along the axis
-        expected = np.outer(
-            ket_from_angle(theta).amplitudes, ket_from_angle(theta).amplitudes.conj()
-        )
-        np.testing.assert_allclose(out.rho.matrix, expected, atol=1e-12)
+        result = cascade_analytic(linear_light(phi), [theta, theta, theta + math.pi / 2])
+        first, parallel, crossed = result.per_stage_intensity
+        assert abs(first - math.cos(theta - phi) ** 2) < 1e-12
+        # transmitted beam is repolarized along the axis: a parallel polarizer
+        # passes all of it and a crossed one none
+        assert abs(parallel - first) < 1e-12 and abs(crossed) < 1e-12
 
 
 def test_natural_light_halves_through_any_polarizer():
     for theta in (0.0, 0.3, 1.0, 2.9):
-        out = transmit_analytic(natural_light(), Polarizer.at_angle(theta))
-        assert abs(out.intensity - 0.5) < 1e-12
+        out = cascade_analytic(natural_light(), [theta])
+        assert abs(out.final_intensity() - 0.5) < 1e-12
 
 
 def test_crossed_pair_extinguishes_exactly():

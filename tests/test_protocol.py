@@ -20,12 +20,18 @@ from photonlab.protocol import (
     parse_strategy,
     receiver_law,
     run_protocol,
-    standard_strategies,
 )
 from photonlab import draw
 from photonlab.rng import ALGORITHM_ID, WORDS_ID, stream_from_seed
 from photonlab.runner_protocol import _strategy
 from photonlab.stats import bit_table
+
+# standard-physics receivers, no oracle
+STANDARD_STRATEGIES = (
+    FixedBasisML(0.0),
+    FixedBasisML(math.pi / 8),
+    Repetition(11, FixedBasisML(math.pi / 8)),
+)
 
 
 def balanced_bits(n, seed):
@@ -71,7 +77,7 @@ def test_strategy_labels_and_pair_counts():
     assert Repetition(3, Repetition(5, BasisOracle())).pairs_per_bit == 15
     with pytest.raises(ValueError):
         Repetition(0, BasisOracle())
-    names = [s.label for s in standard_strategies()]
+    names = [s.label for s in STANDARD_STRATEGIES]
     assert names == ["fixed-basis-ml:0", "fixed-basis-ml:22.5", "repetition:11:fixed-basis-ml:22.5"]
 
 
@@ -203,7 +209,7 @@ def test_three_block_reports_keep_their_pinned_values():
 
 
 def test_standard_strategies_extract_nothing_small_scale():
-    for strategy in standard_strategies():
+    for strategy in STANDARD_STRATEGIES:
         report = run_protocol(20_000, strategy=strategy, seed=16)
         assert report.mutual_info_bits < 0.001
         assert report.mi_confidence_interval[0] == 0.0
@@ -418,7 +424,7 @@ def test_iid_ber_at_2_32_bits_is_within_5_sigma():
 
 
 @pytest.mark.parametrize("strategy", [
-    *standard_strategies(),
+    *STANDARD_STRATEGIES,
     BasisOracle(),
     Repetition(4, Repetition(3, FixedBasisML(0.0))),
     Repetition(2**24, FixedBasisML(0.0)),
@@ -440,7 +446,7 @@ def test_balanced_runs_create_no_stream_and_iid_runs_one(monkeypatch):
 
     # an iid run keys its stream with draw.stream_key when it draws
     monkeypatch.setattr(draw, "stream_key", recording)
-    for strategy in (*standard_strategies(), BasisOracle()):
+    for strategy in (*STANDARD_STRATEGIES, BasisOracle()):
         run_protocol(1000, strategy=strategy, seed=33, bit_source="balanced")
         assert created == []
         run_protocol(1000, strategy=strategy, seed=33)
@@ -599,6 +605,7 @@ _labels = _mostly(
 @example(" fixed-basis-ml:inf ")
 @example("repetition:2: oracle")
 @example("fixed-basis-ml:179.9999999")
+@example("fixed-basis-ml:2.7749958019034553e+25")
 def test_the_parser_accepts_exactly_what_0_16_0_accepted(label):
     reference, reference_error = _outcome(_parse_strategy_0_16_0, label)
     # the CLI reads a label through the parser and its own two caps

@@ -17,7 +17,7 @@ from photonlab.core import DensityOperator, InvalidStateError, MeasurementBasis,
 from photonlab.entangle import CorrelationStats, PairState, make_pair
 from photonlab.entropy import EntropyReport
 from photonlab.mzi import ChoiceStats, MziConfig, MziStats, TimingInvarianceReport
-from photonlab.optics import CascadeResult, LightBeam, Polarizer
+from photonlab.optics import CascadeResult, LightBeam
 from photonlab.protocol import (
     BasisOracle,
     EncodingRule,
@@ -53,7 +53,8 @@ VALUE_RECORDS = [
      "within_4_sigma=True)",
      ("phase", "choice", "n_conditional", "conditional_fraction_d0", "fixed_n",
       "fixed_fraction_d0", "z_value", "within_4_sigma")),
-    (lambda: Polarizer.at_angle(0.5), "Polarizer(axis=MeasurementBasis(theta=0.5))", ("axis",)),
+    # a negative angle, reduced to [0, pi)
+    (lambda: MeasurementBasis(-0.5), "MeasurementBasis(theta=2.641592653589793)", ("theta",)),
     # a beam compares its operator by identity, so equal beams share one
     (lambda: LightBeam(rho=_BEAM_RHO, intensity=1),
      f"LightBeam(rho={_MIXED}, intensity=1.0)", ("rho", "intensity")),
@@ -121,7 +122,7 @@ def test_every_value_class_of_the_library_is_covered():
     assert covered == {
         "StateVector", "MeasurementBasis", "DensityOperator", "PairState", "CorrelationStats",
         "EntropyReport", "MziConfig", "ChoiceStats", "MziStats", "TimingInvarianceReport",
-        "Polarizer", "LightBeam", "CascadeResult", "EncodingRule", "FixedBasisML", "BasisOracle",
+        "LightBeam", "CascadeResult", "EncodingRule", "FixedBasisML", "BasisOracle",
         "Repetition", "TransmissionReport",
     }
 

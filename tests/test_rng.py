@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from photonlab import draw, rng
 from photonlab.core import sample_count_array
-from photonlab.entangle import correlation_array
+from photonlab.entangle import _correlation_columns
 from photonlab.rng import (
     ALGORITHM_ID,
     WORDS_ID,
@@ -242,7 +242,7 @@ def test_stream_key_bounds_are_enforced():
     assert stream_keys(1, range(0))[1].tolist() == []
     # a sweep whose last point would need index 2^64 is refused before any draw
     with pytest.raises(ValueError):
-        correlation_array([0.1, 0.2], 0.0, 10, seed=1, stream_base=top)
+        _correlation_columns([0.1, 0.2], 0.0, 10, seed=1, stream_base=top)
     with pytest.raises(ValueError):
         sample_count_array([[0.5, 0.5]], 10, 1, range(2**64, 2**64 + 1))
 

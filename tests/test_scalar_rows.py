@@ -22,13 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonlab import cli, core, draw, entangle, rng
-from photonlab.entangle import (
-    bob_marginal_count_array,
-    correlation_array,
-    joint_probabilities,
-    make_pair,
-)
-from photonlab.mzi import detector_probabilities, detector_probability_array, fringe_counts
+from photonlab.entangle import _correlation_columns, _joint_counts, joint_probabilities, make_pair
+from photonlab.mzi import _d0_counts, detector_probabilities, detector_probability_array
 from photonlab.scalars import PROB_SNAP, SCALAR_ROWS, canonical_angle
 
 FOUR_PI = 4 * math.pi
@@ -173,18 +168,17 @@ def test_a_point_draws_the_same_counts_on_either_side_of_scalar_rows(seed):
     thetas = _sweep_angles(SCALAR_ROWS + 1)
     small, large = thetas[:SCALAR_ROWS], thetas
     for n in (1, 7, 200_000, 2**32):
-        e_small, se_small = correlation_array(small, 0.3, n, seed=seed, stream_base=5)
-        e_large, se_large = correlation_array(large, 0.3, n, seed=seed, stream_base=5)
-        assert e_small.tolist() == e_large.tolist()[:SCALAR_ROWS]
-        assert se_small.tolist() == se_large.tolist()[:SCALAR_ROWS]
-        assert bob_marginal_count_array(small, 0.3, n, seed=seed).tolist() == \
-            bob_marginal_count_array(large, 0.3, n, seed=seed).tolist()[:SCALAR_ROWS]
+        # lists of floats from the rows, float64 arrays past SCALAR_ROWS
+        e_small, se_small = _correlation_columns(small, 0.3, n, seed=seed, stream_base=5)
+        e_large, se_large = _correlation_columns(large, 0.3, n, seed=seed, stream_base=5)
+        assert e_small == e_large.tolist()[:SCALAR_ROWS]
+        assert se_small == se_large.tolist()[:SCALAR_ROWS]
+        assert _joint_counts(small, 0.3, n, seed, 0) == \
+            _joint_counts(large, 0.3, n, seed, 0).tolist()[:SCALAR_ROWS]
         for second_bs in (True, False):
             for mode in ("mc", "analytic"):
-                assert fringe_counts(small, second_bs, n, seed=seed, mode=mode,
-                                     stream_base=2, stream_step=4).tolist() == \
-                    fringe_counts(large, second_bs, n, seed=seed, mode=mode, stream_base=2,
-                                  stream_step=4).tolist()[:SCALAR_ROWS]
+                assert _d0_counts(small, second_bs, n, seed, mode, 2, 4) == \
+                    _d0_counts(large, second_bs, n, seed, mode, 2, 4).tolist()[:SCALAR_ROWS]
 
 
 def _cli_rows(tmp_path, experiment, name, *args):
@@ -217,8 +211,8 @@ def test_a_cli_row_is_the_same_on_either_side_of_scalar_rows(tmp_path):
 def test_the_open_arm_gives_half_the_photons_at_every_phase(points):
     phis = [math.radians(k * 7.3) for k in range(points)]
     for n in (7, 8, 2**32 - 1):
-        got = fringe_counts(phis, False, n, mode="analytic").tolist()
-        assert got == [round(n / 2)] * points
+        got = _d0_counts(phis, False, n, 0, "analytic", 0, 1)
+        assert np.asarray(got).tolist() == [round(n / 2)] * points
     assert detector_probability_array(phis, False).tolist() == [[0.5, 0.5]] * points
 
 

@@ -162,15 +162,15 @@ def _code_lines(path: Path) -> int:
 # is off: at 0.19.1, which compiled all six runners and the CSV writer in every
 # run, and the most it may compile now
 CODE_LINES = {
-    "mc-bulk malus": (1011, 857),
-    "mc-bulk bell": (1106, 935),
-    "mc-bulk mzi": (1072, 922),
-    "protocol-stats fixed": (1331, 1185),
-    "protocol-stats repetition": (1331, 1185),
-    "protocol-stats oracle": (1168, 1022),
-    "analytic-grid malus": (848, 716),
-    "analytic-grid entropy": (800, 615),
-    "analytic-grid nosignal": (1332, 1160),
+    "mc-bulk malus": (1011, 839),
+    "mc-bulk bell": (1106, 916),
+    "mc-bulk mzi": (1072, 902),
+    "protocol-stats fixed": (1331, 1147),
+    "protocol-stats repetition": (1331, 1147),
+    "protocol-stats oracle": (1168, 984),
+    "analytic-grid malus": (848, 698),
+    "analytic-grid entropy": (800, 607),
+    "analytic-grid nosignal": (1332, 1117),
 }
 
 

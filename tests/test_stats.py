@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from photonlab import stats
 from photonlab.stats import (
-    as_bit_array,
+    _as_bit_array,
     bit_table,
     mi_standard_error,
     permutation_independence_test,
@@ -73,8 +73,6 @@ def test_wilson_interval_takes_normal_dists_z(confidence):
     center = (p + z * z / (2.0 * n)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
     assert wilson_interval(300, 1000, confidence) == (center - half, center + half)
-    lo, hi = stats.wilson_interval_array(np.array([300]), 1000, confidence)
-    assert (lo[0], hi[0]) == (center - half, center + half)
 
 
 def test_wilson_interval_validation():
@@ -86,19 +84,26 @@ def test_wilson_interval_validation():
         wilson_interval(11, 10)
     with pytest.raises(ValueError):
         wilson_interval(5, 10, confidence=1.0)
+    # a count that is not an integer is refused, not truncated, as a count
+    # table's cell is (a bool is not a count)
+    for successes, trials in ((5.5, 10), (5, 10.0), (5.0, 10), (True, 10), (1, True)):
+        with pytest.raises(ValueError, match="integer count"):
+            wilson_interval(successes, trials)
+    # integer counts of any integer type give the same interval
+    assert wilson_interval(np.int64(5), np.uint32(10)) == wilson_interval(5, 10)
 
 
 def test_as_bit_array_accepts_bits_in_common_dtypes():
-    np.testing.assert_array_equal(as_bit_array([0, 1, 1]), [0, 1, 1])
-    np.testing.assert_array_equal(as_bit_array(np.array([True, False])), [1, 0])
-    np.testing.assert_array_equal(as_bit_array(np.array([0.0, 1.0])), [0, 1])
-    assert as_bit_array([1]).dtype == np.int64
+    np.testing.assert_array_equal(_as_bit_array([0, 1, 1]), [0, 1, 1])
+    np.testing.assert_array_equal(_as_bit_array(np.array([True, False])), [1, 0])
+    np.testing.assert_array_equal(_as_bit_array(np.array([0.0, 1.0])), [0, 1])
+    assert _as_bit_array([1]).dtype == np.int64
 
 
 def test_as_bit_array_rejects_everything_else():
     for bad in ([], [0, 2], [0.5, 1.0], [[0, 1]], [-1, 0]):
         with pytest.raises(ValueError):
-            as_bit_array(bad)
+            _as_bit_array(bad)
 
 
 def test_bit_table_counts_each_cell_at_2x_plus_y():
