@@ -6,7 +6,7 @@ loads none of the modules that define them, and a process that runs one
 experiment imports only that experiment's modules.
 """
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 # public names by the module that defines them
 _EXPORTS = {
@@ -50,7 +50,6 @@ _EXPORTS = {
         "TimingInvarianceReport",
         "choice_timing_invariance",
         "detector_probabilities",
-        "detector_probability_array",
         "run_mzi",
     ),
     "optics": (

@@ -8,10 +8,12 @@ measurement axis at theta projects onto the orthonormal pair
 Two-photon joint states live in the 4-dimensional tensor product, and density
 operators represent mixed beams and reduced single-photon states.
 
-Every analytic function takes one state, one operator and one axis, and runs
-the row kernels (_eigenvectors, _born, _expectation) on one row. The array
-code here serves only the counts of a long Monte Carlo sweep
-(sample_count_array, with canonical_angle_array and snap_probability_array).
+Every analytic function takes one state, one operator and one axis, and
+computes at that one point: an eigenvector from math's cos and sin, divided by
+its np.linalg.norm, Born probabilities squared as x * x, and <v|rho|v> as
+v.conj() @ rho @ v. The array code here serves only the counts of a long
+Monte Carlo sweep (sample_count_array, with canonical_angle_array and
+snap_probability_array).
 """
 
 from __future__ import annotations
@@ -74,17 +76,9 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # the real and imaginary parts each dotted with themselves by a stacked
-    # matmul: the BLAS dot np.linalg.norm runs on one vector, to the bit
-    re, im = rows.real, rows.imag
-    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    return np.sqrt(sq[:, 0, 0])
-
-
 def _unit(arr: np.ndarray) -> np.ndarray:
     """arr divided by its norm, which must be within PRECONDITION_ATOL of 1."""
-    norm = float(_row_norms(arr[None])[0])
+    norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > PRECONDITION_ATOL:
         raise InvalidStateError(
             f"state norm {norm!r} deviates from 1 by more than {PRECONDITION_ATOL}"
@@ -105,17 +99,10 @@ class StateVector(namedtuple("StateVector", "amplitudes")):
         return tuple.__new__(cls, (arr,))
 
     @classmethod
-    def _of_unit(cls, arr: np.ndarray) -> "StateVector":
-        """Wrap amplitudes already normalized, without a second pass."""
-        arr = arr.copy()
-        arr.flags.writeable = False
-        return tuple.__new__(cls, (arr,))
-
-    @classmethod
     def normalize(cls, values) -> "StateVector":
         """Build a state from an unnormalized vector; rejects near-zero vectors."""
         arr = _as_complex_vector(values, "amplitudes")
-        norm = float(_row_norms(arr[None])[0])
+        norm = float(np.linalg.norm(arr))
         if norm < 1e-6:
             raise InvalidStateError("cannot normalize a near-zero vector")
         return cls(arr / norm)
@@ -129,10 +116,11 @@ def _coerce_state(state) -> StateVector:
     return state if isinstance(state, StateVector) else StateVector(state)
 
 
-def _basis_eigenvector(theta: float, outcome: int) -> StateVector:
-    """The StateVector of MeasurementBasis(theta).eigenvector(outcome), for a
-    canonical angle theta."""
-    return StateVector._of_unit(_eigenvectors(np.array([theta]), outcome)[0])
+def _eigenvector(theta: float, outcome: int) -> StateVector:
+    """|theta> for outcome 0 and |theta_perp> for outcome 1, at a canonical
+    angle theta: MeasurementBasis(theta).eigenvector(outcome)."""
+    c, s = math.cos(theta), math.sin(theta)
+    return StateVector([c, s] if outcome == 0 else [-s, c])
 
 
 def ket_from_angle(theta: float) -> StateVector:
@@ -141,14 +129,6 @@ def ket_from_angle(theta: float) -> StateVector:
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
     return StateVector(np.array([math.cos(theta), math.sin(theta)], dtype=np.complex128))
-
-
-def _eigenvectors(theta: np.ndarray, outcome: int) -> np.ndarray:
-    # theta: a 1-d array of canonical angles
-    c, s = np.cos(theta), np.sin(theta)
-    rows = np.empty(theta.shape + (2,), dtype=np.complex128)
-    rows[:, 0], rows[:, 1] = (c, s) if outcome == 0 else (-s, c)
-    return rows / _row_norms(rows)[:, None]
 
 
 def snap_probability_array(p) -> np.ndarray:
@@ -255,25 +235,14 @@ def _require_qubit(state) -> StateVector:
     return state
 
 
-def _born(states: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # states: checked (P, 2) unit rows; theta: P canonical angles
-    c, s = np.cos(theta), np.sin(theta)
-    a0, a1 = states[:, 0], states[:, 1]
-    amp = np.empty(states.shape, dtype=np.complex128)
-    amp[:, 0], amp[:, 1] = c * a0 + s * a1, -s * a0 + c * a1
-    p = snap_probability_array(np.abs(amp) ** 2)
-    # a certain outcome leaves the other impossible
-    p[p[:, 0] == 1.0, 1] = 0.0
-    p[p[:, 1] == 1.0, 0] = 0.0
-    return p
-
-
 def born_probabilities(state, basis) -> tuple[float, float]:
     """Born-rule outcome probabilities (|<theta|psi>|^2, |<theta_perp|psi>|^2)."""
-    state = _require_qubit(state)
-    theta = np.array([_coerce_basis(basis).theta])
-    p0, p1 = _born(state.amplitudes[None], theta)[0].tolist()
-    return p0, p1
+    a0, a1 = _require_qubit(state).amplitudes.tolist()
+    theta = _coerce_basis(basis).theta
+    c, s = math.cos(theta), math.sin(theta)
+    p0, p1 = (snap_probability(x * x) for x in (abs(c * a0 + s * a1), abs(-s * a0 + c * a1)))
+    # a certain outcome leaves the other impossible
+    return (p0, 0.0) if p0 == 1.0 else (0.0, p1) if p1 == 1.0 else (p0, p1)
 
 
 def tensor_product(a, b) -> StateVector:
@@ -330,14 +299,9 @@ def _coerce_density(rho) -> DensityOperator:
     return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
 
 
-def _expectation(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Snapped <v|m|v> of P unit rows v against P stacked (or one) 2x2 operators.
-
-    The stacked matmul runs, per point, the BLAS calls that v.conj() @ m @ v
-    runs on one vector.
-    """
-    vm = v.conj()[:, None, :] @ m
-    return snap_probability_array(np.real(vm @ v[:, :, None])[:, 0, 0])
+def _expectation(m: np.ndarray, v: np.ndarray) -> float:
+    """Snapped <v|m|v> of a unit vector v and a 2x2 operator m."""
+    return snap_probability((v.conj() @ m @ v).real)
 
 
 def projection_probability(rho, basis) -> float:
@@ -345,8 +309,7 @@ def projection_probability(rho, basis) -> float:
     rho = _coerce_density(rho)
     if rho.dim != 2:
         raise ValueError(f"expected a 2-dim operator, got dim {rho.dim}")
-    v = _eigenvectors(np.array([_coerce_basis(basis).theta]), 0)
-    return float(_expectation(rho.matrix, v)[0])
+    return _expectation(rho.matrix, _eigenvector(_coerce_basis(basis).theta, 0).amplitudes)
 
 
 def partial_trace(rho, keep: str) -> DensityOperator:

@@ -71,32 +71,21 @@ def make_pair() -> PairState:
     return PairState(StateVector(np.array(_SINGLET, dtype=np.complex128)))
 
 
-def _amplitude_matrix(pair: PairState) -> np.ndarray:
-    # amplitudes indexed [a, b] in the computational product basis
-    return pair.joint.amplitudes.reshape(2, 2)
+def _branch(pair: PairState, theta: float, outcome: int) -> tuple[float, np.ndarray]:
+    """Project photon A onto its outcome eigenvector at the canonical angle
+    theta, returning the outcome's probability and B's unnormalized amplitudes."""
+    from .core import _eigenvector
 
-
-def _branches(pair: PairState, theta: np.ndarray, outcome: int):
-    """Project photon A onto its outcome eigenvector at each canonical angle,
-    returning (P probabilities, (P, 2) B amplitudes)."""
-    import numpy as np
-
-    from .core import _eigenvectors, snap_probability_array
-
-    e = _eigenvectors(theta, outcome)
-    c = (e.conj()[:, None, :] @ _amplitude_matrix(pair))[:, 0, :]
-    p = snap_probability_array(np.real(c.conj()[:, None, :] @ c[:, :, None])[:, 0, 0])
-    return p, c
+    # the pair's amplitudes indexed [a, b] in the computational product basis
+    c = _eigenvector(theta, outcome).amplitudes.conj() @ pair.joint.amplitudes.reshape(2, 2)
+    return snap_probability((c.conj() @ c).real), c
 
 
 def conditional_state(pair: PairState, basis_a, outcome: int) -> tuple[float, StateVector]:
     """Probability of A's outcome and the normalized state B is left in."""
-    import numpy as np
-
     from .core import InvalidStateError, StateVector
 
-    p, c = _branches(pair, np.array([_coerce_basis(basis_a).theta]), outcome)
-    p, c = float(p[0]), c[0]
+    p, c = _branch(pair, _coerce_basis(basis_a).theta, outcome)
     if p < _MIN_BRANCH_PROBABILITY:
         raise InvalidStateError(
             f"outcome {outcome} has probability {p:.3e}; no conditional state exists"
@@ -110,15 +99,14 @@ def joint_probabilities(pair: PairState, basis_a, basis_b) -> np.ndarray:
     f_b and the pair's amplitude matrix M."""
     import numpy as np
 
-    from .core import _eigenvectors
+    from .core import _eigenvector
 
-    theta_a, theta_b = (np.array([_coerce_basis(b).theta]) for b in (basis_a, basis_b))
-    m = _amplitude_matrix(pair)
+    theta_a, theta_b = (_coerce_basis(b).theta for b in (basis_a, basis_b))
     probs = np.empty((2, 2))
     for oa in (0, 1):
-        left = _eigenvectors(theta_a, oa)[0].conj() @ m
+        left = _branch(pair, theta_a, oa)[1]
         for ob in (0, 1):
-            amp = left @ _eigenvectors(theta_b, ob)[0].conj()
+            amp = left @ _eigenvector(theta_b, ob).amplitudes.conj()
             probs[oa, ob] = snap_probability(np.real(amp * np.conj(amp)))
     return probs
 
@@ -182,8 +170,8 @@ def _joint_counts(thetas_a, thetas_b, n, seed, stream_base):
 
     from .core import canonical_angle_array, sample_count_array
 
-    theta_a, theta_b = np.broadcast_arrays(canonical_angle_array(thetas_a).reshape(-1),
-                                           canonical_angle_array(thetas_b).reshape(-1))
+    theta_a, theta_b = np.broadcast_arrays(canonical_angle_array(thetas_a),
+                                           canonical_angle_array(thetas_b))
     probs = _singlet_rows(theta_a, theta_b)
     return sample_count_array(probs, n, seed, range(stream_base, stream_base + probs.shape[0]))
 
@@ -290,13 +278,13 @@ def bob_reduced_state(pair: PairState, basis_a) -> DensityOperator:
 
     from .core import DensityOperator, StateVector
 
-    theta = np.array([_coerce_basis(basis_a).theta])
+    theta = _coerce_basis(basis_a).theta
     rho = np.zeros((2, 2), dtype=np.complex128)
     for outcome in (0, 1):
-        p, c = _branches(pair, theta, outcome)
-        if p[0] >= _MIN_BRANCH_PROBABILITY:
-            psi = StateVector.normalize(c[0]).amplitudes
-            rho += p[0] * (psi[:, None] * psi.conj()[None, :])
+        p, c = _branch(pair, theta, outcome)
+        if p >= _MIN_BRANCH_PROBABILITY:
+            psi = StateVector.normalize(c).amplitudes
+            rho += p * np.outer(psi, psi.conj())
     return DensityOperator(rho)
 
 

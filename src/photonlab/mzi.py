@@ -50,15 +50,15 @@ def detector_probabilities(phase: float, second_bs: bool) -> tuple[float, float]
     return p0, 1.0 - p0
 
 
-def detector_probability_array(phases, second_bs: bool) -> np.ndarray:
-    """(P, 2) rows of detector_probabilities, one per phase (radians), with
-    numpy's cos in place of math's: the same IEEE steps, so each row equals
-    detector_probabilities of its phase bit for bit."""
+def _detector_probability_array(phases, second_bs: bool) -> np.ndarray:
+    """(P, 2) rows of detector_probabilities, one per phase of a 1-D sequence
+    (radians), with numpy's cos in place of math's: the same IEEE steps, so
+    each row equals detector_probabilities of its phase bit for bit."""
     import numpy as np
 
     from .core import snap_probability_array
 
-    phases = np.asarray(phases, dtype=np.float64).reshape(-1)
+    phases = np.asarray(phases, dtype=np.float64)
     if not np.isfinite(phases).all():
         raise ValueError(f"phase must be finite, got {float(phases[~np.isfinite(phases)][0])!r}")
     if second_bs:
@@ -171,7 +171,7 @@ def _d0_counts(phases, second_bs, n, seed, mode, stream_base, stream_step):
 
         from .core import sample_count_array
 
-        probs = detector_probability_array(phases, second_bs)
+        probs = _detector_probability_array(phases, second_bs)
         if mode == "analytic":
             # round half to even, as Python's round does
             return np.rint(n * probs[:, 0]).astype(np.int64)

@@ -80,15 +80,14 @@ def linear_light(theta: float, intensity: float = 1.0) -> LightBeam:
     return LightBeam(rho=DensityOperator.from_pure(ket_from_angle(theta)), intensity=intensity)
 
 
-def _transmit(rho: np.ndarray, intensity, theta: np.ndarray):
-    """One polarizer stage for P points: (intensity * <theta|rho|theta>,
-    |theta><theta|) per point, for canonical axis angles theta and a (P, 2, 2)
-    stack (or one 2x2 operator) rho. The transmitted beam is pure along the
-    axis regardless of its input."""
-    from .core import _eigenvectors, _expectation
+def _transmit(rho: np.ndarray, intensity: float, theta: float) -> tuple[float, np.ndarray]:
+    """One polarizer stage at the canonical axis angle theta: (intensity *
+    <theta|rho|theta>, |theta><theta|) for a 2x2 operator rho. The transmitted
+    beam is pure along the axis regardless of its input."""
+    from .core import _eigenvector, _expectation
 
-    v = _eigenvectors(theta, 0)
-    return intensity * _expectation(rho, v), v[:, :, None] * v.conj()[:, None, :]
+    v = _eigenvector(theta, 0).amplitudes
+    return intensity * _expectation(rho, v), v[:, None] * v.conj()
 
 
 def _validate_axes(axes) -> tuple[float, ...]:
@@ -104,14 +103,12 @@ def _validate_axes(axes) -> tuple[float, ...]:
 def cascade_analytic(beam: LightBeam, axes) -> CascadeResult:
     """Fold the polarizer stages over the axes, a sequence of angles, recording
     the intensity after each stage."""
-    import numpy as np
-
     axes = _validate_axes(axes)
     rho, intensity = beam.rho.matrix, beam.intensity
     stages = []
     for axis in axes:
-        intensity, rho = _transmit(rho, intensity, np.array([canonical_angle(axis)]))
-        stages.append(float(intensity[0]))
+        intensity, rho = _transmit(rho, intensity, canonical_angle(axis))
+        stages.append(intensity)
     return CascadeResult(axes=axes, per_stage_intensity=tuple(stages))
 
 

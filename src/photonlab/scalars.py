@@ -74,20 +74,12 @@ def check_u64(value, name: str) -> int:
 
 
 def point_list(values):
-    """values (one number, a sequence of numbers, or an array) as a flat list
+    """values (one number, a flat sequence of numbers or a 1-D array) as a list
     of floats when it holds at most SCALAR_ROWS numbers, else None: the
     points a sweep draws row by row."""
     if isinstance(values, (int, float)):
         return [float(values)]
-    size = getattr(values, "size", None)  # an array, which has loaded numpy
-    if size is not None:
-        return [float(v) for v in values.reshape(-1).tolist()] if size <= SCALAR_ROWS else None
-    if len(values) > SCALAR_ROWS:
-        return None
-    try:
-        return [float(v) for v in values]
-    except TypeError:  # nested sequences, which the array path flattens
-        return None
+    return [float(v) for v in values] if len(values) <= SCALAR_ROWS else None
 
 
 def canonical_angle(theta: float) -> float:
@@ -133,9 +125,9 @@ class MeasurementBasis(namedtuple("MeasurementBasis", "theta")):
     def eigenvector(self, outcome: int):
         if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-        from .core import _basis_eigenvector
+        from .core import _eigenvector
 
-        return _basis_eigenvector(self.theta, outcome)
+        return _eigenvector(self.theta, outcome)
 
 
 def _coerce_basis(basis) -> MeasurementBasis:

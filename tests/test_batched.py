@@ -4,9 +4,10 @@ of photonlab 0.5.0, over generated angles, states and beams.
 The references below are that scalar code, kept here verbatim in substance:
 one DensityOperator, one StateVector and one eigvalsh per point. 0.6.0 to
 0.18.0 also had batched forms of these functions, and 0.19.0 removed them;
-the one-point forms still run the row kernels those forms shared, and must
-reproduce the references bit for bit, except where 0.6.0 squares |amplitude|
-with x*x instead of libm pow (Born probabilities and outcome entropies).
+since 0.21.0 the one-point forms compute at one point as the references do,
+and must reproduce them bit for bit. Since 0.6.0 the Born probabilities
+square |amplitude| with x*x, not libm pow, so they equal an x*x reference
+exactly and the pow one, which the outcome entropies keep, within 1e-15.
 Since 0.18.0 no_signaling_check runs in Python floats on the marginals'
 closed-form eigenvalues, and its reference is the pairwise loop at 50
 digits. The one array path left, the count chain of a long Monte Carlo sweep,
@@ -96,13 +97,13 @@ def ref_cascade(m, intensity, axes):
     return stages
 
 
-def ref_born_probabilities(amplitudes, theta):
-    """Squares |amplitude| with numpy-scalar ** (libm pow)."""
+def ref_born_probabilities(amplitudes, theta, square=lambda x: x ** 2):
+    """Squares |amplitude| with numpy-scalar ** (libm pow), or with square."""
     t = ref_canonical_angle(theta)
     c, s = math.cos(t), math.sin(t)
     a0, a1 = amplitudes
-    p0 = ref_snap(abs(c * a0 + s * a1) ** 2)
-    p1 = ref_snap(abs(-s * a0 + c * a1) ** 2)
+    p0 = ref_snap(square(abs(c * a0 + s * a1)))
+    p1 = ref_snap(square(abs(-s * a0 + c * a1)))
     if p0 == 1.0:
         p1 = 0.0
     elif p1 == 1.0:
@@ -123,15 +124,24 @@ def ref_entropy_report(amplitudes, theta):
     return before, after, after - before
 
 
+def ref_branch(joint, theta, outcome):
+    """A's outcome probability and B's unnormalized amplitudes after it."""
+    c = ref_eigenvector(theta, outcome).conj() @ joint.reshape(2, 2)
+    return ref_snap(float(np.real(c.conj() @ c))), c
+
+
+def ref_conditional_state(c):
+    """B's state after a branch: normalized, then built as a StateVector."""
+    return ref_unit(np.array(c) / float(np.linalg.norm(c)))
+
+
 def ref_bob_marginal(joint, theta):
-    m = joint.reshape(2, 2)
     rho = np.zeros((2, 2), dtype=np.complex128)
     for outcome in (0, 1):
-        c = ref_eigenvector(theta, outcome).conj() @ m
-        p = ref_snap(float(np.real(c.conj() @ c)))
+        p, c = ref_branch(joint, theta, outcome)
         if p < 1e-12:
             continue
-        psi = ref_unit(np.array(c) / float(np.linalg.norm(c)))
+        psi = ref_conditional_state(c)
         rho += p * np.outer(psi, psi.conj())
     return rho
 
@@ -193,10 +203,6 @@ def beams(draw):
 cascade_axes = st.lists(angle, min_size=1, max_size=6)
 
 
-def within_4_ulp(got, want):
-    return abs(got - want) <= max(4 * np.spacing(abs(want)), 1e-15)
-
-
 # --- cascade ----------------------------------------------------------------------
 
 
@@ -205,7 +211,7 @@ def test_batched_cascade_matches_the_scalar_fold(beam, axes):
     result = cascade_analytic(beam, axes)
     want = ref_cascade(beam.rho.matrix, beam.intensity, axes)
     assert result.axes == tuple(axes)
-    assert all(within_4_ulp(g, w) for g, w in zip(result.per_stage_intensity, want, strict=True))
+    assert list(result.per_stage_intensity) == want
     assert result.final_intensity() == result.per_stage_intensity[-1]
 
 
@@ -328,6 +334,7 @@ def test_trace_distance_is_the_size_one_call():
 def test_scalar_forms_agree_with_the_references(phi, theta):
     state = ket_from_angle(phi)
     p0, p1 = born_probabilities(state, theta)
+    assert (p0, p1) == ref_born_probabilities(state.amplitudes, theta, square=lambda x: x * x)
     w0, w1 = ref_born_probabilities(state.amplitudes, theta)
     assert abs(p0 - w0) <= 1e-15 and abs(p1 - w1) <= 1e-15
     m = np.outer(state.amplitudes, state.amplitudes.conj())
@@ -338,12 +345,29 @@ def test_scalar_forms_agree_with_the_references(phi, theta):
                                       ref_eigenvector(theta, outcome))
 
 
-@given(angle, st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
-           lambda a: np.linalg.norm(a) > 0.1))
+pair_amplitudes = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda a: np.linalg.norm(a) > 0.1)
+
+
+@given(angle, pair_amplitudes)
 def test_bob_reduced_state_equals_the_reference(theta, amplitudes):
     for pair in (make_pair(), PairState(StateVector.normalize(amplitudes))):
         want = ref_bob_marginal(pair.joint.amplitudes, theta)
         assert entangle.bob_reduced_state(pair, theta).matrix.tobytes() == want.tobytes()
+
+
+@given(angle, pair_amplitudes)
+def test_conditional_state_equals_the_reference(theta, amplitudes):
+    for pair in (make_pair(), PairState(StateVector.normalize(amplitudes))):
+        for outcome in (0, 1):
+            p, c = ref_branch(pair.joint.amplitudes, theta, outcome)
+            if p < 1e-12:
+                with pytest.raises(InvalidStateError):
+                    entangle.conditional_state(pair, theta, outcome)
+                continue
+            got_p, got = entangle.conditional_state(pair, theta, outcome)
+            assert got_p == p
+            assert got.amplitudes.tobytes() == ref_conditional_state(c).tobytes()
 
 
 @given(arrays(np.float64, st.integers(1, 32),

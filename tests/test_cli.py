@@ -997,9 +997,13 @@ REMOVED_IN_0_20_0 = {
     "protocol": ["standard_strategies"],
     "stats": ["as_bit_array", "wilson_interval_array"],
 }
+# removed on purpose: since 0.21.0 the mzi closed form has no public array
+# form; the sweep of more than SCALAR_ROWS phases calls mzi._detector_probability_array
+REMOVED_IN_0_21_0 = {"mzi": ["detector_probability_array"]}
 REMOVED = (REMOVED_IN_0_8_0 + REMOVED_IN_0_10_0 + sum(REMOVED_IN_0_11_0.values(), [])
            + sum(REMOVED_IN_0_13_0.values(), []) + REMOVED_IN_0_15_0
-           + sum(REMOVED_IN_0_19_0.values(), []) + sum(REMOVED_IN_0_20_0.values(), []))
+           + sum(REMOVED_IN_0_19_0.values(), []) + sum(REMOVED_IN_0_20_0.values(), [])
+           + sum(REMOVED_IN_0_21_0.values(), []))
 
 
 def test_every_0_7_0_name_still_resolves():
@@ -1011,7 +1015,8 @@ def test_every_0_7_0_name_still_resolves():
         with pytest.raises(AttributeError):
             getattr(cli, name)
     for module, names in [*REMOVED_IN_0_11_0.items(), *REMOVED_IN_0_13_0.items(),
-                          *REMOVED_IN_0_19_0.items(), *REMOVED_IN_0_20_0.items()]:
+                          *REMOVED_IN_0_19_0.items(), *REMOVED_IN_0_20_0.items(),
+                          *REMOVED_IN_0_21_0.items()]:
         for name in names:
             assert not hasattr(getattr(photonlab, module), name), (module, name)
     assert all(hasattr(photonlab.rng, name) for name in REMOVED_IN_0_15_0)

@@ -38,8 +38,8 @@ from photonlab.entangle import (
 from photonlab.mzi import (
     MziConfig,
     _d0_counts,
+    _detector_probability_array,
     detector_probabilities,
-    detector_probability_array,
     run_mzi,
 )
 from photonlab.scalars import SCALAR_ROWS
@@ -172,7 +172,7 @@ def test_equal_bases_snap_the_equal_outcomes_to_zero(theta, turns):
 @given(st.lists(st.one_of(wide_angle, st.sampled_from([0.0, math.pi, -math.pi, 2 * math.pi])),
                 min_size=1, max_size=60), st.booleans())
 def test_detector_probability_array_equals_the_scalar_code(phases, second_bs):
-    got = detector_probability_array(phases, second_bs)
+    got = _detector_probability_array(phases, second_bs)
     for k, phase in enumerate(phases):
         p0, p1 = detector_probabilities(phase, second_bs)
         assert tuple(got[k].tolist()) == (p0, p1)
@@ -191,11 +191,11 @@ def within_1e_15(closed, algebra) -> bool:
 def test_detector_probabilities_are_the_two_mode_algebra_within_1e_15():
     phases = np.linspace(-100.0, 100.0, 20_001)
     for second_bs in (True, False):
-        got = detector_probability_array(phases, second_bs)[:, 0].tolist()
+        got = _detector_probability_array(phases, second_bs)[:, 0].tolist()
         want = [ref_detector_probabilities(float(p), second_bs)[0] for p in phases]
         assert all(map(within_1e_15, got, want))
     # the open arm is exactly flat, where the algebra's last bits are not
-    assert detector_probability_array(phases, False)[:, 0].tolist() == [0.5] * phases.size
+    assert _detector_probability_array(phases, False)[:, 0].tolist() == [0.5] * phases.size
 
 
 @given(wilson_counts(), st.sampled_from([0.95, 0.5, 0.99, 1e-9]))
@@ -278,10 +278,10 @@ def test_chsh_equals_its_four_correlations():
 def test_batches_across_a_slice_boundary_equal_their_size_one_calls(monkeypatch):
     n = SLICE_POINTS + 3
     theta = np.linspace(-3.7, 400.0, n)
-    phases = detector_probability_array(theta, True)
+    phases = _detector_probability_array(theta, True)
     assert phases.tobytes() == np.concatenate(
-        [detector_probability_array(theta[:SLICE_POINTS], True),
-         detector_probability_array(theta[SLICE_POINTS:], True)]).tobytes()
+        [_detector_probability_array(theta[:SLICE_POINTS], True),
+         _detector_probability_array(theta[SLICE_POINTS:], True)]).tobytes()
     e, se = _correlation_columns(theta, 0.3, 1000, seed=8, stream_base=5)
     head = _correlation_columns(theta[:SLICE_POINTS], 0.3, 1000, seed=8, stream_base=5)
     # the last three points draw row by row, with the same counts

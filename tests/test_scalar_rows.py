@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from photonlab import cli, core, draw, entangle, rng
 from photonlab.entangle import _correlation_columns, _joint_counts, joint_probabilities, make_pair
-from photonlab.mzi import _d0_counts, detector_probabilities, detector_probability_array
+from photonlab.mzi import _d0_counts, _detector_probability_array, detector_probabilities
 from photonlab.scalars import PROB_SNAP, SCALAR_ROWS, canonical_angle
 
 FOUR_PI = 4 * math.pi
@@ -112,7 +112,7 @@ def test_the_singlet_closed_form_is_the_same_in_math_and_numpy(pairs, equal):
 
 @given(phases, st.booleans())
 def test_the_fringe_closed_form_is_the_same_in_math_and_numpy(phis, second_bs):
-    assert detector_probability_array(phis, second_bs).tolist() == [
+    assert _detector_probability_array(phis, second_bs).tolist() == [
         list(detector_probabilities(phi, second_bs)) for phi in phis]
 
 
@@ -121,7 +121,7 @@ def test_the_closed_forms_agree_on_many_random_arguments():
     a = [rand.uniform(-1e4, 1e4) for _ in range(20_000)]
     b = [rand.uniform(-1e4, 1e4) for _ in range(20_000)]
     assert _singlet_numpy(a, b).tolist() == _singlet_math(a, b)
-    assert detector_probability_array(a, True).tolist() == [
+    assert _detector_probability_array(a, True).tolist() == [
         list(detector_probabilities(phi, True)) for phi in a]
 
 
@@ -146,7 +146,7 @@ def algebra_d0(phase, second_bs):
 
 @given(phases, st.booleans())
 def test_the_fringe_closed_form_is_the_amplitude_algebra_within_1e_15(phis, second_bs):
-    got = detector_probability_array(phis, second_bs)
+    got = _detector_probability_array(phis, second_bs)
     for phi, (p0, p1) in zip(phis, got.tolist()):
         assert within_1e_15(p0, algebra_d0(phi, second_bs))
         assert p0 + p1 == 1.0
@@ -213,7 +213,7 @@ def test_the_open_arm_gives_half_the_photons_at_every_phase(points):
     for n in (7, 8, 2**32 - 1):
         got = _d0_counts(phis, False, n, 0, "analytic", 0, 1)
         assert np.asarray(got).tolist() == [round(n / 2)] * points
-    assert detector_probability_array(phis, False).tolist() == [[0.5, 0.5]] * points
+    assert _detector_probability_array(phis, False).tolist() == [[0.5, 0.5]] * points
 
 
 # numpy's AVX-512 kernels round some complex magnitudes apart from its

@@ -162,15 +162,15 @@ def _code_lines(path: Path) -> int:
 # is off: at 0.19.1, which compiled all six runners and the CSV writer in every
 # run, and the most it may compile now
 CODE_LINES = {
-    "mc-bulk malus": (1011, 839),
-    "mc-bulk bell": (1106, 916),
-    "mc-bulk mzi": (1072, 902),
-    "protocol-stats fixed": (1331, 1147),
-    "protocol-stats repetition": (1331, 1147),
-    "protocol-stats oracle": (1168, 984),
-    "analytic-grid malus": (848, 698),
-    "analytic-grid entropy": (800, 607),
-    "analytic-grid nosignal": (1332, 1117),
+    "mc-bulk malus": (1011, 829),
+    "mc-bulk bell": (1106, 899),
+    "mc-bulk mzi": (1072, 893),
+    "protocol-stats fixed": (1331, 1138),
+    "protocol-stats repetition": (1331, 1138),
+    "protocol-stats oracle": (1168, 975),
+    "analytic-grid malus": (848, 688),
+    "analytic-grid entropy": (800, 598),
+    "analytic-grid nosignal": (1332, 1100),
 }
 
 
